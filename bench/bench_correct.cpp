@@ -89,14 +89,13 @@ struct Row {
 
 /// One file-to-file run of the whole pipeline (both passes + I/O).
 struct E2eRow {
-  bool io_overlap = false;
   std::size_t threads = 0;
   bool oversubscribed = false;
   double seconds = 0.0;
   double reads_per_sec = 0.0;
   bool identical = false;
-  core::OverlapStageStats pass1;
-  core::OverlapStageStats pass2;
+  util::PipelineExecutorStats pass1;
+  util::PipelineExecutorStats pass2;
 };
 
 std::string slurp(const std::string& path) {
@@ -104,13 +103,6 @@ std::string slurp(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
-}
-
-double util_pct(const core::OverlapStageStats& s) {
-  if (s.workers == 0 || s.elapsed_seconds <= 0.0) return 0.0;
-  const double denom =
-      static_cast<double>(s.workers) * s.elapsed_seconds;
-  return 100.0 * (1.0 - std::min(1.0, s.worker_stall_seconds / denom));
 }
 
 }  // namespace
@@ -238,11 +230,11 @@ int main() {
             << ", outputs " << (all_identical ? "all identical" : "DIVERGED")
             << ", peak rss " << bench::mem_gb() << " GiB\n";
 
-  // --- End-to-end: file-to-file wall clock with the overlapped
-  // streaming executor on/off. Method sap (streamed spectrum), so both
-  // the pass-1 read-ahead and the pass-2 reader/workers/writer pipeline
-  // are on the measured path, I/O included. Every run's output file
-  // must be byte-identical to the serial single-thread reference.
+  // --- End-to-end: file-to-file wall clock of the streaming pipeline.
+  // Method sap (streamed spectrum), so both the pass-1 ingest and the
+  // pass-2 reader/workers/writer executor are on the measured path, I/O
+  // included. Every run's output file must be byte-identical to the
+  // single-thread reference.
   std::cout << "\nEnd-to-end (sap, file to file, I/O included):\n";
   const auto e2e_dir =
       std::filesystem::temp_directory_path() /
@@ -256,54 +248,47 @@ int main() {
   std::string e2e_reference;
   double e2e_ref_s = 0.0;
   std::vector<E2eRow> e2e_rows;
-  util::Table e2e_table({"Overlap", "Threads", "Wall (s)", "Reads/s",
-                         "Speedup vs serial 1t", "P2 util", "Identical"});
-  for (const bool overlap : {false, true}) {
-    for (const std::size_t threads : {1ul, 2ul, 4ul}) {
-      core::PipelineOptions popts;
-      popts.threads = threads;
-      popts.io_overlap = overlap;
-      const std::string out_fastq =
-          (e2e_dir / ("out_" + std::to_string(threads) +
-                      (overlap ? "_ov" : "_serial") + ".fastq"))
-              .string();
-      core::PipelineResult res;
-      const double s = best_seconds(kRepeats, [&] {
-        core::CorrectionPipeline pipeline(
-            core::make_corrector("sap", e2e_config), popts);
-        res = pipeline.run_file(in_fastq, out_fastq);
-      });
-      const std::string bytes = slurp(out_fastq);
-      std::filesystem::remove(out_fastq);
-      if (!overlap && threads == 1) {
-        e2e_reference = bytes;
-        e2e_ref_s = s;
-      }
-      E2eRow row;
-      row.io_overlap = overlap;
-      row.threads = threads;
-      row.oversubscribed = hw != 0 && threads > hw;
-      row.seconds = s;
-      row.reads_per_sec = nreads / s;
-      row.identical = bytes == e2e_reference;
-      row.pass1 = res.pass1_overlap;
-      row.pass2 = res.pass2_overlap;
-      all_identical = all_identical && row.identical;
-      e2e_rows.push_back(row);
-      e2e_table.add_row(
-          {overlap ? "on" : "off",
-           std::to_string(threads) + (row.oversubscribed ? "*" : ""),
-           util::Table::fixed(s, 3),
-           util::Table::num(static_cast<std::uint64_t>(row.reads_per_sec)),
-           util::Table::fixed(e2e_ref_s / s, 2) + "x",
-           overlap ? util::Table::fixed(util_pct(row.pass2), 0) + "%" : "-",
-           row.identical ? "yes" : "NO"});
+  util::Table e2e_table({"Threads", "Wall (s)", "Reads/s", "Speedup vs 1t",
+                         "P2 util", "Identical"});
+  for (const std::size_t threads : {1ul, 2ul, 4ul}) {
+    core::PipelineOptions popts;
+    popts.threads = threads;
+    const std::string out_fastq =
+        (e2e_dir / ("out_" + std::to_string(threads) + ".fastq")).string();
+    core::PipelineResult res;
+    const double s = best_seconds(kRepeats, [&] {
+      core::CorrectionPipeline pipeline(
+          core::make_corrector("sap", e2e_config), popts);
+      res = pipeline.run_file(in_fastq, out_fastq);
+    });
+    const std::string bytes = slurp(out_fastq);
+    std::filesystem::remove(out_fastq);
+    if (threads == 1) {
+      e2e_reference = bytes;
+      e2e_ref_s = s;
     }
+    E2eRow row;
+    row.threads = threads;
+    row.oversubscribed = hw != 0 && threads > hw;
+    row.seconds = s;
+    row.reads_per_sec = nreads / s;
+    row.identical = bytes == e2e_reference;
+    row.pass1 = res.pass1_overlap;
+    row.pass2 = res.pass2_overlap;
+    all_identical = all_identical && row.identical;
+    e2e_rows.push_back(row);
+    e2e_table.add_row(
+        {std::to_string(threads) + (row.oversubscribed ? "*" : ""),
+         util::Table::fixed(s, 3),
+         util::Table::num(static_cast<std::uint64_t>(row.reads_per_sec)),
+         util::Table::fixed(e2e_ref_s / s, 2) + "x",
+         util::Table::fixed(100.0 * row.pass2.worker_utilization(), 0) + "%",
+         row.identical ? "yes" : "NO"});
   }
   std::filesystem::remove_all(e2e_dir);
   e2e_table.print(std::cout);
   std::cout << "(* = oversubscribed: more workers than the " << hw
-            << " hardware thread(s), overlap gains bounded by real "
+            << " hardware thread(s), gains bounded by real "
                "parallelism)\n";
 
   // --- JSON record. ---
@@ -349,12 +334,11 @@ int main() {
        << "  \"end_to_end\": {\n"
        << "    \"method\": \"sap\",\n"
        << "    \"includes_io\": true,\n"
-       << "    \"serial_1t_s\": " << e2e_ref_s << ",\n"
+       << "    \"reference_1t_s\": " << e2e_ref_s << ",\n"
        << "    \"runs\": [\n";
   for (std::size_t i = 0; i < e2e_rows.size(); ++i) {
     const auto& r = e2e_rows[i];
-    json << "      {\"io_overlap\": " << (r.io_overlap ? "true" : "false")
-         << ", \"threads\": " << r.threads
+    json << "      {\"threads\": " << r.threads
          << ", \"oversubscribed\": " << (r.oversubscribed ? "true" : "false")
          << ", \"seconds\": " << r.seconds
          << ", \"reads_per_sec\": " << r.reads_per_sec
@@ -365,7 +349,8 @@ int main() {
          << ", \"pass2_writer_stall_s\": " << r.pass2.writer_stall_seconds
          << ", \"pass2_queue_peak\": " << r.pass2.queue_peak
          << ", \"pass2_reorder_peak\": " << r.pass2.reorder_peak
-         << ", \"pass2_worker_util_pct\": " << util_pct(r.pass2) << "}"
+         << ", \"pass2_worker_util_pct\": "
+         << 100.0 * r.pass2.worker_utilization() << "}"
          << (i + 1 < e2e_rows.size() ? "," : "") << "\n";
   }
   json << "    ]\n"

@@ -3,24 +3,20 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <exception>
 #include <fstream>
 #include <mutex>
 #include <optional>
 #include <ostream>
-#include <stdexcept>
-#include <thread>
-
 #include <sstream>
+#include <stdexcept>
+#include <utility>
 
 #include "fault/fault.hpp"
 #include "index/spectrum_index.hpp"
 #include "io/fastx.hpp"
 #include "kspec/chunked_builder.hpp"
 #include "util/atomic_file.hpp"
-#include "util/bounded_queue.hpp"
 #include "util/memory.hpp"
-#include "util/pipeline_executor.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -51,22 +47,52 @@ std::string transient_index_path(const std::string& dir) {
          std::to_string(seq.fetch_add(1)) + ".ngsx";
 }
 
-/// Removes a transient file when the run leaves scope (success or
-/// unwind). Deferred to scope exit rather than unlinked eagerly so the
-/// non-POSIX sharded view — which reopens the file per shard — keeps
-/// working through pass 2.
-struct FileRemover {
-  std::string path;
-  ~FileRemover() {
-    if (!path.empty()) std::remove(path.c_str());
+/// Reads held in one executor run's own buffers (queued, in work, or
+/// awaiting the in-order consumer). Only the producer raises the count,
+/// so only it writes the peak; read peak() after the run has joined.
+class ReadGauge {
+ public:
+  void add(std::size_t n) {
+    const std::size_t now =
+        count_.fetch_add(n, std::memory_order_relaxed) + n;
+    peak_ = std::max(peak_, now);
   }
+  void sub(std::size_t n) { count_.fetch_sub(n, std::memory_order_relaxed); }
+  std::size_t peak() const noexcept { return peak_; }
+
+ private:
+  std::atomic<std::size_t> count_{0};
+  std::size_t peak_ = 0;
 };
 
-/// One unit of the overlapped pass 2: a batch of reads flowing
-/// reader → workers → writer through the PipelineExecutor. `in` views
-/// either `owned` (streamed path) or the buffered ReadSet; moving a
-/// chunk moves the vectors, which keeps their heap buffers — and
-/// therefore the span — valid.
+/// Spent executor items handed back from the in-order consumer to the
+/// producer, so steady state reuses their buffers instead of
+/// allocating new ones.
+template <typename T>
+class Recycler {
+ public:
+  /// Replaces `item` with a spent one, if there is one.
+  void take(T& item) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (spent_.empty()) return;
+    item = std::move(spent_.back());
+    spent_.pop_back();
+  }
+  void give(T&& item) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    spent_.push_back(std::move(item));
+  }
+
+ private:
+  std::mutex mutex_;
+  std::vector<T> spent_;
+};
+
+/// One unit of pass 2: a batch of reads flowing reader → workers →
+/// writer through the PipelineExecutor. `in` views either `owned`
+/// (streamed input) or the buffered ReadSet; moving a chunk moves the
+/// vectors, which keeps their heap buffers — and therefore the span —
+/// valid.
 struct Pass2Chunk {
   std::vector<seq::Read> owned;
   std::span<const seq::Read> in;
@@ -75,6 +101,146 @@ struct Pass2Chunk {
 
 }  // namespace
 
+TransientFile::TransientFile(TransientFile&& other) noexcept
+    : path(std::exchange(other.path, {})) {}
+
+TransientFile& TransientFile::operator=(TransientFile&& other) noexcept {
+  std::swap(path, other.path);  // `other` removes our old file
+  return *this;
+}
+
+TransientFile::~TransientFile() {
+  if (!path.empty()) std::remove(path.c_str());
+}
+
+SpectrumStep build_spectrum(const PipelineOptions& options, int k,
+                            bool both_strands,
+                            const StreamFactory& open_input) {
+  SpectrumStep step;
+  if (!options.load_index_path.empty()) {
+    // Pass 1 replaced by the persisted index: mmap it, cross-check the
+    // build parameters, and hand over the zero-copy spectrum view. The
+    // input summary comes from the index header (it was recorded from
+    // the same reads at build time), so downstream sizing — and
+    // therefore output — matches a fresh run.
+    const auto index = index::SpectrumIndex::load(options.load_index_path);
+    const auto& info = index.info();
+    if (info.build.k != k) {
+      std::ostringstream os;
+      os << options.load_index_path << ": index was built with k="
+         << info.build.k << " but this run needs k=" << k;
+      throw std::invalid_argument(os.str());
+    }
+    if (info.build.both_strands != both_strands) {
+      std::ostringstream os;
+      os << options.load_index_path << ": index was built "
+         << (info.build.both_strands ? "with" : "without")
+         << " reverse-complement strands but this run expects the "
+            "opposite";
+      throw std::invalid_argument(os.str());
+    }
+    step.input.reads = info.build.input_reads;
+    step.input.bases = info.build.input_bases;
+    step.input.max_read_length = info.build.max_read_length;
+    step.loaded = true;
+    step.index_checksum = info.checksum;
+    step.spectrum = index.share_spectrum();
+    return step;
+  }
+
+  std::optional<util::ThreadPool> own_pool;
+  if (options.threads > 0) own_pool.emplace(options.threads);
+  kspec::SpillOptions spill;
+  spill.memory_budget_bytes = options.memory_budget_bytes;
+  spill.spill_dir = options.spill_dir;
+  kspec::ChunkedSpectrumBuilder builder(
+      k, both_strands, options.spectrum_batch_instances,
+      own_pool ? &*own_pool : nullptr, spill);
+  const std::size_t batch_size = std::max<std::size_t>(1, options.batch_size);
+  auto is = open_input();
+  io::FastqStreamReader reader(*is);
+  reader.set_bad_record_policy(options.on_bad_record);
+
+  // The executor's reader thread parses batches ahead while this thread
+  // (its in-order consumer) feeds the builder; the one worker passes
+  // batches through. Only this thread touches the builder, so it needs
+  // no locking.
+  using Batch = std::vector<seq::Read>;
+  util::PipelineExecutor<Batch> executor({.workers = 1});
+  Recycler<Batch> recycler;
+  ReadGauge gauge;
+  step.ingest = executor.run(
+      [&](Batch& batch) {
+        fault::maybe_fail(fault::sites::kPipelineReader, ErrorKind::kIo,
+                          "pass-1 read-ahead failed");
+        recycler.take(batch);
+        if (reader.read_batch(batch, batch_size) == 0) return false;
+        gauge.add(batch.size());
+        return true;
+      },
+      [](Batch&, std::size_t) {},
+      [&](Batch&& batch) {
+        builder.add_read_batch(batch);
+        for (const auto& r : batch) step.input.add(r);
+        gauge.sub(batch.size());
+        batch.clear();
+        recycler.give(std::move(batch));
+      });
+  step.records_skipped = reader.records_skipped();
+  step.peak_buffered_reads = gauge.peak();
+
+  index::IndexBuildInfo build;
+  build.k = k;
+  build.both_strands = both_strands;
+  build.input_reads = step.input.reads;
+  build.input_bases = step.input.bases;
+  build.max_read_length =
+      static_cast<std::uint32_t>(step.input.max_read_length);
+  const std::string& save_path = options.save_index_path;
+  if (builder.spilled()) {
+    builder.flush_spill();
+    step.spilled = true;
+    step.spilled_bytes = builder.spill_bytes();
+  }
+  if (step.spilled && builder.spill_nonempty_bins() > 1) {
+    // Out-of-core finalization: stream the sorted prefix bins straight
+    // into a sharded index file — the full spectrum never exists in
+    // this process — then serve the spectrum from the file's lazily
+    // mapped shards. Saved when the caller asked for an index;
+    // otherwise a transient file removed with the step.
+    const std::string path =
+        save_path.empty() ? transient_index_path(builder.spill_dir())
+                          : save_path;
+    if (save_path.empty()) step.transient_index.path = path;
+    {
+      index::ShardedIndexWriter writer(path, build,
+                                       builder.spill_shard_bits(),
+                                       builder.spill_nonempty_bins());
+      builder.finish_spilled(
+          [&writer](kspec::ChunkedSpectrumBuilder::SortedRun&& run) {
+            writer.append_shard(run.prefix, std::move(run.codes),
+                                std::move(run.counts));
+          });
+      step.index_checksum = writer.finish();
+    }
+    step.saved = !save_path.empty();
+    const auto index = index::SpectrumIndex::load(path);
+    step.shards = index.info().shard_count;
+    step.spectrum = index.share_spectrum();
+  } else {
+    // A single non-empty spill bin lands here too: finish() rebuilds
+    // the monolithic arrays, so a save still writes version-1 bytes.
+    step.spectrum = builder.finish();
+    if (!save_path.empty()) {
+      step.index_checksum =
+          index::write_spectrum_index(save_path, step.spectrum, build);
+      step.saved = true;
+    }
+  }
+  step.peak_tracked_bytes = builder.peak_tracked_bytes();
+  return step;
+}
+
 CorrectionPipeline::CorrectionPipeline(std::unique_ptr<Corrector> corrector,
                                        PipelineOptions options)
     : corrector_(std::move(corrector)), options_(options) {
@@ -82,7 +248,6 @@ CorrectionPipeline::CorrectionPipeline(std::unique_ptr<Corrector> corrector,
     throw std::invalid_argument("CorrectionPipeline: null corrector");
   }
   if (options_.batch_size == 0) options_.batch_size = 1;
-  if (options_.queue_depth == 0) options_.queue_depth = 1;
 }
 
 CorrectionPipeline::~CorrectionPipeline() {
@@ -126,21 +291,14 @@ PipelineResult CorrectionPipeline::run_file(const std::string& in_fastq,
 PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
                                        std::ostream& out) {
   PipelineResult result;
-  std::optional<util::ThreadPool> own_pool;
-  if (options_.threads > 0) own_pool.emplace(options_.threads);
-  util::ThreadPool& pool = own_pool ? *own_pool : util::default_pool();
   const std::size_t batch_size = options_.batch_size;
-  const bool overlap = options_.io_overlap;
-  const std::size_t exec_workers = pool.size();
-  // One slot per concurrent corrector plus one for inline callers.
-  ensure_scratch_slots(exec_workers + 1);
 
   // Transient input-open failures are absorbed by a bounded
   // exponential-backoff retry; the count is surfaced as io_retries.
   const fault::RetryPolicy retry_policy{
       std::max(1, options_.io_retry_attempts),
       std::max(0, options_.io_retry_backoff_ms)};
-  const auto open_with_retry = [&]() {
+  const StreamFactory open_with_retry = [&]() {
     return fault::with_retry(
         retry_policy,
         [&]() -> std::unique_ptr<std::istream> {
@@ -156,8 +314,9 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
         },
         &result.io_retries);
   };
-  // One batch-write primitive for every path below: injectable, and any
-  // stream failure is a typed I/O error instead of a silent bad() bit.
+  // One batch-write primitive for both pass-2 shapes: injectable, and
+  // any stream failure is a typed I/O error instead of a silent bad()
+  // bit.
   const auto write_batch = [&out](std::span<const seq::Read> reads) {
     fault::maybe_fail(fault::sites::kOutputWrite, ErrorKind::kIo,
                       "error writing corrected output");
@@ -168,312 +327,26 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
     }
   };
 
-  // Reads resident in the overlapped stages' own buffers (queued +
-  // in-correction + awaiting the in-order writer), for the
-  // peak_buffered_reads bound.
-  std::atomic<std::size_t> in_flight_reads{0};
-  std::atomic<std::size_t> in_flight_peak{0};
-  const auto in_flight_add = [&](std::size_t n) {
-    const std::size_t now =
-        in_flight_reads.fetch_add(n, std::memory_order_relaxed) + n;
-    std::size_t peak = in_flight_peak.load(std::memory_order_relaxed);
-    while (now > peak && !in_flight_peak.compare_exchange_weak(
-                             peak, now, std::memory_order_relaxed)) {
-    }
-  };
-
-  // Overlapped pass 2: reader thread → bounded queue → dynamic workers
-  // → order-restoring writer (this thread), on util::PipelineExecutor.
-  // `fill` produces the next chunk (serially, on the reader thread);
-  // spent chunks are recycled so steady state allocates nothing.
-  std::vector<Pass2Chunk> chunk_recycle;
-  std::mutex recycle_mutex;
-  const auto run_pass2_overlapped =
-      [&](const std::function<bool(Pass2Chunk&)>& fill) {
-        util::PipelineExecutorOptions exec_options;
-        exec_options.workers = exec_workers;
-        exec_options.queue_depth = options_.queue_depth;
-        util::PipelineExecutor<Pass2Chunk> executor(exec_options);
-        std::mutex report_mutex;
-        const auto stats = executor.run(
-            [&](Pass2Chunk& chunk) -> bool {
-              fault::maybe_fail(fault::sites::kPipelineReader,
-                                ErrorKind::kIo, "pass-2 read-ahead failed");
-              {
-                std::lock_guard<std::mutex> lock(recycle_mutex);
-                if (!chunk_recycle.empty()) {
-                  chunk = std::move(chunk_recycle.back());
-                  chunk_recycle.pop_back();
-                }
-              }
-              chunk.owned.clear();
-              chunk.out.clear();
-              chunk.in = {};
-              if (!fill(chunk)) return false;
-              in_flight_add(chunk.in.size());
-              return true;
-            },
-            [&](Pass2Chunk& chunk, std::size_t worker) {
-              CorrectionReport local;
-              auto scratch = acquire_scratch(worker);
-              chunk.out.reserve(chunk.in.size());
-              correct_span(chunk.in, chunk.out, local, scratch.get());
-              release_scratch(std::move(scratch), worker);
-              std::lock_guard<std::mutex> lock(report_mutex);
-              result.report.merge(local);
-            },
-            [&](Pass2Chunk&& chunk) {
-              fault::maybe_fail(fault::sites::kPipelineWriter,
-                                ErrorKind::kIo,
-                                "pass-2 ordered write failed");
-              write_batch(std::span<const seq::Read>(chunk.out));
-              ++result.batches;
-              in_flight_reads.fetch_sub(chunk.in.size(),
-                                        std::memory_order_relaxed);
-              chunk.owned.clear();
-              chunk.out.clear();
-              chunk.in = {};
-              std::lock_guard<std::mutex> lock(recycle_mutex);
-              chunk_recycle.push_back(std::move(chunk));
-            });
-        result.overlapped = true;
-        auto& s2 = result.pass2_overlap;
-        s2.items = stats.items;
-        s2.queue_peak = stats.queue_peak;
-        s2.reorder_peak = stats.reorder_peak;
-        s2.workers = exec_workers;
-        s2.reader_busy_seconds = stats.reader_busy_seconds;
-        s2.reader_stall_seconds = stats.reader_stall_seconds;
-        s2.worker_stall_seconds = stats.worker_stall_seconds;
-        s2.writer_busy_seconds = stats.writer_busy_seconds;
-        s2.writer_stall_seconds = stats.writer_stall_seconds;
-        s2.elapsed_seconds = stats.elapsed_seconds;
-        result.pass2_seconds += stats.elapsed_seconds;
-      };
-
-  std::vector<seq::Read> in_batch, out_batch;
-  std::uint64_t index_checksum = 0;
-  std::uint64_t pass1_skipped_records = 0;
-  bool index_saved = false;
-  // Outlives pass 2: the transient sharded index of a budget run must
-  // stay on disk while the lazy view still serves shards from it.
-  FileRemover temp_index;
-  if (corrector_->spectrum_k() > 0) {
-    result.streamed = true;
-    if (!options_.load_index_path.empty()) {
-      // Pass 1 replaced by the persisted index: mmap it, cross-check
-      // the build parameters against the corrector, and hand over the
-      // zero-copy spectrum view. The input summary comes from the index
-      // header (it was recorded from the same reads at build time), so
-      // downstream sizing — and therefore output — matches a fresh run.
-      const auto index =
-          ngs::index::SpectrumIndex::load(options_.load_index_path);
-      const auto& info = index.info();
-      if (info.build.k != corrector_->spectrum_k()) {
-        std::ostringstream os;
-        os << options_.load_index_path << ": index was built with k="
-           << info.build.k << " but method '" << corrector_->method()
-           << "' needs k=" << corrector_->spectrum_k();
-        throw std::invalid_argument(os.str());
-      }
-      if (info.build.both_strands != corrector_->spectrum_both_strands()) {
-        std::ostringstream os;
-        os << options_.load_index_path << ": index was built "
-           << (info.build.both_strands ? "with" : "without")
-           << " reverse-complement strands but method '"
-           << corrector_->method() << "' expects the opposite";
-        throw std::invalid_argument(os.str());
-      }
-      result.input.reads = info.build.input_reads;
-      result.input.bases = info.build.input_bases;
-      result.input.max_read_length = info.build.max_read_length;
-      result.pass1_skipped = true;
-      index_checksum = info.checksum;
-      corrector_->build_from_spectrum(index.share_spectrum(), result.input);
-    } else {
-      // Pass 1: stream batches into the bounded-memory spectrum builder.
-      // Batch sorts and run merges run on their own pool when
-      // spectrum_threads is set, otherwise on the correction pool.
-      std::optional<util::ThreadPool> spectrum_pool;
-      if (options_.spectrum_threads > 0) {
-        spectrum_pool.emplace(options_.spectrum_threads);
-      }
-      kspec::SpillOptions spill;
-      spill.memory_budget_bytes = options_.memory_budget_bytes;
-      spill.spill_dir = options_.spill_dir;
-      kspec::ChunkedSpectrumBuilder builder(
-          corrector_->spectrum_k(), corrector_->spectrum_both_strands(),
-          options_.spectrum_batch_instances,
-          spectrum_pool ? &*spectrum_pool : &pool, spill);
-      auto is = open_with_retry();
-      io::FastqStreamReader reader(*is);
-      reader.set_bad_record_policy(options_.on_bad_record);
-      if (overlap) {
-        // Overlapped ingest: a dedicated reader thread parses batches
-        // ahead through a bounded queue while this thread streams them
-        // into the builder — parsing and kmer extraction (including
-        // batch sorts and spill writes) proceed concurrently instead of
-        // taking turns. The builder itself is only ever touched from
-        // this thread, so it needs no locking.
-        const util::Timer pass1_timer;
-        util::BoundedQueue<std::vector<seq::Read>> queue(
-            options_.queue_depth);
-        std::vector<std::vector<seq::Read>> batch_recycle;
-        std::mutex batch_recycle_mutex;
-        std::exception_ptr reader_error;
-        std::thread reader_thread([&] {
-          try {
-            for (;;) {
-              fault::maybe_fail(fault::sites::kPipelineReader,
-                                ErrorKind::kIo, "pass-1 read-ahead failed");
-              std::vector<seq::Read> batch;
-              {
-                std::lock_guard<std::mutex> lock(batch_recycle_mutex);
-                if (!batch_recycle.empty()) {
-                  batch = std::move(batch_recycle.back());
-                  batch_recycle.pop_back();
-                }
-              }
-              batch.clear();
-              if (reader.read_batch(batch, batch_size) == 0) break;
-              in_flight_add(batch.size());
-              if (!queue.push(std::move(batch))) break;
-            }
-          } catch (...) {
-            reader_error = std::current_exception();
-          }
-          queue.close();
-        });
-        std::size_t batches_ingested = 0;
-        try {
-          std::vector<seq::Read> batch;
-          while (queue.pop(batch)) {
-            builder.add_read_batch(batch);
-            for (const auto& r : batch) result.input.add(r);
-            in_flight_reads.fetch_sub(batch.size(),
-                                      std::memory_order_relaxed);
-            ++batches_ingested;
-            batch.clear();
-            std::lock_guard<std::mutex> lock(batch_recycle_mutex);
-            batch_recycle.push_back(std::move(batch));
-            batch = std::vector<seq::Read>();
-          }
-        } catch (...) {
-          // Ingest (spill write, sort) failed: unblock a reader stuck
-          // on a full queue, reap the thread, then surface the error.
-          queue.abort();
-          reader_thread.join();
-          throw;
-        }
-        reader_thread.join();
-        if (reader_error) std::rethrow_exception(reader_error);
-        auto& s1 = result.pass1_overlap;
-        s1.items = batches_ingested;
-        s1.queue_peak = queue.peak_size();
-        s1.workers = 1;
-        s1.reader_busy_seconds = reader.parse_seconds();
-        s1.reader_stall_seconds = queue.push_wait_seconds();
-        s1.writer_busy_seconds = builder.ingest_seconds();
-        s1.writer_stall_seconds = queue.pop_wait_seconds();
-        s1.elapsed_seconds = pass1_timer.seconds();
-      } else {
-        while (reader.read_batch(in_batch, batch_size) > 0) {
-          for (const auto& r : in_batch) {
-            builder.add_read(r.bases);
-            result.input.add(r);
-          }
-          result.peak_buffered_reads =
-              std::max(result.peak_buffered_reads, in_batch.size());
-          in_batch.clear();
-        }
-      }
-      pass1_skipped_records = reader.records_skipped();
-      ngs::index::IndexBuildInfo build;
-      build.k = corrector_->spectrum_k();
-      build.both_strands = corrector_->spectrum_both_strands();
-      build.input_reads = result.input.reads;
-      build.input_bases = result.input.bases;
-      build.max_read_length =
-          static_cast<std::uint32_t>(result.input.max_read_length);
-      bool spectrum_built = false;
-      if (builder.spilled()) {
-        builder.flush_spill();
-        result.spectrum_spilled = true;
-        result.spectrum_spilled_bytes = builder.spill_bytes();
-        const std::size_t bins = builder.spill_nonempty_bins();
-        if (bins > 1) {
-          // Out-of-core finalization: stream the sorted prefix bins
-          // straight into a sharded index file — the full spectrum
-          // never exists in this process — then serve pass 2 from the
-          // file's lazily mapped shards. Saved when the caller asked
-          // for an index; otherwise a transient file removed at scope
-          // exit (see FileRemover).
-          const bool keep = !options_.save_index_path.empty();
-          const std::string index_path =
-              keep ? options_.save_index_path
-                   : transient_index_path(builder.spill_dir());
-          if (!keep) temp_index.path = index_path;
-          {
-            ngs::index::ShardedIndexWriter writer(
-                index_path, build, builder.spill_shard_bits(), bins);
-            builder.finish_spilled(
-                [&writer](kspec::ChunkedSpectrumBuilder::SortedRun&& run) {
-                  writer.append_shard(run.prefix, std::move(run.codes),
-                                      std::move(run.counts));
-                });
-            index_checksum = writer.finish();
-          }
-          index_saved = keep;
-          const auto index = ngs::index::SpectrumIndex::load(index_path);
-          result.spectrum_shards = index.info().shard_count;
-          corrector_->build_from_spectrum(index.share_spectrum(),
-                                          result.input);
-          spectrum_built = true;
-        }
-        // A single non-empty bin falls through to finish(): the
-        // concatenation path rebuilds the monolithic arrays, so the
-        // save below still writes byte-identical version-1 output.
-      }
-      if (!spectrum_built) {
-        kspec::KSpectrum spectrum = builder.finish();
-        if (!options_.save_index_path.empty()) {
-          index_checksum = ngs::index::write_spectrum_index(
-              options_.save_index_path, spectrum, build);
-          index_saved = true;
-        }
-        corrector_->build_from_spectrum(std::move(spectrum), result.input);
-      }
-      result.spectrum_peak_tracked_bytes = builder.peak_tracked_bytes();
-    }
-    // Pass 2: re-stream, correct batches in parallel, write in order —
-    // on the overlapped executor by default, or the serial stop-and-go
-    // loop with --io-overlap=off.
-    auto is = open_with_retry();
-    io::FastqStreamReader reader(*is);
-    reader.set_bad_record_policy(options_.on_bad_record);
-    if (overlap) {
-      run_pass2_overlapped([&](Pass2Chunk& chunk) {
-        if (reader.read_batch(chunk.owned, batch_size) == 0) return false;
-        chunk.in = std::span<const seq::Read>(chunk.owned);
-        return true;
-      });
-    } else {
-      while (reader.read_batch(in_batch, batch_size) > 0) {
-        result.peak_buffered_reads =
-            std::max(result.peak_buffered_reads, in_batch.size());
-        util::Timer pass2_timer;
-        correct_batch_parallel(pool, in_batch, out_batch, result.report);
-        result.pass2_seconds += pass2_timer.seconds();
-        write_batch(std::span<const seq::Read>(out_batch));
-        ++result.batches;
-        in_batch.clear();
-      }
-    }
-    // A genuinely malformed record is dropped by both passes, so take
-    // the max rather than the sum (summing would double-count it;
-    // taking only pass 2 would hide a record dropped by pass 1 alone).
-    result.reads_skipped =
-        std::max(pass1_skipped_records, reader.records_skipped());
+  // Phase 1: the spectrum step for streaming methods, else the whole
+  // input buffered. `spectrum` lives until pass 2 ends, since it may
+  // keep a transient sharded index on disk that pass 2 queries.
+  SpectrumStep spectrum;
+  seq::ReadSet all;
+  result.streamed = corrector_->spectrum_k() > 0;
+  if (result.streamed) {
+    spectrum = build_spectrum(options_, corrector_->spectrum_k(),
+                              corrector_->spectrum_both_strands(),
+                              open_with_retry);
+    result.input = spectrum.input;
+    result.pass1_skipped = spectrum.loaded;
+    result.pass1_overlap = spectrum.ingest;
+    result.peak_buffered_reads = spectrum.peak_buffered_reads;
+    result.spectrum_spilled = spectrum.spilled;
+    result.spectrum_spilled_bytes = spectrum.spilled_bytes;
+    result.spectrum_shards = spectrum.shards;
+    result.spectrum_peak_tracked_bytes = spectrum.peak_tracked_bytes;
+    corrector_->build_from_spectrum(std::move(spectrum.spectrum),
+                                    result.input);
   } else {
     if (!options_.load_index_path.empty() ||
         !options_.save_index_path.empty()) {
@@ -483,62 +356,103 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
           "replace or capture it (--load-index/--save-index apply to "
           "streaming methods only)");
     }
-    // Buffered path: one pass to load, then batch (or whole-set) correct.
-    seq::ReadSet all;
-    {
-      auto is = open_with_retry();
-      io::FastqStreamReader reader(*is);
-      reader.set_bad_record_policy(options_.on_bad_record);
-      while (reader.read_batch(all.reads, batch_size) > 0) {
-      }
-      result.reads_skipped = reader.records_skipped();
+    auto is = open_with_retry();
+    io::FastqStreamReader reader(*is);
+    reader.set_bad_record_policy(options_.on_bad_record);
+    while (reader.read_batch(all.reads, batch_size) > 0) {
     }
+    result.reads_skipped = reader.records_skipped();
     for (const auto& r : all.reads) result.input.add(r);
     result.peak_buffered_reads = all.reads.size();
     corrector_->build(all);
-    if (corrector_->supports_batches()) {
-      if (overlap) {
-        // The input is already resident, but correction and output
-        // writing still overlap: chunks view the buffered ReadSet, so
-        // the executor adds no copies.
-        std::size_t offset = 0;
-        run_pass2_overlapped([&](Pass2Chunk& chunk) {
-          if (offset >= all.reads.size()) return false;
-          const std::size_t n =
-              std::min(batch_size, all.reads.size() - offset);
-          chunk.in = std::span<const seq::Read>(all.reads.data() + offset, n);
-          offset += n;
+  }
+
+  // Phase 2.
+  double pass2_seconds = 0.0;
+  if (!result.streamed && !corrector_->supports_batches()) {
+    // Whole-set methods correct the buffered input natively.
+    const util::Timer pass2_timer;
+    const auto corrected = corrector_->correct_all(all, result.report);
+    pass2_seconds = pass2_timer.seconds();
+    for (std::size_t offset = 0; offset < corrected.size();
+         offset += batch_size) {
+      const std::size_t n = std::min(batch_size, corrected.size() - offset);
+      write_batch(std::span<const seq::Read>(corrected.data() + offset, n));
+      ++result.batches;
+    }
+  } else {
+    // Reader thread → bounded queue → correction workers → in-order
+    // writer (this thread). The reader re-streams the input, or slices
+    // the buffered ReadSet into chunks that view it without copies.
+    std::unique_ptr<std::istream> is;
+    std::optional<io::FastqStreamReader> reader;
+    if (result.streamed) {
+      is = open_with_retry();
+      reader.emplace(*is);
+      reader->set_bad_record_policy(options_.on_bad_record);
+    }
+    std::size_t offset = 0;
+    const auto fill = [&](Pass2Chunk& chunk) {
+      if (reader) {
+        if (reader->read_batch(chunk.owned, batch_size) == 0) return false;
+        chunk.in = std::span<const seq::Read>(chunk.owned);
+        return true;
+      }
+      if (offset >= all.reads.size()) return false;
+      const std::size_t n = std::min(batch_size, all.reads.size() - offset);
+      chunk.in = std::span<const seq::Read>(all.reads.data() + offset, n);
+      offset += n;
+      return true;
+    };
+
+    const std::size_t workers = options_.threads > 0
+                                    ? options_.threads
+                                    : util::default_pool().size();
+    ensure_scratch_slots(workers);
+    util::PipelineExecutor<Pass2Chunk> executor({.workers = workers});
+    Recycler<Pass2Chunk> recycler;
+    std::mutex report_mutex;
+    ReadGauge gauge;
+    result.pass2_overlap = executor.run(
+        [&](Pass2Chunk& chunk) -> bool {
+          fault::maybe_fail(fault::sites::kPipelineReader, ErrorKind::kIo,
+                            "pass-2 read-ahead failed");
+          recycler.take(chunk);
+          if (!fill(chunk)) return false;
+          gauge.add(chunk.in.size());
           return true;
-        });
-      } else {
-        for (std::size_t offset = 0; offset < all.reads.size();
-             offset += batch_size) {
-          const std::size_t n =
-              std::min(batch_size, all.reads.size() - offset);
-          util::Timer pass2_timer;
-          correct_batch_parallel(pool, {all.reads.data() + offset, n},
-                                 out_batch, result.report);
-          result.pass2_seconds += pass2_timer.seconds();
-          write_batch(std::span<const seq::Read>(out_batch));
+        },
+        [&](Pass2Chunk& chunk, std::size_t worker) {
+          CorrectionReport local;
+          auto scratch = acquire_scratch(worker);
+          chunk.out.reserve(chunk.in.size());
+          correct_span(chunk.in, chunk.out, local, scratch.get());
+          release_scratch(std::move(scratch), worker);
+          std::lock_guard<std::mutex> lock(report_mutex);
+          result.report.merge(local);
+        },
+        [&](Pass2Chunk&& chunk) {
+          fault::maybe_fail(fault::sites::kPipelineWriter, ErrorKind::kIo,
+                            "pass-2 ordered write failed");
+          write_batch(std::span<const seq::Read>(chunk.out));
           ++result.batches;
-        }
-      }
-    } else {
-      util::Timer pass2_timer;
-      const auto corrected = corrector_->correct_all(all, result.report);
-      result.pass2_seconds += pass2_timer.seconds();
-      for (std::size_t offset = 0; offset < corrected.size();
-           offset += batch_size) {
-        const std::size_t n = std::min(batch_size, corrected.size() - offset);
-        write_batch(
-            std::span<const seq::Read>(corrected.data() + offset, n));
-        ++result.batches;
-      }
+          gauge.sub(chunk.in.size());
+          chunk.owned.clear();
+          chunk.out.clear();
+          chunk.in = {};
+          recycler.give(std::move(chunk));
+        });
+    pass2_seconds = result.pass2_overlap.elapsed_seconds;
+    result.peak_buffered_reads =
+        std::max(result.peak_buffered_reads, gauge.peak());
+    if (reader) {
+      // A genuinely malformed record is dropped by both passes, so take
+      // the max rather than the sum (summing would double-count it;
+      // taking only pass 2 would hide a record dropped by pass 1 alone).
+      result.reads_skipped =
+          std::max(spectrum.records_skipped, reader->records_skipped());
     }
   }
-  result.peak_buffered_reads =
-      std::max(result.peak_buffered_reads,
-               in_flight_peak.load(std::memory_order_relaxed));
   out.flush();
   if (!out) {
     throw Error(ErrorKind::kIo, fault::sites::kOutputWrite,
@@ -547,58 +461,41 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
   // Standardized observability extras: every tool and bench reports the
   // same perf keys regardless of method.
   corrector_->annotate_report(result.report);
-  if (result.pass1_skipped) {
-    result.report.bump("pass1_skipped", 1);
-    result.report.note("index_path", options_.load_index_path);
-    result.report.note("index_checksum", checksum_hex(index_checksum));
-  } else if (index_saved) {
-    result.report.bump("index_saved", 1);
-    result.report.note("index_path", options_.save_index_path);
-    result.report.note("index_checksum", checksum_hex(index_checksum));
+  if (spectrum.loaded || spectrum.saved) {
+    result.report.bump(spectrum.loaded ? "pass1_skipped" : "index_saved", 1);
+    result.report.note("index_path", spectrum.loaded
+                                         ? options_.load_index_path
+                                         : options_.save_index_path);
+    result.report.note("index_checksum",
+                       checksum_hex(spectrum.index_checksum));
   }
-  if (result.pass2_seconds > 0.0) {
+  if (pass2_seconds > 0.0) {
     result.report.bump(
         "pass2_reads_per_sec",
         static_cast<std::uint64_t>(static_cast<double>(result.report.reads) /
-                                   result.pass2_seconds));
+                                   pass2_seconds));
   }
-  // Overlap telemetry: where the stages' time went and how full the
-  // buffers got. Only on overlapped runs, so --io-overlap=off (and the
-  // whole-set methods) keep reports byte-identical to previous releases.
-  if (result.overlapped) {
-    const auto ms = [](double seconds) {
-      return static_cast<std::uint64_t>(seconds * 1000.0 + 0.5);
-    };
-    result.report.bump("io_overlap", 1);
-    result.report.bump("queue_depth", options_.queue_depth);
-    if (result.pass1_overlap.workers > 0) {
-      const auto& s1 = result.pass1_overlap;
-      result.report.bump("pass1_reader_stall_ms",
-                         ms(s1.reader_stall_seconds));
-      result.report.bump("pass1_ingest_stall_ms",
-                         ms(s1.writer_stall_seconds));
-      result.report.bump("pass1_queue_peak", s1.queue_peak);
-    }
-    if (result.pass2_overlap.workers > 0) {
-      const auto& s2 = result.pass2_overlap;
-      result.report.bump("pass2_reader_stall_ms",
-                         ms(s2.reader_stall_seconds));
-      result.report.bump("pass2_writer_stall_ms",
-                         ms(s2.writer_stall_seconds));
-      result.report.bump("pass2_worker_stall_ms",
-                         ms(s2.worker_stall_seconds));
-      result.report.bump("pass2_queue_peak", s2.queue_peak);
-      result.report.bump("pass2_reorder_peak", s2.reorder_peak);
-      double util = 0.0;
-      if (s2.elapsed_seconds > 0.0 && s2.workers > 0) {
-        util = 1.0 - s2.worker_stall_seconds /
-                         (s2.elapsed_seconds *
-                          static_cast<double>(s2.workers));
-        if (util < 0.0) util = 0.0;
-      }
-      result.report.bump("pass2_worker_util_pct",
-                         static_cast<std::uint64_t>(util * 100.0 + 0.5));
-    }
+  // Executor stage telemetry of each pass that ran on one: where the
+  // stages' time went and how full the buffers got. Pass 1's worker
+  // passes batches straight through, so parsed batches waiting for the
+  // builder sit in its reorder buffer, not its input queue.
+  const auto ms = [](double seconds) {
+    return static_cast<std::uint64_t>(seconds * 1000.0 + 0.5);
+  };
+  if (const auto& s1 = result.pass1_overlap; s1.workers > 0) {
+    result.report.bump("pass1_reader_stall_ms", ms(s1.reader_stall_seconds));
+    result.report.bump("pass1_ingest_stall_ms", ms(s1.writer_stall_seconds));
+    result.report.bump("pass1_reorder_peak", s1.reorder_peak);
+  }
+  if (const auto& s2 = result.pass2_overlap; s2.workers > 0) {
+    result.report.bump("pass2_reader_stall_ms", ms(s2.reader_stall_seconds));
+    result.report.bump("pass2_writer_stall_ms", ms(s2.writer_stall_seconds));
+    result.report.bump("pass2_worker_stall_ms", ms(s2.worker_stall_seconds));
+    result.report.bump("pass2_queue_peak", s2.queue_peak);
+    result.report.bump("pass2_reorder_peak", s2.reorder_peak);
+    result.report.bump(
+        "pass2_worker_util_pct",
+        static_cast<std::uint64_t>(s2.worker_utilization() * 100.0 + 0.5));
   }
   // Degradation accounting: what was dropped, passed through, or
   // retried — zero-valued keys are omitted so fault-free reports are
@@ -708,33 +605,6 @@ void CorrectionPipeline::correct_span(std::span<const seq::Read> in,
     }
   }
   local.bump("batches_salvaged", 1);
-}
-
-void CorrectionPipeline::correct_batch_parallel(util::ThreadPool& pool,
-                                                std::span<const seq::Read> in,
-                                                std::vector<seq::Read>& out,
-                                                CorrectionReport& report) {
-  out.clear();
-  out.resize(in.size());
-  std::mutex report_mutex;
-  // Dynamic claiming: workers grab blocks off a shared atomic ticket,
-  // so a straggler block delays only itself instead of holding the
-  // whole static-partition barrier hostage.
-  pool.parallel_for_dynamic(
-      0, in.size(), 0, [&](std::size_t lo, std::size_t hi) {
-        CorrectionReport local;
-        std::vector<seq::Read> block;
-        block.reserve(hi - lo);
-        const std::size_t hint = util::ThreadPool::worker_index();
-        auto scratch = acquire_scratch(hint);
-        correct_span(in.subspan(lo, hi - lo), block, local, scratch.get());
-        release_scratch(std::move(scratch), hint);
-        for (std::size_t i = 0; i < block.size(); ++i) {
-          out[lo + i] = std::move(block[i]);
-        }
-        std::lock_guard<std::mutex> lock(report_mutex);
-        report.merge(local);
-      });
 }
 
 }  // namespace ngs::core

@@ -1,76 +1,47 @@
 #pragma once
-// Two-pass streaming batched correction, the production data path the
-// ROADMAP's "fast as the hardware allows / huge inputs" goal asks for
-// (cf. BFC and RECKONER, which stream reads in bounded memory instead of
-// materializing whole FASTQ files):
+// Two-pass streaming batched correction (cf. BFC and RECKONER, which
+// stream reads in bounded memory instead of materializing whole FASTQ
+// files):
 //
-//   pass 1 — batches from an io::FastqStreamReader feed a
-//            kspec::ChunkedSpectrumBuilder (spectrum-based methods:
-//            SAP, HiTEC, REDEEM — peak read buffering stays O(batch))
-//            or are buffered into a ReadSet (methods needing the full
-//            input: Reptile's tile table, SHREC, FreClu, hybrid);
-//   pass 2 — batches are corrected in parallel and written to the
-//            output FASTQ in input order.
-//
-// With io_overlap (the default) both passes run on an overlapped
-// streaming plan instead of the stop-and-go read → compute → write
-// loop: pass 1 parses on a dedicated reader thread while the main
-// thread ingests into the spectrum builder, and pass 2 runs on a
-// util::PipelineExecutor (reader thread → bounded queue → dynamic
-// workers → order-restoring writer). Stage telemetry (stall seconds,
-// queue/reorder occupancy peaks, worker utilization) lands in
-// PipelineResult and the report extras. io_overlap=false reproduces the
-// serial loops exactly.
+//   pass 1 — the spectrum step (build_spectrum) loads a saved index or
+//            counts the k-spectrum of streamed batches, in memory or by
+//            spilling into a sharded index; methods that need the whole
+//            input (Reptile, SHREC, FreClu, hybrid) buffer a ReadSet;
+//   pass 2 — one util::PipelineExecutor run over streamed batches or
+//            spans of the buffered ReadSet: a reader thread, `threads`
+//            correction workers, and an in-order writer. Methods without
+//            batch support (SHREC, FreClu, hybrid) use correct_all.
 //
 // Output is byte-identical to the in-memory Corrector::correct_all path
-// for every method, at every thread count and queue depth (reads are
-// corrected independently within a batch, the executor restores input
-// order before writing, and whole-set methods fall back to their native
-// pass).
+// for every method and thread count: reads are corrected independently
+// and the executor writes batches in input order.
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/corrector.hpp"
 #include "io/fastq_stream.hpp"
-
-namespace ngs::util {
-class ThreadPool;
-}
+#include "kspec/kspectrum.hpp"
+#include "util/pipeline_executor.hpp"
 
 namespace ngs::core {
 
 struct PipelineOptions {
-  /// Reads per correction batch (and per streamed pass-1 parse batch).
+  /// Reads per batch, in both passes.
   std::size_t batch_size = 4096;
-  /// Worker threads for batch correction; 0 = the shared default pool.
-  /// Whole-set methods parallelize internally on the default pool.
+  /// Pass-2 correction workers and pass-1 spectrum-build threads;
+  /// 0 = the size of the shared default pool (all cores). In-flight
+  /// pass-2 batches stay under the executor cap of queue_depth (4) +
+  /// 2*threads + 1, so memory remains O(batch_size x small constant).
   std::size_t threads = 0;
-  /// Worker threads for the pass-1 radix-partitioned spectrum build
-  /// (batch sorts + run merges); 0 = share the correction pool.
-  std::size_t spectrum_threads = 0;
   /// Kmer instances buffered per ChunkedSpectrumBuilder batch in pass 1.
   std::size_t spectrum_batch_instances = 1 << 20;
-  /// Overlap file I/O with compute (ngs-correct --io-overlap): a
-  /// dedicated reader thread double-buffers FASTQ batches ahead of the
-  /// spectrum build in pass 1 and ahead of the correction workers in
-  /// pass 2, and a dedicated in-order writer drains pass 2 — so parsing,
-  /// correcting, and writing proceed concurrently instead of taking
-  /// turns. Output is byte-identical either way; false reproduces the
-  /// serial stop-and-go loops exactly (and zeroes the overlap
-  /// telemetry).
-  bool io_overlap = true;
-  /// Bounded read-ahead of the overlapped paths (ngs-correct
-  /// --queue-depth): how many parsed batches the reader may run ahead
-  /// of compute. Total in-flight batches in pass 2 stay under
-  /// queue_depth + 2*workers + 1 (the executor's documented cap), so
-  /// memory remains O(batch_size x small constant).
-  std::size_t queue_depth = 4;
   /// Path of a persisted spectrum index (ngs::index) to mmap instead of
   /// building pass 1 from the reads; empty = build fresh. Only valid
   /// for streaming methods (Corrector::spectrum_k() > 0) and only when
@@ -109,28 +80,62 @@ struct PipelineOptions {
   int io_retry_backoff_ms = 5;
 };
 
-/// Stage telemetry of one overlapped pass (all zero when the pass ran
-/// serially): where the wall time went and how full the buffers got.
-/// "Stall" is time a stage spent blocked on its neighbors — reader
-/// stalls mean compute is the bottleneck; worker/writer stalls mean
-/// input I/O is.
-struct OverlapStageStats {
-  /// Batches that flowed through the stage pipeline.
-  std::size_t items = 0;
-  /// Input-queue occupancy high-water mark (<= queue_depth).
-  std::size_t queue_peak = 0;
-  /// Reorder-buffer high-water mark (pass 2 only).
-  std::size_t reorder_peak = 0;
-  /// Worker threads the pass ran with (1 for pass 1's single ingester).
-  std::size_t workers = 0;
-  double reader_busy_seconds = 0.0;
-  double reader_stall_seconds = 0.0;
-  double worker_stall_seconds = 0.0;
-  double writer_busy_seconds = 0.0;
-  double writer_stall_seconds = 0.0;
-  /// Wall time of the whole overlapped pass.
-  double elapsed_seconds = 0.0;
+/// Reopenable input source: called once per pass, returning a fresh
+/// stream over the same bytes.
+using StreamFactory = std::function<std::unique_ptr<std::istream>()>;
+
+/// Removes the file at `path` when destroyed (nothing while `path` is
+/// empty). Move-only, so exactly one owner removes it.
+struct TransientFile {
+  std::string path;
+
+  TransientFile() = default;
+  TransientFile(TransientFile&& other) noexcept;
+  TransientFile& operator=(TransientFile&& other) noexcept;
+  ~TransientFile();
 };
+
+/// What the spectrum step produced: the k-spectrum pass 2 queries, plus
+/// where it came from and what building it cost.
+struct SpectrumStep {
+  kspec::KSpectrum spectrum;
+  /// Reads/bases/max length counted in pass 1 (or the loaded index's
+  /// header).
+  InputSummary input;
+  /// Pass 1 was replaced by the index at options.load_index_path.
+  bool loaded = false;
+  /// The spectrum was written to options.save_index_path.
+  bool saved = false;
+  /// Checksum of the loaded or saved index (0 when neither).
+  std::uint64_t index_checksum = 0;
+  /// Malformed records dropped under BadRecordPolicy::kSkip.
+  std::uint64_t records_skipped = 0;
+  /// Ingest executor telemetry (all zero when loaded).
+  util::PipelineExecutorStats ingest;
+  /// Largest number of parsed reads held between reader and builder.
+  std::size_t peak_buffered_reads = 0;
+  /// The build exceeded memory_budget_bytes and spilled to disk bins.
+  bool spilled = false;
+  std::uint64_t spilled_bytes = 0;
+  /// Shards of the sharded index serving the spectrum (0 when the
+  /// spectrum is one in-memory array).
+  std::size_t shards = 0;
+  /// ChunkedSpectrumBuilder::peak_tracked_bytes (0 without a budget).
+  std::uint64_t peak_tracked_bytes = 0;
+  /// Keeps a transient sharded index on disk while `spectrum` maps it.
+  TransientFile transient_index;
+};
+
+/// Pass 1 of a spectrum-streamed method, shared by ngs-correct and
+/// ngs-index build. Loads options.load_index_path (checking it was
+/// built with `k` and `both_strands`), or streams `open_input()` in
+/// batches into a kspec::ChunkedSpectrumBuilder: in memory, or under
+/// options.memory_budget_bytes by spilling into a sharded index (saved
+/// at options.save_index_path, else transient in options.spill_dir).
+/// A non-empty options.save_index_path persists the spectrum either way.
+SpectrumStep build_spectrum(const PipelineOptions& options, int k,
+                            bool both_strands,
+                            const StreamFactory& open_input);
 
 struct PipelineResult {
   CorrectionReport report;
@@ -138,30 +143,21 @@ struct PipelineResult {
   /// Number of output batches written.
   std::size_t batches = 0;
   /// Largest number of reads resident in the pipeline's own buffers at
-  /// any point: <= batch_size on the serial streamed path, <=
-  /// batch_size * (queue_depth + 2*workers + 1) on the overlapped
+  /// any point: <= batch_size * (queue_depth + 2*workers + 1) on the
   /// streamed path, the whole input on the buffered path.
   std::size_t peak_buffered_reads = 0;
   /// util::peak_rss_bytes() sampled at completion (process-wide telemetry).
   std::uint64_t peak_rss_bytes = 0;
   /// True when phase 1 ran from the streamed spectrum.
   bool streamed = false;
-  /// True when the run used the overlapped executor (io_overlap on and
-  /// the method supports batches).
-  bool overlapped = false;
   /// True when phase 1 was skipped entirely in favor of a loaded
   /// spectrum index (report extras then carry index_path/index_checksum
   /// /pass1_skipped provenance).
   bool pass1_skipped = false;
-  /// Per-stage telemetry of the overlapped passes (zero when serial;
-  /// pass1_overlap only on the streamed-spectrum path).
-  OverlapStageStats pass1_overlap;
-  OverlapStageStats pass2_overlap;
-  /// Wall time of phase 2. Serial paths: batch correction only
-  /// (excludes reading and writing). Overlapped pass 2: the whole
-  /// read+correct+write pipeline, since the stages run concurrently.
-  /// report.extra("pass2_reads_per_sec") derives from it.
-  double pass2_seconds = 0.0;
+  /// Executor telemetry of the pass-1 ingest (streamed spectrum builds
+  /// only) and of pass 2 (zero for correct_all methods).
+  util::PipelineExecutorStats pass1_overlap;
+  util::PipelineExecutorStats pass2_overlap;
   /// Malformed records dropped across all passes under
   /// BadRecordPolicy::kSkip (also report extra "reads_skipped").
   std::uint64_t reads_skipped = 0;
@@ -186,9 +182,7 @@ struct PipelineResult {
 
 class CorrectionPipeline {
  public:
-  /// Reopenable input source: called once per pass (twice on the
-  /// streamed path), returning a fresh stream over the same bytes.
-  using StreamFactory = std::function<std::unique_ptr<std::istream>()>;
+  using StreamFactory = core::StreamFactory;
 
   explicit CorrectionPipeline(std::unique_ptr<Corrector> corrector,
                               PipelineOptions options = {});
@@ -208,16 +202,10 @@ class CorrectionPipeline {
   PipelineResult run(const StreamFactory& open_input, std::ostream& out);
 
  private:
-  void correct_batch_parallel(util::ThreadPool& pool,
-                              std::span<const seq::Read> in,
-                              std::vector<seq::Read>& out,
-                              CorrectionReport& report);
-
   /// Corrects one contiguous span with the batch-then-salvage ladder
   /// (kPass2Batch / kPass2Read degradation): appends exactly in.size()
-  /// reads to `out`, tallying into the caller-local report. Shared by
-  /// the pool blocks of correct_batch_parallel and the executor workers
-  /// of the overlapped pass 2.
+  /// reads to `out`, tallying into the caller-local report. Called by
+  /// the pass-2 executor workers.
   void correct_span(std::span<const seq::Read> in,
                     std::vector<seq::Read>& out, CorrectionReport& local,
                     BatchScratch* scratch);
@@ -226,9 +214,8 @@ class CorrectionPipeline {
   /// corrector_->make_scratch()). Lock-free in steady state: slot i is
   /// an atomic pointer a worker exchanges out on acquire and back in on
   /// release, with `hint` (the worker's index) making re-acquisition of
-  /// the same warm scratch the common O(1) case. Replaces the old
-  /// mutex-guarded pool — the overlapped executor checks scratch in and
-  /// out per item, so the lock would sit on the hot path.
+  /// the same warm scratch the common O(1) case. The executor checks
+  /// scratch in and out per item, so a lock would sit on the hot path.
   std::unique_ptr<BatchScratch> acquire_scratch(std::size_t hint);
   void release_scratch(std::unique_ptr<BatchScratch> scratch,
                        std::size_t hint);

@@ -63,12 +63,12 @@ inline constexpr const char* kPass2Read = "core.pass2.read";
 /// Writing a corrected output batch fails; the tmp+rename writer must
 /// leave no truncated output behind.
 inline constexpr const char* kOutputWrite = "core.output.write";
-/// The overlapped executor's dedicated reader task fails while running
-/// ahead of compute (either pass, --io-overlap on). The failure must
+/// The pipeline executor's dedicated reader task fails while running
+/// ahead of compute (either pass). The failure must
 /// tear the bounded queues down to a typed error on the calling thread —
 /// never a hung pipeline.
 inline constexpr const char* kPipelineReader = "core.pipeline.reader";
-/// The overlapped executor's order-restoring writer task fails
+/// The pass-2 executor's order-restoring writer task fails
 /// mid-stream; same teardown guarantee, and run_file's atomic output
 /// protocol must leave no truncated FASTQ behind.
 inline constexpr const char* kPipelineWriter = "core.pipeline.writer";

@@ -5,7 +5,6 @@
 
 #include "fault/fault.hpp"
 #include "io/fastx.hpp"
-#include "util/timer.hpp"
 
 namespace ngs::io {
 namespace {
@@ -130,7 +129,6 @@ bool FastqStreamReader::next(seq::Read& read) {
 
 std::size_t FastqStreamReader::read_batch(std::vector<seq::Read>& out,
                                           std::size_t max_reads) {
-  const util::Timer batch_timer;
   std::size_t appended = 0;
   seq::Read read;
   while (appended < max_reads && next(read)) {
@@ -138,7 +136,6 @@ std::size_t FastqStreamReader::read_batch(std::vector<seq::Read>& out,
     read = seq::Read{};
     ++appended;
   }
-  parse_seconds_ += batch_timer.seconds();
   return appended;
 }
 

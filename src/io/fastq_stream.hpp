@@ -71,11 +71,6 @@ class FastqStreamReader {
   /// Input bytes consumed so far (line bytes + newlines; CRs included).
   std::uint64_t bytes_consumed() const noexcept { return bytes_; }
 
-  /// Cumulative wall time spent inside read_batch() — the reader
-  /// stage's busy time in the overlapped pipeline's stall/utilization
-  /// accounting (one timer sample per batch, not per record).
-  double parse_seconds() const noexcept { return parse_seconds_; }
-
   /// Malformed records skipped so far (kSkip policy only).
   std::uint64_t records_skipped() const noexcept { return skipped_; }
 
@@ -98,7 +93,6 @@ class FastqStreamReader {
   std::uint64_t skipped_ = 0;
   std::uint64_t line_ = 0;
   std::uint64_t bytes_ = 0;
-  double parse_seconds_ = 0.0;
   BadRecordPolicy policy_ = BadRecordPolicy::kFail;
   bool pending_header_ = false;  // header_ holds a resynced header line
   // Scratch lines reused across records to avoid per-record allocation.

@@ -7,7 +7,6 @@
 #include "kspec/radix.hpp"
 #include "seq/alphabet.hpp"
 #include "util/thread_pool.hpp"
-#include "util/timer.hpp"
 
 namespace ngs::kspec {
 
@@ -51,7 +50,6 @@ void ChunkedSpectrumBuilder::add_read(std::string_view bases) {
   if (finish_pending_reset_) {
     peak_tracked_bytes_ = 0;
     spill_bytes_ = 0;
-    ingest_seconds_ = 0.0;
     finish_pending_reset_ = false;
   }
   if (memory_budget_ > 0 && buffer_.capacity() == 0) {
@@ -93,9 +91,7 @@ void ChunkedSpectrumBuilder::add_reads(const seq::ReadSet& reads) {
 }
 
 void ChunkedSpectrumBuilder::add_read_batch(std::span<const seq::Read> reads) {
-  const util::Timer batch_timer;
   for (const auto& r : reads) add_read(r.bases);
-  ingest_seconds_ += batch_timer.seconds();
 }
 
 void ChunkedSpectrumBuilder::add_fastq(std::istream& fastq) {

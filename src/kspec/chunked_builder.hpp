@@ -78,10 +78,7 @@ class ChunkedSpectrumBuilder {
   /// Adds every read of a set.
   void add_reads(const seq::ReadSet& reads);
 
-  /// Batch ingest for the overlapped pass-1 path: adds every read of
-  /// one streamed batch and accounts the wall time into
-  /// ingest_seconds(), so the pipeline can report how busy the build
-  /// stage was versus stalled waiting on the reader.
+  /// Adds every read of one streamed batch.
   void add_read_batch(std::span<const seq::Read> reads);
 
   /// Adds every read of a FASTQ stream without materializing the set.
@@ -118,11 +115,6 @@ class ChunkedSpectrumBuilder {
 
   /// Peak number of buffered instances observed (for tests/telemetry).
   std::size_t peak_buffered() const noexcept { return peak_buffered_; }
-
-  /// Cumulative wall time spent inside add_read_batch() — the ingest
-  /// stage's busy time (sorts, merges, and spill writes triggered by
-  /// those batches included).
-  double ingest_seconds() const noexcept { return ingest_seconds_; }
 
   // --- Budget-mode observability (all zero/false without a budget) ---
   /// True once at least one instance was written to a spill bin.
@@ -171,7 +163,6 @@ class ChunkedSpectrumBuilder {
   /// O(log batches) times).
   std::vector<Run> runs_;
   std::size_t peak_buffered_ = 0;
-  double ingest_seconds_ = 0.0;
   int merge_rounds_ = 0;
 
   // --- Out-of-core (budget) state; inert when memory_budget_ == 0 ---

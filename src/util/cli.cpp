@@ -1,7 +1,10 @@
 #include "util/cli.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <sstream>
+
+#include "util/error.hpp"
 
 namespace ngs::util {
 
@@ -64,6 +67,25 @@ std::int64_t CliParser::get_int(const std::string& name,
                                 std::int64_t fallback) const {
   const auto it = values_.find(name);
   return it == values_.end() ? fallback : std::atoll(it->second.c_str());
+}
+
+std::size_t CliParser::get_size(const std::string& name,
+                                std::size_t fallback, std::size_t min,
+                                std::size_t max) const {
+  const auto it = values_.find(name);
+  if (it == values_.end()) return fallback;
+  const std::string& text = it->second;
+  std::size_t value = 0;
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc() || end != last || value < min || value > max) {
+    std::string range = ">= " + std::to_string(min);
+    if (max != SIZE_MAX) range += " and <= " + std::to_string(max);
+    throw Error(ErrorKind::kConfig, "cli",
+                "--" + name + " must be an integer " + range + ", got '" +
+                    text + "'");
+  }
+  return value;
 }
 
 double CliParser::get_double(const std::string& name, double fallback) const {

@@ -3,6 +3,7 @@
 // --name value and --flag forms, with typed accessors, defaults, and
 // usage generation. No external dependencies.
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -36,6 +37,12 @@ class CliParser {
   /// (get() keeps returning the last one). Empty if never passed.
   std::vector<std::string> get_all(const std::string& name) const;
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+  /// Strict unsigned value of `name` (`fallback` when never set): throws
+  /// ngs::Error(kConfig) naming the flag unless the whole text is a
+  /// base-10 integer in [min, max] (so "-1", "4k" and "" are rejected).
+  std::size_t get_size(const std::string& name, std::size_t fallback,
+                       std::size_t min = 0,
+                       std::size_t max = SIZE_MAX) const;
   double get_double(const std::string& name, double fallback) const;
 
   /// Positional (non-option) arguments in order.

@@ -1,7 +1,6 @@
 #pragma once
 // util::PipelineExecutor — a bounded-queue, order-restoring streaming
-// executor: the overlap substrate of core::CorrectionPipeline and the
-// piece the planned ngs-correctd service will sit on.
+// executor: both passes of core::CorrectionPipeline run on it.
 //
 // Stage shape (one run() call):
 //
@@ -63,6 +62,8 @@ struct PipelineExecutorOptions {
 /// Per-stage telemetry of one run: where the time went (stalls) and how
 /// full the buffers got (occupancy high-water marks).
 struct PipelineExecutorStats {
+  /// Worker threads the run used (0 = the executor never ran).
+  std::size_t workers = 0;
   /// Items that flowed through the pipeline.
   std::size_t items = 0;
   /// Input-queue occupancy high-water mark (<= queue_depth).
@@ -84,9 +85,8 @@ struct PipelineExecutorStats {
 
   /// Fraction of worker-thread wall time spent working (1 = never
   /// starved); 0 when nothing ran.
-  double worker_utilization(std::size_t workers) const {
-    const double denom =
-        elapsed_seconds * static_cast<double>(workers == 0 ? 1 : workers);
+  double worker_utilization() const {
+    const double denom = elapsed_seconds * static_cast<double>(workers);
     if (denom <= 0.0) return 0.0;
     const double util = 1.0 - worker_stall_seconds / denom;
     return util < 0.0 ? 0.0 : util;
@@ -116,6 +116,7 @@ class PipelineExecutor {
                             const Consumer& consumer) {
     Timer elapsed;
     PipelineExecutorStats stats;
+    stats.workers = options_.workers;
     BoundedQueue<Sequenced> queue(options_.queue_depth);
     Reorder reorder;
     Gate gate(options_.queue_depth + 2 * options_.workers + 1);

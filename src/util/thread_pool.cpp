@@ -1,20 +1,15 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
 #include <stdexcept>
 
 namespace ngs::util {
 
 namespace {
 thread_local bool t_on_worker_thread = false;
-thread_local std::size_t t_worker_index = SIZE_MAX;
 }  // namespace
 
 bool ThreadPool::on_worker_thread() noexcept { return t_on_worker_thread; }
-
-std::size_t ThreadPool::worker_index() noexcept { return t_worker_index; }
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) {
@@ -22,7 +17,7 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
   }
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -35,9 +30,8 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::worker_loop(std::size_t index) {
+void ThreadPool::worker_loop() {
   t_on_worker_thread = true;
-  t_worker_index = index;
   for (;;) {
     std::function<void()> task;
     {
@@ -85,49 +79,6 @@ void ThreadPool::parallel_for_blocked(
   // exception while later tasks are still queued would leave them
   // running against destroyed caller state (use-after-free caught by
   // the TSan smoke target). First exception in block order wins.
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-void ThreadPool::parallel_for_dynamic(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (begin >= end) return;
-  if (on_worker_thread()) {
-    fn(begin, end);
-    return;
-  }
-  const std::size_t n = end - begin;
-  if (grain == 0) grain = std::max<std::size_t>(1, n / (size() * 8));
-  const std::size_t num_tasks =
-      std::min(size(), (n + grain - 1) / grain);
-  if (num_tasks <= 1) {
-    fn(begin, end);
-    return;
-  }
-  // Shared ticket: each task claims the next `grain` indices until the
-  // range runs dry. shared_ptr keeps the counter alive for tasks that
-  // are still queued when an earlier task throws (see the drain note in
-  // parallel_for_blocked).
-  auto next = std::make_shared<std::atomic<std::size_t>>(begin);
-  std::vector<std::future<void>> futures;
-  futures.reserve(num_tasks);
-  for (std::size_t t = 0; t < num_tasks; ++t) {
-    futures.push_back(submit([&fn, next, end, grain] {
-      for (;;) {
-        const std::size_t lo = next->fetch_add(grain);
-        if (lo >= end) return;
-        fn(lo, std::min(end, lo + grain));
-      }
-    }));
-  }
   std::exception_ptr first_error;
   for (auto& f : futures) {
     try {

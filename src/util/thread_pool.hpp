@@ -60,30 +60,11 @@ class ThreadPool {
       std::size_t begin, std::size_t end,
       const std::function<void(std::size_t, std::size_t)>& fn);
 
-  /// Dynamic-chunk variant for uneven per-index costs: one task per
-  /// worker claims chunks of `grain` indices off a shared atomic ticket
-  /// until the range is exhausted, so a straggler chunk delays only the
-  /// worker that claimed it instead of serializing a static partition's
-  /// barrier. `grain` 0 picks ~8 chunks per worker. Chunks are
-  /// contiguous but their assignment to workers is nondeterministic —
-  /// callers that rely on a deterministic block ↔ worker mapping keep
-  /// using parallel_for_blocked. Same nesting and exception semantics
-  /// as parallel_for_blocked (inline when nested; first error after all
-  /// tasks drain).
-  void parallel_for_dynamic(
-      std::size_t begin, std::size_t end, std::size_t grain,
-      const std::function<void(std::size_t, std::size_t)>& fn);
-
   /// True when the calling thread is a worker of any ThreadPool.
   static bool on_worker_thread() noexcept;
 
-  /// Index of the calling thread within its owning pool, or SIZE_MAX on
-  /// a non-worker thread. A scheduling hint (two pools number their
-  /// workers independently), used e.g. to spread scratch-slot probes.
-  static std::size_t worker_index() noexcept;
-
  private:
-  void worker_loop(std::size_t index);
+  void worker_loop();
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;

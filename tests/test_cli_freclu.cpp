@@ -4,6 +4,7 @@
 
 #include "baselines/freclu.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "seq/alphabet.hpp"
 
@@ -45,6 +46,38 @@ TEST(Cli, RejectsUnknownAndMissingValue) {
     const char* argv[] = {"prog", "--x"};
     util::CliParser c3 = cli;
     EXPECT_FALSE(c3.parse(2, argv));
+  }
+}
+
+TEST(Cli, GetSizeAcceptsOnlyDecimalIntegersInRange) {
+  util::CliParser cli("prog", "test");
+  cli.add_option("n", "a size", true, "7");
+  {
+    const char* argv[] = {"prog"};
+    util::CliParser c = cli;
+    ASSERT_TRUE(c.parse(1, argv));
+    EXPECT_EQ(c.get_size("n", 0, 1), 7u);
+    EXPECT_EQ(c.get_size("unset", 3), 3u);
+  }
+  {
+    const char* argv[] = {"prog", "--n", "9"};
+    util::CliParser c = cli;
+    ASSERT_TRUE(c.parse(3, argv));
+    EXPECT_EQ(c.get_size("n", 0, 1, 9), 9u);
+    EXPECT_THROW((void)c.get_size("n", 0, 1, 8), Error);
+  }
+  for (const char* bad : {"-1", "0", "4k", "", " 5", "+5",
+                          "99999999999999999999999"}) {
+    const char* argv[] = {"prog", "--n", bad};
+    util::CliParser c = cli;
+    ASSERT_TRUE(c.parse(3, argv));
+    try {
+      (void)c.get_size("n", 0, 1);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kConfig) << bad;
+      EXPECT_NE(std::string(e.what()).find("--n"), std::string::npos) << bad;
+    }
   }
 }
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -31,7 +33,10 @@ using namespace ngs;
 using Kind = index::IndexError::Kind;
 
 std::string temp_path(const std::string& name) {
-  return testing::TempDir() + "ngs_index_test_" + name;
+  // The pid keeps concurrent test processes (ctest -j runs each test
+  // and the labelled subsets that repeat it) off each other's files.
+  return testing::TempDir() + "ngs_index_test_" + std::to_string(::getpid()) + "_" +
+         name;
 }
 
 std::string slurp(const std::string& path) {

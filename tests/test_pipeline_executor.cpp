@@ -265,6 +265,7 @@ TEST(PipelineExecutor, StormStringsRoundTrip) {
               "item-" + std::to_string(i) + "/w");
   }
   EXPECT_GT(stats.elapsed_seconds, 0.0);
-  EXPECT_GE(stats.worker_utilization(options.workers), 0.0);
-  EXPECT_LE(stats.worker_utilization(options.workers), 1.0);
+  EXPECT_EQ(stats.workers, options.workers);
+  EXPECT_GE(stats.worker_utilization(), 0.0);
+  EXPECT_LE(stats.worker_utilization(), 1.0);
 }

@@ -559,7 +559,11 @@ TEST_F(ServerTest, GarbageBytesGetTypedErrorNotHang) {
 }
 
 TEST_F(ServerTest, WorkerFaultCostsOneBatchNotTheConnection) {
-  start();
+  // One worker takes batches in arrival order, so the one-shot fault
+  // below lands on batch 0; with two, batch 1 could reach it first.
+  service::ServiceOptions options;
+  options.workers = 1;
+  start(options);
   auto client = make_client();
   const auto limits = client.hello(sap_hello());
   const auto reads = parse_reads(fastq_);

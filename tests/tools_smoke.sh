@@ -49,6 +49,10 @@ service_scenario() {
   local sock="$WORK/ngs.sock"
 
   for t in 1 2 4; do
+    # Drop the previous daemon's log first: the background shell below
+    # truncates it only when it gets scheduled, and the readiness loop
+    # must not find the old "listening on" line in the meantime.
+    rm -f "$WORK/daemon.log"
     "$BIN_DIR/ngs_correctd" --socket "$sock" --index "$WORK/sap.ngsx" \
       --reads "$WORK/reads.fastq" --threads "$t" \
       > "$WORK/daemon.log" 2>&1 &
@@ -206,31 +210,34 @@ expect_exit 3 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
 grep -q "fault injection:" "$WORK/stderr.txt"
 cmp "$WORK/salvaged.fastq" "$WORK/corrected_sap.fastq"
 
-# Overlapped streaming executor: the default run above is overlapped;
-# --io-overlap off and a different --queue-depth must both produce
-# byte-identical output, and the overlapped run reports its stage
-# telemetry. A bad --io-overlap value is a usage error, and a reader-
-# task fault tears the overlapped pipeline down with the I/O exit code.
+# Streaming executor: a default run reports its pass-2 stage
+# telemetry, and a reader-task fault tears the pipeline down with the
+# I/O exit code.
 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
-  --out "$WORK/corrected_serial.fastq" --method sap --genome-length 20000 \
-  --threads 2 --batch-size 1000 --io-overlap off 2>"$WORK/stderr.txt"
-cmp "$WORK/corrected_serial.fastq" "$WORK/corrected_sap.fastq"
-! grep -q "overlap:" "$WORK/stderr.txt"
-"$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
-  --out "$WORK/corrected_depth2.fastq" --method sap --genome-length 20000 \
-  --threads 2 --batch-size 1000 --queue-depth 2 2>"$WORK/stderr.txt"
-cmp "$WORK/corrected_depth2.fastq" "$WORK/corrected_sap.fastq"
-grep -q "overlap: queue depth 2" "$WORK/stderr.txt"
+  --out "$WORK/corrected_default.fastq" --method sap --genome-length 20000 \
+  2>"$WORK/stderr.txt"
+cmp "$WORK/corrected_default.fastq" "$WORK/corrected_sap.fastq"
 grep -q "worker utilization" "$WORK/stderr.txt"
-expect_exit 2 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
-  --out "$WORK/x.fastq" --method sap --io-overlap sometimes
-expect_exit 2 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
-  --out "$WORK/x.fastq" --method sap --queue-depth 0
 expect_exit 3 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
   --out "$WORK/x.fastq" --method sap \
   --fault-spec "core.pipeline.reader=n1"
 grep -q "core.pipeline.reader" "$WORK/stderr.txt"
 test ! -e "$WORK/x.fastq"
+
+# Numeric flags are strict: negative, zero-where-meaningless and
+# non-numeric values are config errors naming the flag.
+expect_exit 2 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
+  --out "$WORK/x.fastq" --method sap --threads -1
+grep -q -- "--threads" "$WORK/stderr.txt"
+expect_exit 2 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
+  --out "$WORK/x.fastq" --method sap --memory-budget-mb -1
+grep -q -- "--memory-budget-mb" "$WORK/stderr.txt"
+expect_exit 2 "$BIN_DIR/ngs_index" build --in "$WORK/reads.fastq" \
+  --out "$WORK/x.ngsx" --threads -1
+expect_exit 2 "$BIN_DIR/ngs_index" build --in "$WORK/reads.fastq" \
+  --out "$WORK/x.ngsx" --batch-size 0
+grep -q -- "--batch-size" "$WORK/stderr.txt"
+test ! -e "$WORK/x.ngsx"
 
 # NGS_FAULT_SPEC environment variable is honored too.
 expect_exit 3 env NGS_FAULT_SPEC="io.fastq.open=always" \
@@ -286,6 +293,9 @@ test -s "$WORK/sap.ngsx"
   --threads 2 --batch-size 1000 --load-index "$WORK/sap.ngsx"
 cmp "$WORK/corrected_saved.fastq" "$WORK/corrected_loaded.fastq"
 cmp "$WORK/corrected_saved.fastq" "$WORK/corrected_sap.fastq"
+# ngs-index build and ngs-correct --save-index share one spectrum step,
+# so the same reads give the same version-1 bytes.
+cmp "$WORK/spectrum.ngsx" "$WORK/sap.ngsx"
 
 # Out-of-core sharded build: a 1 MiB budget forces the k=12 spectrum
 # (~800k instances) through the spill path. The sharded (version-2)
@@ -316,9 +326,12 @@ expect_exit 4 "$BIN_DIR/ngs_index" verify --index "$WORK/sharded_trunc.ngsx"
 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
   --out "$WORK/corrected_budget.fastq" --method sap --genome-length 20000 \
   --threads 2 --batch-size 1000 --memory-budget-mb 1 \
-  --spill-dir "$WORK" 2>"$WORK/stderr.txt"
+  --spill-dir "$WORK" --save-index "$WORK/sap_sharded.ngsx" \
+  2>"$WORK/stderr.txt"
 grep -q "spill: pass 1 stayed under" "$WORK/stderr.txt"
 cmp "$WORK/corrected_budget.fastq" "$WORK/corrected_sap.fastq"
+# The sharded version-2 file matches ngs-index build's byte for byte.
+cmp "$WORK/sharded.ngsx" "$WORK/sap_sharded.ngsx"
 
 # Long-lived correction service: the daemon serves $WORK/sap.ngsx saved
 # above; corrected_sap/corrected_reptile are the offline references.

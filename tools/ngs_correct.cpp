@@ -40,21 +40,11 @@ int main(int argc, char** argv) {
                  "0");
   cli.add_option("error-rate", "error-rate estimate for redeem/hybrid", true,
                  "0.01");
-  cli.add_option("threads", "correction worker threads (0 = all cores)", true,
-                 "0");
-  cli.add_option("spectrum-threads",
-                 "pass-1 spectrum build threads (0 = share correction pool)",
+  cli.add_option("threads",
+                 "correction worker and spectrum build threads "
+                 "(0 = all cores)",
                  true, "0");
   cli.add_option("batch-size", "reads per streamed batch", true, "4096");
-  cli.add_option("io-overlap",
-                 "overlap file I/O with compute: on (dedicated reader + "
-                 "in-order writer around the correction workers) or off "
-                 "(serial stop-and-go loops; output is byte-identical)",
-                 true, "on");
-  cli.add_option("queue-depth",
-                 "bounded read-ahead of the overlapped pipeline, in "
-                 "batches (>= 1)",
-                 true, "4");
   cli.add_option("tile-cache-mb",
                  "shared pass-2 tile-decision cache budget in MiB "
                  "(0 = disable memoization)",
@@ -106,17 +96,28 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Arm the fault registry before any I/O: env first, then the flag
-  // (the flag augments/overrides the env spec site by site).
+  // Arm the fault registry before any I/O (env first, then the flag,
+  // which augments/overrides the env spec site by site) and read the
+  // numeric flags: a bad spec or value is a config error.
+  core::CorrectorConfig config;
+  core::PipelineOptions options;
   try {
     fault::Registry::instance().configure_from_env();
     if (!cli.get("fault-spec").empty()) {
       fault::Registry::instance().configure(cli.get("fault-spec"));
     }
+    config.genome_length = cli.get_size("genome-length", 1000000);
+    config.tile_cache_mb = cli.get_size("tile-cache-mb", 32);
+    options.threads = cli.get_size("threads", 0);
+    options.batch_size = cli.get_size("batch-size", 4096, 1);
+    options.memory_budget_bytes =
+        cli.get_size("memory-budget-mb", 0, 0, SIZE_MAX >> 20) << 20;
   } catch (const Error& e) {
     std::cerr << "ngs-correct: " << e.what() << "\n";
     return tool_exit_code(e.kind());
   }
+  config.k = static_cast<int>(cli.get_int("k", 0));
+  config.error_rate = cli.get_double("error-rate", 0.01);
 
   io::BadRecordPolicy bad_record_policy = io::BadRecordPolicy::kFail;
   const std::string on_bad_record = cli.get("on-bad-record", "fail");
@@ -128,30 +129,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  bool io_overlap = true;
-  const std::string io_overlap_arg = cli.get("io-overlap", "on");
-  if (io_overlap_arg == "off") {
-    io_overlap = false;
-  } else if (io_overlap_arg != "on") {
-    std::cerr << "ngs-correct: --io-overlap must be 'on' or 'off', got '"
-              << io_overlap_arg << "'\n";
-    return 2;
-  }
-  const long queue_depth = cli.get_int("queue-depth", 4);
-  if (queue_depth < 1) {
-    std::cerr << "ngs-correct: --queue-depth must be >= 1, got "
-              << queue_depth << "\n";
-    return 2;
-  }
-
-  core::CorrectorConfig config;
-  config.genome_length =
-      static_cast<std::uint64_t>(cli.get_int("genome-length", 1000000));
-  config.k = static_cast<int>(cli.get_int("k", 0));
-  config.error_rate = cli.get_double("error-rate", 0.01);
-  config.tile_cache_mb =
-      static_cast<std::size_t>(cli.get_int("tile-cache-mb", 32));
-
   std::unique_ptr<core::Corrector> corrector;
   try {
     corrector = core::make_corrector(method_name, config);
@@ -160,18 +137,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  core::PipelineOptions options;
-  options.threads = static_cast<std::size_t>(cli.get_int("threads", 0));
-  options.spectrum_threads =
-      static_cast<std::size_t>(cli.get_int("spectrum-threads", 0));
-  options.batch_size =
-      static_cast<std::size_t>(cli.get_int("batch-size", 4096));
-  options.io_overlap = io_overlap;
-  options.queue_depth = static_cast<std::size_t>(queue_depth);
   options.load_index_path = cli.get("load-index");
   options.save_index_path = cli.get("save-index");
-  options.memory_budget_bytes =
-      static_cast<std::size_t>(cli.get_int("memory-budget-mb", 0)) << 20;
   options.spill_dir = cli.get("spill-dir");
   options.on_bad_record = bad_record_policy;
   core::CorrectionPipeline pipeline(std::move(corrector), options);
@@ -216,7 +183,7 @@ int main(int argc, char** argv) {
   }
   if (result.spectrum_spilled) {
     std::cerr << "spill: pass 1 stayed under "
-              << cli.get_int("memory-budget-mb", 0) << " MiB (peak tracked "
+              << (options.memory_budget_bytes >> 20) << " MiB (peak tracked "
               << result.spectrum_peak_tracked_bytes << " bytes), "
               << result.spectrum_spilled_bytes << " bytes spilled";
     if (result.spectrum_shards > 0) {
@@ -225,17 +192,16 @@ int main(int argc, char** argv) {
     }
     std::cerr << "\n";
   }
-  if (result.overlapped) {
+  if (result.pass2_overlap.workers > 0) {
     const auto& s2 = result.pass2_overlap;
-    std::cerr << "overlap: queue depth "
-              << result.report.extra("queue_depth") << ", pass 2 "
+    std::cerr << "overlap: pass 2 "
               << result.report.extra("pass2_worker_util_pct")
-              << "% worker utilization (reader stall "
+              << "% worker utilization over " << s2.workers
+              << " workers (reader stall "
               << result.report.extra("pass2_reader_stall_ms")
               << " ms, writer stall "
               << result.report.extra("pass2_writer_stall_ms")
-              << " ms, queue peak " << s2.queue_peak << "/"
-              << result.report.extra("queue_depth") << ", reorder peak "
+              << " ms, queue peak " << s2.queue_peak << ", reorder peak "
               << s2.reorder_peak << ")\n";
   }
   // Degradation report: anything the run survived rather than failed.

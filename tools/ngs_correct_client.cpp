@@ -85,6 +85,11 @@ int main(int argc, char** argv) {
   }
 
   try {
+    service::StreamOptions stream;
+    stream.batch_size = cli.get_size("batch-size", 1024, 1);
+    stream.window = cli.get_size("window", 4);
+    stream.busy_retry_limit = cli.get_size("busy-retry-limit", 64);
+
     service::Client client(cli.get("socket"));
     client.connect();
 
@@ -106,12 +111,6 @@ int main(int argc, char** argv) {
     hello.error_rate = cli.get_double("error-rate", 0.01);
     const service::HelloOk limits = client.hello(hello);
 
-    service::StreamOptions stream;
-    stream.batch_size =
-        static_cast<std::size_t>(cli.get_int("batch-size", 1024));
-    stream.window = static_cast<std::size_t>(cli.get_int("window", 4));
-    stream.busy_retry_limit =
-        static_cast<std::size_t>(cli.get_int("busy-retry-limit", 64));
     if (limits.max_batch_reads > 0 &&
         stream.batch_size > limits.max_batch_reads) {
       stream.batch_size = limits.max_batch_reads;

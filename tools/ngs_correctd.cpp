@@ -110,20 +110,15 @@ int main(int argc, char** argv) {
 
   service::ServiceOptions options;
   options.socket_path = cli.get("socket");
-  options.workers = static_cast<std::size_t>(cli.get_int("threads", 2));
-  options.queue_capacity =
-      static_cast<std::size_t>(cli.get_int("queue-capacity", 32));
-  options.max_inflight_per_client =
-      static_cast<std::size_t>(cli.get_int("max-inflight", 4));
-  options.max_batch_reads =
-      static_cast<std::size_t>(cli.get_int("max-batch-reads", 65536));
-
   service::IndexRegistryConfig registry;
   registry.reads_path = cli.get("reads");
-  registry.tile_cache_mb =
-      static_cast<std::size_t>(cli.get_int("tile-cache-mb", 32));
 
   try {
+    options.workers = cli.get_size("threads", 2);
+    options.queue_capacity = cli.get_size("queue-capacity", 32);
+    options.max_inflight_per_client = cli.get_size("max-inflight", 4);
+    options.max_batch_reads = cli.get_size("max-batch-reads", 65536);
+    registry.tile_cache_mb = cli.get_size("tile-cache-mb", 32);
     for (const auto& arg : index_args) {
       int declared_k = 0;
       const std::string path = split_index_arg(arg, declared_k);

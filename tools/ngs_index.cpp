@@ -8,8 +8,9 @@
 //   ngs-index info   --index spectrum.ngsx
 //   ngs-index verify --index spectrum.ngsx
 //
-// `build` streams the FASTQ through the bounded-memory chunked builder
-// (never materializing the read set) and writes atomically; `info`
+// `build` runs the correction pipeline's spectrum step
+// (core::build_spectrum: the bounded-memory chunked builder, never
+// materializing the read set) and writes atomically; `info`
 // prints the header/provenance without touching payload pages; `verify`
 // recomputes every checksum and validates the spectrum invariants,
 // exiting non-zero with a distinct message per corruption mode.
@@ -23,18 +24,15 @@
 #include <cstdio>
 #include <exception>
 #include <iostream>
-#include <optional>
 #include <string>
 
+#include "core/pipeline.hpp"
 #include "fault/fault.hpp"
 #include "index/spectrum_index.hpp"
 #include "io/fastq_stream.hpp"
-#include "kspec/chunked_builder.hpp"
 #include "seq/kmer.hpp"
-#include "seq/read.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 using namespace ngs;
@@ -181,84 +179,35 @@ int run_build(util::CliParser& cli) {
   }
   const int k = static_cast<int>(cli.get_int("k", 12));
   const bool both_strands = cli.get_int("both-strands", 1) != 0;
-  const auto threads = static_cast<std::size_t>(cli.get_int("threads", 0));
-  const auto batch_size =
-      static_cast<std::size_t>(cli.get_int("batch-size", 4096));
-  const auto budget_mb =
-      static_cast<std::size_t>(cli.get_int("memory-budget-mb", 0));
   if (k < 1 || k > seq::kMaxK) {
     std::cerr << "ngs-index build: --k must be in [1, " << seq::kMaxK
               << "]\n";
     return 2;
   }
+  // The same pass 1 as ngs-correct --save-index, so both write the same
+  // bytes from the same reads.
+  core::PipelineOptions options;
+  options.threads = cli.get_size("threads", 0);
+  options.batch_size = cli.get_size("batch-size", 4096, 1);
+  options.memory_budget_bytes =
+      cli.get_size("memory-budget-mb", 0, 0, SIZE_MAX >> 20) << 20;
+  options.spill_dir = cli.get("spill-dir");
+  options.save_index_path = out;
 
   util::Timer timer;
-  std::optional<util::ThreadPool> own_pool;
-  if (threads > 0) own_pool.emplace(threads);
-  kspec::SpillOptions spill;
-  spill.memory_budget_bytes = budget_mb << 20;
-  spill.spill_dir = cli.get("spill-dir");
-  kspec::ChunkedSpectrumBuilder builder(
-      k, both_strands, 1 << 20, own_pool ? &*own_pool : nullptr, spill);
-  index::IndexBuildInfo build;
-  build.k = k;
-  build.both_strands = both_strands;
-  {
-    io::FastqStreamReader reader(in);
-    std::vector<seq::Read> batch;
-    while (reader.read_batch(batch, batch_size) > 0) {
-      for (const auto& r : batch) {
-        builder.add_read(r.bases);
-        ++build.input_reads;
-        build.input_bases += r.bases.size();
-        if (r.bases.size() > build.max_read_length) {
-          build.max_read_length = static_cast<std::uint32_t>(r.bases.size());
-        }
-      }
-      batch.clear();
-    }
+  const auto step = core::build_spectrum(
+      options, k, both_strands, [&in] { return io::open_input_stream(in); });
+  std::cerr << "built k=" << k << " spectrum of " << step.spectrum.size()
+            << " distinct kmers (" << step.spectrum.total_instances()
+            << " instances) from " << step.input.reads << " reads in "
+            << timer.seconds() << "s\n";
+  if (step.shards > 0) {
+    std::cerr << "spilled " << step.spilled_bytes << " bytes into "
+              << step.shards << " prefix shards (peak tracked memory "
+              << step.peak_tracked_bytes << " bytes)\n";
   }
-  std::uint64_t distinct = 0;
-  std::uint64_t instances = 0;
-  std::uint64_t checksum = 0;
-  std::size_t shards = 0;
-  util::Timer write_timer;
-  double build_s = 0.0;
-  if (builder.spilled()) builder.flush_spill();
-  if (builder.spilled() && builder.spill_nonempty_bins() > 1) {
-    // Out-of-core: stream sorted prefix bins straight into the sharded
-    // file; the full spectrum never exists in this process.
-    shards = builder.spill_nonempty_bins();
-    build_s = timer.seconds();
-    write_timer = util::Timer();
-    index::ShardedIndexWriter writer(out, build, builder.spill_shard_bits(),
-                                     shards);
-    builder.finish_spilled(
-        [&](kspec::ChunkedSpectrumBuilder::SortedRun&& run) {
-          distinct += run.codes.size();
-          for (const auto c : run.counts) instances += c;
-          writer.append_shard(run.prefix, std::move(run.codes),
-                              std::move(run.counts));
-        });
-    checksum = writer.finish();
-  } else {
-    const auto spectrum = builder.finish();
-    distinct = spectrum.size();
-    instances = spectrum.total_instances();
-    build_s = timer.seconds();
-    write_timer = util::Timer();
-    checksum = index::write_spectrum_index(out, spectrum, build);
-  }
-  std::cerr << "built k=" << k << " spectrum of " << distinct
-            << " distinct kmers (" << instances << " instances) from "
-            << build.input_reads << " reads in " << build_s << "s\n";
-  if (shards > 0) {
-    std::cerr << "spilled " << builder.spill_bytes() << " bytes into "
-              << shards << " prefix shards (peak tracked memory "
-              << builder.peak_tracked_bytes() << " bytes)\n";
-  }
-  std::cerr << "wrote " << out << " (checksum 0x" << std::hex << checksum
-            << std::dec << ") in " << write_timer.seconds() << "s\n";
+  std::cerr << "wrote " << out << " (checksum 0x" << std::hex
+            << step.index_checksum << std::dec << ")\n";
   return 0;
 }
 

@@ -12,6 +12,7 @@
 #include "sim/genome.hpp"
 #include "sim/read_sim.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 
 using namespace ngs;
 
@@ -42,16 +43,21 @@ int main(int argc, char** argv) {
 
   util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 42)));
   sim::GenomeSpec gspec;
-  gspec.length = static_cast<std::size_t>(cli.get_int("genome-length", 100000));
-  const auto rep_len = static_cast<std::size_t>(cli.get_int("repeat-length", 0));
-  const auto rep_n = static_cast<std::size_t>(cli.get_int("repeat-copies", 0));
+  std::size_t rep_len = 0, rep_n = 0, read_length = 0;
+  try {
+    gspec.length = cli.get_size("genome-length", 100000, 1);
+    rep_len = cli.get_size("repeat-length", 0);
+    rep_n = cli.get_size("repeat-copies", 0);
+    read_length = cli.get_size("read-length", 36, 1);
+  } catch (const Error& e) {
+    std::cerr << "ngs-simulate: " << e.what() << "\n";
+    return tool_exit_code(e.kind());
+  }
   if (rep_len > 0 && rep_n > 0) {
     gspec.repeats = {{rep_len, rep_n, 0.0}};
   }
   const auto genome = sim::simulate_genome(gspec, rng);
 
-  const auto read_length =
-      static_cast<std::size_t>(cli.get_int("read-length", 36));
   const auto model =
       sim::ErrorModel::illumina(read_length, cli.get_double("error-rate", 0.01));
   sim::ReadSimConfig cfg;
