@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "baselines/freclu.hpp"
@@ -41,6 +42,15 @@ InputSummary summarize(const seq::ReadSet& reads) {
   return summary;
 }
 
+/// The report note for the parameters Reptile chose, e.g.
+/// "k:10,tile:20,Qc:12,Cg:30,Cm:7".
+std::string params_note(const reptile::ReptileParams& p) {
+  return "k:" + std::to_string(p.k) + ",tile:" +
+         std::to_string(p.tile_length()) + ",Qc:" +
+         std::to_string(p.quality_cutoff) + ",Cg:" +
+         std::to_string(p.c_good) + ",Cm:" + std::to_string(p.c_min);
+}
+
 /// Per-worker scratch for the Reptile adapter: the corrector's option /
 /// candidate / sweep buffers, reused across every batch a worker runs.
 struct ReptileScratch final : BatchScratch {
@@ -54,9 +64,8 @@ class ReptileAdapter final : public Corrector {
   std::string_view method() const noexcept override { return "reptile"; }
 
   void build(const seq::ReadSet& reads) override {
-    auto params = reptile::select_parameters(reads, config_.genome_length);
-    if (config_.k > 0) params.k = config_.k;
-    corrector_.emplace(reads, params);
+    corrector_.emplace(reads, reptile::select_parameters(
+                                  reads, config_.genome_length, config_.k));
     // One concurrent tile-decision memo shared by every correction
     // worker: at coverage c each erroneous tile is decided once and
     // reused ~c times. Decisions are pure functions of the tile code, so
@@ -93,6 +102,9 @@ class ReptileAdapter final : public Corrector {
   }
 
   void annotate_report(CorrectionReport& report) const override {
+    if (corrector_) {
+      report.note("reptile_params", params_note(corrector_->params()));
+    }
     if (!cache_) return;
     const auto stats = cache_->stats();
     report.bump("tile_cache_hits", stats.hits);
@@ -320,8 +332,7 @@ class HybridAdapter final : public Corrector {
     require_ready();
     redeem::HybridParams params;
     params.reptile =
-        reptile::select_parameters(reads, config_.genome_length);
-    if (config_.k > 0) params.reptile.k = config_.k;
+        reptile::select_parameters(reads, config_.genome_length, config_.k);
     const auto model =
         misread_model(config_, summarize(reads).max_read_length,
                       params.redeem_k);
@@ -337,6 +348,7 @@ class HybridAdapter final : public Corrector {
     report.bump("redeem_bases_changed", stats.redeem.bases_changed);
     report.bump("reptile_bases_changed", stats.reptile.bases_changed);
     report.bump("tiles_corrected", stats.reptile.tiles_corrected);
+    report.note("reptile_params", params_note(params.reptile));
     return out;
   }
 

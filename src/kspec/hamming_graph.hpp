@@ -15,14 +15,24 @@
 #include "kspec/kspectrum.hpp"
 #include "kspec/neighborhood.hpp"
 
+namespace ngs::util {
+class ThreadPool;
+}
+
 namespace ngs::kspec {
 
 class HammingGraph {
  public:
+  /// An empty graph (no vertices), to be assigned a built one.
+  HammingGraph() = default;
+
   /// Builds adjacency for all spectrum kmers within distance [1, d].
   /// `chunks` is the c of the masked-sort index (0 = auto: d + 3,
-  /// clamped to k).
-  HammingGraph(const KSpectrum& spectrum, int d, int chunks = 0);
+  /// clamped to k). The replica sorts and the per-vertex neighbour
+  /// queries run on `pool` (nullptr = util::default_pool()); the CSR
+  /// arrays are identical for every pool size.
+  HammingGraph(const KSpectrum& spectrum, int d, int chunks = 0,
+               util::ThreadPool* pool = nullptr);
 
   int d() const noexcept { return d_; }
   std::size_t num_vertices() const noexcept { return offsets_.size() - 1; }
@@ -35,8 +45,8 @@ class HammingGraph {
   }
 
  private:
-  int d_;
-  std::vector<std::uint64_t> offsets_;    // size = |spectrum| + 1
+  int d_ = 0;
+  std::vector<std::uint64_t> offsets_{0};  // size = |spectrum| + 1
   std::vector<std::uint32_t> neighbors_;  // concatenated adjacency
 };
 

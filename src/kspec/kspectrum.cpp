@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "kspec/radix.hpp"
+#include "kspec/read_windows.hpp"
 #include "seq/alphabet.hpp"
 #include "util/batch_search.hpp"
 #include "util/thread_pool.hpp"
@@ -23,6 +24,17 @@ int auto_prefix_bits(std::size_t size, int k) noexcept {
   if (size < 64) return 0;
   return std::clamp(static_cast<int>(std::bit_width(size / 32)), 1,
                     std::min(2 * k, 20));
+}
+
+/// The pool a build runs on: nullptr for the serial path (threads == 1),
+/// else the override, a dedicated pool of `threads` workers (held in
+/// `own`), or the shared default pool.
+util::ThreadPool* construction_pool(const SpectrumBuildOptions& options,
+                                    std::optional<util::ThreadPool>& own) {
+  if (options.threads == 1) return nullptr;
+  if (options.pool != nullptr) return options.pool;
+  if (options.threads > 1) return &own.emplace(options.threads);
+  return &util::default_pool();
 }
 
 }  // namespace
@@ -124,20 +136,15 @@ KSpectrum KSpectrum::from_instances(std::vector<seq::KmerCode> instances,
   KSpectrum s;
   s.k_ = k;
   s.total_ = instances.size();
-  if (options.threads == 1) {
-    serial_sort_and_count(std::move(instances), s.codes_vec_, s.counts_vec_);
-  } else {
-    std::optional<util::ThreadPool> own_pool;
+  std::optional<util::ThreadPool> own_pool;
+  if (util::ThreadPool* pool = construction_pool(options, own_pool)) {
     RadixSortOptions radix;
     radix.radix_bits = options.radix_bits;
-    if (options.pool != nullptr) {
-      radix.pool = options.pool;
-    } else if (options.threads > 1) {
-      own_pool.emplace(options.threads);
-      radix.pool = &*own_pool;
-    }  // else nullptr -> util::default_pool()
+    radix.pool = pool;
     radix_sort_and_count(std::move(instances), k, s.codes_vec_, s.counts_vec_,
                          radix);
+  } else {
+    serial_sort_and_count(std::move(instances), s.codes_vec_, s.counts_vec_);
   }
   s.rebind_owned();
   s.rebuild_prefix_index(options.prefix_index_bits);
@@ -227,23 +234,23 @@ KSpectrum KSpectrum::adopt_external(std::span<const seq::KmerCode> codes,
 KSpectrum KSpectrum::build(const seq::ReadSet& reads, int k,
                            bool both_strands,
                            const SpectrumBuildOptions& options) {
-  std::vector<seq::KmerCode> instances;
-  // Reserve the actual window count Σ max(0, len−k+1) per strand — the
-  // former total_bases()-based bound over-allocated by ~k bases per read,
-  // which dominates peak memory on short-read sets.
-  std::size_t windows = 0;
-  for (const auto& r : reads.reads) {
-    windows += seq::max_kmer_windows(r.bases.size(), k);
-  }
-  instances.reserve(windows * (both_strands ? 2 : 1));
-  for (const auto& r : reads.reads) {
-    seq::extract_kmer_codes(r.bases, k, instances);
-    if (both_strands) {
-      const std::string rc = seq::reverse_complement(r.bases);
-      seq::extract_kmer_codes(rc, k, instances);
-    }
-  }
-  return from_instances(std::move(instances), k, options);
+  // Blocks of reads fill slices of one instance array sized from the
+  // exact window count, Σ max(0, len−k+1) per strand, on the same pool
+  // that then sorts it.
+  std::optional<util::ThreadPool> own_pool;
+  util::ThreadPool* pool = construction_pool(options, own_pool);
+  auto [instances] = detail::fill_windows<1>(
+      reads, k, both_strands, pool,
+      [&](const seq::Read& r, std::array<seq::KmerCode*, 1>& out) {
+        detail::for_each_window(
+            r.bases, k, [&](seq::KmerCode fwd, seq::KmerCode rc, std::size_t) {
+              *out[0]++ = fwd;
+              if (both_strands) *out[0]++ = rc;
+            });
+      });
+  SpectrumBuildOptions sort = options;
+  sort.pool = pool;
+  return from_instances(std::move(instances), k, sort);
 }
 
 KSpectrum KSpectrum::build_from_sequence(std::string_view sequence, int k,

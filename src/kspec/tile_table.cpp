@@ -4,83 +4,68 @@
 #include <bit>
 #include <stdexcept>
 
-#include "seq/alphabet.hpp"
+#include "kspec/radix.hpp"
+#include "kspec/read_windows.hpp"
 #include "util/batch_search.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ngs::kspec {
-namespace {
 
-/// Appends packed tile codes of one oriented sequence. `quality` may be
-/// empty (then every instance is high quality when Qc == 0 is in force).
-void extract_tiles(std::string_view bases,
-                   const std::vector<std::uint8_t>& quality,
-                   const TileParams& params,
-                   std::vector<seq::KmerCode>& all,
-                   std::vector<seq::KmerCode>& high_quality) {
-  const int tl = params.tile_length();
-  if (bases.size() < static_cast<std::size_t>(tl)) return;
-  const seq::KmerCode mask =
-      tl == 32 ? ~seq::KmerCode{0} : ((seq::KmerCode{1} << (2 * tl)) - 1);
-  seq::KmerCode code = 0;
-  int valid = 0;
-  for (std::size_t i = 0; i < bases.size(); ++i) {
-    const std::uint8_t b = seq::base_to_code(bases[i]);
-    if (b == seq::kInvalidBase) {
-      valid = 0;
-      code = 0;
-      continue;
-    }
-    code = ((code << 2) | b) & mask;
-    if (++valid >= tl) {
-      all.push_back(code);
-      bool hq = true;
-      if (params.quality_cutoff > 0 && !quality.empty()) {
-        const std::size_t start = i + 1 - static_cast<std::size_t>(tl);
-        for (std::size_t j = start; j <= i; ++j) {
-          if (quality[j] < params.quality_cutoff) {
-            hq = false;
-            break;
-          }
-        }
-      }
-      if (hq) high_quality.push_back(code);
-    }
-  }
-}
-
-}  // namespace
-
-TileTable TileTable::build(const seq::ReadSet& reads,
-                           const TileParams& params) {
+TileTable TileTable::build(const seq::ReadSet& reads, const TileParams& params,
+                           util::ThreadPool* pool) {
   if (params.tile_length() > seq::kMaxK || params.overlap >= params.k ||
       params.overlap < 0) {
     throw std::invalid_argument("TileTable: invalid k/overlap combination");
   }
-  std::vector<seq::KmerCode> all, hq;
-  for (const auto& r : reads.reads) {
-    extract_tiles(r.bases, r.quality, params, all, hq);
-    if (params.both_strands) {
-      const std::string rc = seq::reverse_complement(r.bases);
-      std::vector<std::uint8_t> rq(r.quality.rbegin(), r.quality.rend());
-      extract_tiles(rc, rq, params, all, hq);
-    }
-  }
-  std::sort(all.begin(), all.end());
-  std::sort(hq.begin(), hq.end());
+  util::ThreadPool& workers = pool != nullptr ? *pool : util::default_pool();
+  const int tl = params.tile_length();
+  const bool both = params.both_strands;
+  const auto qc = params.quality_cutoff;
+  // Array 0 takes every tile instance, array 1 the high-quality ones: a
+  // window is high quality when none of its bases scores below Qc (a
+  // window and its reverse complement cover the same bases).
+  auto [all, hq] = detail::fill_windows<2>(
+      reads, tl, both, &workers,
+      [&](const seq::Read& r, std::array<seq::KmerCode*, 2>& out) {
+        const auto& quality = r.quality;
+        const bool filter = qc > 0 && !quality.empty();
+        std::size_t scanned = 0;
+        std::size_t low_end = 0;  // one past the last base scoring < Qc
+        detail::for_each_window(
+            r.bases, tl,
+            [&](seq::KmerCode fwd, seq::KmerCode rc, std::size_t last) {
+              *out[0]++ = fwd;
+              if (both) *out[0]++ = rc;
+              if (filter) {
+                for (; scanned <= last && scanned < quality.size();
+                     ++scanned) {
+                  if (quality[scanned] < qc) low_end = scanned + 1;
+                }
+                if (low_end > last + 1 - static_cast<std::size_t>(tl)) {
+                  return;
+                }
+              }
+              *out[1]++ = fwd;
+              if (both) *out[1]++ = rc;
+            });
+      });
 
   TileTable table;
   table.params_ = params;
-  std::size_t h = 0;
-  for (std::size_t i = 0; i < all.size();) {
-    std::size_t j = i;
-    while (j < all.size() && all[j] == all[i]) ++j;
-    std::size_t h_end = h;
-    while (h_end < hq.size() && hq[h_end] == all[i]) ++h_end;
-    table.codes_.push_back(all[i]);
-    table.oc_.push_back(static_cast<std::uint32_t>(j - i));
-    table.og_.push_back(static_cast<std::uint32_t>(h_end - h));
-    h = h_end;
-    i = j;
+  RadixSortOptions radix;
+  radix.pool = &workers;
+  // The high-quality subset first: counting it releases its array
+  // before the full one needs its sort buffer.
+  std::vector<seq::KmerCode> hq_codes;
+  std::vector<std::uint32_t> hq_counts;
+  radix_sort_and_count(std::move(hq), tl, hq_codes, hq_counts, radix);
+  radix_sort_and_count(std::move(all), tl, table.codes_, table.oc_, radix);
+  // Every high-quality tile is a tile: one merge walk places its Og.
+  table.og_.assign(table.codes_.size(), 0);
+  std::size_t i = 0;
+  for (std::size_t h = 0; h < hq_codes.size(); ++h) {
+    while (table.codes_[i] != hq_codes[h]) ++i;
+    table.og_[i] = hq_counts[h];
   }
   table.rebuild_prefix_index();
   return table;

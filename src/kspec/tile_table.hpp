@@ -15,6 +15,10 @@
 #include "seq/read.hpp"
 #include "util/stats.hpp"
 
+namespace ngs::util {
+class ThreadPool;
+}
+
 namespace ngs::kspec {
 
 struct TileParams {
@@ -30,7 +34,13 @@ class TileTable {
  public:
   TileTable() = default;
 
-  static TileTable build(const seq::ReadSet& reads, const TileParams& params);
+  /// Counts every tile of `reads`. Blocks of reads fill the instance
+  /// arrays on `pool` (nullptr = util::default_pool()) and both counts
+  /// go through radix_sort_and_count, so the table is identical for
+  /// every pool size. Throws std::invalid_argument unless
+  /// 0 <= overlap < k and the tile length is at most 32.
+  static TileTable build(const seq::ReadSet& reads, const TileParams& params,
+                         util::ThreadPool* pool = nullptr);
 
   struct Counts {
     std::uint32_t oc = 0;

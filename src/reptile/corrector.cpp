@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <mutex>
-#include <stdexcept>
 
 #include "seq/alphabet.hpp"
 #include "seq/kmer.hpp"
@@ -68,18 +67,18 @@ constexpr std::uint64_t kCodeMask = (std::uint64_t{1} << kTagShift) - 1;
 
 ReptileCorrector::ReptileCorrector(const seq::ReadSet& reads,
                                    ReptileParams params)
-    : ReptileCorrector(preconvert(reads, params), params, PreconvertedTag{}) {}
-
-ReptileCorrector::ReptileCorrector(const seq::ReadSet& converted,
-                                   ReptileParams params, PreconvertedTag)
-    : params_(params),
-      spectrum_(kspec::KSpectrum::build(converted, params.k,
-                                        /*both_strands=*/true)),
-      graph_(spectrum_, params.d),
-      tiles_(kspec::TileTable::build(converted, tile_params_of(params))) {
-  if (params_.tile_length() > seq::kMaxK) {
-    throw std::invalid_argument("ReptileCorrector: tile longer than 32 bases");
+    : params_(params) {
+  params_.validate();
+  {
+    // The converted copy feeds the spectrum and the tile table, then goes
+    // before the Hamming graph is built: phase 1's memory peak never
+    // holds the copy and the graph at once.
+    const seq::ReadSet converted = preconvert(reads, params_);
+    spectrum_ = kspec::KSpectrum::build(converted, params_.k,
+                                        /*both_strands=*/true);
+    tiles_ = kspec::TileTable::build(converted, tile_params_of(params_));
   }
+  graph_ = kspec::HammingGraph(spectrum_, params_.d);
 }
 
 std::uint64_t ReptileCorrector::convert_ambiguous(

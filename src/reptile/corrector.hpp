@@ -98,7 +98,10 @@ class ReptileCorrector {
 
   /// Phase 1: ambiguous bases satisfying the density constraint are
   /// converted to params.default_base in a working copy of the reads,
-  /// from which the spectrum, Hamming graph, and tile table are built.
+  /// from which the spectrum and tile table are counted; the Hamming
+  /// graph is built from the spectrum after the copy is released. Every
+  /// step runs on util::default_pool(). Throws std::invalid_argument
+  /// (ReptileParams::validate) before any work on an invalid tile.
   ReptileCorrector(const seq::ReadSet& reads, ReptileParams params);
 
   const ReptileParams& params() const noexcept { return params_; }
@@ -131,14 +134,6 @@ class ReptileCorrector {
   }
 
  private:
-  /// Tags the delegated constructor whose read set has already been
-  /// through ambiguous-base preconversion, so the conversion (a full
-  /// read-set copy) runs exactly once per construction and is shared by
-  /// the spectrum and the tile table.
-  struct PreconvertedTag {};
-  ReptileCorrector(const seq::ReadSet& converted, ReptileParams params,
-                   PreconvertedTag);
-
   struct TileOutcome {
     TileDecision decision = TileDecision::kInsufficient;
     seq::KmerCode corrected = 0;
@@ -180,8 +175,8 @@ class ReptileCorrector {
 
   ReptileParams params_;
   kspec::KSpectrum spectrum_;
-  kspec::HammingGraph graph_;
   kspec::TileTable tiles_;
+  kspec::HammingGraph graph_;
 };
 
 }  // namespace ngs::reptile

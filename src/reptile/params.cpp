@@ -1,33 +1,54 @@
 #include "reptile/params.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "kspec/tile_table.hpp"
+#include "seq/kmer.hpp"
 #include "util/stats.hpp"
 
 namespace ngs::reptile {
 
+void ReptileParams::validate() const {
+  if (overlap < 0 || overlap >= k || tile_length() > seq::kMaxK) {
+    throw std::invalid_argument(
+        "reptile: k = " + std::to_string(k) + " and overlap l = " +
+        std::to_string(overlap) + " give tile length 2k - l = " +
+        std::to_string(tile_length()) +
+        "; a tile needs 0 <= l < k and at most " +
+        std::to_string(seq::kMaxK) + " bases");
+  }
+}
+
 ReptileParams select_parameters(const seq::ReadSet& reads,
-                                std::uint64_t genome_length_estimate) {
+                                std::uint64_t genome_length_estimate, int k) {
   ReptileParams p;
-  if (genome_length_estimate > 0) {
+  if (k > 0) {
+    p.k = k;
+  } else if (genome_length_estimate > 0) {
     p.k = static_cast<int>(
         std::ceil(std::log(static_cast<double>(genome_length_estimate)) /
                   std::log(4.0)));
     p.k = std::clamp(p.k, 10, 15);
   }
+  p.validate();
 
-  // Qc: ~17% of base calls fall below the cutoff.
-  util::Histogram quality_hist;
-  bool has_quality = false;
+  // Qc: ~17% of base calls fall below the cutoff. Scores are bytes, so
+  // count into 256 bins and hand the histogram one add per bin.
+  std::array<std::uint64_t, 256> quality_bins{};
   for (const auto& r : reads.reads) {
-    for (const std::uint8_t q : r.quality) {
-      quality_hist.add(q);
-      has_quality = true;
+    for (const std::uint8_t q : r.quality) ++quality_bins[q];
+  }
+  util::Histogram quality_hist;
+  for (std::size_t q = 0; q < quality_bins.size(); ++q) {
+    if (quality_bins[q] > 0) {
+      quality_hist.add(static_cast<std::int64_t>(q), quality_bins[q]);
     }
   }
-  if (has_quality) {
+  if (!quality_hist.empty()) {
     p.quality_cutoff = static_cast<int>(quality_hist.quantile(0.17));
     p.quality_max = static_cast<int>(quality_hist.quantile(0.60));
   }

@@ -37,6 +37,9 @@ struct ReptileParams {
   char default_base = 'A';
 
   int tile_length() const noexcept { return 2 * k - overlap; }
+  /// Throws std::invalid_argument, naming k, l and the tile length,
+  /// unless 0 <= l < k and the tile fits one 64-bit code (<= 32 bases).
+  void validate() const;
   int effective_ambig_window() const noexcept {
     return ambig_window > 0 ? ambig_window : k;
   }
@@ -46,14 +49,17 @@ struct ReptileParams {
 };
 
 /// Selects parameters from the data:
-///  - k = ceil(log4(genome_length_estimate)), clamped to [10, 15];
+///  - k as given, or if k == 0, ceil(log4(genome_length_estimate))
+///    clamped to [10, 15];
 ///  - Qc at the ~17% quantile of the base-quality histogram;
 ///  - Cg so ~2% of distinct tiles exceed it;
 ///  - Cm so ~5% of distinct tiles exceed it;
 ///  - Cr = 2, d = 1 (paper defaults).
-/// Building the tile histogram requires a provisional pass; the function
-/// performs it internally.
+/// Building the tile histogram requires a provisional pass at the chosen
+/// k; the function performs it internally, after validate() has
+/// accepted that k.
 ReptileParams select_parameters(const seq::ReadSet& reads,
-                                std::uint64_t genome_length_estimate);
+                                std::uint64_t genome_length_estimate,
+                                int k = 0);
 
 }  // namespace ngs::reptile

@@ -15,6 +15,7 @@
 #include "core/registry.hpp"
 #include "io/fastq_stream.hpp"
 #include "io/fastx.hpp"
+#include "reptile/params.hpp"
 #include "sim/genome.hpp"
 #include "sim/read_sim.hpp"
 #include "util/rng.hpp"
@@ -386,6 +387,36 @@ TEST(CorrectionPipeline, TileCacheOutputByteIdenticalAcrossThreadCounts) {
     EXPECT_GT(report.extra("pass2_reads_per_sec"), 0u) << threads;
     EXPECT_EQ(report.reads_changed, uncached_report.reads_changed) << threads;
     EXPECT_EQ(report.bases_changed, uncached_report.bases_changed) << threads;
+  }
+}
+
+// --k sets the tile length Reptile's thresholds are chosen at: the run
+// reports the Cg and Cm that select_parameters finds at that k, not the
+// ones of the k derived from the genome length.
+TEST(CorrectionPipeline, ReptileKChoosesThresholdsAtThatK) {
+  const auto run = make_run(29);
+  const std::string input = to_fastq(run.reads);
+  const auto note = [](const reptile::ReptileParams& p) {
+    return "k:" + std::to_string(p.k) + ",tile:" +
+           std::to_string(p.tile_length()) + ",Qc:" +
+           std::to_string(p.quality_cutoff) + ",Cg:" +
+           std::to_string(p.c_good) + ",Cm:" + std::to_string(p.c_min);
+  };
+  const auto derived = reptile::select_parameters(run.reads, 20000);
+  const auto at_12 = reptile::select_parameters(run.reads, 20000, 12);
+  ASSERT_EQ(derived.k, 10);
+  ASSERT_EQ(at_12.k, 12);
+  ASSERT_NE(note(derived), note(at_12));
+
+  for (const int k : {0, 12}) {
+    core::CorrectorConfig config;
+    config.genome_length = 20000;
+    config.k = k;
+    core::CorrectionPipeline pipeline(core::make_corrector("reptile", config));
+    std::ostringstream out;
+    const auto report = pipeline.run(factory_for(input), out).report;
+    EXPECT_EQ(report.note_or("reptile_params"), note(k == 0 ? derived : at_12))
+        << k;
   }
 }
 

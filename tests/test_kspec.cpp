@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <set>
 
 #include "kspec/hamming_graph.hpp"
@@ -8,6 +10,7 @@
 #include "kspec/neighborhood.hpp"
 #include "kspec/radix.hpp"
 #include "kspec/tile_table.hpp"
+#include "seq/alphabet.hpp"
 #include "sim/genome.hpp"
 #include "sim/read_sim.hpp"
 #include "util/rng.hpp"
@@ -361,6 +364,188 @@ TEST(TileTable, BothStrandsCountRevcompTiles) {
   // "AACCGGTT" is its own reverse complement, so its single 8-base tile
   // counts twice.
   EXPECT_EQ(table.counts(seq::encode_kmer("AACCGGTT").value()).oc, 2u);
+}
+
+// Reads for the parallel-builder oracles: lengths from 0 to 60 over a
+// small random genome (so windows repeat), a sprinkle of N's and
+// lowercase bases, random qualities on both sides of 20, and a few reads
+// without qualities. Enough reads for several fill blocks and the
+// radix path.
+seq::ReadSet oracle_reads(std::uint64_t seed, std::size_t n) {
+  util::Rng rng(seed);
+  const auto genome =
+      sim::random_sequence(4000, {0.25, 0.25, 0.25, 0.25}, rng);
+  seq::ReadSet set;
+  for (std::size_t i = 0; i < n; ++i) {
+    seq::Read r;
+    r.id = std::to_string(i);
+    const std::size_t len = rng.below(61);
+    const std::size_t pos = rng.below(genome.size() - len);
+    r.bases = genome.substr(pos, len);
+    for (char& c : r.bases) {
+      if (rng.bernoulli(0.01)) c = 'N';
+      else if (rng.bernoulli(0.01)) c = static_cast<char>(c - 'A' + 'a');
+    }
+    if (!rng.bernoulli(0.05)) {
+      for (std::size_t j = 0; j < len; ++j) {
+        r.quality.push_back(static_cast<std::uint8_t>(rng.below(41)));
+      }
+    }
+    set.reads.push_back(std::move(r));
+  }
+  return set;
+}
+
+std::vector<std::unique_ptr<util::ThreadPool>> oracle_pools() {
+  std::vector<std::unique_ptr<util::ThreadPool>> pools;
+  for (const std::size_t n : {1, 2, 4}) {
+    pools.push_back(std::make_unique<util::ThreadPool>(n));
+  }
+  return pools;
+}
+
+// Oracle: every window of every strand, string by string. Oc counts all
+// windows free of N's; Og only those whose every quality is >= Qc.
+std::map<seq::KmerCode, kspec::TileTable::Counts> tile_oracle(
+    const seq::ReadSet& reads, const kspec::TileParams& params) {
+  std::map<seq::KmerCode, kspec::TileTable::Counts> expected;
+  const auto tl = static_cast<std::size_t>(params.tile_length());
+  for (const auto& r : reads.reads) {
+    std::vector<std::pair<std::string, std::vector<std::uint8_t>>> strands = {
+        {r.bases, r.quality}};
+    if (params.both_strands) {
+      strands.push_back({seq::reverse_complement(r.bases),
+                         {r.quality.rbegin(), r.quality.rend()}});
+    }
+    for (const auto& [bases, quality] : strands) {
+      for (std::size_t i = 0; i + tl <= bases.size(); ++i) {
+        const auto code = seq::encode_kmer(bases.substr(i, tl));
+        if (!code) continue;
+        auto& counts = expected[*code];
+        ++counts.oc;
+        bool high = true;
+        if (params.quality_cutoff > 0 && !quality.empty()) {
+          for (std::size_t j = i; j < i + tl; ++j) {
+            high = high && quality[j] >= params.quality_cutoff;
+          }
+        }
+        counts.og += high;
+      }
+    }
+  }
+  return expected;
+}
+
+TEST(TileTable, ParallelBuildMatchesMapOracle) {
+  const auto reads = oracle_reads(41, 6000);
+  const auto pools = oracle_pools();
+  struct Case {
+    int k, overlap, quality_cutoff;
+    bool both_strands;
+  };
+  for (const Case c : {Case{6, 0, 20, true}, Case{6, 3, 20, true},
+                       Case{8, 2, 0, true}, Case{5, 1, 20, false},
+                       Case{16, 0, 20, true}}) {
+    kspec::TileParams params;
+    params.k = c.k;
+    params.overlap = c.overlap;
+    params.quality_cutoff = c.quality_cutoff;
+    params.both_strands = c.both_strands;
+    const auto expected = tile_oracle(reads, params);
+    for (const auto& pool : pools) {
+      SCOPED_TRACE(::testing::Message()
+                   << "k=" << c.k << " l=" << c.overlap << " Qc="
+                   << c.quality_cutoff << " both=" << c.both_strands
+                   << " pool=" << pool->size());
+      const auto table = kspec::TileTable::build(reads, params, pool.get());
+      ASSERT_EQ(table.size(), expected.size());
+      std::size_t i = 0;
+      for (const auto& [code, counts] : expected) {
+        ASSERT_EQ(table.code_at(i), code) << i;
+        ASSERT_EQ(table.counts_at(i).oc, counts.oc) << i;
+        ASSERT_EQ(table.counts_at(i).og, counts.og) << i;
+        ++i;
+      }
+    }
+  }
+}
+
+TEST(TileTable, ParallelBuildOfEmptyAndShortReads) {
+  kspec::TileParams params;
+  params.k = 6;
+  seq::ReadSet short_reads;  // every read shorter than the 12-base tile
+  short_reads.reads.push_back({"a", "ACGTACGTACG", {}});
+  short_reads.reads.push_back({"b", "", {}});
+  for (const auto& pool : oracle_pools()) {
+    EXPECT_EQ(kspec::TileTable::build({}, params, pool.get()).size(), 0u);
+    EXPECT_EQ(kspec::TileTable::build(short_reads, params, pool.get()).size(),
+              0u);
+  }
+}
+
+TEST(HammingGraph, ParallelBuildMatchesBruteForce) {
+  util::Rng rng(43);
+  const int k = 8;
+  std::vector<seq::KmerCode> codes;
+  for (int i = 0; i < 5000; ++i) {
+    codes.push_back(rng.below(std::uint64_t{1} << (2 * k)));
+  }
+  const auto spec = KSpectrum::from_codes(codes, k);
+  const auto pools = oracle_pools();
+  for (const int d : {1, 2}) {
+    // All pairs, in vertex order: the CSR arrays a serial build writes.
+    std::vector<std::uint64_t> offsets = {0};
+    std::vector<std::uint32_t> neighbors;
+    for (std::size_t i = 0; i < spec.size(); ++i) {
+      for (std::size_t j = 0; j < spec.size(); ++j) {
+        const int hd = seq::kmer_hamming(spec.code_at(i), spec.code_at(j));
+        if (hd >= 1 && hd <= d) neighbors.push_back(static_cast<std::uint32_t>(j));
+      }
+      offsets.push_back(neighbors.size());
+    }
+    for (const auto& pool : pools) {
+      SCOPED_TRACE(::testing::Message() << "d=" << d << " pool=" << pool->size());
+      const kspec::HammingGraph graph(spec, d, 0, pool.get());
+      ASSERT_EQ(graph.num_vertices(), spec.size());
+      ASSERT_EQ(graph.num_edges(), neighbors.size() / 2);
+      const std::uint32_t* base = graph.neighbors(0).data();
+      for (std::size_t i = 0; i < spec.size(); ++i) {
+        const auto adj = graph.neighbors(i);
+        ASSERT_EQ(static_cast<std::uint64_t>(adj.data() - base), offsets[i]);
+        ASSERT_TRUE(std::equal(adj.begin(), adj.end(),
+                               neighbors.begin() + offsets[i],
+                               neighbors.begin() + offsets[i + 1]))
+            << i;
+      }
+    }
+  }
+}
+
+TEST(KSpectrum, ParallelBuildIdenticalOnReadsWithAmbiguousBases) {
+  const auto reads = oracle_reads(47, 6000);
+  const auto pools = oracle_pools();
+  for (const bool both : {false, true}) {
+    // Reference: string-by-string extraction of each strand.
+    std::vector<seq::KmerCode> instances;
+    for (const auto& r : reads.reads) {
+      seq::extract_kmer_codes(r.bases, 11, instances);
+      if (both) {
+        seq::extract_kmer_codes(seq::reverse_complement(r.bases), 11,
+                                instances);
+      }
+    }
+    const auto reference =
+        KSpectrum::from_codes(std::move(instances), 11, {.threads = 1});
+    expect_byte_identical(KSpectrum::build(reads, 11, both, {.threads = 1}),
+                          reference);
+    for (const auto& pool : pools) {
+      SCOPED_TRACE(::testing::Message() << "both=" << both
+                                        << " pool=" << pool->size());
+      kspec::SpectrumBuildOptions opts;
+      opts.pool = pool.get();
+      expect_byte_identical(KSpectrum::build(reads, 11, both, opts), reference);
+    }
+  }
 }
 
 }  // namespace

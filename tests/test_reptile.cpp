@@ -169,6 +169,23 @@ TEST(ReptileCorrector, RejectsOversizedTiles) {
   seq::ReadSet empty;
   reptile::ReptileParams p;
   p.k = 17;  // tile length 34 > 32
+  const auto message = [](const auto& build) -> std::string {
+    try {
+      build();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no exception";
+  };
+  for (const std::string& what :
+       {message([&] { reptile::ReptileCorrector(empty, p); }),
+        message([&] { reptile::select_parameters(empty, 20000, 17); })}) {
+    EXPECT_NE(what.find("k = 17"), std::string::npos) << what;
+    EXPECT_NE(what.find("l = 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("tile length 2k - l = 34"), std::string::npos) << what;
+  }
+  p.k = 12;
+  p.overlap = 12;  // l must stay below k
   EXPECT_THROW(reptile::ReptileCorrector(empty, p), std::invalid_argument);
 }
 

@@ -157,6 +157,23 @@ for method in $methods; do
   [ "$in_lines" = "$out_lines" ]
 done
 
+# Reptile's phase 1 runs on the shared pool: output on reads with N's
+# is byte-identical at 1, 2 and 4 correction threads, converts some N's,
+# and reports the parameters it chose.
+"$BIN_DIR/ngs_simulate" \
+  --genome-length 20000 --coverage 30 --error-rate 0.01 --seed 9 \
+  --ambiguous-rate 0.003 --reads "$WORK/ambiguous.fastq" \
+  --genome "$WORK/ambiguous_genome.fasta"
+for t in 1 2 4; do
+  "$BIN_DIR/ngs_correct" --in "$WORK/ambiguous.fastq" \
+    --out "$WORK/ambiguous_$t.fastq" --method reptile \
+    --genome-length 20000 --threads "$t" 2>"$WORK/ambiguous_$t.txt"
+done
+cmp "$WORK/ambiguous_1.fastq" "$WORK/ambiguous_2.fastq"
+cmp "$WORK/ambiguous_1.fastq" "$WORK/ambiguous_4.fastq"
+grep -q "ambiguous_converted=[1-9]" "$WORK/ambiguous_1.txt"
+grep -q "reptile_params=k:10,tile:20," "$WORK/ambiguous_1.txt"
+
 # Cluster the simulated reads as FASTA (exercises the FASTA path).
 head -4000 "$WORK/reads.fastq" | awk 'NR%4==1{sub(/^@/,">");print} NR%4==2{print}' \
   > "$WORK/reads.fasta"
@@ -177,6 +194,12 @@ expect_exit 2 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
 expect_exit 2 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
   --out "$WORK/x.fastq" --method sap --fault-spec "no.such.site=always"
 grep -q "no.such.site" "$WORK/stderr.txt"
+
+# A tile longer than 32 bases (2k - l = 34) is a config error, raised
+# before phase 1 counts anything, naming k, l and the tile length.
+expect_exit 2 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
+  --out "$WORK/x.fastq" --method reptile --genome-length 20000 --k 17
+grep -q "tile length 2k - l = 34" "$WORK/stderr.txt"
 
 # Missing/unreadable input -> 3.
 expect_exit 3 "$BIN_DIR/ngs_correct" --in "$WORK/nonexistent.fastq" \

@@ -41,8 +41,9 @@ int main(int argc, char** argv) {
   cli.add_option("error-rate", "error-rate estimate for redeem/hybrid", true,
                  "0.01");
   cli.add_option("threads",
-                 "correction worker and spectrum build threads "
-                 "(0 = all cores)",
+                 "correction workers and streamed spectrum build threads "
+                 "(0 = all cores; Reptile's phase 1 always runs on the "
+                 "shared all-core pool)",
                  true, "0");
   cli.add_option("batch-size", "reads per streamed batch", true, "4096");
   cli.add_option("tile-cache-mb",
