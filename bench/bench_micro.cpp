@@ -8,7 +8,7 @@
 #include "fault/fault.hpp"
 #include "fault/sites.hpp"
 #include "kspec/kspectrum.hpp"
-#include "mapper/packed_sequence.hpp"
+#include "mapper/mismatch_mapper.hpp"
 #include "mapreduce/job.hpp"
 #include "seq/kmer.hpp"
 #include "sim/genome.hpp"
@@ -90,16 +90,17 @@ void BM_FlatCounter(benchmark::State& state) {
 }
 BENCHMARK(BM_FlatCounter);
 
-void BM_PackedMismatch(benchmark::State& state) {
+void BM_MapAllMismatches(benchmark::State& state) {
   const auto genome = random_dna(100000, 8);
-  mapper::PackedSequence packed(genome);
-  const auto words =
-      mapper::PackedSequence::pack_words(genome.substr(500, 100));
+  const mapper::MismatchMapper mapper(genome, 12);
+  std::string read = genome.substr(500, 100);
+  read[10] = read[10] == 'A' ? 'C' : 'A';
+  read[60] = read[60] == 'A' ? 'C' : 'A';
   for (auto _ : state) {
-    benchmark::DoNotOptimize(packed.mismatches(500, words, 100, 100));
+    benchmark::DoNotOptimize(mapper.map_all(read, 4));
   }
 }
-BENCHMARK(BM_PackedMismatch);
+BENCHMARK(BM_MapAllMismatches);
 
 void BM_MapReduceWordCount(benchmark::State& state) {
   std::vector<std::pair<int, int>> input;

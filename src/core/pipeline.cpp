@@ -205,9 +205,9 @@ SpectrumStep build_spectrum(const PipelineOptions& options, int k,
   if (step.spilled && builder.spill_nonempty_bins() > 1) {
     // Out-of-core finalization: stream the sorted prefix bins straight
     // into a sharded index file — the full spectrum never exists in
-    // this process — then serve the spectrum from the file's lazily
-    // mapped shards. Saved when the caller asked for an index;
-    // otherwise a transient file removed with the step.
+    // this process — then serve the spectrum from the file's mapped
+    // shards. Saved when the caller asked for an index; otherwise a
+    // transient file removed with the step.
     const std::string path =
         save_path.empty() ? transient_index_path(builder.spill_dir())
                           : save_path;

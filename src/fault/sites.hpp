@@ -39,9 +39,6 @@ inline constexpr const char* kIndexChecksum = "index.checksum";
 /// A write while serializing the index fails (disk full); the atomic
 /// writer must leave no temp file and never touch the target.
 inline constexpr const char* kIndexWrite = "index.write";
-/// Mapping one shard of a sharded (v2) index fails; the lazy view must
-/// fall back to an owned-buffer read with identical lookup results.
-inline constexpr const char* kShardMmap = "index.shard_mmap";
 
 // --- kspec: out-of-core spectrum build (src/kspec/radix.cpp) -----------
 /// Appending instances to a spill bin fails (disk full) during a
@@ -98,7 +95,7 @@ inline constexpr const char* kServiceWorker = "service.worker";
 inline constexpr const char* kAll[] = {
     kFastqOpen,      kFastqRead,  kFastqMalformed, kIndexOpen,
     kIndexMmap,      kIndexShortRead, kIndexChecksum, kIndexWrite,
-    kShardMmap,      kSpillWrite, kSpillRead,
+    kSpillWrite,     kSpillRead,
     kOpenInputTransient, kPass2Batch, kPass2Read,  kOutputWrite,
     kPipelineReader, kPipelineWriter,
     kMapTask,

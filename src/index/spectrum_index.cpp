@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <utility>
 
 #include "fault/fault.hpp"
-#include "index/sharded_view.hpp"
 #include "util/atomic_file.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -112,6 +110,18 @@ void read_exact_at(int fd, void* data, std::size_t n, std::uint64_t offset,
 
 #endif  // NGS_INDEX_POSIX
 
+/// A bucket table is at most min(2k, 24) bits wide (the cap
+/// KSpectrum::rebuild_prefix_index applies), so its size never wraps.
+void check_prefix_bits(std::uint32_t bits, std::uint32_t k,
+                       const std::string& where, const std::string& path) {
+  if (bits > std::min<std::uint32_t>(2 * k, 24)) {
+    std::ostringstream os;
+    os << where << " declares implausible prefix_bits " << bits << " (k="
+       << k << ")";
+    fail(Kind::kBadLayout, path, os.str());
+  }
+}
+
 struct Metadata {
   IndexHeader header;
   std::vector<SectionEntry> table;
@@ -176,6 +186,7 @@ Metadata parse_metadata(const unsigned char* head, std::size_t head_bytes,
       fail(Kind::kBadLayout, path,
            "version-1 index carries nonzero shard fields");
     }
+    check_prefix_bits(h.prefix_bits, h.k, "the header", path);
   } else {
     if (h.shard_count < 2 || h.shard_count > kMaxShards ||
         h.shard_bits < 1 || h.shard_bits > 8 ||
@@ -222,104 +233,57 @@ Metadata parse_metadata(const unsigned char* head, std::size_t head_bytes,
   return meta;
 }
 
-/// Bounds/shape validation of one known section against the header.
+/// "section 'codes'", naming the owning shard on a version-2 file.
+std::string section_label(SectionId id, std::uint32_t prefix,
+                          const Metadata& meta) {
+  std::string label = std::string("section '") + section_name(id) + "'";
+  if (meta.header.format_version == kFormatVersionSharded &&
+      id != SectionId::kShardTable) {
+    label += " of shard " + std::to_string(prefix);
+  }
+  return label;
+}
+
+/// Bounds/shape validation of one known section against the metadata.
 void check_section(const SectionEntry& entry, std::uint64_t expected_bytes,
                    const Metadata& meta, const std::string& path) {
-  const char* name = section_name(static_cast<SectionId>(entry.id));
+  const std::string label = section_label(
+      static_cast<SectionId>(entry.id), entry.shard_prefix, meta);
   if (entry.offset % kSectionAlignment != 0) {
     std::ostringstream os;
-    os << "section '" << name << "' offset " << entry.offset << " is not "
+    os << label << " offset " << entry.offset << " is not "
        << kSectionAlignment << "-byte aligned";
     fail(Kind::kBadLayout, path, os.str());
   }
   if (entry.offset > meta.file_size ||
       entry.bytes > meta.file_size - entry.offset) {
     std::ostringstream os;
-    os << "truncated index: section '" << name << "' spans ["
-       << entry.offset << ", " << entry.offset + entry.bytes
-       << ") but the file has only " << meta.file_size << " bytes";
+    os << "truncated index: " << label << " spans [" << entry.offset << ", "
+       << entry.offset + entry.bytes << ") but the file has only "
+       << meta.file_size << " bytes";
     fail(Kind::kTruncated, path, os.str());
   }
   if (entry.bytes != expected_bytes) {
     std::ostringstream os;
-    os << "section '" << name << "' holds " << entry.bytes
-       << " bytes where the header implies " << expected_bytes;
+    os << label << " holds " << entry.bytes
+       << " bytes where the metadata implies " << expected_bytes;
     fail(Kind::kBadLayout, path, os.str());
   }
 }
 
-const SectionEntry* find_section(const Metadata& meta, SectionId id) {
-  for (const auto& entry : meta.table) {
-    if (entry.id == static_cast<std::uint32_t>(id)) return &entry;
-  }
-  return nullptr;
-}
-
-/// v2: the section of `id` belonging to shard `prefix`.
-const SectionEntry& require_shard_section(const Metadata& meta, SectionId id,
-                                          std::uint32_t prefix,
-                                          const std::string& path) {
+/// The section of `id` belonging to shard `prefix` (0 on a v1 file and
+/// for the shard table).
+const SectionEntry& require_section(const Metadata& meta, SectionId id,
+                                    std::uint32_t prefix,
+                                    const std::string& path) {
   for (const auto& entry : meta.table) {
     if (entry.id == static_cast<std::uint32_t>(id) &&
         entry.shard_prefix == prefix) {
       return entry;
     }
   }
-  std::ostringstream os;
-  os << "missing section '" << section_name(id) << "' for shard " << prefix;
-  fail(Kind::kBadLayout, path, os.str());
-}
-
-/// Streaming whole-section checksum verification for files that are not
-/// mapped in one piece (the sharded load): every section is re-read in
-/// bounded chunks and checked against its table row.
-void verify_sections_streaming(const Metadata& meta, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    fail(Kind::kIo, path,
-         std::string("open failed: ") + std::strerror(errno));
-  }
-  std::vector<unsigned char> buf(1 << 20);
-  for (const auto& entry : meta.table) {
-    if (std::fseek(f, static_cast<long>(entry.offset), SEEK_SET) != 0) {
-      std::fclose(f);
-      fail(Kind::kIo, path, "seek failed");
-    }
-    std::uint64_t state = kFnv1aOffset;
-    std::uint64_t left = entry.bytes;
-    while (left > 0) {
-      const std::size_t want =
-          static_cast<std::size_t>(std::min<std::uint64_t>(left, buf.size()));
-      if (std::fread(buf.data(), 1, want, f) != want) {
-        std::fclose(f);
-        fail(Kind::kTruncated, path, "unexpected end of file verifying "
-             "section checksums");
-      }
-      state = fnv1a64(buf.data(), want, state);
-      left -= want;
-    }
-    if (state != entry.checksum) {
-      std::ostringstream os;
-      os << "checksum mismatch in section '"
-         << section_name(static_cast<SectionId>(entry.id)) << "' (shard "
-         << entry.shard_prefix << ", stored " << std::hex << entry.checksum
-         << ", computed " << state
-         << ") — the payload is corrupt; rebuild the index";
-      std::fclose(f);
-      fail(Kind::kChecksum, path, os.str());
-    }
-  }
-  std::fclose(f);
-}
-
-const SectionEntry& require_section(const Metadata& meta, SectionId id,
-                                    const std::string& path) {
-  const auto* entry = find_section(meta, id);
-  if (entry == nullptr) {
-    fail(Kind::kBadLayout, path,
-         std::string("missing required section '") + section_name(id) + "'");
-  }
-  return *entry;
+  fail(Kind::kBadLayout, path,
+       "missing required " + section_label(id, prefix, meta));
 }
 
 IndexInfo make_info(const Metadata& meta) {
@@ -364,12 +328,8 @@ void validate_shard_rows(const Metadata& meta, const std::string& path) {
            "shard table prefixes are not ascending within the shard "
            "split range");
     }
-    if (s.prefix_index_bits > std::min<std::uint32_t>(2 * h.k, 24)) {
-      std::ostringstream os;
-      os << "shard " << s.prefix << " declares implausible "
-         << "prefix_index_bits " << s.prefix_index_bits;
-      fail(Kind::kBadLayout, path, os.str());
-    }
+    check_prefix_bits(s.prefix_index_bits, h.k,
+                      "shard " + std::to_string(s.prefix), path);
     if (s.distinct == 0) {
       std::ostringstream os;
       os << "shard " << s.prefix << " is empty (empty bins must be "
@@ -395,7 +355,7 @@ void load_shard_table(Metadata& meta, const std::string& path,
                       const ReadAt& read_at) {
   if (meta.header.format_version != kFormatVersionSharded) return;
   const SectionEntry& st =
-      require_section(meta, SectionId::kShardTable, path);
+      require_section(meta, SectionId::kShardTable, 0, path);
   check_section(st, std::uint64_t{meta.header.shard_count} * sizeof(ShardEntry),
                 meta, path);
   meta.shards.resize(meta.header.shard_count);
@@ -503,6 +463,136 @@ std::shared_ptr<Mapping> map_file(const std::string& path,
   mapping->data = mapping->owned.data();
   return mapping;
 #endif
+}
+
+/// One spectrum of an index file: the whole payload of a version-1
+/// file (described by its header), or one shard of a version-2 file
+/// (described by its shard-table row). Its sections have passed
+/// check_section against the described sizes.
+struct Region {
+  std::uint32_t prefix = 0;  // v2 shard prefix; 0 on v1
+  std::uint32_t prefix_bits = 0;
+  std::uint64_t distinct = 0;
+  std::uint64_t total_instances = 0;
+  const SectionEntry* codes = nullptr;
+  const SectionEntry* counts = nullptr;
+  const SectionEntry* buckets = nullptr;  // null when prefix_bits == 0
+};
+
+std::vector<Region> describe_regions(const Metadata& meta,
+                                     const std::string& path) {
+  const IndexHeader& h = meta.header;
+  std::vector<Region> regions;
+  if (h.format_version == kFormatVersionSharded) {
+    for (const auto& shard : meta.shards) {
+      regions.push_back({shard.prefix, shard.prefix_index_bits,
+                         shard.distinct, shard.total_instances});
+    }
+  } else {
+    regions.push_back({0, h.prefix_bits, h.distinct, h.total_instances});
+  }
+  for (Region& r : regions) {
+    // Bound the entry count before it is multiplied into section sizes.
+    if (r.distinct > meta.file_size / sizeof(seq::KmerCode)) {
+      std::ostringstream os;
+      os << "truncated index: " << r.distinct << " entries cannot fit in a "
+         << meta.file_size << "-byte file";
+      fail(Kind::kTruncated, path, os.str());
+    }
+    r.codes = &require_section(meta, SectionId::kCodes, r.prefix, path);
+    r.counts = &require_section(meta, SectionId::kCounts, r.prefix, path);
+    check_section(*r.codes, r.distinct * sizeof(seq::KmerCode), meta, path);
+    check_section(*r.counts, r.distinct * sizeof(std::uint32_t), meta, path);
+    if (r.prefix_bits > 0) {
+      r.buckets =
+          &require_section(meta, SectionId::kBucketStarts, r.prefix, path);
+      check_section(*r.buckets,
+                    ((std::uint64_t{1} << r.prefix_bits) + 1) *
+                        sizeof(std::uint64_t),
+                    meta, path);
+    }
+  }
+  return regions;
+}
+
+/// Recomputes every section checksum over the loaded bytes.
+void verify_checksums(const Metadata& meta, const Mapping& mapping,
+                      const std::string& path) {
+  for (const auto& entry : meta.table) {
+    const std::uint64_t actual = fnv1a64(
+        mapping.data + entry.offset, static_cast<std::size_t>(entry.bytes));
+    if (actual != entry.checksum) {
+      std::ostringstream os;
+      os << "checksum mismatch in "
+         << section_label(static_cast<SectionId>(entry.id),
+                          entry.shard_prefix, meta)
+         << " (stored " << std::hex << entry.checksum << ", computed "
+         << actual << ") — the payload is corrupt; rebuild the index";
+      fail(Kind::kChecksum, path, os.str());
+    }
+  }
+}
+
+/// A zero-copy view of one region that co-owns the mapping.
+kspec::KSpectrum adopt_region(const Region& r,
+                              const std::shared_ptr<const Mapping>& mapping,
+                              int k) {
+  const auto at = [&](const SectionEntry* section) {
+    return mapping->data + section->offset;
+  };
+  const auto n = static_cast<std::size_t>(r.distinct);
+  std::span<const std::uint64_t> buckets;
+  if (r.buckets != nullptr) {
+    buckets = {reinterpret_cast<const std::uint64_t*>(at(r.buckets)),
+               (std::size_t{1} << r.prefix_bits) + 1};
+  }
+  return kspec::KSpectrum::adopt_external(
+      {reinterpret_cast<const seq::KmerCode*>(at(r.codes)), n},
+      {reinterpret_cast<const std::uint32_t*>(at(r.counts)), n}, buckets, k,
+      r.total_instances, static_cast<int>(r.prefix_bits), mapping);
+}
+
+/// The spectrum invariants over one region's payload: sorted unique
+/// in-range codes with positive counts, every code inside the shard's
+/// prefix range (v2), counts summing to the declared total, and a bucket
+/// table that partitions the codes.
+void validate_region(const kspec::KSpectrum& view, const Region& r,
+                     const Metadata& meta, const std::string& path) {
+  const IndexHeader& h = meta.header;
+  const int k = static_cast<int>(h.k);
+  const bool sharded = h.format_version == kFormatVersionSharded;
+  const std::string where =
+      sharded ? " in shard " + std::to_string(r.prefix) : std::string();
+  const auto invalid = [&](const std::string& detail) {
+    fail(Kind::kInvalidPayload, path,
+         "invalid spectrum payload" + where + ": " + detail);
+  };
+  const auto codes = view.codes();
+  if (const auto err =
+          kspec::KSpectrum::validate_sorted_counts(codes, view.counts(), k)) {
+    invalid(*err);
+  }
+  if (sharded) {  // shards are never empty (validate_shard_rows)
+    const int shift = 2 * k - static_cast<int>(h.shard_bits);
+    if ((codes.front() >> shift) != r.prefix ||
+        (codes.back() >> shift) != r.prefix) {
+      invalid("codes fall outside the shard's prefix range");
+    }
+  }
+  std::uint64_t total = 0;
+  for (const std::uint32_t c : view.counts()) total += c;
+  if (total != r.total_instances) {
+    std::ostringstream os;
+    os << "counts sum to " << total << " but the metadata declares "
+       << r.total_instances << " total instances";
+    invalid(os.str());
+  }
+  const auto buckets = view.bucket_starts();
+  if (!buckets.empty() &&
+      (buckets.front() != 0 || buckets.back() != r.distinct ||
+       !std::is_sorted(buckets.begin(), buckets.end()))) {
+    invalid("bucket table does not partition the code array");
+  }
 }
 
 /// Fault gate + AtomicFile append, with the shared ngs::Error(kIo) the
@@ -791,193 +881,29 @@ SpectrumIndex SpectrumIndex::load(const std::string& path,
                                   const LoadOptions& options) {
   const Metadata meta = read_metadata_from_file(path);
   const IndexHeader& h = meta.header;
-
-  if (h.format_version == kFormatVersionSharded) {
-    // Sharded file: validate each shard's section geometry up front,
-    // then hand the (unread) payload regions to a lazy view.
-    std::vector<ShardRegion> regions;
-    regions.reserve(meta.shards.size());
-    for (const auto& shard : meta.shards) {
-      const SectionEntry& codes_sec = require_shard_section(
-          meta, SectionId::kCodes, shard.prefix, path);
-      const SectionEntry& counts_sec = require_shard_section(
-          meta, SectionId::kCounts, shard.prefix, path);
-      check_section(codes_sec, shard.distinct * sizeof(seq::KmerCode), meta,
-                    path);
-      check_section(counts_sec, shard.distinct * sizeof(std::uint32_t), meta,
-                    path);
-      ShardRegion region;
-      region.prefix = shard.prefix;
-      region.prefix_index_bits = shard.prefix_index_bits;
-      region.distinct = shard.distinct;
-      region.total_instances = shard.total_instances;
-      region.codes_offset = codes_sec.offset;
-      region.counts_offset = counts_sec.offset;
-      if (shard.prefix_index_bits > 0) {
-        const SectionEntry& buckets_sec = require_shard_section(
-            meta, SectionId::kBucketStarts, shard.prefix, path);
-        check_section(buckets_sec,
-                      ((std::uint64_t{1} << shard.prefix_index_bits) + 1) *
-                          sizeof(std::uint64_t),
-                      meta, path);
-        region.buckets_offset = buckets_sec.offset;
-        region.buckets_bytes = buckets_sec.bytes;
-      }
-      regions.push_back(region);
-    }
-
-    if (options.verify_checksums) verify_sections_streaming(meta, path);
-
-    auto view = std::make_shared<ShardedSpectrumView>(
-        path, static_cast<int>(h.k), static_cast<int>(h.shard_bits),
-        std::move(regions), options.use_mmap);
-
-    if (options.validate_payload) {
-      const int shift = 2 * static_cast<int>(h.k) -
-                        static_cast<int>(h.shard_bits);
-      for (const auto& shard : meta.shards) {
-        const kspec::KSpectrum* s = view->shard(shard.prefix);
-        if (s == nullptr || s->size() != shard.distinct) {
-          fail(Kind::kInvalidPayload, path,
-               "invalid spectrum payload: shard size mismatch");
-        }
-        if (const auto err = kspec::KSpectrum::validate_sorted_counts(
-                s->codes(), s->counts(), static_cast<int>(h.k))) {
-          std::ostringstream os;
-          os << "invalid spectrum payload in shard " << shard.prefix << ": "
-             << *err;
-          fail(Kind::kInvalidPayload, path, os.str());
-        }
-        if ((s->codes().front() >> shift) != shard.prefix ||
-            (s->codes().back() >> shift) != shard.prefix) {
-          std::ostringstream os;
-          os << "invalid spectrum payload: shard " << shard.prefix
-             << " holds codes outside its prefix range";
-          fail(Kind::kInvalidPayload, path, os.str());
-        }
-        std::uint64_t total = 0;
-        for (const std::uint32_t c : s->counts()) total += c;
-        if (total != shard.total_instances) {
-          std::ostringstream os;
-          os << "invalid spectrum payload: shard " << shard.prefix
-             << " counts sum to " << total << " but the shard table "
-             << "declares " << shard.total_instances;
-          fail(Kind::kInvalidPayload, path, os.str());
-        }
-        const auto buckets = s->bucket_starts();
-        if (!buckets.empty() &&
-            (buckets.front() != 0 || buckets.back() != shard.distinct ||
-             !std::is_sorted(buckets.begin(), buckets.end()))) {
-          std::ostringstream os;
-          os << "invalid spectrum payload: shard " << shard.prefix
-             << " bucket table does not partition the shard";
-          fail(Kind::kInvalidPayload, path, os.str());
-        }
-      }
-    }
-
-    SpectrumIndex index;
-    index.path_ = path;
-    index.info_ = make_info(meta);
-    index.info_.mapped = options.use_mmap;
-    index.spectrum_ = kspec::KSpectrum::from_shards(
-        view, view->shard_starts(), static_cast<int>(h.shard_bits),
-        static_cast<int>(h.k), h.total_instances);
-    return index;
-  }
-
-  const SectionEntry& codes_sec =
-      require_section(meta, SectionId::kCodes, path);
-  const SectionEntry& counts_sec =
-      require_section(meta, SectionId::kCounts, path);
-  check_section(codes_sec, h.distinct * sizeof(seq::KmerCode), meta, path);
-  check_section(counts_sec, h.distinct * sizeof(std::uint32_t), meta, path);
-  const SectionEntry* buckets_sec = nullptr;
-  if (h.prefix_bits > 0) {
-    if (h.prefix_bits > 2 * h.k || h.prefix_bits > 63) {
-      std::ostringstream os;
-      os << "prefix_bits " << h.prefix_bits << " exceeds the 2k-bit key "
-         << "width (k=" << h.k << ")";
-      fail(Kind::kBadLayout, path, os.str());
-    }
-    buckets_sec = &require_section(meta, SectionId::kBucketStarts, path);
-    check_section(*buckets_sec,
-                  ((std::uint64_t{1} << h.prefix_bits) + 1) *
-                      sizeof(std::uint64_t),
-                  meta, path);
-  }
+  const int k = static_cast<int>(h.k);
+  const bool sharded = h.format_version == kFormatVersionSharded;
+  const std::vector<Region> regions = describe_regions(meta, path);
 
   SpectrumIndex index;
   index.path_ = path;
   index.info_ = make_info(meta);
-  auto mapping =
+  const std::shared_ptr<const Mapping> mapping =
       map_file(path, meta.file_size, options.use_mmap, &index.info_.mapped);
+  if (options.verify_checksums) verify_checksums(meta, *mapping, path);
 
-  if (options.verify_checksums) {
-    for (const auto& entry : meta.table) {
-      const std::uint64_t actual =
-          fnv1a64(mapping->data + entry.offset,
-                  static_cast<std::size_t>(entry.bytes));
-      if (actual != entry.checksum) {
-        std::ostringstream os;
-        os << "checksum mismatch in section '"
-           << section_name(static_cast<SectionId>(entry.id)) << "' (stored "
-           << std::hex << entry.checksum << ", computed " << actual
-           << ") — the payload is corrupt; rebuild the index";
-        fail(Kind::kChecksum, path, os.str());
-      }
-    }
+  // A v1 file is one region; a v2 file one view per shard prefix, the
+  // empty bins left as empty spectra.
+  std::vector<kspec::KSpectrum> views(sharded ? std::size_t{1} << h.shard_bits
+                                              : 1);
+  for (const Region& r : regions) {
+    kspec::KSpectrum& view = views[r.prefix] = adopt_region(r, mapping, k);
+    if (options.validate_payload) validate_region(view, r, meta, path);
   }
-
-  const auto codes = std::span<const seq::KmerCode>(
-      reinterpret_cast<const seq::KmerCode*>(mapping->data +
-                                             codes_sec.offset),
-      static_cast<std::size_t>(h.distinct));
-  const auto counts = std::span<const std::uint32_t>(
-      reinterpret_cast<const std::uint32_t*>(mapping->data +
-                                             counts_sec.offset),
-      static_cast<std::size_t>(h.distinct));
-  std::span<const std::uint64_t> buckets;
-  if (buckets_sec != nullptr) {
-    buckets = std::span<const std::uint64_t>(
-        reinterpret_cast<const std::uint64_t*>(mapping->data +
-                                               buckets_sec->offset),
-        static_cast<std::size_t>((std::uint64_t{1} << h.prefix_bits) + 1));
-  }
-
-  if (options.validate_payload) {
-    if (const auto err = kspec::KSpectrum::validate_sorted_counts(
-            codes, counts, static_cast<int>(h.k))) {
-      fail(Kind::kInvalidPayload, path, "invalid spectrum payload: " + *err);
-    }
-    std::uint64_t total = 0;
-    for (const std::uint32_t c : counts) total += c;
-    if (total != h.total_instances) {
-      std::ostringstream os;
-      os << "invalid spectrum payload: counts sum to " << total
-         << " but the header declares " << h.total_instances
-         << " total instances";
-      fail(Kind::kInvalidPayload, path, os.str());
-    }
-    if (!buckets.empty()) {
-      // The bucket table must be a monotone partition of [0, distinct].
-      if (buckets.front() != 0 || buckets.back() != h.distinct) {
-        fail(Kind::kInvalidPayload, path,
-             "invalid spectrum payload: bucket table does not span the "
-             "code array");
-      }
-      for (std::size_t b = 1; b < buckets.size(); ++b) {
-        if (buckets[b] < buckets[b - 1]) {
-          fail(Kind::kInvalidPayload, path,
-               "invalid spectrum payload: bucket offsets not monotone");
-        }
-      }
-    }
-  }
-
-  index.spectrum_ = kspec::KSpectrum::adopt_external(
-      codes, counts, buckets, static_cast<int>(h.k), h.total_instances,
-      static_cast<int>(h.prefix_bits), std::move(mapping));
+  index.spectrum_ = sharded ? kspec::KSpectrum::from_shards(
+                                  std::move(views),
+                                  static_cast<int>(h.shard_bits), k)
+                            : std::move(views.front());
   return index;
 }
 

@@ -17,13 +17,16 @@
 //       prefix-bin runs (ChunkedSpectrumBuilder::finish_spilled) into a
 //       version-2 sharded file one shard at a time, so the full
 //       spectrum never exists in memory on the write side either;
-//   SpectrumIndex::load — maps the file and serves a zero-copy
+//   SpectrumIndex::load — maps the file once and serves a zero-copy
 //       KSpectrum view straight out of the mapped pages (no
 //       deserialization: the code/count/bucket arrays are spans over
 //       the mapping, 64-byte aligned by construction), falling back to
 //       an owned read() buffer when mmap is unavailable or declined.
-//       A sharded file loads as a lazy facade (ShardedSpectrumView):
-//       shards are mapped individually on first query.
+//       Both format versions take the same walk: a version-1 file is
+//       one spectrum region, a version-2 file one region per shard,
+//       and a sharded file's regions become the shards of one
+//       KSpectrum::from_shards facade. Pages the queries never touch
+//       are never read.
 //
 // Loaded views share ownership of the mapping through the spectrum's
 // keepalive handle, so a KSpectrum obtained here can be moved into a
@@ -121,9 +124,7 @@ struct IndexInfo {
   std::vector<Shard> shards;
 
   /// True when the payload is served from an mmap (zero-copy), false on
-  /// the owned-buffer fallback path. On a sharded load this reports the
-  /// mapping intent — each shard maps lazily on first touch (with a
-  /// per-shard owned-read fallback).
+  /// the owned-buffer fallback path.
   bool mapped = false;
 };
 

@@ -69,7 +69,7 @@ void KSpectrum::move_from(KSpectrum&& other) noexcept {
   bucket_starts_ = buckets_owned
                        ? std::span<const std::uint64_t>(bucket_starts_vec_)
                        : other.bucket_starts_;
-  shard_source_ = std::move(other.shard_source_);
+  shards_ = std::move(other.shards_);
   shard_starts_ = std::move(other.shard_starts_);
   shard_bits_ = other.shard_bits_;
   other.k_ = 0;
@@ -80,7 +80,7 @@ void KSpectrum::move_from(KSpectrum&& other) noexcept {
   other.counts_ = {};
   other.bucket_starts_ = {};
   other.keepalive_.reset();
-  other.shard_source_.reset();
+  other.shards_.reset();
   other.shard_starts_.clear();
   other.shard_bits_ = 0;
 }
@@ -122,9 +122,8 @@ KSpectrum& KSpectrum::operator=(const KSpectrum& other) {
     bucket_starts_vec_.clear();
     bucket_starts_ = other.bucket_starts_;
   }
-  // Sharded copies share the source (it is thread-safe and immutable
-  // from the spectrum's point of view).
-  shard_source_ = other.shard_source_;
+  // Sharded copies share the (immutable) shards.
+  shards_ = other.shards_;
   shard_starts_ = other.shard_starts_;
   shard_bits_ = other.shard_bits_;
   return *this;
@@ -356,9 +355,9 @@ void KSpectrum::index_of_batch(std::span<const seq::KmerCode> probes,
 void KSpectrum::sharded_index_of_batch(std::span<const seq::KmerCode> probes,
                                        std::span<std::int64_t> out) const {
   // Sort probe indices by code so probes landing in the same shard are
-  // consecutive; each touched shard is then resolved exactly once and
-  // queried through its own in-memory batch path. Heap scratch is fine
-  // here — the sharded mode is mmap/IO bound, not probe-latency bound.
+  // consecutive; each touched shard then answers its group through its
+  // own batch path. The scratch is on the heap: the O(n log n) sort
+  // costs far more than its three allocations.
   const std::size_t n = probes.size();
   std::vector<std::uint32_t> ord(n);
   std::iota(ord.begin(), ord.end(), 0u);
@@ -375,11 +374,8 @@ void KSpectrum::sharded_index_of_batch(std::span<const seq::KmerCode> probes,
     while (j < n && static_cast<std::size_t>(probes[ord[j]] >> shift) == p) {
       ++j;
     }
-    const KSpectrum* shard =
-        p + 1 < shard_starts_.size()
-            ? shard_source_->shard(static_cast<std::uint32_t>(p))
-            : nullptr;
-    if (shard == nullptr) {  // key out of range or empty bin
+    if (p + 1 >= shard_starts_.size() || (*shards_)[p].empty()) {
+      // Key out of range or empty bin.
       for (std::size_t t = i; t < j; ++t) out[ord[t]] = -1;
       i = j;
       continue;
@@ -387,7 +383,7 @@ void KSpectrum::sharded_index_of_batch(std::span<const seq::KmerCode> probes,
     group_codes.resize(j - i);
     group_out.resize(j - i);
     for (std::size_t t = i; t < j; ++t) group_codes[t - i] = probes[ord[t]];
-    shard->index_of_batch(group_codes, group_out);
+    (*shards_)[p].index_of_batch(group_codes, group_out);
     const auto offset = static_cast<std::int64_t>(shard_starts_[p]);
     for (std::size_t t = i; t < j; ++t) {
       const std::int64_t local = group_out[t - i];
@@ -397,37 +393,35 @@ void KSpectrum::sharded_index_of_batch(std::span<const seq::KmerCode> probes,
   }
 }
 
-KSpectrum KSpectrum::from_shards(
-    std::shared_ptr<const SpectrumShardSource> source,
-    std::vector<std::uint64_t> shard_starts, int shard_bits, int k,
-    std::uint64_t total_instances) {
-  if (source == nullptr) {
-    throw std::invalid_argument("from_shards: null shard source");
-  }
-  if (shard_bits < 1 || shard_bits > 2 * k) {
-    throw std::invalid_argument("from_shards: shard_bits out of range");
-  }
-  if (shard_starts.size() != (std::size_t{1} << shard_bits) + 1 ||
-      shard_starts.front() != 0 ||
-      !std::is_sorted(shard_starts.begin(), shard_starts.end())) {
-    throw std::invalid_argument("from_shards: malformed shard_starts table");
+KSpectrum KSpectrum::from_shards(std::vector<KSpectrum> shards,
+                                 int shard_bits, int k) {
+  if (shard_bits < 1 || shard_bits > std::min(2 * k, 24) ||
+      shards.size() != std::size_t{1} << shard_bits) {
+    throw std::invalid_argument("from_shards: shard table does not match "
+                                "shard_bits");
   }
   KSpectrum s;
   s.k_ = k;
-  s.total_ = total_instances;
-  s.shard_source_ = std::move(source);
-  s.shard_starts_ = std::move(shard_starts);
   s.shard_bits_ = shard_bits;
+  s.shard_starts_.assign(shards.size() + 1, 0);
+  for (std::size_t p = 0; p < shards.size(); ++p) {
+    const KSpectrum& shard = shards[p];
+    if (!shard.empty() && (shard.k() != k || shard.sharded())) {
+      throw std::invalid_argument("from_shards: shard is not a k=" +
+                                  std::to_string(k) + " flat spectrum");
+    }
+    s.shard_starts_[p + 1] = s.shard_starts_[p] + shard.size();
+    s.total_ += shard.total_instances();
+  }
+  s.shards_ =
+      std::make_shared<const std::vector<KSpectrum>>(std::move(shards));
   return s;
 }
 
 std::int64_t KSpectrum::sharded_index_of(seq::KmerCode code) const {
   const std::size_t p = static_cast<std::size_t>(code >> (2 * k_ - shard_bits_));
   if (p + 1 >= shard_starts_.size()) return -1;  // key out of range
-  const KSpectrum* shard =
-      shard_source_->shard(static_cast<std::uint32_t>(p));
-  if (shard == nullptr) return -1;  // empty bin
-  const std::int64_t local = shard->index_of(code);
+  const std::int64_t local = (*shards_)[p].index_of(code);
   if (local < 0) return -1;
   return static_cast<std::int64_t>(shard_starts_[p]) + local;
 }
@@ -435,9 +429,7 @@ std::int64_t KSpectrum::sharded_index_of(seq::KmerCode code) const {
 std::uint32_t KSpectrum::sharded_count(seq::KmerCode code) const {
   const std::size_t p = static_cast<std::size_t>(code >> (2 * k_ - shard_bits_));
   if (p + 1 >= shard_starts_.size()) return 0;
-  const KSpectrum* shard =
-      shard_source_->shard(static_cast<std::uint32_t>(p));
-  return shard == nullptr ? 0 : shard->count(code);
+  return (*shards_)[p].count(code);
 }
 
 std::pair<std::uint32_t, std::size_t> KSpectrum::locate(std::size_t i) const {
@@ -455,12 +447,12 @@ std::pair<std::uint32_t, std::size_t> KSpectrum::locate(std::size_t i) const {
 
 seq::KmerCode KSpectrum::sharded_code_at(std::size_t i) const {
   const auto [p, local] = locate(i);
-  return shard_source_->shard(p)->code_at(local);
+  return (*shards_)[p].code_at(local);
 }
 
 std::uint32_t KSpectrum::sharded_count_at(std::size_t i) const {
   const auto [p, local] = locate(i);
-  return shard_source_->shard(p)->count_at(local);
+  return (*shards_)[p].count_at(local);
 }
 
 }  // namespace ngs::kspec

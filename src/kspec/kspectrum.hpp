@@ -57,24 +57,6 @@ struct SpectrumBuildOptions {
   util::ThreadPool* pool = nullptr;
 };
 
-class KSpectrum;
-
-/// Provider of per-prefix-bin spectra behind a sharded KSpectrum (the
-/// out-of-core path): index::ShardedSpectrumView implements this over a
-/// sharded index file, materializing (mmap'ing) each shard on first
-/// touch. Implementations must be thread-safe — pass-2 correction
-/// queries shards from every worker concurrently — and may throw on
-/// I/O failure, which is why the sharded accessors below are not
-/// noexcept.
-class SpectrumShardSource {
- public:
-  virtual ~SpectrumShardSource() = default;
-  /// The spectrum holding every code whose top shard_bits equal
-  /// `prefix`, or nullptr for an empty bin. The returned pointer (and
-  /// the arrays behind it) must stay valid for the source's lifetime.
-  virtual const KSpectrum* shard(std::uint32_t prefix) const = 0;
-};
-
 class KSpectrum {
  public:
   KSpectrum() = default;
@@ -139,26 +121,23 @@ class KSpectrum {
                                   int k, std::uint64_t total, int prefix_bits,
                                   std::shared_ptr<const void> keepalive = {});
 
-  /// Sharded spectrum: a facade over 2^shard_bits per-prefix shards
-  /// served lazily by `source` (the out-of-core query path behind
-  /// index::SpectrumIndex::load on a sharded file). `shard_starts` is
-  /// the cumulative distinct-entry offset table (2^shard_bits + 1
-  /// entries, shard_starts[p] = global index of shard p's first code),
-  /// so global indices, code_at/count_at, and index_of behave exactly
-  /// as on a monolithic spectrum — but only the shards actually touched
-  /// are ever materialized. codes()/counts()/bucket_starts() return
-  /// empty spans in this mode (there is no single contiguous array),
-  /// and the lookup accessors may propagate I/O errors from the source.
-  static KSpectrum from_shards(std::shared_ptr<const SpectrumShardSource> source,
-                               std::vector<std::uint64_t> shard_starts,
-                               int shard_bits, int k,
-                               std::uint64_t total_instances);
+  /// Sharded spectrum: one facade over 2^shard_bits per-prefix spectra
+  /// (what index::SpectrumIndex::load returns for a sharded file, each
+  /// shard a view into the one mapping of the file). `shards[p]` holds
+  /// every code whose top shard_bits bits equal p and is empty for an
+  /// empty bin. Global indices run over the shards in prefix order, so
+  /// code_at/count_at and index_of behave exactly as on the monolithic
+  /// spectrum; the total is the sum of the shards'. Copies share the
+  /// shards. codes()/counts()/bucket_starts() return empty spans in this
+  /// mode (there is no single contiguous array).
+  static KSpectrum from_shards(std::vector<KSpectrum> shards, int shard_bits,
+                               int k);
 
   /// True when the code/count arrays live in memory this spectrum does
   /// not own (adopt_external).
   bool external() const noexcept { return external_; }
 
-  /// True when lookups route through a SpectrumShardSource (from_shards).
+  /// True when lookups route through per-prefix shards (from_shards).
   bool sharded() const noexcept { return shard_bits_ > 0; }
 
   /// Prefix width of the shard routing (0 = not sharded).
@@ -174,9 +153,6 @@ class KSpectrum {
   /// Total kmer instances (sum of counts).
   std::uint64_t total_instances() const noexcept { return total_; }
 
-  /// NOTE: on a sharded spectrum the lookup/positional accessors below
-  /// may throw (shard materialization is lazy I/O); on in-memory and
-  /// external spectra they never do.
   bool contains(seq::KmerCode code) const { return index_of(code) >= 0; }
 
   /// Multiplicity of `code` in the spectrum (0 if absent).
@@ -195,9 +171,9 @@ class KSpectrum {
   /// advance their binary-search descents in lockstep with software
   /// prefetch (util::interleaved_lower_bound), so the cache misses of
   /// independent probes pipeline instead of serializing.
-  /// On a sharded spectrum, probes are grouped per shard prefix first —
-  /// each touched shard is resolved once per batch and queried with its
-  /// own in-memory batch path. Precondition: probes.size() == out.size().
+  /// On a sharded spectrum, probes are grouped per shard prefix first and
+  /// each touched shard answers its group through its own batch path.
+  /// Precondition: probes.size() == out.size().
   void index_of_batch(std::span<const seq::KmerCode> probes,
                       std::span<std::int64_t> out) const;
 
@@ -269,10 +245,11 @@ class KSpectrum {
   int prefix_bits_ = 0;  // 0 = no prefix index
   std::shared_ptr<const void> keepalive_;  // owner of external memory
   // Sharded mode (from_shards): lookups route by code >> (2k −
-  // shard_bits_) into `shard_source_`; `shard_starts_` (2^shard_bits_+1
-  // cumulative distinct offsets) converts between global and per-shard
-  // indices. shard_bits_ == 0 means not sharded.
-  std::shared_ptr<const SpectrumShardSource> shard_source_;
+  // shard_bits_) into `shards_` (indexed by prefix, shared between
+  // copies); `shard_starts_` (2^shard_bits_+1 cumulative distinct
+  // offsets) converts between global and per-shard indices.
+  // shard_bits_ == 0 means not sharded.
+  std::shared_ptr<const std::vector<KSpectrum>> shards_;
   std::vector<std::uint64_t> shard_starts_;
   int shard_bits_ = 0;
 };

@@ -5,11 +5,32 @@
 
 #include "seq/alphabet.hpp"
 #include "seq/kmer.hpp"
+#include "util/simd.hpp"
 
 namespace ngs::mapper {
 
+namespace {
+
+/// Mismatching bases between `genome` [pos, pos + read.size()) and
+/// `read`, counted 32 bases at a time; stops once the count passes `cap`.
+/// Ambiguous bases compare as 'A' on both sides.
+int count_mismatches(const seq::PackedSeq& genome, std::size_t pos,
+                     const seq::PackedSeq& read, int cap) noexcept {
+  int mm = 0;
+  for (std::size_t done = 0; done < read.size() && mm <= cap; done += 32) {
+    const int len =
+        static_cast<int>(std::min<std::size_t>(32, read.size() - done));
+    mm += util::simd::hamming2(genome.window_raw(pos + done, len),
+                               read.window_raw(done, len));
+  }
+  return mm;
+}
+
+}  // namespace
+
 MismatchMapper::MismatchMapper(std::string_view genome, int seed_length)
-    : genome_(genome), seed_length_(std::clamp(seed_length, 6, 16)) {
+    : seed_length_(std::clamp(seed_length, 6, 16)) {
+  genome_.assign(genome);
   const std::size_t q = static_cast<std::size_t>(seed_length_);
   if (genome.size() < q) {
     throw std::invalid_argument("MismatchMapper: genome shorter than seed");
@@ -75,15 +96,15 @@ std::vector<Hit> MismatchMapper::map_all(std::string_view read, int max_mm,
   std::vector<Hit> hits;
   std::vector<std::uint64_t> candidates;
   const std::string rc = seq::reverse_complement(read);
+  seq::PackedSeq packed;
 
   for (const bool reverse : {false, true}) {
     const std::string_view oriented = reverse ? std::string_view(rc) : read;
     candidates.clear();
     collect_candidates(oriented, candidates);
-    const auto words = PackedSequence::pack_words(oriented);
+    packed.assign(oriented);
     for (const std::uint64_t pos : candidates) {
-      const int mm =
-          genome_.mismatches(pos, words, oriented.size(), max_mm);
+      const int mm = count_mismatches(genome_, pos, packed, max_mm);
       if (mm <= max_mm) {
         hits.push_back(Hit{pos, reverse, mm});
         if (hits.size() >= max_hits) return hits;

@@ -6,8 +6,9 @@
 //
 // Strategy: pigeonhole seeding. A read with <= m mismatches contains at
 // least one exact seed among m+1 disjoint seeds; each seed is looked up
-// in a genome q-gram index and every candidate placement is verified with
-// the packed-window Hamming counter. Both strands are searched.
+// in a genome q-gram index and every candidate placement is verified by
+// counting mismatches 32 packed bases at a time (util::simd::hamming2 over
+// seq::PackedSeq windows). Both strands are searched.
 
 #include <array>
 #include <cstdint>
@@ -15,7 +16,7 @@
 #include <string_view>
 #include <vector>
 
-#include "mapper/packed_sequence.hpp"
+#include "seq/packed.hpp"
 #include "seq/read.hpp"
 #include "sim/error_model.hpp"
 
@@ -59,7 +60,7 @@ class MismatchMapper {
   void collect_candidates(std::string_view oriented_read,
                           std::vector<std::uint64_t>& candidates) const;
 
-  PackedSequence genome_;
+  seq::PackedSeq genome_;
   int seed_length_;
   // q-gram index: bucket offsets (counting sort layout) + positions.
   std::vector<std::uint32_t> bucket_start_;

@@ -81,40 +81,6 @@ std::shared_ptr<const core::Corrector> Epoch::corrector_for(
   return built;
 }
 
-int Epoch::resolve_k(const std::string& method,
-                     const core::CorrectorConfig& config) const {
-  // Cheap validation for HELLO: instantiating the corrector is
-  // inexpensive, only building it is not.
-  std::unique_ptr<core::Corrector> corrector;
-  try {
-    corrector = core::make_corrector(method, config);
-  } catch (const std::invalid_argument& e) {
-    throw ngs::Error(ngs::ErrorKind::kConfig, "", e.what());
-  }
-  const int k = corrector->spectrum_k();
-  if (k > 0) {
-    if (indexes_.find(k) == indexes_.end()) {
-      std::string have;
-      for (const auto& [loaded_k, idx] : indexes_) {
-        if (!have.empty()) have += ", ";
-        have += std::to_string(loaded_k);
-      }
-      throw ngs::Error(ngs::ErrorKind::kConfig, "",
-                       "method '" + method + "' needs a k=" +
-                           std::to_string(k) +
-                           " spectrum index, but this server holds k in {" +
-                           have + "}");
-    }
-  } else if (!reads_) {
-    throw ngs::Error(
-        ngs::ErrorKind::kConfig, "",
-        "method '" + method +
-            "' needs the whole read set for phase 1, but this server was "
-            "started without --reads");
-  }
-  return k;
-}
-
 std::shared_ptr<const Epoch> IndexRegistry::build_epoch(
     std::uint64_t id) const {
   fault::maybe_fail(fault::sites::kServiceReload, ngs::ErrorKind::kIndex,

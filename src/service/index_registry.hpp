@@ -89,11 +89,6 @@ class Epoch {
   std::shared_ptr<const core::Corrector> corrector_for(
       const std::string& method, const core::CorrectorConfig& config) const;
 
-  /// The spectrum k the method would serve from (0 = buffered method).
-  /// Same validation as corrector_for, without forcing the build.
-  int resolve_k(const std::string& method,
-                const core::CorrectorConfig& config) const;
-
  private:
   std::unique_ptr<core::Corrector> make_built(
       const std::string& method, const core::CorrectorConfig& config) const;

@@ -122,8 +122,7 @@ std::string write_test_index(const std::string& name) {
   return path;
 }
 
-/// Deterministic version-2 sharded index (4 prefix shards, k=12) for
-/// the index.shard_mmap site.
+/// Deterministic version-2 sharded index (4 prefix shards, k=12).
 std::string write_sharded_test_index(const std::string& name) {
   constexpr int k = 12;
   constexpr int shard_bits = 2;
@@ -312,10 +311,15 @@ TEST_F(ChaosTest, SpillReadFailureIsTypedIoError) {
 }
 
 TEST_F(ChaosTest, ShardMmapFaultFallsBackToOwnedBuffers) {
+  // A sharded file is mapped once like a monolithic one, so the
+  // index.mmap fallback serves its shards from the owned buffer.
   const std::string path = write_sharded_test_index("shard_mmap");
   const auto direct = index::SpectrumIndex::load(path);
-  reg().configure("index.shard_mmap=always");
+  EXPECT_TRUE(direct.info().mapped);
+  reg().configure("index.mmap=always");
   const auto fallback = index::SpectrumIndex::load(path);
+  EXPECT_FALSE(fallback.info().mapped)
+      << "mmap fault must force the owned-buffer path";
   const auto& a = direct.spectrum();
   const auto& b = fallback.spectrum();
   ASSERT_EQ(b.size(), a.size());
@@ -323,7 +327,7 @@ TEST_F(ChaosTest, ShardMmapFaultFallsBackToOwnedBuffers) {
     EXPECT_EQ(b.code_at(i), a.code_at(i));
     EXPECT_EQ(b.count_at(i), a.count_at(i));
   }
-  expect_fired(fault::sites::kShardMmap);
+  expect_fired(fault::sites::kIndexMmap);
   std::remove(path.c_str());
 }
 
@@ -564,7 +568,6 @@ void run_service_scenario(const std::string& index_path) {
 TEST_F(ChaosTest, EverySiteInCatalogFires) {
   const std::string fastq = make_fastq(9);
   const std::string index_path = write_test_index("sweep");
-  const std::string sharded_path = write_sharded_test_index("sweep_sharded");
   const std::string in_path = temp_path("sweep_in.fastq");
   const std::string out_path = temp_path("sweep_out.fastq");
   {
@@ -583,13 +586,7 @@ TEST_F(ChaosTest, EverySiteInCatalogFires) {
       reg().configure(name + "=n1");
     }
     try {
-      if (name == fault::sites::kShardMmap) {
-        // The per-shard mmap site only exists on the sharded (v2) load
-        // path, and only when shards actually materialize.
-        index::LoadOptions options;
-        options.validate_payload = true;
-        (void)index::SpectrumIndex::load(sharded_path, options);
-      } else if (name.rfind("index.", 0) == 0) {
+      if (name.rfind("index.", 0) == 0) {
         if (name == fault::sites::kIndexWrite) {
           (void)write_test_index("sweep_w");
         } else {
@@ -628,7 +625,6 @@ TEST_F(ChaosTest, EverySiteInCatalogFires) {
   }
 
   std::remove(index_path.c_str());
-  std::remove(sharded_path.c_str());
   std::remove(in_path.c_str());
   std::remove(out_path.c_str());
 }

@@ -113,6 +113,62 @@ Kind load_failure_kind(const std::string& path,
   return Kind::kIo;
 }
 
+/// A deterministic spectrum whose codes spread across the whole 2k-bit
+/// space (random_spectrum's small steps would land every code in prefix
+/// shard 0).
+kspec::KSpectrum spread_spectrum(int k, std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  const seq::KmerCode mask = (seq::KmerCode{1} << (2 * k)) - 1;
+  const seq::KmerCode step = mask / n;
+  std::vector<seq::KmerCode> codes;
+  std::vector<std::uint32_t> counts;
+  seq::KmerCode next = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    next += 1 + rng.below(2 * step);
+    if (next > mask) break;
+    codes.push_back(next);
+    counts.push_back(1 + static_cast<std::uint32_t>(rng.below(50)));
+  }
+  return kspec::KSpectrum::from_sorted_counts(std::move(codes),
+                                              std::move(counts), k);
+}
+
+/// Splits a spectrum by top `shard_bits` prefix and writes it through
+/// the streaming sharded writer. Returns the file checksum.
+std::uint64_t write_sharded(const std::string& path,
+                            const kspec::KSpectrum& spectrum,
+                            int shard_bits) {
+  const int shift = 2 * spectrum.k() - shard_bits;
+  const auto codes = spectrum.codes();
+  const auto counts = spectrum.counts();
+  struct Span {
+    std::uint32_t prefix;
+    std::size_t begin, end;
+  };
+  std::vector<Span> spans;
+  for (std::size_t i = 0; i < codes.size();) {
+    const auto p = static_cast<std::uint32_t>(codes[i] >> shift);
+    std::size_t j = i;
+    while (j < codes.size() &&
+           static_cast<std::uint32_t>(codes[j] >> shift) == p) {
+      ++j;
+    }
+    spans.push_back({p, i, j});
+    i = j;
+  }
+  index::ShardedIndexWriter writer(path, build_info_for(spectrum),
+                                   shard_bits, spans.size());
+  for (const auto& s : spans) {
+    writer.append_shard(
+        s.prefix,
+        std::vector<seq::KmerCode>(codes.begin() + s.begin,
+                                   codes.begin() + s.end),
+        std::vector<std::uint32_t>(counts.begin() + s.begin,
+                                   counts.begin() + s.end));
+  }
+  return writer.finish();
+}
+
 TEST(SpectrumIndex, RoundTripAcrossKWidths) {
   for (const int k : {8, 16, 24, 31}) {
     const auto built = random_spectrum(k, 5000, 1000 + k);
@@ -194,6 +250,26 @@ TEST(SpectrumIndex, SharedSpectrumOutlivesIndexObject) {
   }  // mapping must stay alive through the keepalive handle
   expect_same_spectrum(view, built);
   std::remove(path.c_str());
+
+  // A sharded file's shard views hold the same shared mapping.
+  const auto spread = spread_spectrum(16, 4000, 5);
+  const std::string sharded_path = temp_path("keepalive_sharded");
+  write_sharded(sharded_path, spread, 2);
+  kspec::KSpectrum sharded;
+  {
+    const auto loaded = index::SpectrumIndex::load(sharded_path);
+    sharded = loaded.share_spectrum();
+    EXPECT_TRUE(sharded.sharded());
+  }
+  ASSERT_EQ(sharded.size(), spread.size());
+  EXPECT_EQ(sharded.total_instances(), spread.total_instances());
+  for (std::size_t i = 0; i < spread.size(); ++i) {
+    ASSERT_EQ(sharded.code_at(i), spread.code_at(i)) << "code " << i;
+    ASSERT_EQ(sharded.count_at(i), spread.count_at(i)) << "count " << i;
+    ASSERT_EQ(sharded.index_of(spread.code_at(i)),
+              static_cast<std::int64_t>(i));
+  }
+  std::remove(sharded_path.c_str());
 }
 
 TEST(SpectrumIndex, RejectsMissingAndTruncatedFiles) {
@@ -284,62 +360,6 @@ TEST(SpectrumIndex, PayloadBitFlipCaughtByVerify) {
 }
 
 // --- Sharded (version-2) format ---------------------------------------
-
-/// A deterministic spectrum whose codes spread across the whole 2k-bit
-/// space (random_spectrum's small steps would land every code in prefix
-/// shard 0).
-kspec::KSpectrum spread_spectrum(int k, std::size_t n, std::uint64_t seed) {
-  util::Rng rng(seed);
-  const seq::KmerCode mask = (seq::KmerCode{1} << (2 * k)) - 1;
-  const seq::KmerCode step = mask / n;
-  std::vector<seq::KmerCode> codes;
-  std::vector<std::uint32_t> counts;
-  seq::KmerCode next = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    next += 1 + rng.below(2 * step);
-    if (next > mask) break;
-    codes.push_back(next);
-    counts.push_back(1 + static_cast<std::uint32_t>(rng.below(50)));
-  }
-  return kspec::KSpectrum::from_sorted_counts(std::move(codes),
-                                              std::move(counts), k);
-}
-
-/// Splits a spectrum by top `shard_bits` prefix and writes it through
-/// the streaming sharded writer. Returns the file checksum.
-std::uint64_t write_sharded(const std::string& path,
-                            const kspec::KSpectrum& spectrum,
-                            int shard_bits) {
-  const int shift = 2 * spectrum.k() - shard_bits;
-  const auto codes = spectrum.codes();
-  const auto counts = spectrum.counts();
-  struct Span {
-    std::uint32_t prefix;
-    std::size_t begin, end;
-  };
-  std::vector<Span> spans;
-  for (std::size_t i = 0; i < codes.size();) {
-    const auto p = static_cast<std::uint32_t>(codes[i] >> shift);
-    std::size_t j = i;
-    while (j < codes.size() &&
-           static_cast<std::uint32_t>(codes[j] >> shift) == p) {
-      ++j;
-    }
-    spans.push_back({p, i, j});
-    i = j;
-  }
-  index::ShardedIndexWriter writer(path, build_info_for(spectrum),
-                                   shard_bits, spans.size());
-  for (const auto& s : spans) {
-    writer.append_shard(
-        s.prefix,
-        std::vector<seq::KmerCode>(codes.begin() + s.begin,
-                                   codes.begin() + s.end),
-        std::vector<std::uint32_t>(counts.begin() + s.begin,
-                                   counts.begin() + s.end));
-  }
-  return writer.finish();
-}
 
 TEST(ShardedIndex, RoundTripMatchesMonolith) {
   const int k = 16;

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "mapper/mismatch_mapper.hpp"
-#include "mapper/packed_sequence.hpp"
 #include "seq/alphabet.hpp"
 #include "sim/genome.hpp"
 #include "sim/read_sim.hpp"
@@ -11,37 +10,42 @@ namespace {
 
 using namespace ngs;
 
-TEST(PackedSequence, BaseAccess) {
-  const std::string s = "ACGTACGTTTGGCCAA";
-  mapper::PackedSequence p(s);
-  ASSERT_EQ(p.size(), s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    EXPECT_EQ(p.base(i), seq::base_to_code(s[i]));
+/// True when `hits` holds a forward placement at `pos` with exactly
+/// `mismatches` mismatches.
+bool has_forward_hit(const std::vector<mapper::Hit>& hits, std::uint64_t pos,
+                     int mismatches) {
+  for (const auto& h : hits) {
+    if (h.pos == pos && !h.reverse && h.mismatches == mismatches) return true;
   }
+  return false;
 }
 
-TEST(PackedSequence, MismatchCounting) {
+TEST(MapperUnit, MismatchCountingAcrossPackedWords) {
   std::string genome;
   util::Rng rng(3);
   for (int i = 0; i < 200; ++i) {
     genome.push_back(seq::code_to_base(static_cast<std::uint8_t>(rng.below(4))));
   }
-  mapper::PackedSequence p(genome);
-  // Exact window: zero mismatches.
+  const mapper::MismatchMapper m(genome, 12);
+  // Exact windows, aligned and unaligned to the 32-base words: zero
+  // mismatches.
   for (std::size_t pos : {0ul, 17ul, 63ul, 64ul, 65ul, 150ul}) {
     const std::string window = genome.substr(pos, 50);
-    const auto words = mapper::PackedSequence::pack_words(window);
-    EXPECT_EQ(p.mismatches(pos, words, 50, 50), 0) << pos;
+    EXPECT_TRUE(has_forward_hit(m.map_all(window, 0), pos, 0)) << pos;
   }
-  // Mutate three bases; count must be exactly 3.
+  // Mutate three bases, both ends and the last base of the first word;
+  // the count must be exactly 3.
   std::string window = genome.substr(40, 50);
   for (std::size_t i : {0ul, 31ul, 49ul}) {
     window[i] = seq::complement_base(window[i]);
   }
-  const auto words = mapper::PackedSequence::pack_words(window);
-  EXPECT_EQ(p.mismatches(40, words, 50, 50), 3);
-  // Early exit cap.
-  EXPECT_GT(p.mismatches(40, words, 50, 0), 0);
+  EXPECT_TRUE(has_forward_hit(m.map_all(window, 3), 40, 3));
+  // Over the cap: the placement is dropped.
+  for (const int cap : {0, 2}) {
+    for (const auto& h : m.map_all(window, cap)) {
+      EXPECT_FALSE(h.pos == 40 && !h.reverse) << "cap " << cap;
+    }
+  }
 }
 
 class MapperTest : public ::testing::Test {

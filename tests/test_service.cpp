@@ -2,15 +2,16 @@
 // hardening (truncation, garbage magic, oversized lengths, mid-stream
 // disconnects), and the full daemon loop — byte-identity against the
 // offline pipeline, in-order windowed streaming, typed BUSY under
-// saturation, per-batch worker-fault salvage, and epoch-based hot
-// reload (including a corrupt replacement being rejected while the old
-// epoch keeps serving).
+// saturation, per-batch worker-fault salvage, epoch-based hot reload
+// (including a corrupt replacement being rejected while the old epoch
+// keeps serving), and serving a sharded version-2 index.
 
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -23,6 +24,7 @@
 #include "core/registry.hpp"
 #include "fault/fault.hpp"
 #include "fault/sites.hpp"
+#include "index/spectrum_index.hpp"
 #include "io/fastx.hpp"
 #include "io/fastq_stream.hpp"
 #include "service/client.hpp"
@@ -69,22 +71,28 @@ std::vector<seq::Read> parse_reads(const std::string& fastq) {
 }
 
 /// Offline reference run: the streaming pipeline with `method`, saving
-/// the pass-1 spectrum to `index_path` for the daemon to serve. Returns
-/// the corrected FASTQ bytes the service must reproduce.
+/// the pass-1 spectrum to `index_path` for the daemon to serve (sharded
+/// when `memory_budget_bytes` forces a spill). Returns the corrected
+/// FASTQ bytes the service must reproduce.
 std::string offline_correct(const std::string& fastq,
                             const std::string& method,
-                            const std::string& index_path = "") {
+                            const std::string& index_path = "",
+                            std::size_t memory_budget_bytes = 0,
+                            core::PipelineResult* result = nullptr) {
   core::PipelineOptions options;
   options.batch_size = 256;
   options.threads = 2;
   options.save_index_path = index_path;
+  options.memory_budget_bytes = memory_budget_bytes;
+  options.spill_dir = testing::TempDir();
   core::CorrectorConfig config;
   config.genome_length = 5000;
   core::CorrectionPipeline pipeline(core::make_corrector(method, config),
                                     options);
   std::ostringstream os;
-  pipeline.run(
+  const auto run = pipeline.run(
       [&fastq] { return std::make_unique<std::istringstream>(fastq); }, os);
+  if (result != nullptr) *result = run;
   return os.str();
 }
 
@@ -396,7 +404,7 @@ TEST_F(FramingTest, UnknownTypeAndReservedBytesAreProtocolErrors) {
 class ServerTest : public ServiceTest {
  protected:
   void start(service::ServiceOptions options = {},
-             bool with_reads = true) {
+             bool with_reads = true, std::size_t memory_budget_bytes = 0) {
     fastq_ = make_fastq(21);
     index_path_ = temp_path("server.ngsx");
     reads_path_ = temp_path("server_reads.fastq");
@@ -404,7 +412,8 @@ class ServerTest : public ServiceTest {
       std::ofstream os(reads_path_);
       os << fastq_;
     }
-    expected_sap_ = offline_correct(fastq_, "sap", index_path_);
+    expected_sap_ = offline_correct(fastq_, "sap", index_path_,
+                                    memory_budget_bytes, &offline_);
 
     socket_path_ = temp_path("d.sock");
     options.socket_path = socket_path_;
@@ -433,6 +442,7 @@ class ServerTest : public ServiceTest {
   std::string reads_path_;
   std::string socket_path_;
   std::string expected_sap_;
+  core::PipelineResult offline_;
   std::unique_ptr<service::CorrectionServer> server_;
 };
 
@@ -748,6 +758,53 @@ TEST_F(ServerTest, CorruptReplacementIndexIsRejectedOldEpochServes) {
   }
   // In-flight serving state is untouched: the old mapping still
   // produces the reference bytes.
+  auto client = make_client();
+  const auto limits = client.hello(sap_hello());
+  EXPECT_EQ(limits.epoch_id, 1u);
+  EXPECT_EQ(client_correct(client, limits, fastq_), expected_sap_);
+}
+
+TEST_F(ServerTest, ShardedIndexServesOfflineBytesAndRejectsCorruptShard) {
+  // A budget far below the spectrum makes the offline reference save a
+  // version-2 sharded index; the daemon verifies its checksums at load.
+  start({}, true, 200000);
+  ASSERT_GE(offline_.spectrum_shards, 2u);
+  {
+    auto client = make_client();
+    const auto limits = client.hello(sap_hello());
+    EXPECT_EQ(client_correct(client, limits, fastq_), expected_sap_);
+  }
+
+  // Rename a copy with one flipped byte in a shard's codes over the index:
+  // the reload's checksum pass rejects it and epoch 1 keeps serving.
+  const auto info = index::SpectrumIndex::read_info(index_path_);
+  ASSERT_EQ(info.format_version, index::kFormatVersionSharded);
+  const auto codes =
+      std::find_if(info.sections.begin(), info.sections.end(),
+                   [](const index::IndexInfo::Section& section) {
+                     return section.id == index::SectionId::kCodes;
+                   });
+  ASSERT_NE(codes, info.sections.end());
+  const std::string corrupt_path = index_path_ + ".corrupt";
+  {
+    std::ifstream in(index_path_, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    const std::size_t at = codes->offset + codes->bytes / 2;
+    bytes[at] = static_cast<char>(~bytes[at]);
+    std::ofstream out(corrupt_path, std::ios::binary);
+    out << bytes;
+  }
+  ASSERT_EQ(std::rename(corrupt_path.c_str(), index_path_.c_str()), 0);
+  {
+    auto client = make_client();
+    try {
+      (void)client.reload();
+      FAIL() << "corrupt shard payload accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kIndex);
+    }
+  }
   auto client = make_client();
   const auto limits = client.hello(sap_hello());
   EXPECT_EQ(limits.epoch_id, 1u);
