@@ -113,7 +113,7 @@ int main() {
   }
 
   // --- Budget-constrained (out-of-core) build: the spill path of the
-  // sharded index stack, same bytes out, bounded tracked memory. ---
+  // bounded-memory build, same bytes out, bounded tracked memory. ---
   double spilled_s = 0.0;
   std::uint64_t spill_bytes = 0;
   std::size_t spill_bins = 0;

@@ -34,7 +34,7 @@ std::string checksum_hex(std::uint64_t checksum) {
   return os.str();
 }
 
-/// Unique sibling name for the transient sharded index of a budget run
+/// Unique sibling name for the transient index of a budget run
 /// that is not also saving an index (removed when the run ends).
 std::string transient_index_path(const std::string& dir) {
   static std::atomic<unsigned long> seq{0};
@@ -198,16 +198,15 @@ SpectrumStep build_spectrum(const PipelineOptions& options, int k,
       static_cast<std::uint32_t>(step.input.max_read_length);
   const std::string& save_path = options.save_index_path;
   if (builder.spilled()) {
+    // Out-of-core finalization: stream the sorted prefix bins straight
+    // into an index file — the full spectrum never exists in this
+    // process — then serve the spectrum from the file's mapping. Saved
+    // when the caller asked for an index; otherwise a transient file
+    // removed with the step.
     builder.flush_spill();
     step.spilled = true;
     step.spilled_bytes = builder.spill_bytes();
-  }
-  if (step.spilled && builder.spill_nonempty_bins() > 1) {
-    // Out-of-core finalization: stream the sorted prefix bins straight
-    // into a sharded index file — the full spectrum never exists in
-    // this process — then serve the spectrum from the file's mapped
-    // shards. Saved when the caller asked for an index; otherwise a
-    // transient file removed with the step.
+    step.spill_bins = builder.spill_nonempty_bins();
     const std::string path =
         save_path.empty() ? transient_index_path(builder.spill_dir())
                           : save_path;
@@ -215,21 +214,16 @@ SpectrumStep build_spectrum(const PipelineOptions& options, int k,
     {
       index::ShardedIndexWriter writer(path, build,
                                        builder.spill_shard_bits(),
-                                       builder.spill_nonempty_bins());
+                                       step.spill_bins);
       builder.finish_spilled(
           [&writer](kspec::ChunkedSpectrumBuilder::SortedRun&& run) {
-            writer.append_shard(run.prefix, std::move(run.codes),
-                                std::move(run.counts));
+            writer.append_shard(run.prefix, run.codes, run.counts);
           });
       step.index_checksum = writer.finish();
     }
     step.saved = !save_path.empty();
-    const auto index = index::SpectrumIndex::load(path);
-    step.shards = index.info().shard_count;
-    step.spectrum = index.share_spectrum();
+    step.spectrum = index::SpectrumIndex::load(path).share_spectrum();
   } else {
-    // A single non-empty spill bin lands here too: finish() rebuilds
-    // the monolithic arrays, so a save still writes version-1 bytes.
     step.spectrum = builder.finish();
     if (!save_path.empty()) {
       step.index_checksum =
@@ -329,7 +323,7 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
 
   // Phase 1: the spectrum step for streaming methods, else the whole
   // input buffered. `spectrum` lives until pass 2 ends, since it may
-  // keep a transient sharded index on disk that pass 2 queries.
+  // keep a transient index on disk that pass 2 queries.
   SpectrumStep spectrum;
   seq::ReadSet all;
   result.streamed = corrector_->spectrum_k() > 0;
@@ -343,7 +337,7 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
     result.peak_buffered_reads = spectrum.peak_buffered_reads;
     result.spectrum_spilled = spectrum.spilled;
     result.spectrum_spilled_bytes = spectrum.spilled_bytes;
-    result.spectrum_shards = spectrum.shards;
+    result.spectrum_spill_bins = spectrum.spill_bins;
     result.spectrum_peak_tracked_bytes = spectrum.peak_tracked_bytes;
     corrector_->build_from_spectrum(std::move(spectrum.spectrum),
                                     result.input);
@@ -508,13 +502,11 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
     result.report.bump("io_retries", result.io_retries);
   }
   // Out-of-core telemetry, omitted on non-spilled runs so their reports
-  // stay byte-identical to pre-sharding ones.
+  // stay byte-identical to unbudgeted ones.
   if (result.spectrum_spilled) {
     result.report.bump("spectrum_spilled", 1);
     result.report.bump("spectrum_spill_bytes", result.spectrum_spilled_bytes);
-    if (result.spectrum_shards > 0) {
-      result.report.bump("spectrum_shards", result.spectrum_shards);
-    }
+    result.report.bump("spectrum_spill_bins", result.spectrum_spill_bins);
   }
   result.peak_rss_bytes = util::peak_rss_bytes();
   return result;

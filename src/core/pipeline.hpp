@@ -5,8 +5,9 @@
 //
 //   pass 1 — the spectrum step (build_spectrum) loads a saved index or
 //            counts the k-spectrum of streamed batches, in memory or by
-//            spilling into a sharded index; methods that need the whole
-//            input (Reptile, SHREC, FreClu, hybrid) buffer a ReadSet;
+//            spilling to disk bins that stream into an index file;
+//            methods that need the whole input (Reptile, SHREC, FreClu,
+//            hybrid) buffer a ReadSet;
 //   pass 2 — one util::PipelineExecutor run over streamed batches or
 //            spans of the buffered ReadSet: a reader thread, `threads`
 //            correction workers, and an in-order writer. Methods without
@@ -52,19 +53,18 @@ struct PipelineOptions {
   /// When non-empty, persist the freshly built pass-1 spectrum (plus
   /// input provenance) to this path for future --load-index runs.
   /// Streaming methods only; ignored when load_index_path is set (there
-  /// is nothing new to save). A budget-constrained build that spilled
-  /// into multiple prefix bins is saved in the sharded version-2 format;
-  /// otherwise the monolithic version-1 bytes are unchanged.
+  /// is nothing new to save). The bytes do not depend on
+  /// memory_budget_bytes: a spilled build writes the same file.
   std::string save_index_path;
   /// Bound (bytes) on the pass-1 spectrum build's own tracked memory
   /// (kspec::SpillOptions::memory_budget_bytes): when the k-spectrum
-  /// exceeds it, instances spill to per-prefix disk bins and pass 2
-  /// queries the spectrum shard-by-shard through a sharded index file
-  /// instead of one in-memory array. 0 = unlimited (the default
+  /// exceeds it, instances spill to per-prefix disk bins, the bins
+  /// stream into an index file, and pass 2 queries the mapped file
+  /// instead of an in-memory array. 0 = unlimited (the default
   /// in-memory build). Streaming methods only. Corrected output is
   /// byte-identical to an unconstrained run.
   std::size_t memory_budget_bytes = 0;
-  /// Directory for spill bins and the transient sharded index of a
+  /// Directory for spill bins and the transient index of a
   /// budget-constrained run; "" = the system temp directory.
   std::string spill_dir;
   /// Malformed-FASTQ policy (ngs-correct --on-bad-record). kFail aborts
@@ -117,12 +117,12 @@ struct SpectrumStep {
   /// The build exceeded memory_budget_bytes and spilled to disk bins.
   bool spilled = false;
   std::uint64_t spilled_bytes = 0;
-  /// Shards of the sharded index serving the spectrum (0 when the
-  /// spectrum is one in-memory array).
-  std::size_t shards = 0;
+  /// Non-empty spill bins the spectrum was built from (0 when not
+  /// spilled).
+  std::size_t spill_bins = 0;
   /// ChunkedSpectrumBuilder::peak_tracked_bytes (0 without a budget).
   std::uint64_t peak_tracked_bytes = 0;
-  /// Keeps a transient sharded index on disk while `spectrum` maps it.
+  /// Keeps a transient index on disk while `spectrum` maps it.
   TransientFile transient_index;
 };
 
@@ -130,8 +130,9 @@ struct SpectrumStep {
 /// ngs-index build. Loads options.load_index_path (checking it was
 /// built with `k` and `both_strands`), or streams `open_input()` in
 /// batches into a kspec::ChunkedSpectrumBuilder: in memory, or under
-/// options.memory_budget_bytes by spilling into a sharded index (saved
-/// at options.save_index_path, else transient in options.spill_dir).
+/// options.memory_budget_bytes by spilling to disk bins streamed into an
+/// index file (saved at options.save_index_path, else transient in
+/// options.spill_dir) that pass 2 then maps.
 /// A non-empty options.save_index_path persists the spectrum either way.
 SpectrumStep build_spectrum(const PipelineOptions& options, int k,
                             bool both_strands,
@@ -170,9 +171,9 @@ struct PipelineResult {
   /// True when the pass-1 build exceeded memory_budget_bytes and went
   /// through the spill path.
   bool spectrum_spilled = false;
-  /// Shards in the sharded index pass 2 queried (0 when not spilled or
-  /// when a single bin collapsed back to a monolithic spectrum).
-  std::size_t spectrum_shards = 0;
+  /// Non-empty spill bins of the pass-1 build (0 when not spilled; also
+  /// report extra "spectrum_spill_bins").
+  std::size_t spectrum_spill_bins = 0;
   /// Bytes written to the spill bins during pass 1.
   std::uint64_t spectrum_spilled_bytes = 0;
   /// The spectrum builder's own peak memory accounting

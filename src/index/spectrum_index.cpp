@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <utility>
 
 #include "fault/fault.hpp"
+#include "seq/kmer.hpp"
 #include "util/atomic_file.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -40,23 +42,24 @@ const char* section_name(SectionId id) {
     case SectionId::kCodes: return "codes";
     case SectionId::kCounts: return "counts";
     case SectionId::kBucketStarts: return "bucket_starts";
-    case SectionId::kShardTable: return "shard_table";
   }
   return "unknown";
 }
+
+/// Where the codes section starts: the header plus a full section
+/// table, aligned. Writers reserve it up front, before any row is known.
+constexpr std::uint64_t kPayloadStart =
+    align_up(sizeof(IndexHeader) + kMaxSections * sizeof(SectionEntry));
 
 /// Header + section-table fingerprint: the header bytes with the
 /// checksum field zeroed, chained with the raw table rows. Because the
 /// rows embed the per-payload checksums, this value changes whenever
 /// any byte of the file changes.
 std::uint64_t meta_checksum(IndexHeader header,
-                            const std::vector<SectionEntry>& table) {
+                            std::span<const SectionEntry> table) {
   header.header_checksum = 0;
-  std::uint64_t state = fnv1a64(&header, sizeof(header));
-  for (const auto& entry : table) {
-    state = fnv1a64(&entry, sizeof(entry), state);
-  }
-  return state;
+  return fnv1a64(table.data(), table.size_bytes(),
+                 fnv1a64(&header, sizeof(header)));
 }
 
 /// The backing bytes of a loaded index: an mmap (released on
@@ -110,28 +113,50 @@ void read_exact_at(int fd, void* data, std::size_t n, std::uint64_t offset,
 
 #endif  // NGS_INDEX_POSIX
 
-/// A bucket table is at most min(2k, 24) bits wide (the cap
-/// KSpectrum::rebuild_prefix_index applies), so its size never wraps.
-void check_prefix_bits(std::uint32_t bits, std::uint32_t k,
-                       const std::string& where, const std::string& path) {
-  if (bits > std::min<std::uint32_t>(2 * k, 24)) {
+/// The validated metadata of a file: its header, its table as stored,
+/// and the table's rows bound by section id. Every row is one of the
+/// expected sections, bound exactly once, and lies inside the file with
+/// the size the header implies; the bucket row stays zero (id 0) when
+/// prefix_bits is 0.
+struct Metadata {
+  IndexHeader header;
+  std::vector<SectionEntry> table;
+  std::uint64_t file_size = 0;
+  SectionEntry codes{};
+  SectionEntry counts{};
+  SectionEntry buckets{};
+};
+
+/// Bounds/shape validation of one bound section against the file.
+void check_section(const SectionEntry& entry, std::uint64_t expected_bytes,
+                   std::uint64_t file_size, const std::string& path) {
+  const std::string label = std::string("section '") +
+                            section_name(static_cast<SectionId>(entry.id)) +
+                            "'";
+  if (entry.offset % kSectionAlignment != 0) {
     std::ostringstream os;
-    os << where << " declares implausible prefix_bits " << bits << " (k="
-       << k << ")";
+    os << label << " offset " << entry.offset << " is not "
+       << kSectionAlignment << "-byte aligned";
+    fail(Kind::kBadLayout, path, os.str());
+  }
+  if (entry.offset > file_size || entry.bytes > file_size - entry.offset) {
+    std::ostringstream os;
+    os << "truncated index: " << label << " spans [" << entry.offset << ", "
+       << entry.offset + entry.bytes << ") but the file has only "
+       << file_size << " bytes";
+    fail(Kind::kTruncated, path, os.str());
+  }
+  if (entry.bytes != expected_bytes) {
+    std::ostringstream os;
+    os << label << " holds " << entry.bytes
+       << " bytes where the metadata implies " << expected_bytes;
     fail(Kind::kBadLayout, path, os.str());
   }
 }
 
-struct Metadata {
-  IndexHeader header;
-  std::vector<SectionEntry> table;
-  std::vector<ShardEntry> shards;  // v2 only
-  std::uint64_t file_size = 0;
-};
-
 /// Validates everything that can be checked without touching payload
-/// pages: magic, version, endianness, declared vs actual size, table
-/// bounds, and the header checksum.
+/// pages: magic, version, endianness, declared vs actual size, k and
+/// the bucket width, the header checksum, and every table row.
 Metadata parse_metadata(const unsigned char* head, std::size_t head_bytes,
                         std::uint64_t file_size, const std::string& path) {
   Metadata meta;
@@ -149,16 +174,14 @@ Metadata parse_metadata(const unsigned char* head, std::size_t head_bytes,
     fail(Kind::kBadMagic, path,
          "bad magic — not an ngs spectrum index file");
   }
-  if (h.format_version != kFormatVersion &&
-      h.format_version != kFormatVersionSharded) {
+  if (h.format_version != kFormatVersion) {
     std::ostringstream os;
     os << "unsupported index format version " << h.format_version
-       << " (this build reads versions " << kFormatVersion << " and "
-       << kFormatVersionSharded
-       << "; rebuild the index with this binary's ngs-index)";
+       << " (this build reads version " << kFormatVersion
+       << "; an index is derived data, so rebuild it from the reads with "
+          "this binary's `ngs-index build`)";
     fail(Kind::kVersionSkew, path, os.str());
   }
-  const bool sharded = h.format_version == kFormatVersionSharded;
   if (h.endian_tag != kEndianTag) {
     fail(Kind::kEndianMismatch, path,
          "endianness mismatch — the index was written on a host with "
@@ -176,36 +199,31 @@ Metadata parse_metadata(const unsigned char* head, std::size_t head_bytes,
        << " bytes but the file has " << file_size;
     fail(Kind::kTruncated, path, os.str());
   }
-  if (h.section_count > (sharded ? kMaxSectionsV2 : kMaxSectionsV1)) {
+  // k first: the bucket-width cap below and every lookup compute 2 * k.
+  if (h.k < 1 || h.k > static_cast<std::uint32_t>(seq::kMaxK)) {
     std::ostringstream os;
-    os << "implausible section count " << h.section_count;
+    os << "the header declares k=" << h.k << " outside [1, " << seq::kMaxK
+       << "]";
     fail(Kind::kBadLayout, path, os.str());
   }
-  if (!sharded) {
-    if (h.shard_count != 0 || h.shard_bits != 0) {
-      fail(Kind::kBadLayout, path,
-           "version-1 index carries nonzero shard fields");
-    }
-    check_prefix_bits(h.prefix_bits, h.k, "the header", path);
-  } else {
-    if (h.shard_count < 2 || h.shard_count > kMaxShards ||
-        h.shard_bits < 1 || h.shard_bits > 8 ||
-        h.shard_bits > 2 * h.k ||
-        h.shard_count > (std::uint64_t{1} << h.shard_bits)) {
-      std::ostringstream os;
-      os << "implausible shard split (" << h.shard_count << " shards, "
-         << h.shard_bits << " shard bits, k=" << h.k << ")";
-      fail(Kind::kBadLayout, path, os.str());
-    }
-    if (h.prefix_bits != 0) {
-      fail(Kind::kBadLayout, path,
-           "sharded index carries a global prefix table (per-shard "
-           "tables are required)");
-    }
+  // A bucket table is at most min(2k, 24) bits wide (the cap
+  // KSpectrum::rebuild_prefix_index applies), so its size never wraps.
+  if (h.prefix_bits > std::min<std::uint32_t>(2 * h.k, 24)) {
+    std::ostringstream os;
+    os << "the header declares implausible prefix_bits " << h.prefix_bits
+       << " (k=" << h.k << ")";
+    fail(Kind::kBadLayout, path, os.str());
+  }
+  const std::uint32_t rows = h.prefix_bits > 0 ? 3 : 2;
+  if (h.section_count != rows) {
+    std::ostringstream os;
+    os << "the header declares " << h.section_count
+       << " sections where prefix_bits " << h.prefix_bits << " implies "
+       << rows;
+    fail(Kind::kBadLayout, path, os.str());
   }
   const std::uint64_t table_end =
-      sizeof(IndexHeader) +
-      std::uint64_t{h.section_count} * sizeof(SectionEntry);
+      sizeof(IndexHeader) + std::uint64_t{rows} * sizeof(SectionEntry);
   if (table_end > file_size) {
     std::ostringstream os;
     os << "truncated index: section table needs " << table_end
@@ -215,7 +233,7 @@ Metadata parse_metadata(const unsigned char* head, std::size_t head_bytes,
   if (head_bytes < table_end) {
     fail(Kind::kIo, path, "internal error: metadata read too short");
   }
-  meta.table.resize(h.section_count);
+  meta.table.resize(rows);
   std::memcpy(meta.table.data(), head + sizeof(IndexHeader),
               meta.table.size() * sizeof(SectionEntry));
   const std::uint64_t expect = meta_checksum(meta.header, meta.table);
@@ -230,60 +248,45 @@ Metadata parse_metadata(const unsigned char* head, std::size_t head_bytes,
        << ") — the metadata is corrupt";
     fail(Kind::kChecksum, path, os.str());
   }
-  return meta;
-}
 
-/// "section 'codes'", naming the owning shard on a version-2 file.
-std::string section_label(SectionId id, std::uint32_t prefix,
-                          const Metadata& meta) {
-  std::string label = std::string("section '") + section_name(id) + "'";
-  if (meta.header.format_version == kFormatVersionSharded &&
-      id != SectionId::kShardTable) {
-    label += " of shard " + std::to_string(prefix);
+  // Bind every row: an unbound row would escape the bounds checks
+  // below, yet a verifying load hashes what the rows describe.
+  for (const SectionEntry& row : meta.table) {
+    SectionEntry* slot = nullptr;
+    switch (static_cast<SectionId>(row.id)) {
+      case SectionId::kCodes: slot = &meta.codes; break;
+      case SectionId::kCounts: slot = &meta.counts; break;
+      case SectionId::kBucketStarts:
+        if (h.prefix_bits > 0) slot = &meta.buckets;
+        break;
+    }
+    if (slot == nullptr || slot->id != 0 || row.reserved != 0) {
+      std::ostringstream os;
+      os << "unexpected section-table row (id " << row.id
+         << "): a version-1 table holds codes, counts and, when "
+            "prefix_bits > 0, bucket_starts, each once";
+      fail(Kind::kBadLayout, path, os.str());
+    }
+    *slot = row;
   }
-  return label;
-}
-
-/// Bounds/shape validation of one known section against the metadata.
-void check_section(const SectionEntry& entry, std::uint64_t expected_bytes,
-                   const Metadata& meta, const std::string& path) {
-  const std::string label = section_label(
-      static_cast<SectionId>(entry.id), entry.shard_prefix, meta);
-  if (entry.offset % kSectionAlignment != 0) {
+  // Bound the entry count before it is multiplied into section sizes.
+  if (h.distinct > file_size / sizeof(seq::KmerCode)) {
     std::ostringstream os;
-    os << label << " offset " << entry.offset << " is not "
-       << kSectionAlignment << "-byte aligned";
-    fail(Kind::kBadLayout, path, os.str());
-  }
-  if (entry.offset > meta.file_size ||
-      entry.bytes > meta.file_size - entry.offset) {
-    std::ostringstream os;
-    os << "truncated index: " << label << " spans [" << entry.offset << ", "
-       << entry.offset + entry.bytes << ") but the file has only "
-       << meta.file_size << " bytes";
+    os << "truncated index: " << h.distinct << " entries cannot fit in a "
+       << file_size << "-byte file";
     fail(Kind::kTruncated, path, os.str());
   }
-  if (entry.bytes != expected_bytes) {
-    std::ostringstream os;
-    os << label << " holds " << entry.bytes
-       << " bytes where the metadata implies " << expected_bytes;
-    fail(Kind::kBadLayout, path, os.str());
+  check_section(meta.codes, h.distinct * sizeof(seq::KmerCode), file_size,
+                path);
+  check_section(meta.counts, h.distinct * sizeof(std::uint32_t), file_size,
+                path);
+  if (h.prefix_bits > 0) {
+    check_section(meta.buckets,
+                  ((std::uint64_t{1} << h.prefix_bits) + 1) *
+                      sizeof(std::uint64_t),
+                  file_size, path);
   }
-}
-
-/// The section of `id` belonging to shard `prefix` (0 on a v1 file and
-/// for the shard table).
-const SectionEntry& require_section(const Metadata& meta, SectionId id,
-                                    std::uint32_t prefix,
-                                    const std::string& path) {
-  for (const auto& entry : meta.table) {
-    if (entry.id == static_cast<std::uint32_t>(id) &&
-        entry.shard_prefix == prefix) {
-      return entry;
-    }
-  }
-  fail(Kind::kBadLayout, path,
-       "missing required " + section_label(id, prefix, meta));
+  return meta;
 }
 
 IndexInfo make_info(const Metadata& meta) {
@@ -300,89 +303,20 @@ IndexInfo make_info(const Metadata& meta) {
   info.prefix_bits = static_cast<int>(h.prefix_bits);
   info.file_bytes = h.file_bytes;
   info.checksum = h.header_checksum;
-  info.shard_count = h.shard_count;
-  info.shard_bits = h.shard_bits;
   for (const auto& entry : meta.table) {
     info.sections.push_back({static_cast<SectionId>(entry.id), entry.offset,
-                             entry.bytes, entry.checksum,
-                             entry.shard_prefix});
-  }
-  for (const auto& shard : meta.shards) {
-    info.shards.push_back({shard.prefix, shard.prefix_index_bits,
-                           shard.distinct, shard.total_instances});
+                             entry.bytes, entry.checksum});
   }
   return info;
-}
-
-/// Structural validation of the v2 shard rows against the header: the
-/// rows must partition the key space ascending and their entry counts
-/// must sum to the header's totals.
-void validate_shard_rows(const Metadata& meta, const std::string& path) {
-  const IndexHeader& h = meta.header;
-  std::uint64_t distinct = 0, total = 0;
-  for (std::size_t i = 0; i < meta.shards.size(); ++i) {
-    const ShardEntry& s = meta.shards[i];
-    if (s.prefix >= (std::uint64_t{1} << h.shard_bits) ||
-        (i > 0 && meta.shards[i - 1].prefix >= s.prefix)) {
-      fail(Kind::kBadLayout, path,
-           "shard table prefixes are not ascending within the shard "
-           "split range");
-    }
-    check_prefix_bits(s.prefix_index_bits, h.k,
-                      "shard " + std::to_string(s.prefix), path);
-    if (s.distinct == 0) {
-      std::ostringstream os;
-      os << "shard " << s.prefix << " is empty (empty bins must be "
-         << "omitted from the shard table)";
-      fail(Kind::kBadLayout, path, os.str());
-    }
-    distinct += s.distinct;
-    total += s.total_instances;
-  }
-  if (distinct != h.distinct || total != h.total_instances) {
-    std::ostringstream os;
-    os << "shard table sums (" << distinct << " distinct, " << total
-       << " instances) do not match the header (" << h.distinct << ", "
-       << h.total_instances << ")";
-    fail(Kind::kBadLayout, path, os.str());
-  }
-}
-
-/// Reads and verifies the v2 shard-table payload (tiny: ≤ kMaxShards
-/// rows) via `read_at(dst, bytes, offset)`.
-template <typename ReadAt>
-void load_shard_table(Metadata& meta, const std::string& path,
-                      const ReadAt& read_at) {
-  if (meta.header.format_version != kFormatVersionSharded) return;
-  const SectionEntry& st =
-      require_section(meta, SectionId::kShardTable, 0, path);
-  check_section(st, std::uint64_t{meta.header.shard_count} * sizeof(ShardEntry),
-                meta, path);
-  meta.shards.resize(meta.header.shard_count);
-  read_at(meta.shards.data(), static_cast<std::size_t>(st.bytes), st.offset);
-  // The table is metadata in all but placement — always verify it, so a
-  // load can never route queries through corrupt shard geometry.
-  const std::uint64_t actual =
-      fnv1a64(meta.shards.data(), static_cast<std::size_t>(st.bytes));
-  if (actual != st.checksum) {
-    std::ostringstream os;
-    os << "checksum mismatch in section 'shard_table' (stored " << std::hex
-       << st.checksum << ", computed " << actual
-       << ") — the shard table is corrupt";
-    fail(Kind::kChecksum, path, os.str());
-  }
-  validate_shard_rows(meta, path);
 }
 
 Metadata read_metadata_from_file(const std::string& path) {
   if (fault::should_fire(fault::sites::kIndexOpen)) {
     fail(Kind::kIo, path, "open failed: injected fault at index.open");
   }
-  // One bounded read covers the header and the (validated-size) table —
-  // sized for the larger v2 cap; v1 files are typically smaller than
-  // even the v1 bound.
+  // One bounded read covers the header and the largest valid table.
   const std::uint64_t head_cap =
-      sizeof(IndexHeader) + kMaxSectionsV2 * sizeof(SectionEntry);
+      sizeof(IndexHeader) + kMaxSections * sizeof(SectionEntry);
 #if NGS_INDEX_POSIX
   FdGuard fd{::open(path.c_str(), O_RDONLY)};
   if (fd.fd < 0) fail_errno(path, "open");
@@ -392,12 +326,6 @@ Metadata read_metadata_from_file(const std::string& path) {
   std::vector<unsigned char> head(static_cast<std::size_t>(
       std::min<std::uint64_t>(file_size, head_cap)));
   if (!head.empty()) read_exact_at(fd.fd, head.data(), head.size(), 0, path);
-  Metadata meta = parse_metadata(head.data(), head.size(), file_size, path);
-  load_shard_table(meta, path,
-                   [&](void* dst, std::size_t bytes, std::uint64_t offset) {
-                     read_exact_at(fd.fd, dst, bytes, offset, path);
-                   });
-  return meta;
 #else
   std::ifstream is(path, std::ios::binary);
   if (!is) fail(Kind::kIo, path, "open failed");
@@ -409,17 +337,8 @@ Metadata read_metadata_from_file(const std::string& path) {
   is.read(reinterpret_cast<char*>(head.data()),
           static_cast<std::streamsize>(head.size()));
   if (!is) fail(Kind::kIo, path, "read failed");
-  Metadata meta = parse_metadata(head.data(), head.size(), file_size, path);
-  load_shard_table(meta, path,
-                   [&](void* dst, std::size_t bytes, std::uint64_t offset) {
-                     is.clear();
-                     is.seekg(static_cast<std::streamoff>(offset));
-                     is.read(static_cast<char*>(dst),
-                             static_cast<std::streamsize>(bytes));
-                     if (!is) fail(Kind::kIo, path, "read failed");
-                   });
-  return meta;
 #endif
+  return parse_metadata(head.data(), head.size(), file_size, path);
 }
 
 std::shared_ptr<Mapping> map_file(const std::string& path,
@@ -465,149 +384,112 @@ std::shared_ptr<Mapping> map_file(const std::string& path,
 #endif
 }
 
-/// One spectrum of an index file: the whole payload of a version-1
-/// file (described by its header), or one shard of a version-2 file
-/// (described by its shard-table row). Its sections have passed
-/// check_section against the described sizes.
-struct Region {
-  std::uint32_t prefix = 0;  // v2 shard prefix; 0 on v1
-  std::uint32_t prefix_bits = 0;
-  std::uint64_t distinct = 0;
-  std::uint64_t total_instances = 0;
-  const SectionEntry* codes = nullptr;
-  const SectionEntry* counts = nullptr;
-  const SectionEntry* buckets = nullptr;  // null when prefix_bits == 0
-};
-
-std::vector<Region> describe_regions(const Metadata& meta,
-                                     const std::string& path) {
-  const IndexHeader& h = meta.header;
-  std::vector<Region> regions;
-  if (h.format_version == kFormatVersionSharded) {
-    for (const auto& shard : meta.shards) {
-      regions.push_back({shard.prefix, shard.prefix_index_bits,
-                         shard.distinct, shard.total_instances});
-    }
-  } else {
-    regions.push_back({0, h.prefix_bits, h.distinct, h.total_instances});
-  }
-  for (Region& r : regions) {
-    // Bound the entry count before it is multiplied into section sizes.
-    if (r.distinct > meta.file_size / sizeof(seq::KmerCode)) {
-      std::ostringstream os;
-      os << "truncated index: " << r.distinct << " entries cannot fit in a "
-         << meta.file_size << "-byte file";
-      fail(Kind::kTruncated, path, os.str());
-    }
-    r.codes = &require_section(meta, SectionId::kCodes, r.prefix, path);
-    r.counts = &require_section(meta, SectionId::kCounts, r.prefix, path);
-    check_section(*r.codes, r.distinct * sizeof(seq::KmerCode), meta, path);
-    check_section(*r.counts, r.distinct * sizeof(std::uint32_t), meta, path);
-    if (r.prefix_bits > 0) {
-      r.buckets =
-          &require_section(meta, SectionId::kBucketStarts, r.prefix, path);
-      check_section(*r.buckets,
-                    ((std::uint64_t{1} << r.prefix_bits) + 1) *
-                        sizeof(std::uint64_t),
-                    meta, path);
-    }
-  }
-  return regions;
-}
-
-/// Recomputes every section checksum over the loaded bytes.
+/// Recomputes the checksum of every bound section over the loaded bytes.
 void verify_checksums(const Metadata& meta, const Mapping& mapping,
                       const std::string& path) {
-  for (const auto& entry : meta.table) {
+  for (const SectionEntry* entry : {&meta.codes, &meta.counts,
+                                    &meta.buckets}) {
+    if (entry->id == 0) continue;  // no bucket table
     const std::uint64_t actual = fnv1a64(
-        mapping.data + entry.offset, static_cast<std::size_t>(entry.bytes));
-    if (actual != entry.checksum) {
+        mapping.data + entry->offset, static_cast<std::size_t>(entry->bytes));
+    if (actual != entry->checksum) {
       std::ostringstream os;
-      os << "checksum mismatch in "
-         << section_label(static_cast<SectionId>(entry.id),
-                          entry.shard_prefix, meta)
-         << " (stored " << std::hex << entry.checksum << ", computed "
-         << actual << ") — the payload is corrupt; rebuild the index";
+      os << "checksum mismatch in section '"
+         << section_name(static_cast<SectionId>(entry->id)) << "' (stored "
+         << std::hex << entry->checksum << ", computed " << actual
+         << ") — the payload is corrupt; rebuild the index";
       fail(Kind::kChecksum, path, os.str());
     }
   }
 }
 
-/// A zero-copy view of one region that co-owns the mapping.
-kspec::KSpectrum adopt_region(const Region& r,
-                              const std::shared_ptr<const Mapping>& mapping,
-                              int k) {
-  const auto at = [&](const SectionEntry* section) {
-    return mapping->data + section->offset;
-  };
-  const auto n = static_cast<std::size_t>(r.distinct);
-  std::span<const std::uint64_t> buckets;
-  if (r.buckets != nullptr) {
-    buckets = {reinterpret_cast<const std::uint64_t*>(at(r.buckets)),
-               (std::size_t{1} << r.prefix_bits) + 1};
-  }
-  return kspec::KSpectrum::adopt_external(
-      {reinterpret_cast<const seq::KmerCode*>(at(r.codes)), n},
-      {reinterpret_cast<const std::uint32_t*>(at(r.counts)), n}, buckets, k,
-      r.total_instances, static_cast<int>(r.prefix_bits), mapping);
-}
-
-/// The spectrum invariants over one region's payload: sorted unique
-/// in-range codes with positive counts, every code inside the shard's
-/// prefix range (v2), counts summing to the declared total, and a bucket
-/// table that partitions the codes.
-void validate_region(const kspec::KSpectrum& view, const Region& r,
-                     const Metadata& meta, const std::string& path) {
-  const IndexHeader& h = meta.header;
-  const int k = static_cast<int>(h.k);
-  const bool sharded = h.format_version == kFormatVersionSharded;
-  const std::string where =
-      sharded ? " in shard " + std::to_string(r.prefix) : std::string();
+/// The spectrum invariants over the payload: sorted unique in-range
+/// codes with positive counts, counts summing to the declared total,
+/// and a bucket table that partitions the codes.
+void validate_payload(const kspec::KSpectrum& view, const IndexHeader& h,
+                      const std::string& path) {
   const auto invalid = [&](const std::string& detail) {
-    fail(Kind::kInvalidPayload, path,
-         "invalid spectrum payload" + where + ": " + detail);
+    fail(Kind::kInvalidPayload, path, "invalid spectrum payload: " + detail);
   };
-  const auto codes = view.codes();
-  if (const auto err =
-          kspec::KSpectrum::validate_sorted_counts(codes, view.counts(), k)) {
+  if (const auto err = kspec::KSpectrum::validate_sorted_counts(
+          view.codes(), view.counts(), static_cast<int>(h.k))) {
     invalid(*err);
-  }
-  if (sharded) {  // shards are never empty (validate_shard_rows)
-    const int shift = 2 * k - static_cast<int>(h.shard_bits);
-    if ((codes.front() >> shift) != r.prefix ||
-        (codes.back() >> shift) != r.prefix) {
-      invalid("codes fall outside the shard's prefix range");
-    }
   }
   std::uint64_t total = 0;
   for (const std::uint32_t c : view.counts()) total += c;
-  if (total != r.total_instances) {
+  if (total != h.total_instances) {
     std::ostringstream os;
-    os << "counts sum to " << total << " but the metadata declares "
-       << r.total_instances << " total instances";
+    os << "counts sum to " << total << " but the header declares "
+       << h.total_instances << " total instances";
     invalid(os.str());
   }
   const auto buckets = view.bucket_starts();
   if (!buckets.empty() &&
-      (buckets.front() != 0 || buckets.back() != r.distinct ||
+      (buckets.front() != 0 || buckets.back() != h.distinct ||
        !std::is_sorted(buckets.begin(), buckets.end()))) {
     invalid("bucket table does not partition the code array");
   }
 }
 
-/// Fault gate + AtomicFile append, with the shared ngs::Error(kIo) the
-/// file raises rewrapped as IndexError so index writers keep their
-/// taxonomy (exit code 4) end to end.
+/// Runs `step`, rewrapping the shared ngs::Error(kIo) util::AtomicFile
+/// raises as IndexError, so index writers keep their taxonomy (exit
+/// code 4) end to end.
+template <typename Step>
+void as_index_error(Step&& step) {
+  try {
+    step();
+  } catch (const IndexError&) {
+    throw;
+  } catch (const ngs::Error& e) {
+    throw IndexError(Kind::kIo, e.what());
+  }
+}
+
+/// Fault gate + AtomicFile append.
 void emit_through(util::AtomicFile& file, const void* data,
                   std::uint64_t bytes) {
   if (fault::should_fire(fault::sites::kIndexWrite)) {
     fail(Kind::kIo, file.temp_path(),
          "write failed: injected fault at index.write");
   }
-  try {
-    file.write(data, static_cast<std::size_t>(bytes));
-  } catch (const ngs::Error& e) {
-    throw IndexError(Kind::kIo, e.what());
+  as_index_error([&] { file.write(data, static_cast<std::size_t>(bytes)); });
+}
+
+/// Zero-pads `file` to the next section boundary and returns it.
+std::uint64_t pad_to_section(util::AtomicFile& file) {
+  static constexpr unsigned char kZeros[kSectionAlignment] = {};
+  const std::uint64_t offset = align_up(file.offset());
+  emit_through(file, kZeros, offset - file.offset());
+  return offset;
+}
+
+/// Streams `n` elements of type T starting at byte `offset` of `file`'s
+/// temp file back through a fixed-size buffer, calling
+/// consume(data, count) per chunk.
+template <typename T, typename Consume>
+void read_back(util::AtomicFile& file, std::uint64_t offset, std::uint64_t n,
+               Consume&& consume) {
+  if (n == 0) return;
+  as_index_error([&] { file.flush(); });
+  const std::string& path = file.temp_path();
+  struct Closer {
+    void operator()(std::FILE* f) const noexcept { std::fclose(f); }
+  };
+  const std::unique_ptr<std::FILE, Closer> in(std::fopen(path.c_str(), "rb"));
+  if (in == nullptr) fail_errno(path, "open for read-back");
+  if (std::fseek(in.get(), static_cast<long>(offset), SEEK_SET) != 0) {
+    fail_errno(path, "seek");
+  }
+  std::vector<T> buffer(static_cast<std::size_t>(
+      std::min<std::uint64_t>(n, (std::size_t{64} << 10) / sizeof(T))));
+  while (n > 0) {
+    const auto chunk = static_cast<std::size_t>(
+        std::min<std::uint64_t>(n, buffer.size()));
+    if (std::fread(buffer.data(), sizeof(T), chunk, in.get()) != chunk) {
+      fail(Kind::kIo, path, "read-back failed");
+    }
+    consume(buffer.data(), chunk);
+    n -= chunk;
   }
 }
 
@@ -628,93 +510,39 @@ std::uint64_t write_spectrum_index(const std::string& path,
     fail(Kind::kBadLayout, path,
          "build info k does not match the spectrum's k");
   }
-  if (spectrum.sharded()) {
-    fail(Kind::kBadLayout, path,
-         "cannot serialize a sharded spectrum view monolithically — "
-         "the shards live in an index file already");
-  }
-  const auto codes = spectrum.codes();
-  const auto counts = spectrum.counts();
-  const auto buckets = spectrum.bucket_starts();
-  const int prefix_bits = spectrum.prefix_index_bits();
-
-  std::vector<SectionEntry> table;
-  const auto add_section = [&table](SectionId id, const void* data,
-                                    std::uint64_t bytes) {
-    SectionEntry entry{};
-    entry.id = static_cast<std::uint32_t>(id);
-    entry.bytes = bytes;
-    entry.checksum = fnv1a64(data, static_cast<std::size_t>(bytes));
-    table.push_back(entry);
-  };
-  add_section(SectionId::kCodes, codes.data(), codes.size_bytes());
-  add_section(SectionId::kCounts, counts.data(), counts.size_bytes());
-  if (prefix_bits > 0) {
-    add_section(SectionId::kBucketStarts, buckets.data(),
-                buckets.size_bytes());
-  }
-  std::uint64_t offset = align_up(sizeof(IndexHeader) +
-                                  table.size() * sizeof(SectionEntry));
-  for (auto& entry : table) {
-    entry.offset = offset;
-    offset = align_up(offset + entry.bytes);
-  }
-
-  IndexHeader header{};
-  std::memcpy(header.magic, kIndexMagic, sizeof(kIndexMagic));
-  header.format_version = kFormatVersion;
-  header.header_bytes = sizeof(IndexHeader);
-  header.k = static_cast<std::uint32_t>(spectrum.k());
-  header.flags = build.both_strands ? kFlagBothStrands : 0;
-  header.distinct = spectrum.size();
-  header.total_instances = spectrum.total_instances();
-  header.prefix_bits = static_cast<std::uint32_t>(prefix_bits);
-  header.section_count = static_cast<std::uint32_t>(table.size());
-  header.input_reads = build.input_reads;
-  header.input_bases = build.input_bases;
-  header.max_read_length = build.max_read_length;
-  header.endian_tag = kEndianTag;
-  header.file_bytes = offset;
-  header.header_checksum = meta_checksum(header, table);
-
-  util::AtomicFile file = make_index_file(path);
-  static constexpr unsigned char kZeros[kSectionAlignment] = {};
-  emit_through(file, &header, sizeof(header));
-  emit_through(file, table.data(), table.size() * sizeof(SectionEntry));
-  const std::span<const unsigned char> payloads[] = {
-      {reinterpret_cast<const unsigned char*>(codes.data()),
-       codes.size_bytes()},
-      {reinterpret_cast<const unsigned char*>(counts.data()),
-       counts.size_bytes()},
-      {reinterpret_cast<const unsigned char*>(buckets.data()),
-       buckets.size_bytes()},
-  };
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    emit_through(file, kZeros, table[i].offset - file.offset());
-    emit_through(file, payloads[i].data(), payloads[i].size());
-  }
-  emit_through(file, kZeros, header.file_bytes - file.offset());
-  try {
-    file.commit();
-  } catch (const ngs::Error& e) {
-    throw IndexError(Kind::kIo, e.what());
-  }
-  return header.header_checksum;
+  ShardedIndexWriter writer(path, build, 0, 1);
+  writer.append_shard(0, spectrum.codes(), spectrum.counts());
+  return writer.finish();
 }
 
 // --- ShardedIndexWriter ----------------------------------------------
 
 struct ShardedIndexWriter::Impl {
   util::AtomicFile file;
+  /// The counts section until finish() appends it; never committed, so
+  /// its temp file goes with the writer.
+  util::AtomicFile counts;
   IndexBuildInfo build;
   int shard_bits = 0;
   std::size_t shard_count = 0;
-  std::uint64_t metadata_region = 0;  // aligned header + table capacity
-  std::vector<SectionEntry> table;
-  std::vector<ShardEntry> shards;
+  std::size_t runs = 0;
+  std::uint32_t last_prefix = 0;
+  std::uint64_t distinct = 0;
+  std::uint64_t total_instances = 0;
+  std::uint64_t codes_checksum = kFnv1aOffset;
+  std::uint64_t counts_checksum = kFnv1aOffset;
   bool finished = false;
 
-  explicit Impl(const std::string& path) : file(make_index_file(path)) {}
+  explicit Impl(const std::string& path)
+      : file(make_index_file(path)),
+        counts(file.temp_path() + ".counts",
+               util::AtomicFileOptions{.error_site = "index.write"}) {}
+
+  /// The run prefix `code` belongs to.
+  std::uint32_t prefix_of(seq::KmerCode code) const noexcept {
+    if (shard_bits == 0) return 0;
+    return static_cast<std::uint32_t>(code >> (2 * build.k - shard_bits));
+  }
 };
 
 ShardedIndexWriter::ShardedIndexWriter(const std::string& path,
@@ -722,153 +550,139 @@ ShardedIndexWriter::ShardedIndexWriter(const std::string& path,
                                        int shard_bits,
                                        std::size_t shard_count)
     : impl_(std::make_unique<Impl>(path)) {
-  if (shard_count < 2 || shard_count > kMaxShards) {
-    fail(Kind::kBadLayout, path,
-         "sharded writer needs 2..256 shards (write a single bin as a "
-         "version-1 index)");
+  if (build.k < 1 || build.k > seq::kMaxK) {
+    fail(Kind::kBadLayout, path, "build info k is out of range");
   }
-  if (shard_bits < 1 || shard_bits > 8 || shard_bits > 2 * build.k ||
+  if (shard_bits < 0 || shard_bits > std::min(8, 2 * build.k) ||
       shard_count > (std::size_t{1} << shard_bits)) {
-    fail(Kind::kBadLayout, path, "invalid shard split parameters");
+    fail(Kind::kBadLayout, path, "invalid run split parameters");
   }
   impl_->build = build;
   impl_->shard_bits = shard_bits;
   impl_->shard_count = shard_count;
-  impl_->shards.reserve(shard_count);
-  impl_->table.reserve(3 * shard_count + 1);
-  // Reserve the worst-case metadata region (header + three sections per
-  // shard + the shard table) and fill it with zeros; finish() overwrites
-  // it in place once every offset and checksum is known.
-  impl_->metadata_region =
-      align_up(sizeof(IndexHeader) +
-               (3 * std::uint64_t{shard_count} + 1) * sizeof(SectionEntry));
-  std::vector<unsigned char> zeros(
-      static_cast<std::size_t>(impl_->metadata_region), 0);
-  emit_through(impl_->file, zeros.data(), zeros.size());
+  // Reserve the metadata region; finish() writes it once every offset
+  // and checksum is known, and the codes follow it directly.
+  static constexpr unsigned char kZeros[kPayloadStart] = {};
+  emit_through(impl_->file, kZeros, kPayloadStart);
 }
 
 ShardedIndexWriter::~ShardedIndexWriter() = default;
 
 void ShardedIndexWriter::append_shard(std::uint32_t prefix,
-                                      std::vector<seq::KmerCode> codes,
-                                      std::vector<std::uint32_t> counts) {
+                                      std::span<const seq::KmerCode> codes,
+                                      std::span<const std::uint32_t> counts) {
   Impl& im = *impl_;
   const std::string& path = im.file.target_path();
   if (im.finished) fail(Kind::kBadLayout, path, "writer already finished");
-  if (!im.shards.empty() && im.shards.back().prefix >= prefix) {
-    fail(Kind::kBadLayout, path, "shard prefixes must be appended ascending");
+  if (im.runs == im.shard_count) {
+    fail(Kind::kBadLayout, path, "more runs appended than declared");
   }
-  if (prefix >= (std::uint64_t{1} << im.shard_bits)) {
-    fail(Kind::kBadLayout, path, "shard prefix out of split range");
-  }
-  if (im.shards.size() >= im.shard_count) {
-    fail(Kind::kBadLayout, path, "more shards appended than declared");
-  }
-  if (codes.empty()) {
+  if (prefix >= (std::uint64_t{1} << im.shard_bits) ||
+      (im.runs > 0 && prefix <= im.last_prefix)) {
     fail(Kind::kBadLayout, path,
-         "empty shard appended (omit empty bins and lower shard_count)");
+         "run prefixes must ascend within the split range");
   }
-  // Route through from_sorted_counts: it builds the shard's own
-  // prefix-bucket table and (in debug builds) re-checks the sorted-
-  // unique invariant the concatenation identity rests on.
-  kspec::KSpectrum shard = kspec::KSpectrum::from_sorted_counts(
-      std::move(codes), std::move(counts), im.build.k);
-  const int shift = 2 * im.build.k - im.shard_bits;
-  if (!shard.empty() &&
-      ((shard.codes().front() >> shift) != prefix ||
-       (shard.codes().back() >> shift) != prefix)) {
+  if (!codes.empty() && (im.prefix_of(codes.front()) != prefix ||
+                         im.prefix_of(codes.back()) != prefix)) {
     fail(Kind::kBadLayout, path,
-         "shard codes fall outside the declared prefix range");
+         "run codes fall outside the declared prefix range");
   }
-
-  const auto emit_section = [&](SectionId id, const void* data,
-                                std::uint64_t bytes) {
-    static constexpr unsigned char kZeros[kSectionAlignment] = {};
-    const std::uint64_t offset = align_up(im.file.offset());
-    emit_through(im.file, kZeros, offset - im.file.offset());
-    SectionEntry entry{};
-    entry.id = static_cast<std::uint32_t>(id);
-    entry.shard_prefix = prefix;
-    entry.offset = offset;
-    entry.bytes = bytes;
-    entry.checksum = fnv1a64(data, static_cast<std::size_t>(bytes));
-    emit_through(im.file, data, bytes);
-    im.table.push_back(entry);
-  };
-  emit_section(SectionId::kCodes, shard.codes().data(),
-               shard.codes().size_bytes());
-  emit_section(SectionId::kCounts, shard.counts().data(),
-               shard.counts().size_bytes());
-  if (shard.prefix_index_bits() > 0) {
-    emit_section(SectionId::kBucketStarts, shard.bucket_starts().data(),
-                 shard.bucket_starts().size_bytes());
+  // With the prefix checks, the runs concatenate to a valid spectrum:
+  // finish() indexes the bucket table by these codes.
+  if (const auto err = kspec::KSpectrum::validate_sorted_counts(
+          codes, counts, im.build.k)) {
+    fail(Kind::kBadLayout, path, "invalid run: " + *err);
   }
-  ShardEntry row{};
-  row.prefix = prefix;
-  row.prefix_index_bits =
-      static_cast<std::uint32_t>(shard.prefix_index_bits());
-  row.distinct = shard.size();
-  row.total_instances = shard.total_instances();
-  im.shards.push_back(row);
+  ++im.runs;
+  im.last_prefix = prefix;
+  if (codes.empty()) return;
+  emit_through(im.file, codes.data(), codes.size_bytes());
+  emit_through(im.counts, counts.data(), counts.size_bytes());
+  im.codes_checksum =
+      fnv1a64(codes.data(), codes.size_bytes(), im.codes_checksum);
+  im.counts_checksum =
+      fnv1a64(counts.data(), counts.size_bytes(), im.counts_checksum);
+  im.distinct += codes.size();
+  for (const std::uint32_t c : counts) im.total_instances += c;
 }
 
 std::uint64_t ShardedIndexWriter::finish() {
   Impl& im = *impl_;
   const std::string& path = im.file.target_path();
   if (im.finished) fail(Kind::kBadLayout, path, "writer already finished");
-  if (im.shards.size() != im.shard_count) {
+  if (im.runs != im.shard_count) {
     std::ostringstream os;
-    os << "finish after " << im.shards.size() << " shards, " << im.shard_count
+    os << "finish after " << im.runs << " runs, " << im.shard_count
        << " declared";
     fail(Kind::kBadLayout, path, os.str());
   }
-  static constexpr unsigned char kZeros[kSectionAlignment] = {};
-  {
-    const std::uint64_t offset = align_up(im.file.offset());
-    emit_through(im.file, kZeros, offset - im.file.offset());
-    SectionEntry entry{};
-    entry.id = static_cast<std::uint32_t>(SectionId::kShardTable);
-    entry.offset = offset;
-    entry.bytes = im.shards.size() * sizeof(ShardEntry);
-    entry.checksum = fnv1a64(im.shards.data(),
-                             static_cast<std::size_t>(entry.bytes));
-    emit_through(im.file, im.shards.data(), entry.bytes);
-    im.table.push_back(entry);
+  const int k = im.build.k;
+  SectionEntry table[kMaxSections] = {};
+  std::uint32_t rows = 0;
+  const auto add_row = [&](SectionId id, std::uint64_t offset,
+                           std::uint64_t bytes, std::uint64_t checksum) {
+    table[rows++] = {static_cast<std::uint32_t>(id), 0, offset, bytes,
+                     checksum};
+  };
+  add_row(SectionId::kCodes, kPayloadStart,
+          im.distinct * sizeof(seq::KmerCode), im.codes_checksum);
+
+  const std::uint64_t counts_offset = pad_to_section(im.file);
+  read_back<std::uint32_t>(im.counts, 0, im.distinct,
+                           [&](const std::uint32_t* data, std::size_t n) {
+                             emit_through(im.file, data,
+                                          n * sizeof(std::uint32_t));
+                           });
+  im.counts.abort();
+  add_row(SectionId::kCounts, counts_offset,
+          im.distinct * sizeof(std::uint32_t), im.counts_checksum);
+
+  // The bucket table of the flat spectrum, at the width an in-memory
+  // build of it picks, counted from the codes already on disk.
+  const int prefix_bits = kspec::KSpectrum::auto_prefix_bits(
+      static_cast<std::size_t>(im.distinct), k);
+  if (prefix_bits > 0) {
+    std::vector<std::uint64_t> buckets((std::size_t{1} << prefix_bits) + 1);
+    const int shift = 2 * k - prefix_bits;
+    read_back<seq::KmerCode>(im.file, kPayloadStart, im.distinct,
+                             [&](const seq::KmerCode* codes, std::size_t n) {
+                               for (std::size_t i = 0; i < n; ++i) {
+                                 ++buckets[(codes[i] >> shift) + 1];
+                               }
+                             });
+    for (std::size_t b = 1; b < buckets.size(); ++b) {
+      buckets[b] += buckets[b - 1];
+    }
+    const std::uint64_t offset = pad_to_section(im.file);
+    const std::uint64_t bytes = buckets.size() * sizeof(std::uint64_t);
+    emit_through(im.file, buckets.data(), bytes);
+    add_row(SectionId::kBucketStarts, offset, bytes,
+            fnv1a64(buckets.data(), static_cast<std::size_t>(bytes)));
   }
-  const std::uint64_t file_bytes = align_up(im.file.offset());
-  emit_through(im.file, kZeros, file_bytes - im.file.offset());
+  const std::uint64_t file_bytes = pad_to_section(im.file);
 
   IndexHeader header{};
   std::memcpy(header.magic, kIndexMagic, sizeof(kIndexMagic));
-  header.format_version = kFormatVersionSharded;
+  header.format_version = kFormatVersion;
   header.header_bytes = sizeof(IndexHeader);
-  header.k = static_cast<std::uint32_t>(im.build.k);
+  header.k = static_cast<std::uint32_t>(k);
   header.flags = im.build.both_strands ? kFlagBothStrands : 0;
-  for (const auto& s : im.shards) {
-    header.distinct += s.distinct;
-    header.total_instances += s.total_instances;
-  }
-  header.prefix_bits = 0;  // per-shard tables only
-  header.section_count = static_cast<std::uint32_t>(im.table.size());
+  header.distinct = im.distinct;
+  header.total_instances = im.total_instances;
+  header.prefix_bits = static_cast<std::uint32_t>(prefix_bits);
+  header.section_count = rows;
   header.input_reads = im.build.input_reads;
   header.input_bases = im.build.input_bases;
   header.max_read_length = im.build.max_read_length;
   header.endian_tag = kEndianTag;
   header.file_bytes = file_bytes;
-  header.shard_count = static_cast<std::uint32_t>(im.shards.size());
-  header.shard_bits = static_cast<std::uint32_t>(im.shard_bits);
-  header.header_checksum = meta_checksum(header, im.table);
+  header.header_checksum = meta_checksum(header, {table, rows});
 
-  try {
+  as_index_error([&] {
     im.file.write_at(0, &header, sizeof(header));
-    im.file.write_at(sizeof(header), im.table.data(),
-                     im.table.size() * sizeof(SectionEntry));
+    im.file.write_at(sizeof(header), table, rows * sizeof(SectionEntry));
     im.file.commit();
-  } catch (const IndexError&) {
-    throw;
-  } catch (const ngs::Error& e) {
-    throw IndexError(Kind::kIo, e.what());
-  }
+  });
   im.finished = true;
   return header.header_checksum;
 }
@@ -881,9 +695,6 @@ SpectrumIndex SpectrumIndex::load(const std::string& path,
                                   const LoadOptions& options) {
   const Metadata meta = read_metadata_from_file(path);
   const IndexHeader& h = meta.header;
-  const int k = static_cast<int>(h.k);
-  const bool sharded = h.format_version == kFormatVersionSharded;
-  const std::vector<Region> regions = describe_regions(meta, path);
 
   SpectrumIndex index;
   index.path_ = path;
@@ -892,18 +703,21 @@ SpectrumIndex SpectrumIndex::load(const std::string& path,
       map_file(path, meta.file_size, options.use_mmap, &index.info_.mapped);
   if (options.verify_checksums) verify_checksums(meta, *mapping, path);
 
-  // A v1 file is one region; a v2 file one view per shard prefix, the
-  // empty bins left as empty spectra.
-  std::vector<kspec::KSpectrum> views(sharded ? std::size_t{1} << h.shard_bits
-                                              : 1);
-  for (const Region& r : regions) {
-    kspec::KSpectrum& view = views[r.prefix] = adopt_region(r, mapping, k);
-    if (options.validate_payload) validate_region(view, r, meta, path);
+  const auto at = [&](const SectionEntry& section) {
+    return mapping->data + section.offset;
+  };
+  const auto n = static_cast<std::size_t>(h.distinct);
+  std::span<const std::uint64_t> buckets;
+  if (h.prefix_bits > 0) {
+    buckets = {reinterpret_cast<const std::uint64_t*>(at(meta.buckets)),
+               (std::size_t{1} << h.prefix_bits) + 1};
   }
-  index.spectrum_ = sharded ? kspec::KSpectrum::from_shards(
-                                  std::move(views),
-                                  static_cast<int>(h.shard_bits), k)
-                            : std::move(views.front());
+  index.spectrum_ = kspec::KSpectrum::adopt_external(
+      {reinterpret_cast<const seq::KmerCode*>(at(meta.codes)), n},
+      {reinterpret_cast<const std::uint32_t*>(at(meta.counts)), n}, buckets,
+      static_cast<int>(h.k), h.total_instances,
+      static_cast<int>(h.prefix_bits), mapping);
+  if (options.validate_payload) validate_payload(index.spectrum_, h, path);
   return index;
 }
 

@@ -9,24 +9,22 @@
 // per run, and BFC treats the k-mer structure as an independently built,
 // reusable index. This module gives the repository the same decoupling:
 //
-//   write_spectrum_index — serializes a KSpectrum (+ build provenance)
-//       into the versioned binary format of format.hpp, atomically
+//   ShardedIndexWriter — the one writer: streams disjoint ascending
+//       (code, count) runs, e.g. the prefix bins of
+//       ChunkedSpectrumBuilder::finish_spilled, into the versioned
+//       binary format of format.hpp, so the full spectrum never exists
+//       in memory on the write side; the file appears atomically
 //       (util::AtomicFile: write to tmp + fsync + rename), so readers
 //       never observe a torn file;
-//   ShardedIndexWriter — the out-of-core writer: streams finished
-//       prefix-bin runs (ChunkedSpectrumBuilder::finish_spilled) into a
-//       version-2 sharded file one shard at a time, so the full
-//       spectrum never exists in memory on the write side either;
+//   write_spectrum_index — the one-run call of that writer for a
+//       KSpectrum already in memory, so a spilled build and an
+//       in-memory one write the same bytes for the same spectrum;
 //   SpectrumIndex::load — maps the file once and serves a zero-copy
 //       KSpectrum view straight out of the mapped pages (no
 //       deserialization: the code/count/bucket arrays are spans over
 //       the mapping, 64-byte aligned by construction), falling back to
 //       an owned read() buffer when mmap is unavailable or declined.
-//       Both format versions take the same walk: a version-1 file is
-//       one spectrum region, a version-2 file one region per shard,
-//       and a sharded file's regions become the shards of one
-//       KSpectrum::from_shards facade. Pages the queries never touch
-//       are never read.
+//       Pages the queries never touch are never read.
 //
 // Loaded views share ownership of the mapping through the spectrum's
 // keepalive handle, so a KSpectrum obtained here can be moved into a
@@ -34,6 +32,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -100,74 +99,68 @@ struct IndexInfo {
   /// serves as the whole-file fingerprint surfaced as `index_checksum`.
   std::uint64_t checksum = 0;
 
-  /// Version-2 shard split (0/0 on a monolithic version-1 file).
+  /// Always 0: version-1 files are one flat spectrum. Kept so existing
+  /// readers of the field still compile.
   std::uint32_t shard_count = 0;
-  std::uint32_t shard_bits = 0;
 
   struct Section {
     SectionId id;
     std::uint64_t offset = 0;
     std::uint64_t bytes = 0;
     std::uint64_t checksum = 0;
-    /// Owning shard's prefix key (per-shard sections of a v2 file).
-    std::uint32_t shard_prefix = 0;
   };
   std::vector<Section> sections;
-
-  /// Per-shard rows of a version-2 file, ascending by prefix.
-  struct Shard {
-    std::uint32_t prefix = 0;
-    std::uint32_t prefix_index_bits = 0;
-    std::uint64_t distinct = 0;
-    std::uint64_t total_instances = 0;
-  };
-  std::vector<Shard> shards;
 
   /// True when the payload is served from an mmap (zero-copy), false on
   /// the owned-buffer fallback path.
   bool mapped = false;
 };
 
-/// Serializes `spectrum` to `path` atomically: the bytes are written to
-/// a sibling temp file, fsync'ed, then renamed over `path` (and the
-/// directory entry flushed), so a concurrent or crashed writer can
-/// never leave a torn index behind. `build.k`/`build.both_strands` must
-/// describe the spectrum ("k" is cross-checked). Throws IndexError on
-/// any I/O failure. Returns the file's checksum fingerprint.
+/// Writes `spectrum` to `path` atomically as a one-run
+/// ShardedIndexWriter: the bytes go to a sibling temp file, fsync'ed,
+/// then renamed over `path` (and the directory entry flushed), so a
+/// concurrent or crashed writer can never leave a torn index behind.
+/// `build.k`/`build.both_strands` must describe the spectrum ("k" is
+/// cross-checked). Throws IndexError on any I/O failure. Returns the
+/// file's checksum fingerprint.
 std::uint64_t write_spectrum_index(const std::string& path,
                                    const kspec::KSpectrum& spectrum,
                                    const IndexBuildInfo& build);
 
-/// Streaming writer for the version-2 sharded format: shards (disjoint
-/// ascending prefix-bin (code, count) runs, e.g. straight out of
-/// ChunkedSpectrumBuilder::finish_spilled) are appended one at a time
-/// and written to disk immediately, so peak memory is one shard — the
-/// full spectrum never exists on the write side. The file is built in a
+/// Streaming index writer. Runs — disjoint ascending (code, count)
+/// slices of one spectrum, e.g. the prefix bins of
+/// ChunkedSpectrumBuilder::finish_spilled — are appended in key order;
+/// each run's codes go straight into the codes section and its counts
+/// into a sidecar temp file beside the index's own temp file, so the
+/// write side holds no array sized by the spectrum except the bucket
+/// table finish() builds. The file is the version-1 layout, byte for
+/// byte what one run of the whole spectrum writes. It is built in a
 /// util::AtomicFile temp and renamed into place by finish(); dropping
-/// the writer without finish() removes the temp. Requires
-/// shard_count >= 2 (a single bin should be written as a monolithic
-/// version-1 file via write_spectrum_index — byte-identical to a
-/// non-spilled build). Throws IndexError on any failure.
+/// the writer without finish() removes both temps. Throws IndexError on
+/// any failure.
 class ShardedIndexWriter {
  public:
-  /// `shard_count` must equal the number of append_shard calls to come;
-  /// `shard_bits` the prefix width the codes were split by.
+  /// The runs to come: `shard_count` of them, run p holding only codes
+  /// whose top `shard_bits` bits equal its prefix (shard_bits 0 = one
+  /// run of the whole key space). The split is not part of the file.
   ShardedIndexWriter(const std::string& path, const IndexBuildInfo& build,
                      int shard_bits, std::size_t shard_count);
   ~ShardedIndexWriter();
   ShardedIndexWriter(const ShardedIndexWriter&) = delete;
   ShardedIndexWriter& operator=(const ShardedIndexWriter&) = delete;
 
-  /// Writes one shard: `codes` strictly ascending, all with top
+  /// Appends one run: `codes` strictly ascending, all with top
   /// shard_bits equal to `prefix`, prefixes strictly ascending across
-  /// calls. Builds the shard's own prefix-bucket table en route.
+  /// calls; `counts` parallel and positive. An empty run writes nothing.
   void append_shard(std::uint32_t prefix,
-                    std::vector<seq::KmerCode> codes,
-                    std::vector<std::uint32_t> counts);
+                    std::span<const seq::KmerCode> codes,
+                    std::span<const std::uint32_t> counts);
 
-  /// Seals the file: writes the shard table and the final header, then
-  /// atomically renames into place. Returns the file's checksum
-  /// fingerprint. Must follow exactly shard_count append_shard calls.
+  /// Seals the file: appends the counts, builds the bucket table at
+  /// the auto width of the final distinct count from the written codes,
+  /// writes the header and section table, then atomically renames into
+  /// place. Returns the file's checksum fingerprint. Must follow exactly
+  /// shard_count append_shard calls.
   std::uint64_t finish();
 
  private:

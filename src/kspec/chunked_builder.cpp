@@ -20,7 +20,7 @@ ChunkedSpectrumBuilder::ChunkedSpectrumBuilder(int k, bool both_strands,
       pool_(pool),
       memory_budget_(spill.memory_budget_bytes) {
   if (memory_budget_ > 0) {
-    spill_shard_bits_ = std::clamp(spill.shard_bits, 1, std::min(8, 2 * k));
+    spill_shard_bits_ = std::min(kSpillShardBits, 2 * k);
     // A third of the budget buffers raw instances; the spill-bin
     // buffers take ~a sixth; the rest covers one bin's finish-phase
     // read + sort + count arrays (see note_tracked).

@@ -52,11 +52,12 @@ struct SpillOptions {
   std::size_t memory_budget_bytes = 0;
   /// Directory for the per-bin spill files; "" = the system temp dir.
   std::string spill_dir;
-  /// Prefix width of the disk partition: 2^shard_bits bins, clamped to
-  /// [1, min(8, 2k)]. 64 bins keeps per-bin memory ~1/64 of the
-  /// instance volume on uniform data while the shard table stays tiny.
-  int shard_bits = 6;
 };
+
+/// Prefix width of the disk partition (capped at 2k): 64 bins keep
+/// per-bin memory ~1/64 of the instance volume on uniform data. Only the
+/// build sees it; the index written from the bins is flat.
+inline constexpr int kSpillShardBits = 6;
 
 class ChunkedSpectrumBuilder {
  public:
@@ -88,12 +89,13 @@ class ChunkedSpectrumBuilder {
   /// The builder is left empty and reusable. On a spilled build this
   /// concatenates the finish_spilled() runs into one owned spectrum —
   /// memory then scales with the distinct volume again; callers that
-  /// need the bounded-memory guarantee end-to-end stream through
-  /// finish_spilled() into an index::ShardedIndexWriter instead.
+  /// need the bounded-memory guarantee end-to-end stream
+  /// finish_spilled() into an index::ShardedIndexWriter and map the
+  /// file it writes (core::build_spectrum does).
   KSpectrum finish(int* merge_rounds = nullptr);
 
-  /// One finished prefix bin: the top shard_bits of every code equal
-  /// `prefix`, and codes are strictly ascending within the run.
+  /// One finished prefix bin: the top spill_shard_bits() of every code
+  /// equal `prefix`, and codes are strictly ascending within the run.
   struct SortedRun {
     std::uint32_t prefix = 0;
     std::vector<seq::KmerCode> codes;
@@ -103,7 +105,7 @@ class ChunkedSpectrumBuilder {
   /// Flushes any still-buffered instances to the spill bins and seals
   /// them. Idempotent; only valid once spilled() is true. Called
   /// implicitly by finish()/finish_spilled(), exposed so callers can
-  /// inspect spill_nonempty_bins() before choosing an output format.
+  /// read spill_nonempty_bins() before the runs arrive.
   void flush_spill();
 
   /// Out-of-core finalization: reads each non-empty spill bin back,
@@ -121,8 +123,8 @@ class ChunkedSpectrumBuilder {
   bool spilled() const noexcept { return spilled_; }
   /// Disk-partition width actually in use (after clamping).
   int spill_shard_bits() const noexcept { return spill_shard_bits_; }
-  /// Non-empty spill bins (the shard count of a sharded index written
-  /// from this build). Requires flush_spill().
+  /// Non-empty spill bins: the runs finish_spilled() will deliver.
+  /// Requires flush_spill().
   std::size_t spill_nonempty_bins() const noexcept;
   /// Total bytes written to spill files.
   std::uint64_t spill_bytes() const noexcept { return spill_bytes_; }

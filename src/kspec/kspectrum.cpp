@@ -18,14 +18,6 @@ namespace ngs::kspec {
 
 namespace {
 
-/// Auto prefix-index width: ~32 codes per bucket, capped so the offset
-/// table stays a few MB and never exceeds the key width.
-int auto_prefix_bits(std::size_t size, int k) noexcept {
-  if (size < 64) return 0;
-  return std::clamp(static_cast<int>(std::bit_width(size / 32)), 1,
-                    std::min(2 * k, 20));
-}
-
 /// The pool a build runs on: nullptr for the serial path (threads == 1),
 /// else the override, a dedicated pool of `threads` workers (held in
 /// `own`), or the shared default pool.
@@ -38,6 +30,12 @@ util::ThreadPool* construction_pool(const SpectrumBuildOptions& options,
 }
 
 }  // namespace
+
+int KSpectrum::auto_prefix_bits(std::size_t size, int k) noexcept {
+  if (size < 64) return 0;
+  return std::clamp(static_cast<int>(std::bit_width(size / 32)), 1,
+                    std::min(2 * k, 20));
+}
 
 void KSpectrum::rebind_owned() noexcept {
   external_ = false;
@@ -69,9 +67,6 @@ void KSpectrum::move_from(KSpectrum&& other) noexcept {
   bucket_starts_ = buckets_owned
                        ? std::span<const std::uint64_t>(bucket_starts_vec_)
                        : other.bucket_starts_;
-  shards_ = std::move(other.shards_);
-  shard_starts_ = std::move(other.shard_starts_);
-  shard_bits_ = other.shard_bits_;
   other.k_ = 0;
   other.total_ = 0;
   other.prefix_bits_ = 0;
@@ -80,9 +75,6 @@ void KSpectrum::move_from(KSpectrum&& other) noexcept {
   other.counts_ = {};
   other.bucket_starts_ = {};
   other.keepalive_.reset();
-  other.shards_.reset();
-  other.shard_starts_.clear();
-  other.shard_bits_ = 0;
 }
 
 KSpectrum::KSpectrum(KSpectrum&& other) noexcept { move_from(std::move(other)); }
@@ -122,10 +114,6 @@ KSpectrum& KSpectrum::operator=(const KSpectrum& other) {
     bucket_starts_vec_.clear();
     bucket_starts_ = other.bucket_starts_;
   }
-  // Sharded copies share the (immutable) shards.
-  shards_ = other.shards_;
-  shard_starts_ = other.shard_starts_;
-  shard_bits_ = other.shard_bits_;
   return *this;
 }
 
@@ -267,7 +255,6 @@ KSpectrum KSpectrum::build_from_sequence(std::string_view sequence, int k,
 }
 
 void KSpectrum::rebuild_prefix_index(int prefix_index_bits) {
-  if (shard_bits_ > 0) return;  // shards carry their own bucket tables
   const int bits = prefix_index_bits < 0
                        ? auto_prefix_bits(codes_.size(), k_)
                        : std::min({prefix_index_bits, 2 * k_, 24});
@@ -292,7 +279,6 @@ void KSpectrum::rebuild_prefix_index(int prefix_index_bits) {
 }
 
 std::int64_t KSpectrum::index_of(seq::KmerCode code) const {
-  if (shard_bits_ > 0) return sharded_index_of(code);
   const seq::KmerCode* first = codes_.data();
   const seq::KmerCode* last = first + codes_.size();
   if (prefix_bits_ > 0) {
@@ -311,10 +297,6 @@ void KSpectrum::index_of_batch(std::span<const seq::KmerCode> probes,
                                std::span<std::int64_t> out) const {
   if (probes.size() != out.size()) {
     throw std::invalid_argument("index_of_batch: probes/out size mismatch");
-  }
-  if (shard_bits_ > 0) {
-    sharded_index_of_batch(probes, out);
-    return;
   }
   // Groups of kProbeGroup descents advance in lockstep (stack scratch
   // only); each probe is independent, so original order is preserved
@@ -350,109 +332,6 @@ void KSpectrum::index_of_batch(std::span<const seq::KmerCode> probes,
                        : -1;
     }
   }
-}
-
-void KSpectrum::sharded_index_of_batch(std::span<const seq::KmerCode> probes,
-                                       std::span<std::int64_t> out) const {
-  // Sort probe indices by code so probes landing in the same shard are
-  // consecutive; each touched shard then answers its group through its
-  // own batch path. The scratch is on the heap: the O(n log n) sort
-  // costs far more than its three allocations.
-  const std::size_t n = probes.size();
-  std::vector<std::uint32_t> ord(n);
-  std::iota(ord.begin(), ord.end(), 0u);
-  std::sort(ord.begin(), ord.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return probes[a] < probes[b];
-  });
-  std::vector<seq::KmerCode> group_codes;
-  std::vector<std::int64_t> group_out;
-  const int shift = 2 * k_ - shard_bits_;
-  std::size_t i = 0;
-  while (i < n) {
-    const std::size_t p = static_cast<std::size_t>(probes[ord[i]] >> shift);
-    std::size_t j = i + 1;
-    while (j < n && static_cast<std::size_t>(probes[ord[j]] >> shift) == p) {
-      ++j;
-    }
-    if (p + 1 >= shard_starts_.size() || (*shards_)[p].empty()) {
-      // Key out of range or empty bin.
-      for (std::size_t t = i; t < j; ++t) out[ord[t]] = -1;
-      i = j;
-      continue;
-    }
-    group_codes.resize(j - i);
-    group_out.resize(j - i);
-    for (std::size_t t = i; t < j; ++t) group_codes[t - i] = probes[ord[t]];
-    (*shards_)[p].index_of_batch(group_codes, group_out);
-    const auto offset = static_cast<std::int64_t>(shard_starts_[p]);
-    for (std::size_t t = i; t < j; ++t) {
-      const std::int64_t local = group_out[t - i];
-      out[ord[t]] = local < 0 ? -1 : offset + local;
-    }
-    i = j;
-  }
-}
-
-KSpectrum KSpectrum::from_shards(std::vector<KSpectrum> shards,
-                                 int shard_bits, int k) {
-  if (shard_bits < 1 || shard_bits > std::min(2 * k, 24) ||
-      shards.size() != std::size_t{1} << shard_bits) {
-    throw std::invalid_argument("from_shards: shard table does not match "
-                                "shard_bits");
-  }
-  KSpectrum s;
-  s.k_ = k;
-  s.shard_bits_ = shard_bits;
-  s.shard_starts_.assign(shards.size() + 1, 0);
-  for (std::size_t p = 0; p < shards.size(); ++p) {
-    const KSpectrum& shard = shards[p];
-    if (!shard.empty() && (shard.k() != k || shard.sharded())) {
-      throw std::invalid_argument("from_shards: shard is not a k=" +
-                                  std::to_string(k) + " flat spectrum");
-    }
-    s.shard_starts_[p + 1] = s.shard_starts_[p] + shard.size();
-    s.total_ += shard.total_instances();
-  }
-  s.shards_ =
-      std::make_shared<const std::vector<KSpectrum>>(std::move(shards));
-  return s;
-}
-
-std::int64_t KSpectrum::sharded_index_of(seq::KmerCode code) const {
-  const std::size_t p = static_cast<std::size_t>(code >> (2 * k_ - shard_bits_));
-  if (p + 1 >= shard_starts_.size()) return -1;  // key out of range
-  const std::int64_t local = (*shards_)[p].index_of(code);
-  if (local < 0) return -1;
-  return static_cast<std::int64_t>(shard_starts_[p]) + local;
-}
-
-std::uint32_t KSpectrum::sharded_count(seq::KmerCode code) const {
-  const std::size_t p = static_cast<std::size_t>(code >> (2 * k_ - shard_bits_));
-  if (p + 1 >= shard_starts_.size()) return 0;
-  return (*shards_)[p].count(code);
-}
-
-std::pair<std::uint32_t, std::size_t> KSpectrum::locate(std::size_t i) const {
-  if (i >= shard_starts_.back()) {
-    throw std::out_of_range("KSpectrum: sharded index out of range");
-  }
-  // First shard whose start exceeds i; its predecessor holds i.
-  const auto it = std::upper_bound(shard_starts_.begin(), shard_starts_.end(),
-                                   static_cast<std::uint64_t>(i));
-  const std::size_t p =
-      static_cast<std::size_t>(it - shard_starts_.begin()) - 1;
-  return {static_cast<std::uint32_t>(p),
-          i - static_cast<std::size_t>(shard_starts_[p])};
-}
-
-seq::KmerCode KSpectrum::sharded_code_at(std::size_t i) const {
-  const auto [p, local] = locate(i);
-  return (*shards_)[p].code_at(local);
-}
-
-std::uint32_t KSpectrum::sharded_count_at(std::size_t i) const {
-  const auto [p, local] = locate(i);
-  return (*shards_)[p].count_at(local);
 }
 
 }  // namespace ngs::kspec

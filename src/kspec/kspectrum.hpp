@@ -121,33 +121,18 @@ class KSpectrum {
                                   int k, std::uint64_t total, int prefix_bits,
                                   std::shared_ptr<const void> keepalive = {});
 
-  /// Sharded spectrum: one facade over 2^shard_bits per-prefix spectra
-  /// (what index::SpectrumIndex::load returns for a sharded file, each
-  /// shard a view into the one mapping of the file). `shards[p]` holds
-  /// every code whose top shard_bits bits equal p and is empty for an
-  /// empty bin. Global indices run over the shards in prefix order, so
-  /// code_at/count_at and index_of behave exactly as on the monolithic
-  /// spectrum; the total is the sum of the shards'. Copies share the
-  /// shards. codes()/counts()/bucket_starts() return empty spans in this
-  /// mode (there is no single contiguous array).
-  static KSpectrum from_shards(std::vector<KSpectrum> shards, int shard_bits,
-                               int k);
-
   /// True when the code/count arrays live in memory this spectrum does
   /// not own (adopt_external).
   bool external() const noexcept { return external_; }
 
-  /// True when lookups route through per-prefix shards (from_shards).
-  bool sharded() const noexcept { return shard_bits_ > 0; }
-
-  /// Prefix width of the shard routing (0 = not sharded).
-  int shard_bits() const noexcept { return shard_bits_; }
+  /// The prefix-bucket width rebuild_prefix_index(-1) picks for a
+  /// spectrum of `size` codes: ~32 codes per bucket, 0 below 64 codes,
+  /// capped so the offset table stays a few MB and never exceeds the key
+  /// width. index::ShardedIndexWriter writes its table at this width.
+  static int auto_prefix_bits(std::size_t size, int k) noexcept;
 
   int k() const noexcept { return k_; }
-  std::size_t size() const noexcept {
-    return shard_bits_ > 0 ? static_cast<std::size_t>(shard_starts_.back())
-                           : codes_.size();
-  }
+  std::size_t size() const noexcept { return codes_.size(); }
   bool empty() const noexcept { return size() == 0; }
 
   /// Total kmer instances (sum of counts).
@@ -157,7 +142,6 @@ class KSpectrum {
 
   /// Multiplicity of `code` in the spectrum (0 if absent).
   std::uint32_t count(seq::KmerCode code) const {
-    if (shard_bits_ > 0) return sharded_count(code);
     const auto i = index_of(code);
     return i < 0 ? 0 : counts_[static_cast<std::size_t>(i)];
   }
@@ -171,8 +155,6 @@ class KSpectrum {
   /// advance their binary-search descents in lockstep with software
   /// prefetch (util::interleaved_lower_bound), so the cache misses of
   /// independent probes pipeline instead of serializing.
-  /// On a sharded spectrum, probes are grouped per shard prefix first and
-  /// each touched shard answers its group through its own batch path.
   /// Precondition: probes.size() == out.size().
   void index_of_batch(std::span<const seq::KmerCode> probes,
                       std::span<std::int64_t> out) const;
@@ -192,21 +174,16 @@ class KSpectrum {
     return bucket_starts_.size() * sizeof(std::uint64_t);
   }
 
-  seq::KmerCode code_at(std::size_t i) const {
-    return shard_bits_ > 0 ? sharded_code_at(i) : codes_[i];
-  }
-  std::uint32_t count_at(std::size_t i) const {
-    return shard_bits_ > 0 ? sharded_count_at(i) : counts_[i];
-  }
+  seq::KmerCode code_at(std::size_t i) const { return codes_[i]; }
+  std::uint32_t count_at(std::size_t i) const { return counts_[i]; }
 
-  /// Empty on a sharded spectrum (no single contiguous array exists).
   std::span<const seq::KmerCode> codes() const noexcept { return codes_; }
   std::span<const std::uint32_t> counts() const noexcept { return counts_; }
 
   /// The prefix-bucket offset table (2^prefix_index_bits + 1 entries;
-  /// empty when the index is disabled or the spectrum is sharded).
-  /// index::write_spectrum_index persists it so a loaded spectrum looks
-  /// up at full speed without a rebuild pass.
+  /// empty when the index is disabled). Index files store the table at
+  /// auto_prefix_bits width, so a loaded spectrum looks up at full speed
+  /// without a rebuild pass.
   std::span<const std::uint64_t> bucket_starts() const noexcept {
     return bucket_starts_;
   }
@@ -219,16 +196,6 @@ class KSpectrum {
   /// filled or moved).
   void rebind_owned() noexcept;
   void move_from(KSpectrum&& other) noexcept;
-
-  // Out-of-line sharded lookup paths (kspectrum.cpp).
-  std::int64_t sharded_index_of(seq::KmerCode code) const;
-  void sharded_index_of_batch(std::span<const seq::KmerCode> probes,
-                              std::span<std::int64_t> out) const;
-  std::uint32_t sharded_count(seq::KmerCode code) const;
-  seq::KmerCode sharded_code_at(std::size_t i) const;
-  std::uint32_t sharded_count_at(std::size_t i) const;
-  /// Maps a global index to (shard prefix, local index within shard).
-  std::pair<std::uint32_t, std::size_t> locate(std::size_t i) const;
 
   int k_ = 0;
   std::uint64_t total_ = 0;
@@ -244,14 +211,6 @@ class KSpectrum {
   std::span<const std::uint64_t> bucket_starts_;  // 2^prefix_bits_ + 1
   int prefix_bits_ = 0;  // 0 = no prefix index
   std::shared_ptr<const void> keepalive_;  // owner of external memory
-  // Sharded mode (from_shards): lookups route by code >> (2k −
-  // shard_bits_) into `shards_` (indexed by prefix, shared between
-  // copies); `shard_starts_` (2^shard_bits_+1 cumulative distinct
-  // offsets) converts between global and per-shard indices.
-  // shard_bits_ == 0 means not sharded.
-  std::shared_ptr<const std::vector<KSpectrum>> shards_;
-  std::vector<std::uint64_t> shard_starts_;
-  int shard_bits_ = 0;
 };
 
 }  // namespace ngs::kspec

@@ -113,46 +113,31 @@ class MaskedSortIndex {
   void for_each_neighbor(seq::KmerCode code, Visitor&& visit,
                          std::vector<std::uint32_t>& hits) const {
     hits.clear();
-    // Fast path: a flat (in-memory or mmap-external) spectrum exposes its
-    // code array as a contiguous span, so the collision-run scan runs as
-    // a fused gather + XOR/popcount kernel (util::simd). A sharded
-    // spectrum has no such span — its code_at goes through the shard
-    // source — so it keeps the generic per-element loop.
+    // The collision-run scan runs as a fused gather + XOR/popcount
+    // kernel (util::simd) over the spectrum's contiguous code array.
     const std::span<const seq::KmerCode> codes = spectrum_->codes();
-    const bool flat = codes.size() == spectrum_->size();
     for (const auto& rep : replicas_) {
       const seq::KmerCode keep = ~rep.mask;
       const seq::KmerCode key = code & keep;
       auto cmp_lo = [&](std::uint32_t idx, seq::KmerCode value) {
-        return (spectrum_->code_at(idx) & keep) < value;
+        return (codes[idx] & keep) < value;
       };
       auto it = std::lower_bound(rep.order.begin(), rep.order.end(), key,
                                  cmp_lo);
-      if (flat) {
-        // Blocked so the stack buffer stays small: a block consumed in
-        // full means the collision run may continue into the next block.
-        constexpr std::size_t kRunBlock = 128;
-        std::size_t off = static_cast<std::size_t>(it - rep.order.begin());
-        while (off < rep.order.size()) {
-          const std::size_t avail =
-              std::min(kRunBlock, rep.order.size() - off);
-          std::uint32_t buf[kRunBlock];
-          std::size_t out_n = 0;
-          const std::size_t consumed = util::simd::masked_run_filter(
-              codes.data(), rep.order.data() + off, avail, keep, key, code,
-              d_, buf, &out_n);
-          hits.insert(hits.end(), buf, buf + out_n);
-          if (consumed < avail) break;
-          off += consumed;
-        }
-      } else {
-        for (; it != rep.order.end() &&
-               (spectrum_->code_at(*it) & keep) == key;
-             ++it) {
-          const seq::KmerCode cand = spectrum_->code_at(*it);
-          const int hd = seq::kmer_hamming(cand, code);
-          if (hd >= 1 && hd <= d_) hits.push_back(*it);
-        }
+      // Blocked so the stack buffer stays small: a block consumed in
+      // full means the collision run may continue into the next block.
+      constexpr std::size_t kRunBlock = 128;
+      std::size_t off = static_cast<std::size_t>(it - rep.order.begin());
+      while (off < rep.order.size()) {
+        const std::size_t avail = std::min(kRunBlock, rep.order.size() - off);
+        std::uint32_t buf[kRunBlock];
+        std::size_t out_n = 0;
+        const std::size_t consumed = util::simd::masked_run_filter(
+            codes.data(), rep.order.data() + off, avail, keep, key, code, d_,
+            buf, &out_n);
+        hits.insert(hits.end(), buf, buf + out_n);
+        if (consumed < avail) break;
+        off += consumed;
       }
     }
     std::sort(hits.begin(), hits.end());

@@ -103,8 +103,8 @@ class Epoch {
 
 /// What an epoch is (re)built from: the daemon's --index/--reads flags.
 struct IndexRegistryConfig {
-  /// Spectrum index files to serve (any mix of v1 monolithic and v2
-  /// sharded). Each file's k must be unique within one epoch.
+  /// Spectrum index files to serve, built in memory or under a memory
+  /// budget alike. Each file's k must be unique within one epoch.
   std::vector<std::string> index_paths;
   /// Optional FASTQ whose reads are the phase-1 substrate for buffered
   /// methods (reptile, shrec, ...). Empty = streaming methods only.

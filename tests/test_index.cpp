@@ -11,10 +11,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -115,7 +118,7 @@ Kind load_failure_kind(const std::string& path,
 
 /// A deterministic spectrum whose codes spread across the whole 2k-bit
 /// space (random_spectrum's small steps would land every code in prefix
-/// shard 0).
+/// bin 0).
 kspec::KSpectrum spread_spectrum(int k, std::size_t n, std::uint64_t seed) {
   util::Rng rng(seed);
   const seq::KmerCode mask = (seq::KmerCode{1} << (2 * k)) - 1;
@@ -133,40 +136,56 @@ kspec::KSpectrum spread_spectrum(int k, std::size_t n, std::uint64_t seed) {
                                               std::move(counts), k);
 }
 
-/// Splits a spectrum by top `shard_bits` prefix and writes it through
-/// the streaming sharded writer. Returns the file checksum.
-std::uint64_t write_sharded(const std::string& path,
-                            const kspec::KSpectrum& spectrum,
-                            int shard_bits) {
+/// Writes `spectrum` through ShardedIndexWriter as one run per
+/// non-empty prefix bin of width `shard_bits`, empty bins omitted as a
+/// spilled build omits them. Returns the file checksum.
+std::uint64_t write_runs(const std::string& path,
+                         const kspec::KSpectrum& spectrum, int shard_bits) {
   const int shift = 2 * spectrum.k() - shard_bits;
   const auto codes = spectrum.codes();
   const auto counts = spectrum.counts();
-  struct Span {
-    std::uint32_t prefix;
-    std::size_t begin, end;
-  };
-  std::vector<Span> spans;
+  std::vector<std::pair<std::size_t, std::size_t>> runs;  // [begin, end)
   for (std::size_t i = 0; i < codes.size();) {
-    const auto p = static_cast<std::uint32_t>(codes[i] >> shift);
     std::size_t j = i;
-    while (j < codes.size() &&
-           static_cast<std::uint32_t>(codes[j] >> shift) == p) {
+    while (j < codes.size() && (codes[j] >> shift) == (codes[i] >> shift)) {
       ++j;
     }
-    spans.push_back({p, i, j});
+    runs.emplace_back(i, j);
     i = j;
   }
   index::ShardedIndexWriter writer(path, build_info_for(spectrum),
-                                   shard_bits, spans.size());
-  for (const auto& s : spans) {
-    writer.append_shard(
-        s.prefix,
-        std::vector<seq::KmerCode>(codes.begin() + s.begin,
-                                   codes.begin() + s.end),
-        std::vector<std::uint32_t>(counts.begin() + s.begin,
-                                   counts.begin() + s.end));
+                                   shard_bits, runs.size());
+  for (const auto& [begin, end] : runs) {
+    writer.append_shard(static_cast<std::uint32_t>(codes[begin] >> shift),
+                        codes.subspan(begin, end - begin),
+                        counts.subspan(begin, end - begin));
   }
   return writer.finish();
+}
+
+/// Rewrites the header and section table of the index bytes `file`
+/// through `edit` (rows may be replaced or appended) and re-seals the
+/// header checksum, so only the loader's structural checks stand
+/// between the edit and the payload.
+std::string reseal(std::string file,
+                   const std::function<void(index::IndexHeader&,
+                                            std::vector<index::SectionEntry>&)>&
+                       edit) {
+  index::IndexHeader header;
+  std::memcpy(&header, file.data(), sizeof(header));
+  std::vector<index::SectionEntry> table(header.section_count);
+  std::memcpy(table.data(), file.data() + sizeof(header),
+              table.size() * sizeof(index::SectionEntry));
+  edit(header, table);
+  header.section_count = static_cast<std::uint32_t>(table.size());
+  header.header_checksum = 0;
+  header.header_checksum = index::fnv1a64(
+      table.data(), table.size() * sizeof(index::SectionEntry),
+      index::fnv1a64(&header, sizeof(header)));
+  std::memcpy(file.data(), &header, sizeof(header));
+  std::memcpy(file.data() + sizeof(header), table.data(),
+              table.size() * sizeof(index::SectionEntry));
+  return file;
 }
 
 TEST(SpectrumIndex, RoundTripAcrossKWidths) {
@@ -250,26 +269,6 @@ TEST(SpectrumIndex, SharedSpectrumOutlivesIndexObject) {
   }  // mapping must stay alive through the keepalive handle
   expect_same_spectrum(view, built);
   std::remove(path.c_str());
-
-  // A sharded file's shard views hold the same shared mapping.
-  const auto spread = spread_spectrum(16, 4000, 5);
-  const std::string sharded_path = temp_path("keepalive_sharded");
-  write_sharded(sharded_path, spread, 2);
-  kspec::KSpectrum sharded;
-  {
-    const auto loaded = index::SpectrumIndex::load(sharded_path);
-    sharded = loaded.share_spectrum();
-    EXPECT_TRUE(sharded.sharded());
-  }
-  ASSERT_EQ(sharded.size(), spread.size());
-  EXPECT_EQ(sharded.total_instances(), spread.total_instances());
-  for (std::size_t i = 0; i < spread.size(); ++i) {
-    ASSERT_EQ(sharded.code_at(i), spread.code_at(i)) << "code " << i;
-    ASSERT_EQ(sharded.count_at(i), spread.count_at(i)) << "count " << i;
-    ASSERT_EQ(sharded.index_of(spread.code_at(i)),
-              static_cast<std::int64_t>(i));
-  }
-  std::remove(sharded_path.c_str());
 }
 
 TEST(SpectrumIndex, RejectsMissingAndTruncatedFiles) {
@@ -308,6 +307,20 @@ TEST(SpectrumIndex, RejectsBadMagicVersionSkewAndHeaderCorruption) {
   bad[8] = 0x7f;  // format_version (first field after the 8-byte magic)
   spew(path, bad);
   EXPECT_EQ(load_failure_kind(path), Kind::kVersionSkew);
+
+  // The retired sharded layout: an index is derived data, so the error
+  // says how to rebuild it rather than how to read it.
+  bad = valid;
+  bad[8] = 2;
+  spew(path, bad);
+  try {
+    (void)index::SpectrumIndex::load(path);
+    ADD_FAILURE() << "version-2 file loaded";
+  } catch (const index::IndexError& e) {
+    EXPECT_EQ(e.index_kind(), Kind::kVersionSkew);
+    EXPECT_NE(std::string(e.what()).find("ngs-index build"), std::string::npos)
+        << e.what();
+  }
 
   bad = valid;
   bad[100] ^= 0x01;  // inside the header's reserved tail
@@ -359,116 +372,124 @@ TEST(SpectrumIndex, PayloadBitFlipCaughtByVerify) {
   std::remove(path.c_str());
 }
 
-// --- Sharded (version-2) format ---------------------------------------
-
-TEST(ShardedIndex, RoundTripMatchesMonolith) {
-  const int k = 16;
-  const auto built = spread_spectrum(k, 20000, 42);
-  ASSERT_GT(built.size(), 10000u);
-  const std::string path = temp_path("sharded_roundtrip");
-  const std::uint64_t checksum = write_sharded(path, built, 3);
-  EXPECT_NE(checksum, 0u);
-
-  const auto info = index::SpectrumIndex::read_info(path);
-  EXPECT_EQ(info.format_version, index::kFormatVersionSharded);
-  EXPECT_EQ(info.shard_bits, 3u);
-  EXPECT_GE(info.shard_count, 2u);
-  ASSERT_EQ(info.shards.size(), info.shard_count);
-  std::uint64_t distinct = 0, instances = 0;
-  for (const auto& s : info.shards) {
-    distinct += s.distinct;
-    instances += s.total_instances;
-  }
-  EXPECT_EQ(distinct, built.size());
-  EXPECT_EQ(instances, built.total_instances());
-
-  for (const bool use_mmap : {true, false}) {
-    index::LoadOptions options;
-    options.use_mmap = use_mmap;
-    options.verify_checksums = true;
-    options.validate_payload = true;
-    const auto loaded = index::SpectrumIndex::load(path, options);
-    const auto& spec = loaded.spectrum();
-    EXPECT_TRUE(spec.sharded());
-    EXPECT_EQ(loaded.info().checksum, checksum);
-    ASSERT_EQ(spec.size(), built.size()) << "mmap=" << use_mmap;
-    EXPECT_EQ(spec.total_instances(), built.total_instances());
-    for (std::size_t i = 0; i < built.size(); i += 37) {
-      ASSERT_EQ(spec.code_at(i), built.code_at(i)) << i;
-      ASSERT_EQ(spec.count_at(i), built.count_at(i)) << i;
-    }
-    util::Rng rng(31);
-    const seq::KmerCode mask = (seq::KmerCode{1} << (2 * k)) - 1;
-    for (int q = 0; q < 2000; ++q) {
-      const seq::KmerCode code =
-          (q % 2 == 0) ? built.code_at(rng.below(built.size()))
-                       : (rng() & mask);
-      ASSERT_EQ(spec.index_of(code), built.index_of(code));
-      ASSERT_EQ(spec.count(code), built.count(code));
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(ShardedIndex, MonolithicFilesStayVersion1) {
-  const auto built = random_spectrum(16, 2000, 8);
-  const std::string a = temp_path("v1_a");
-  const std::string b = temp_path("v1_b");
-  index::write_spectrum_index(a, built, build_info_for(built));
-  index::write_spectrum_index(b, built, build_info_for(built));
-  const auto info = index::SpectrumIndex::read_info(a);
-  EXPECT_EQ(info.format_version, index::kFormatVersion);
-  EXPECT_EQ(info.shard_count, 0u);
-  EXPECT_EQ(info.shard_bits, 0u);
-  EXPECT_TRUE(info.shards.empty());
-  EXPECT_EQ(slurp(a), slurp(b)) << "version-1 writes must stay deterministic";
-  std::remove(a.c_str());
-  std::remove(b.c_str());
-}
-
-TEST(ShardedIndex, RejectsTruncationAndCorruption) {
-  const auto built = spread_spectrum(14, 6000, 77);
-  const std::string path = temp_path("sharded_corrupt");
-  write_sharded(path, built, 2);
+TEST(SpectrumIndex, RejectsResealedCraftedMetadata) {
+  const auto built = random_spectrum(16, 1000, 12);
+  ASSERT_GT(built.prefix_index_bits(), 0) << "needs all three table rows";
+  const std::string path = temp_path("crafted");
+  index::write_spectrum_index(path, built, build_info_for(built));
   const std::string valid = slurp(path);
-  const auto info = index::SpectrumIndex::read_info(path);
-  ASSERT_GE(info.shard_count, 2u);
 
-  // Payload cut short: the recorded file size no longer matches.
-  spew(path, valid.substr(0, valid.size() - 64));
-  EXPECT_EQ(load_failure_kind(path), Kind::kTruncated);
-
-  // A flipped bit in every per-shard payload section is caught by a
-  // verifying load.
   index::LoadOptions verify;
   verify.verify_checksums = true;
   verify.validate_payload = true;
-  for (const auto& section : info.sections) {
-    if (section.id == index::SectionId::kShardTable) continue;
-    std::string bad = valid;
-    bad[section.offset + section.bytes / 2] ^= 0x20;
-    spew(path, bad);
-    EXPECT_EQ(load_failure_kind(path, verify), Kind::kChecksum);
+  using Edit = std::function<void(index::IndexHeader&,
+                                  std::vector<index::SectionEntry>&)>;
+  const auto expect_rejected = [&](const std::string& what, const Edit& edit,
+                                   Kind kind) {
+    spew(path, reseal(valid, edit));
+    EXPECT_EQ(load_failure_kind(path), kind) << what;
+    EXPECT_EQ(load_failure_kind(path, verify), kind) << what;
+  };
+
+  // Rows the table must not hold: a verifying load hashes what every
+  // row describes, so each row must be bounds-checked first.
+  expect_rejected(
+      "unknown row past EOF",
+      [](index::IndexHeader&, std::vector<index::SectionEntry>& table) {
+        table.push_back({99, 0, std::uint64_t{1} << 40, 4096, 0});
+      },
+      Kind::kBadLayout);
+  expect_rejected(
+      "second codes row appended",
+      [](index::IndexHeader&, std::vector<index::SectionEntry>& table) {
+        table.push_back(table.front());
+      },
+      Kind::kBadLayout);
+  expect_rejected(
+      "second codes row in place of the counts row",
+      [](index::IndexHeader&, std::vector<index::SectionEntry>& table) {
+        table[1] = table[0];
+      },
+      Kind::kBadLayout);
+  // k outside [1, kMaxK], before anything computes 2 * k from it.
+  for (const std::uint32_t k : {0u, 33u, 0x80000010u}) {
+    expect_rejected(
+        "k=" + std::to_string(k),
+        [k](index::IndexHeader& header, std::vector<index::SectionEntry>&) {
+          header.k = k;
+        },
+        Kind::kBadLayout);
   }
+  expect_rejected(
+      "bucket table wider than min(2k, 24) bits",
+      [](index::IndexHeader& header, std::vector<index::SectionEntry>&) {
+        header.prefix_bits = std::min(2 * header.k, 24u) + 1;
+      },
+      Kind::kBadLayout);
+  // An entry count whose section sizes wrap to small byte counts.
+  expect_rejected(
+      "distinct = 2^61",
+      [](index::IndexHeader& header, std::vector<index::SectionEntry>&) {
+        header.distinct = std::uint64_t{1} << 61;
+      },
+      Kind::kTruncated);
 
-  // The shard table's own checksum is verified on every metadata read,
-  // so a flipped shard row fails even a default (lazy) load.
-  const auto table =
-      std::find_if(info.sections.begin(), info.sections.end(),
-                   [](const index::IndexInfo::Section& s) {
-                     return s.id == index::SectionId::kShardTable;
-                   });
-  ASSERT_NE(table, info.sections.end());
-  std::string bad = valid;
-  bad[table->offset + 4] ^= 0x01;
-  spew(path, bad);
-  EXPECT_EQ(load_failure_kind(path), Kind::kChecksum);
-  EXPECT_THROW((void)index::SpectrumIndex::read_info(path),
-               index::IndexError);
-
-  spew(path, valid);
+  spew(path, reseal(valid, [](auto&, auto&) {}));
+  EXPECT_EQ(slurp(path), valid) << "resealing an unedited file is a no-op";
   EXPECT_NO_THROW((void)index::SpectrumIndex::load(path, verify));
   std::remove(path.c_str());
+}
+
+// --- The one writer ---------------------------------------------------
+
+TEST(IndexWriter, MultiRunWritesMatchOneRunBytes) {
+  const int k = 16;
+  const auto spread = spread_spectrum(k, 20000, 42);
+  ASSERT_GT(spread.size(), 10000u);
+  const auto empty = kspec::KSpectrum::from_sorted_counts({}, {}, k);
+  const auto small = spread_spectrum(k, 40, 9);
+  ASSERT_LT(small.size(), 64u) << "should be too small for a bucket table";
+
+  for (const kspec::KSpectrum* built : {&spread, &empty, &small}) {
+    const std::string one = temp_path("one_run");
+    const std::string again = temp_path("one_run_again");
+    const std::uint64_t checksum =
+        index::write_spectrum_index(one, *built, build_info_for(*built));
+    index::write_spectrum_index(again, *built, build_info_for(*built));
+    const std::string bytes = slurp(one);
+    EXPECT_EQ(slurp(again), bytes) << "one-run writes must be deterministic";
+    EXPECT_EQ(index::SpectrumIndex::read_info(one).format_version,
+              index::kFormatVersion);
+
+    for (const int shard_bits : {1, 3, 8}) {
+      const std::string multi = temp_path("multi_run");
+      EXPECT_EQ(write_runs(multi, *built, shard_bits), checksum);
+      EXPECT_EQ(slurp(multi), bytes)
+          << "size " << built->size() << ", shard_bits " << shard_bits;
+      for (const bool use_mmap : {true, false}) {
+        index::LoadOptions options;
+        options.use_mmap = use_mmap;
+        options.verify_checksums = true;
+        options.validate_payload = true;
+        const auto loaded = index::SpectrumIndex::load(multi, options);
+        EXPECT_EQ(loaded.info().checksum, checksum);
+        expect_same_spectrum(loaded.spectrum(), *built);
+        util::Rng rng(31);
+        const seq::KmerCode mask = (seq::KmerCode{1} << (2 * k)) - 1;
+        for (int q = 0; q < 2000; ++q) {
+          const seq::KmerCode code =
+              (q % 2 == 0 && !built->empty())
+                  ? built->code_at(rng.below(built->size()))
+                  : (rng() & mask);
+          ASSERT_EQ(loaded.spectrum().index_of(code), built->index_of(code));
+          ASSERT_EQ(loaded.spectrum().count(code), built->count(code));
+        }
+      }
+      std::remove(multi.c_str());
+    }
+    std::remove(one.c_str());
+    std::remove(again.c_str());
+  }
 }
 
 TEST(KSpectrum, ValidateSortedCountsFindsEachViolation) {
@@ -639,7 +660,7 @@ TEST(CorrectionPipeline, BudgetRunMatchesUnconstrainedForEveryMethod) {
         << info.name;
     if (info.streaming) {
       EXPECT_TRUE(budget_result.spectrum_spilled) << info.name;
-      EXPECT_GE(budget_result.spectrum_shards, 2u) << info.name;
+      EXPECT_GE(budget_result.spectrum_spill_bins, 2u) << info.name;
       EXPECT_GT(budget_result.spectrum_spilled_bytes, 0u) << info.name;
       EXPECT_GT(budget_result.spectrum_peak_tracked_bytes, 0u) << info.name;
       EXPECT_LE(budget_result.spectrum_peak_tracked_bytes, kBudget)
@@ -687,9 +708,12 @@ TEST(CorrectionPipeline, BudgetSaveIndexIsShardedAndReloadable) {
   const auto run = make_run(99, 12.0);
   const std::string fastq = to_fastq(run.reads);
   const std::string path = temp_path("budget_saved");
+  const std::string plain_path = temp_path("plain_saved");
 
+  core::PipelineOptions plain_opts;
+  plain_opts.save_index_path = plain_path;
   std::ostringstream plain_out;
-  core::CorrectionPipeline plain(make_method("sap"), {});
+  core::CorrectionPipeline plain(make_method("sap"), plain_opts);
   (void)plain.run(factory_for(fastq), plain_out);
 
   core::PipelineOptions save_opts;
@@ -700,15 +724,18 @@ TEST(CorrectionPipeline, BudgetSaveIndexIsShardedAndReloadable) {
   core::CorrectionPipeline saver(make_method("sap"), save_opts);
   const auto save_result = saver.run(factory_for(fastq), save_out);
   EXPECT_TRUE(save_result.spectrum_spilled);
+  EXPECT_GE(save_result.spectrum_spill_bins, 2u);
   EXPECT_EQ(save_result.report.extra("index_saved"), 1u);
   EXPECT_EQ(save_out.str(), plain_out.str());
 
-  const auto info = index::SpectrumIndex::read_info(path);
-  EXPECT_EQ(info.format_version, index::kFormatVersionSharded);
-  EXPECT_EQ(info.shard_count, save_result.spectrum_shards);
+  // The spill bins stream into the same flat file an unbudgeted save
+  // writes.
+  EXPECT_EQ(index::SpectrumIndex::read_info(path).format_version,
+            index::kFormatVersion);
+  EXPECT_EQ(slurp(path), slurp(plain_path));
 
-  // A later --load-index run over the sharded file reproduces the
-  // fresh run byte for byte, serving pass 2 from lazily mapped shards.
+  // A later --load-index run over the saved file reproduces the fresh
+  // run byte for byte.
   core::PipelineOptions load_opts;
   load_opts.load_index_path = path;
   std::ostringstream load_out;
@@ -717,6 +744,7 @@ TEST(CorrectionPipeline, BudgetSaveIndexIsShardedAndReloadable) {
   EXPECT_TRUE(load_result.pass1_skipped);
   EXPECT_EQ(load_out.str(), plain_out.str());
   std::remove(path.c_str());
+  std::remove(plain_path.c_str());
 }
 
 TEST(CorrectionPipeline, BufferedMethodsRejectIndexFlags) {

@@ -4,7 +4,7 @@
 // offline pipeline, in-order windowed streaming, typed BUSY under
 // saturation, per-batch worker-fault salvage, epoch-based hot reload
 // (including a corrupt replacement being rejected while the old epoch
-// keeps serving), and serving a sharded version-2 index.
+// keeps serving), and serving an index built under a memory budget.
 
 #include <gtest/gtest.h>
 
@@ -71,9 +71,9 @@ std::vector<seq::Read> parse_reads(const std::string& fastq) {
 }
 
 /// Offline reference run: the streaming pipeline with `method`, saving
-/// the pass-1 spectrum to `index_path` for the daemon to serve (sharded
-/// when `memory_budget_bytes` forces a spill). Returns the corrected
-/// FASTQ bytes the service must reproduce.
+/// the pass-1 spectrum to `index_path` for the daemon to serve (built
+/// from spill bins when `memory_budget_bytes` forces a spill). Returns
+/// the corrected FASTQ bytes the service must reproduce.
 std::string offline_correct(const std::string& fastq,
                             const std::string& method,
                             const std::string& index_path = "",
@@ -765,20 +765,20 @@ TEST_F(ServerTest, CorruptReplacementIndexIsRejectedOldEpochServes) {
 }
 
 TEST_F(ServerTest, ShardedIndexServesOfflineBytesAndRejectsCorruptShard) {
-  // A budget far below the spectrum makes the offline reference save a
-  // version-2 sharded index; the daemon verifies its checksums at load.
+  // A budget far below the spectrum makes the offline reference save its
+  // index from spill bins; the daemon verifies its checksums at load.
   start({}, true, 200000);
-  ASSERT_GE(offline_.spectrum_shards, 2u);
+  ASSERT_GE(offline_.spectrum_spill_bins, 2u);
   {
     auto client = make_client();
     const auto limits = client.hello(sap_hello());
     EXPECT_EQ(client_correct(client, limits, fastq_), expected_sap_);
   }
 
-  // Rename a copy with one flipped byte in a shard's codes over the index:
+  // Rename a copy with one flipped byte in its codes over the index:
   // the reload's checksum pass rejects it and epoch 1 keeps serving.
   const auto info = index::SpectrumIndex::read_info(index_path_);
-  ASSERT_EQ(info.format_version, index::kFormatVersionSharded);
+  ASSERT_EQ(info.format_version, index::kFormatVersion);
   const auto codes =
       std::find_if(info.sections.begin(), info.sections.end(),
                    [](const index::IndexInfo::Section& section) {
@@ -800,7 +800,7 @@ TEST_F(ServerTest, ShardedIndexServesOfflineBytesAndRejectsCorruptShard) {
     auto client = make_client();
     try {
       (void)client.reload();
-      FAIL() << "corrupt shard payload accepted";
+      FAIL() << "corrupt codes payload accepted";
     } catch (const Error& e) {
       EXPECT_EQ(e.kind(), ErrorKind::kIndex);
     }

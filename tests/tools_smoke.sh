@@ -320,27 +320,25 @@ cmp "$WORK/corrected_saved.fastq" "$WORK/corrected_sap.fastq"
 # so the same reads give the same version-1 bytes.
 cmp "$WORK/spectrum.ngsx" "$WORK/sap.ngsx"
 
-# Out-of-core sharded build: a 1 MiB budget forces the k=12 spectrum
-# (~800k instances) through the spill path. The sharded (version-2)
-# file must verify, advertise its per-shard section table, and serve
-# byte-identical correction through --load-index.
+# Out-of-core build: a 1 MiB budget forces the k=12 spectrum (~800k
+# instances) through the spill path. The spill bins stream into the
+# same version-1 bytes the unbudgeted build wrote, which must verify and
+# serve byte-identical correction through --load-index.
 "$BIN_DIR/ngs_index" build --in "$WORK/reads.fastq" \
   --out "$WORK/sharded.ngsx" --k 12 --both-strands 1 --threads 2 \
   --memory-budget-mb 1 --spill-dir "$WORK" 2>"$WORK/stderr.txt"
-grep -q "prefix shards" "$WORK/stderr.txt"
+grep -q "spill bins" "$WORK/stderr.txt"
+cmp "$WORK/sharded.ngsx" "$WORK/spectrum.ngsx"
 "$BIN_DIR/ngs_index" verify --index "$WORK/sharded.ngsx"
 "$BIN_DIR/ngs_index" info --index "$WORK/sharded.ngsx" \
   > "$WORK/sharded_info.txt"
-grep -q "format_version: 2" "$WORK/sharded_info.txt"
-grep -q "shard_count:" "$WORK/sharded_info.txt"
-grep -q "key_range=" "$WORK/sharded_info.txt"
-grep -q "shard_table" "$WORK/sharded_info.txt"
+grep -q "format_version: 1" "$WORK/sharded_info.txt"
 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
   --out "$WORK/corrected_sharded.fastq" --method sap --genome-length 20000 \
   --threads 2 --batch-size 1000 --load-index "$WORK/sharded.ngsx"
 cmp "$WORK/corrected_sharded.fastq" "$WORK/corrected_sap.fastq"
 
-# A truncated sharded file is rejected with the index exit code.
+# A truncated budget-built file is rejected with the index exit code.
 head -c 4096 "$WORK/sharded.ngsx" > "$WORK/sharded_trunc.ngsx"
 expect_exit 4 "$BIN_DIR/ngs_index" verify --index "$WORK/sharded_trunc.ngsx"
 
@@ -353,7 +351,7 @@ expect_exit 4 "$BIN_DIR/ngs_index" verify --index "$WORK/sharded_trunc.ngsx"
   2>"$WORK/stderr.txt"
 grep -q "spill: pass 1 stayed under" "$WORK/stderr.txt"
 cmp "$WORK/corrected_budget.fastq" "$WORK/corrected_sap.fastq"
-# The sharded version-2 file matches ngs-index build's byte for byte.
+# The budget-built file matches ngs-index build's byte for byte.
 cmp "$WORK/sharded.ngsx" "$WORK/sap_sharded.ngsx"
 
 # Long-lived correction service: the daemon serves $WORK/sap.ngsx saved

@@ -60,11 +60,11 @@ int main(int argc, char** argv) {
                  true, "");
   cli.add_option("memory-budget-mb",
                  "bound the pass-1 spectrum build's own memory to N MiB, "
-                 "spilling to sharded disk bins; output is byte-identical "
+                 "spilling to disk bins; output is byte-identical "
                  "(0 = unlimited; streaming methods only)",
                  true, "0");
   cli.add_option("spill-dir",
-                 "directory for spill bins and the transient sharded index "
+                 "directory for spill bins and the transient index "
                  "under --memory-budget-mb (default: system temp dir)",
                  true, "");
   cli.add_option("on-bad-record",
@@ -186,12 +186,8 @@ int main(int argc, char** argv) {
     std::cerr << "spill: pass 1 stayed under "
               << (options.memory_budget_bytes >> 20) << " MiB (peak tracked "
               << result.spectrum_peak_tracked_bytes << " bytes), "
-              << result.spectrum_spilled_bytes << " bytes spilled";
-    if (result.spectrum_shards > 0) {
-      std::cerr << ", pass 2 queried " << result.spectrum_shards
-                << " index shards";
-    }
-    std::cerr << "\n";
+              << result.spectrum_spilled_bytes << " bytes spilled into "
+              << result.spectrum_spill_bins << " bins\n";
   }
   if (result.pass2_overlap.workers > 0) {
     const auto& s2 = result.pass2_overlap;

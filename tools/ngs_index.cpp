@@ -54,7 +54,6 @@ const char* section_label(index::SectionId id) {
     case index::SectionId::kCodes: return "codes";
     case index::SectionId::kCounts: return "counts";
     case index::SectionId::kBucketStarts: return "bucket_starts";
-    case index::SectionId::kShardTable: return "shard_table";
   }
   return "unknown";
 }
@@ -72,48 +71,19 @@ void print_info(const index::IndexInfo& info, const std::string& path) {
             << "  max_read_length: " << info.build.max_read_length << "\n"
             << "  file_bytes: " << info.file_bytes << "\n"
             << "  checksum: 0x" << std::hex << info.checksum << std::dec
-            << "\n";
-  if (info.shard_count > 0) {
-    std::cout << "  shard_count: " << info.shard_count << "\n"
-              << "  shard_bits: " << info.shard_bits << "\n"
-              << "  shards:\n";
-    const int shift = 2 * info.build.k - static_cast<int>(info.shard_bits);
-    for (const auto& shard : info.shards) {
-      // Per-shard section rows (bytes + checksum), matched by prefix.
-      std::cout << "    prefix=" << shard.prefix << " key_range=["
-                << (static_cast<std::uint64_t>(shard.prefix) << shift) << ", "
-                << (static_cast<std::uint64_t>(shard.prefix + 1) << shift)
-                << ") entries=" << shard.distinct
-                << " instances=" << shard.total_instances
-                << " prefix_index_bits=" << shard.prefix_index_bits << "\n";
-      for (const auto& s : info.sections) {
-        if (s.shard_prefix != shard.prefix ||
-            s.id == index::SectionId::kShardTable) {
-          continue;
-        }
-        std::cout << "      " << section_label(s.id) << ": offset="
-                  << s.offset << " bytes=" << s.bytes << " checksum=0x"
-                  << std::hex << s.checksum << std::dec << "\n";
-      }
-    }
-  }
-  std::cout << "  sections:\n";
+            << "\n"
+            << "  sections:\n";
   for (const auto& s : info.sections) {
-    std::cout << "    " << section_label(s.id);
-    if (info.shard_count > 0 &&
-        s.id != index::SectionId::kShardTable) {
-      std::cout << "[shard " << s.shard_prefix << "]";
-    }
-    std::cout << ": offset=" << s.offset << " bytes=" << s.bytes
-              << " checksum=0x" << std::hex << s.checksum << std::dec
-              << "\n";
+    std::cout << "    " << section_label(s.id) << ": offset=" << s.offset
+              << " bytes=" << s.bytes << " checksum=0x" << std::hex
+              << s.checksum << std::dec << "\n";
   }
 }
 
 /// Machine-readable `info --json`: one JSON object with the header
-/// fields, the per-shard summaries, and every section's extent and
-/// checksum. Checksums are emitted as hex strings (they exceed the
-/// interoperable 2^53 integer range); everything else is a number.
+/// fields and every section's extent and checksum. Checksums are
+/// emitted as hex strings (they exceed the interoperable 2^53 integer
+/// range); everything else is a number.
 void print_info_json(const index::IndexInfo& info, const std::string& path) {
   const auto hex = [](std::uint64_t v) {
     char buf[32];
@@ -144,29 +114,15 @@ void print_info_json(const index::IndexInfo& info, const std::string& path) {
             << ",\n"
             << "  \"file_bytes\": " << info.file_bytes << ",\n"
             << "  \"checksum\": \"" << hex(info.checksum) << "\",\n"
-            << "  \"shard_count\": " << info.shard_count << ",\n"
-            << "  \"shard_bits\": " << info.shard_bits << ",\n"
-            << "  \"shards\": [";
-  for (std::size_t i = 0; i < info.shards.size(); ++i) {
-    const auto& shard = info.shards[i];
-    std::cout << (i == 0 ? "\n" : ",\n")
-              << "    {\"prefix\": " << shard.prefix
-              << ", \"entries\": " << shard.distinct
-              << ", \"instances\": " << shard.total_instances
-              << ", \"prefix_index_bits\": " << shard.prefix_index_bits
-              << "}";
-  }
-  std::cout << (info.shards.empty() ? "],\n" : "\n  ],\n")
             << "  \"sections\": [";
   for (std::size_t i = 0; i < info.sections.size(); ++i) {
     const auto& s = info.sections[i];
     std::cout << (i == 0 ? "\n" : ",\n")
               << "    {\"id\": \"" << section_label(s.id) << "\""
-              << ", \"shard_prefix\": " << s.shard_prefix
               << ", \"offset\": " << s.offset << ", \"bytes\": " << s.bytes
               << ", \"checksum\": \"" << hex(s.checksum) << "\"}";
   }
-  std::cout << (info.sections.empty() ? "]\n" : "\n  ]\n") << "}\n";
+  std::cout << "\n  ]\n}\n";  // a valid table has at least two rows
 }
 
 int run_build(util::CliParser& cli) {
@@ -201,9 +157,9 @@ int run_build(util::CliParser& cli) {
             << " distinct kmers (" << step.spectrum.total_instances()
             << " instances) from " << step.input.reads << " reads in "
             << timer.seconds() << "s\n";
-  if (step.shards > 0) {
+  if (step.spilled) {
     std::cerr << "spilled " << step.spilled_bytes << " bytes into "
-              << step.shards << " prefix shards (peak tracked memory "
+              << step.spill_bins << " spill bins (peak tracked memory "
               << step.peak_tracked_bytes << " bytes)\n";
   }
   std::cerr << "wrote " << out << " (checksum 0x" << std::hex
@@ -273,7 +229,8 @@ int main(int argc, char** argv) {
                    "4096");
     cli.add_option("memory-budget-mb",
                    "bound the build's own memory to N MiB, spilling the "
-                   "spectrum to sharded disk bins (0 = unlimited)",
+                   "spectrum to disk bins; the index bytes are the same "
+                   "(0 = unlimited)",
                    true, "0");
     cli.add_option("spill-dir",
                    "directory for spill bins under --memory-budget-mb "
@@ -287,7 +244,7 @@ int main(int argc, char** argv) {
     cli.add_option("index", "index file to inspect", true, "");
     if (subcommand == "info") {
       cli.add_option("json",
-                     "emit the header/section/shard dump as JSON on stdout",
+                     "emit the header/section dump as JSON on stdout",
                      false);
     }
     cli.add_option("fault-spec",
