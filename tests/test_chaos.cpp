@@ -101,6 +101,17 @@ std::string temp_path(const std::string& name) {
          name;
 }
 
+/// Build provenance shared by the small k=12 test indexes.
+index::IndexBuildInfo test_build_info() {
+  index::IndexBuildInfo build;
+  build.k = 12;
+  build.both_strands = true;
+  build.input_reads = 10;
+  build.input_bases = 360;
+  build.max_read_length = 36;
+  return build;
+}
+
 /// Small deterministic spectrum + index file for the index.* sites.
 std::string write_test_index(const std::string& name) {
   std::vector<seq::KmerCode> codes;
@@ -112,14 +123,8 @@ std::string write_test_index(const std::string& name) {
   const auto spectrum =
       kspec::KSpectrum::from_sorted_counts(std::move(codes),
                                            std::move(counts), 12);
-  index::IndexBuildInfo build;
-  build.k = 12;
-  build.both_strands = true;
-  build.input_reads = 10;
-  build.input_bases = 360;
-  build.max_read_length = 36;
   const std::string path = temp_path(name + ".ngsx");
-  index::write_spectrum_index(path, spectrum, build);
+  index::write_spectrum_index(path, spectrum, test_build_info());
   return path;
 }
 
@@ -312,6 +317,47 @@ TEST_F(ChaosTest, SpillReadFailureIsTypedIoError) {
     EXPECT_EQ(e.site(), fault::sites::kSpillRead);
   }
   expect_fired(fault::sites::kSpillRead);
+}
+
+TEST_F(ChaosTest, ShardMmapFaultFallsBackToOwnedBuffers) {
+  // A spilled build appends one run per prefix bin (four here, k=12);
+  // its file is mapped once like any other, so the index.mmap fallback
+  // serves it from the owned buffer.
+  constexpr int k = 12;
+  constexpr int shard_bits = 2;
+  const std::string path = temp_path("shard_mmap.ngsx");
+  {
+    index::ShardedIndexWriter writer(path, test_build_info(), shard_bits, 4);
+    const seq::KmerCode span = seq::KmerCode{1} << (2 * k - shard_bits);
+    for (std::uint32_t p = 0; p < 4; ++p) {
+      std::vector<seq::KmerCode> codes;
+      std::vector<std::uint32_t> counts;
+      for (seq::KmerCode c = 3; c < 2000; c += 7) {
+        codes.push_back(p * span + c);
+        counts.push_back(1 + static_cast<std::uint32_t>(c % 9));
+      }
+      writer.append_shard(p, codes, counts);
+    }
+    writer.finish();
+  }
+
+  const auto direct = index::SpectrumIndex::load(path);
+  EXPECT_TRUE(direct.info().mapped);
+  reg().configure("index.mmap=always");
+  const auto fallback = index::SpectrumIndex::load(path);
+  EXPECT_FALSE(fallback.info().mapped)
+      << "mmap fault must force the owned-buffer path";
+  EXPECT_EQ(fallback.info().checksum, direct.info().checksum);
+  const auto& a = direct.spectrum();
+  const auto& b = fallback.spectrum();
+  ASSERT_EQ(b.size(), a.size());
+  for (std::size_t i = 0; i < a.size(); i += 97) {
+    EXPECT_EQ(b.code_at(i), a.code_at(i));
+    EXPECT_EQ(b.count_at(i), a.count_at(i));
+    EXPECT_EQ(b.index_of(a.code_at(i)), static_cast<std::int64_t>(i));
+  }
+  expect_fired(fault::sites::kIndexMmap);
+  std::remove(path.c_str());
 }
 
 TEST_F(ChaosTest, TransientOpenFaultIsRetriedAndAbsorbed) {

@@ -440,9 +440,9 @@ TEST(SpectrumIndex, RejectsResealedCraftedMetadata) {
   std::remove(path.c_str());
 }
 
-// --- The one writer ---------------------------------------------------
+// --- Multi-run writes -------------------------------------------------
 
-TEST(IndexWriter, MultiRunWritesMatchOneRunBytes) {
+TEST(ShardedIndex, RoundTripMatchesMonolith) {
   const int k = 16;
   const auto spread = spread_spectrum(k, 20000, 42);
   ASSERT_GT(spread.size(), 10000u);
@@ -452,14 +452,9 @@ TEST(IndexWriter, MultiRunWritesMatchOneRunBytes) {
 
   for (const kspec::KSpectrum* built : {&spread, &empty, &small}) {
     const std::string one = temp_path("one_run");
-    const std::string again = temp_path("one_run_again");
     const std::uint64_t checksum =
         index::write_spectrum_index(one, *built, build_info_for(*built));
-    index::write_spectrum_index(again, *built, build_info_for(*built));
     const std::string bytes = slurp(one);
-    EXPECT_EQ(slurp(again), bytes) << "one-run writes must be deterministic";
-    EXPECT_EQ(index::SpectrumIndex::read_info(one).format_version,
-              index::kFormatVersion);
 
     for (const int shard_bits : {1, 3, 8}) {
       const std::string multi = temp_path("multi_run");
@@ -488,8 +483,28 @@ TEST(IndexWriter, MultiRunWritesMatchOneRunBytes) {
       std::remove(multi.c_str());
     }
     std::remove(one.c_str());
-    std::remove(again.c_str());
   }
+}
+
+TEST(ShardedIndex, MonolithicFilesStayVersion1) {
+  // One-run and multi-run writes alike produce the flat version-1
+  // layout, and writing the same spectrum twice gives the same bytes.
+  const auto built = spread_spectrum(16, 2000, 8);
+  const std::string a = temp_path("v1_a");
+  const std::string b = temp_path("v1_b");
+  const std::string multi = temp_path("v1_multi");
+  index::write_spectrum_index(a, built, build_info_for(built));
+  index::write_spectrum_index(b, built, build_info_for(built));
+  write_runs(multi, built, 6);
+  EXPECT_EQ(slurp(a), slurp(b)) << "version-1 writes must stay deterministic";
+  for (const std::string& path : {a, multi}) {
+    const auto info = index::SpectrumIndex::read_info(path);
+    EXPECT_EQ(info.format_version, index::kFormatVersion) << path;
+    EXPECT_EQ(info.shard_count, 0u) << path;
+  }
+  std::remove(a.c_str());
+  std::remove(b.c_str());
+  std::remove(multi.c_str());
 }
 
 TEST(KSpectrum, ValidateSortedCountsFindsEachViolation) {
