@@ -1,12 +1,10 @@
 #include "baselines/hitec.hpp"
 
 #include <array>
-#include <mutex>
 #include <stdexcept>
 
 #include "seq/alphabet.hpp"
 #include "seq/kmer.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ngs::baselines {
 
@@ -74,23 +72,6 @@ seq::Read HitecCorrector::correct(const seq::Read& read,
     stats.corrections += applied;
     if (applied == 0) break;
   }
-  return out;
-}
-
-std::vector<seq::Read> HitecCorrector::correct_all(const seq::ReadSet& reads,
-                                                   HitecStats& stats) const {
-  std::vector<seq::Read> out(reads.reads.size());
-  std::mutex stats_mutex;
-  util::default_pool().parallel_for_blocked(
-      0, reads.reads.size(), [&](std::size_t lo, std::size_t hi) {
-        HitecStats local;
-        for (std::size_t i = lo; i < hi; ++i) {
-          out[i] = correct(reads.reads[i], local);
-        }
-        std::lock_guard<std::mutex> lock(stats_mutex);
-        stats.corrections += local.corrections;
-        stats.ambiguous_sites += local.ambiguous_sites;
-      });
   return out;
 }
 

@@ -11,7 +11,7 @@
 // extension is weak.
 
 #include <cstdint>
-#include <vector>
+#include <string>
 
 #include "kspec/kspectrum.hpp"
 #include "seq/read.hpp"
@@ -39,8 +39,6 @@ class HitecCorrector {
   HitecCorrector(kspec::KSpectrum extensions, HitecParams params);
 
   seq::Read correct(const seq::Read& read, HitecStats& stats) const;
-  std::vector<seq::Read> correct_all(const seq::ReadSet& reads,
-                                     HitecStats& stats) const;
 
  private:
   /// One left-to-right pass over `bases`; returns corrections applied.

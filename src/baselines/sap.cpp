@@ -5,9 +5,6 @@
 
 #include "seq/alphabet.hpp"
 #include "seq/kmer.hpp"
-#include "util/thread_pool.hpp"
-
-#include <mutex>
 
 namespace ngs::baselines {
 
@@ -23,72 +20,165 @@ SapCorrector::SapCorrector(kspec::KSpectrum spectrum, SapParams params)
   }
 }
 
-int SapCorrector::weak_kmers(std::string_view bases) const {
-  std::vector<seq::KmerCode> codes;
-  seq::extract_kmer_codes(bases, params_.k, codes);
-  int weak = 0;
-  for (const auto code : codes) {
-    weak += spectrum_.count(code) < params_.solid_threshold;
+std::size_t SapCorrector::scan_windows(std::string_view bases,
+                                       Scratch& scratch) const {
+  const int k = params_.k;
+  const auto ku = static_cast<std::size_t>(k);
+  const std::size_t n = bases.size();
+  const std::size_t windows = seq::max_kmer_windows(n, k);
+  const seq::KmerCode mask =
+      k == seq::kMaxK ? ~seq::KmerCode{0} : (seq::KmerCode{1} << (2 * k)) - 1;
+  auto& ambiguous = scratch.ambiguous;
+  auto& codes = scratch.codes;
+  ambiguous.resize(n + 1);
+  codes.resize(windows);
+  ambiguous[0] = 0;
+  seq::KmerCode code = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint8_t b = seq::base_to_code(bases[i]);
+    const bool is_ambiguous = b == seq::kInvalidBase;
+    ambiguous[i + 1] = ambiguous[i] + is_ambiguous;
+    code = ((code << 2) | (is_ambiguous ? 0u : b)) & mask;
+    if (i + 1 >= ku) codes[i + 1 - ku] = code;
   }
-  // Windows lost to ambiguous bases count as weak.
-  if (bases.size() >= static_cast<std::size_t>(params_.k)) {
-    const auto windows = bases.size() - static_cast<std::size_t>(params_.k) + 1;
-    weak += static_cast<int>(windows - codes.size());
+
+  scratch.index.resize(windows);
+  spectrum_.index_of_batch(codes, scratch.index);
+  auto& weak = scratch.weak;
+  weak.resize(windows + 1);
+  weak[0] = 0;
+  for (std::size_t w = 0; w < windows; ++w) {
+    const std::int64_t i = scratch.index[w];
+    const std::uint32_t count =
+        i < 0 ? 0 : spectrum_.count_at(static_cast<std::size_t>(i));
+    const bool is_weak = ambiguous[w + ku] != ambiguous[w] ||
+                         count < params_.solid_threshold;
+    weak[w + 1] = weak[w] + is_weak;
   }
-  return weak;
+  return weak[windows];
 }
 
-seq::Read SapCorrector::correct(const seq::Read& read, SapStats& stats) const {
+int SapCorrector::weak_kmers(std::string_view bases) const {
+  Scratch scratch;
+  return static_cast<int>(scan_windows(bases, scratch));
+}
+
+seq::Read SapCorrector::correct(const seq::Read& read, SapStats& stats,
+                                Scratch& scratch) const {
   seq::Read out = read;
-  int weak = weak_kmers(out.bases);
+  std::size_t weak = scan_windows(out.bases, scratch);
   if (weak == 0) {
     ++stats.reads_clean;
     return out;
   }
 
-  // Greedy: at each round, apply the single base change that removes the
-  // most weak kmers; stop when clean or no change improves. Only the
-  // kmers covering the mutated position can change solidity, so the
-  // evaluation is local.
-  const auto weak_covering = [&](const std::string& bases, std::size_t pos) {
-    const auto k = static_cast<std::size_t>(params_.k);
-    if (bases.size() < k) return 0;
-    const std::size_t lo = pos >= k - 1 ? pos - (k - 1) : 0;
-    const std::size_t hi = std::min(pos, bases.size() - k);
-    int weak_count = 0;
-    for (std::size_t s = lo; s <= hi; ++s) {
-      const auto code =
-          seq::encode_kmer(std::string_view(bases).substr(s, k));
-      if (!code || spectrum_.count(*code) < params_.solid_threshold) {
-        ++weak_count;
-      }
-    }
-    return weak_count;
+  // Greedy: each round applies the single base change that removes the
+  // most weak kmers, the lowest (position, base) among equals; stop when
+  // clean or no change improves. Only the kmers covering the mutated
+  // position can change solidity, so the evaluation is local: position
+  // p is covered by windows [lo(p), hi(p)], and `before` (its weak
+  // covering windows) is one prefix-sum difference.
+  const int k = params_.k;
+  const auto ku = static_cast<std::size_t>(k);
+  const std::size_t n = out.bases.size();
+  const std::size_t last = n - ku;  // weak > 0, so n >= k
+  auto& codes = scratch.codes;
+  auto& ambiguous = scratch.ambiguous;
+  auto& weak_prefix = scratch.weak;
+  auto& bucket = scratch.bucket;
+  auto& order = scratch.order;
+  const auto lo_of = [&](std::size_t pos) {
+    return pos >= ku - 1 ? pos - (ku - 1) : 0;
+  };
+  const auto hi_of = [&](std::size_t pos) { return std::min(pos, last); };
+  const auto before_of = [&](std::size_t pos) {
+    return weak_prefix[hi_of(pos) + 1] - weak_prefix[lo_of(pos)];
   };
 
   for (int edit = 0; edit < params_.max_edits && weak > 0; ++edit) {
-    int best_delta = 0;
+    // Visit positions by descending `before`, ties by ascending position:
+    // a counting order over buckets k - before (before <= k). Positions
+    // with before == 0 cannot remove a weak window and are left out.
+    bucket.assign(ku + 1, 0);
+    for (std::size_t pos = 0; pos < n; ++pos) ++bucket[ku - before_of(pos)];
+    std::size_t visits = 0;
+    for (std::size_t b = 0; b < ku; ++b) {
+      const std::size_t size = bucket[b];
+      bucket[b] = visits;
+      visits += size;
+    }
+    order.resize(visits);
+    for (std::size_t pos = 0; pos < n; ++pos) {
+      const std::size_t before = before_of(pos);
+      if (before > 0) order[bucket[ku - before]++] = pos;
+    }
+
+    // The best so far ranks by (delta desc, position asc, base asc), the
+    // order in which the position-major scan accepted a strictly larger
+    // delta. A candidate's delta starts at `before` and only falls as its
+    // windows are probed, so both cuts below are exact: a position whose
+    // `before` cannot win ends the visit (every later one ranks lower),
+    // and a candidate stops once its delta cannot win. A delta of 0 never
+    // wins (best_pos starts at 0), so the delta cannot wrap.
+    std::size_t best_delta = 0;
     std::size_t best_pos = 0;
-    char best_base = 0;
-    for (std::size_t pos = 0; pos < out.bases.size(); ++pos) {
-      const char original = out.bases[pos];
-      const int before = weak_covering(out.bases, pos);
-      if (before == 0) continue;
-      for (const char b : {'A', 'C', 'G', 'T'}) {
+    std::uint8_t best_base = seq::kInvalidBase;
+    std::uint64_t best_weak = 0;  // weak covering windows, bit s - lo
+    const auto can_win = [&](std::size_t delta, std::size_t pos) {
+      return delta > best_delta || (delta == best_delta && pos < best_pos);
+    };
+    for (const std::size_t pos : order) {
+      const std::size_t before = before_of(pos);
+      if (!can_win(before, pos)) break;
+      const std::size_t lo = lo_of(pos);
+      const std::size_t hi = hi_of(pos);
+      const std::uint8_t original = seq::base_to_code(out.bases[pos]);
+      // A window stays weak while it holds a non-ACGT base besides pos.
+      const std::size_t own = original == seq::kInvalidBase ? 1 : 0;
+      for (std::uint8_t b = 0; b < 4 && can_win(before, pos); ++b) {
         if (b == original) continue;
-        out.bases[pos] = b;
-        const int delta = before - weak_covering(out.bases, pos);
-        if (delta > best_delta) {
+        std::size_t delta = before;
+        std::uint64_t weak_windows = 0;
+        bool wins = true;
+        for (std::size_t s = lo; s <= hi && wins; ++s) {
+          if (ambiguous[s + ku] - ambiguous[s] > own ||
+              spectrum_.count(seq::kmer_with_base(
+                  codes[s], k, static_cast<int>(pos - s), b)) <
+                  params_.solid_threshold) {
+            weak_windows |= std::uint64_t{1} << (s - lo);
+            wins = can_win(--delta, pos);
+          }
+        }
+        if (wins) {
           best_delta = delta;
           best_pos = pos;
           best_base = b;
+          best_weak = weak_windows;
         }
       }
-      out.bases[pos] = original;
     }
-    if (best_base == 0) break;  // no improving change
-    out.bases[best_pos] = best_base;
+    if (best_base == seq::kInvalidBase) break;  // no improving change
+
+    // Apply it: patch the covering window codes, the ambiguous counts and
+    // the weak prefix sums in place (the covering windows lose
+    // best_delta weak ones, so every later prefix drops by as much).
+    if (seq::is_ambiguous(out.bases[best_pos])) {
+      for (std::size_t i = best_pos + 1; i <= n; ++i) --ambiguous[i];
+    }
+    out.bases[best_pos] = seq::code_to_base(best_base);
     ++stats.bases_changed;
+    const std::size_t lo = lo_of(best_pos);
+    const std::size_t hi = hi_of(best_pos);
+    std::size_t run = weak_prefix[lo];
+    for (std::size_t s = lo; s <= hi; ++s) {
+      codes[s] = seq::kmer_with_base(codes[s], k,
+                                     static_cast<int>(best_pos - s), best_base);
+      run += (best_weak >> (s - lo)) & 1u;
+      weak_prefix[s + 1] = run;
+    }
+    for (std::size_t w = hi + 2; w <= last + 1; ++w) {
+      weak_prefix[w] -= best_delta;
+    }
     weak -= best_delta;
   }
   if (weak == 0) {
@@ -96,25 +186,6 @@ seq::Read SapCorrector::correct(const seq::Read& read, SapStats& stats) const {
   } else {
     ++stats.reads_unfixable;
   }
-  return out;
-}
-
-std::vector<seq::Read> SapCorrector::correct_all(const seq::ReadSet& reads,
-                                                 SapStats& stats) const {
-  std::vector<seq::Read> out(reads.reads.size());
-  std::mutex stats_mutex;
-  util::default_pool().parallel_for_blocked(
-      0, reads.reads.size(), [&](std::size_t lo, std::size_t hi) {
-        SapStats local;
-        for (std::size_t i = lo; i < hi; ++i) {
-          out[i] = correct(reads.reads[i], local);
-        }
-        std::lock_guard<std::mutex> lock(stats_mutex);
-        stats.reads_clean += local.reads_clean;
-        stats.reads_fixed += local.reads_fixed;
-        stats.reads_unfixable += local.reads_unfixable;
-        stats.bases_changed += local.bases_changed;
-      });
   return out;
 }
 

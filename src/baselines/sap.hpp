@@ -12,6 +12,7 @@
 // k-spectrum ancestor Reptile is measured against.
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "kspec/kspectrum.hpp"
@@ -38,6 +39,17 @@ struct SapStats {
 
 class SapCorrector {
  public:
+  /// Per-read buffers of correct(), reused across the reads one worker
+  /// corrects. Window w covers bases [w, w + k).
+  struct Scratch {
+    std::vector<seq::KmerCode> codes;    // window codes, non-ACGT as 0
+    std::vector<std::int64_t> index;     // spectrum index of each window
+    std::vector<std::size_t> ambiguous;  // non-ACGT bases in [0, i)
+    std::vector<std::size_t> weak;       // weak windows in [0, w)
+    std::vector<std::size_t> bucket;     // visit-order offsets by `before`
+    std::vector<std::size_t> order;      // positions in visit order
+  };
+
   SapCorrector(const seq::ReadSet& reads, SapParams params);
 
   /// Builds from a pre-aggregated k-spectrum (e.g. streamed through
@@ -48,14 +60,22 @@ class SapCorrector {
   const SapParams& params() const noexcept { return params_; }
   const kspec::KSpectrum& spectrum() const noexcept { return spectrum_; }
 
-  /// Number of weak kmers in a read (0 = clean).
+  /// Number of weak kmers in a read (0 = clean): windows that hold a
+  /// non-ACGT base or occur fewer than M times.
   int weak_kmers(std::string_view bases) const;
 
-  seq::Read correct(const seq::Read& read, SapStats& stats) const;
-  std::vector<seq::Read> correct_all(const seq::ReadSet& reads,
-                                     SapStats& stats) const;
+  /// Greedy conversion: each round applies the lowest (position, base)
+  /// whose substitution removes the most weak covering windows, until
+  /// the read is clean, no change helps, or max_edits is spent.
+  seq::Read correct(const seq::Read& read, SapStats& stats,
+                    Scratch& scratch) const;
 
  private:
+  /// Rolls every window code of `bases` once, probes them in one batch
+  /// and fills the ambiguous and weak prefix counts; returns the number
+  /// of weak windows.
+  std::size_t scan_windows(std::string_view bases, Scratch& scratch) const;
+
   SapParams params_;
   kspec::KSpectrum spectrum_;
 };

@@ -7,6 +7,7 @@
 // FreClu, and the hybrid are whole-set algorithms.
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -21,6 +22,7 @@
 #include "redeem/error_dist.hpp"
 #include "redeem/hybrid.hpp"
 #include "reptile/corrector.hpp"
+#include "seq/kmer.hpp"
 #include "shrec/shrec.hpp"
 
 namespace ngs::core {
@@ -34,6 +36,18 @@ sim::ErrorModel misread_model(const CorrectorConfig& config,
   if (config.error_model) return *config.error_model;
   const std::size_t len = std::max(max_read_length, static_cast<std::size_t>(k));
   return sim::ErrorModel::illumina(len, config.error_rate);
+}
+
+/// Throws std::invalid_argument unless `spectrum_k`, the length of the
+/// k-mers `method` counts at its k, fits one packed code.
+void require_spectrum_k(std::string_view method, int k,
+                        std::int64_t spectrum_k) {
+  if (spectrum_k < 1 || spectrum_k > seq::kMaxK) {
+    throw std::invalid_argument(
+        std::string(method) + ": k=" + std::to_string(k) + " needs a " +
+        std::to_string(spectrum_k) + "-mer spectrum, outside [1, " +
+        std::to_string(seq::kMaxK) + "]");
+  }
 }
 
 InputSummary summarize(const seq::ReadSet& reads) {
@@ -119,10 +133,17 @@ class ReptileAdapter final : public Corrector {
   std::unique_ptr<reptile::TileDecisionCache> cache_;
 };
 
+/// Per-worker scratch for the SAP adapter: the corrector's window-code,
+/// prefix-sum and visit-order buffers, reused across every batch.
+struct SapScratch final : BatchScratch {
+  baselines::SapCorrector::Scratch scratch;
+};
+
 class SapAdapter final : public Corrector {
  public:
   explicit SapAdapter(const CorrectorConfig& config) {
     if (config.k > 0) params_.k = config.k;
+    require_spectrum_k(method(), params_.k, params_.k);
   }
 
   std::string_view method() const noexcept override { return "sap"; }
@@ -142,13 +163,20 @@ class SapAdapter final : public Corrector {
     mark_ready();
   }
 
+  std::unique_ptr<BatchScratch> make_scratch() const override {
+    return std::make_unique<SapScratch>();
+  }
+
   void correct_batch(std::span<const seq::Read> in,
                      std::vector<seq::Read>& out, CorrectionReport& report,
-                     BatchScratch* /*scratch*/) const override {
+                     BatchScratch* scratch) const override {
     require_ready();
+    SapScratch local_scratch;
+    auto* ss = dynamic_cast<SapScratch*>(scratch);
+    if (ss == nullptr) ss = &local_scratch;
     baselines::SapStats stats;
     for (const auto& read : in) {
-      auto corrected = corrector_->correct(read, stats);
+      auto corrected = corrector_->correct(read, stats, ss->scratch);
       tally_read(read, corrected, report);
       out.push_back(std::move(corrected));
     }
@@ -166,6 +194,7 @@ class HitecAdapter final : public Corrector {
  public:
   explicit HitecAdapter(const CorrectorConfig& config) {
     if (config.k > 0) params_.k = config.k;
+    require_spectrum_k(method(), params_.k, std::int64_t{params_.k} + 1);
   }
 
   std::string_view method() const noexcept override { return "hitec"; }
@@ -204,7 +233,9 @@ class HitecAdapter final : public Corrector {
 class RedeemAdapter final : public Corrector {
  public:
   explicit RedeemAdapter(const CorrectorConfig& config)
-      : config_(config), k_(config.k > 0 ? config.k : 11) {}
+      : config_(config), k_(config.k > 0 ? config.k : 11) {
+    require_spectrum_k(method(), k_, k_);
+  }
 
   std::string_view method() const noexcept override { return "redeem"; }
   int spectrum_k() const noexcept override { return k_; }

@@ -9,6 +9,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "core/corrector.hpp"
 #include "core/pipeline.hpp"
@@ -99,6 +100,35 @@ TEST(Registry, StreamingFlagMatchesSpectrumK) {
     const auto corrector = core::make_corrector(m.name, config);
     EXPECT_EQ(m.streaming, corrector->spectrum_k() > 0) << m.name;
     EXPECT_FALSE(corrector->ready()) << m.name;
+  }
+}
+
+// A spectrum method's k-mers must fit one packed code: sap takes k = 32,
+// and a k whose spectrum would not fit (sap 33, hitec 32 with its
+// (k+1)-mer witnesses, redeem 33) is rejected with a message naming the
+// method, k and the range.
+TEST(Registry, RejectsSpectrumKOutsidePackedRange) {
+  core::CorrectorConfig config;
+  config.k = 32;
+  EXPECT_EQ(core::make_corrector("sap", config)->spectrum_k(), 32);
+  EXPECT_EQ(core::make_corrector("redeem", config)->spectrum_k(), 32);
+  config.k = 31;
+  EXPECT_EQ(core::make_corrector("hitec", config)->spectrum_k(), 32);
+
+  const std::pair<const char*, int> rejected[] = {
+      {"sap", 33}, {"hitec", 32}, {"redeem", 33}};
+  for (const auto& [method, k] : rejected) {
+    config.k = k;
+    try {
+      core::make_corrector(method, config);
+      ADD_FAILURE() << method << " accepted k=" << k;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(method), std::string::npos) << what;
+      EXPECT_NE(what.find("k=" + std::to_string(k)), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("[1, 32]"), std::string::npos) << what;
+    }
   }
 }
 

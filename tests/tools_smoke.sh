@@ -174,6 +174,20 @@ cmp "$WORK/ambiguous_1.fastq" "$WORK/ambiguous_4.fastq"
 grep -q "ambiguous_converted=[1-9]" "$WORK/ambiguous_1.txt"
 grep -q "reptile_params=k:10,tile:20," "$WORK/ambiguous_1.txt"
 
+# SAP on the same reads: byte-identical at 1, 2 and 4 threads (each
+# worker reuses its own scratch), and substituting an N can make its
+# windows solid, so the output holds fewer N's than the input.
+for t in 1 2 4; do
+  "$BIN_DIR/ngs_correct" --in "$WORK/ambiguous.fastq" \
+    --out "$WORK/ambiguous_sap_$t.fastq" --method sap \
+    --genome-length 20000 --threads "$t" 2>/dev/null
+done
+cmp "$WORK/ambiguous_sap_1.fastq" "$WORK/ambiguous_sap_2.fastq"
+cmp "$WORK/ambiguous_sap_1.fastq" "$WORK/ambiguous_sap_4.fastq"
+count_n() { awk 'NR % 4 == 2' "$1" | tr -cd 'N' | wc -c; }
+[ "$(count_n "$WORK/ambiguous_sap_1.fastq")" -lt \
+  "$(count_n "$WORK/ambiguous.fastq")" ]
+
 # Cluster the simulated reads as FASTA (exercises the FASTA path).
 head -4000 "$WORK/reads.fastq" | awk 'NR%4==1{sub(/^@/,">");print} NR%4==2{print}' \
   > "$WORK/reads.fasta"
@@ -200,6 +214,23 @@ grep -q "no.such.site" "$WORK/stderr.txt"
 expect_exit 2 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
   --out "$WORK/x.fastq" --method reptile --genome-length 20000 --k 17
 grep -q "tile length 2k - l = 34" "$WORK/stderr.txt"
+
+# A k whose spectrum does not fit a 64-bit code is a config error: --k
+# above 32, hitec's (k+1)-mer witnesses at k = 32, and a value that
+# would wrap to a valid int.
+expect_exit 2 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
+  --out "$WORK/x.fastq" --method sap --k 33
+grep -q -- "--k" "$WORK/stderr.txt"
+expect_exit 2 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
+  --out "$WORK/x.fastq" --method hitec --k 32
+grep -q "hitec: k=32" "$WORK/stderr.txt"
+expect_exit 2 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
+  --out "$WORK/x.fastq" --method sap --k 4294967308
+grep -q -- "--k" "$WORK/stderr.txt"
+expect_exit 2 "$BIN_DIR/ngs_index" build --in "$WORK/reads.fastq" \
+  --out "$WORK/x.ngsx" --k 4294967308
+test ! -e "$WORK/x.fastq"
+test ! -e "$WORK/x.ngsx"
 
 # Missing/unreadable input -> 3.
 expect_exit 3 "$BIN_DIR/ngs_correct" --in "$WORK/nonexistent.fastq" \

@@ -21,6 +21,7 @@
 #include "core/pipeline.hpp"
 #include "core/registry.hpp"
 #include "fault/fault.hpp"
+#include "seq/kmer.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/memory.hpp"
@@ -36,8 +37,10 @@ int main(int argc, char** argv) {
                  true, "reptile");
   cli.add_option("genome-length", "genome length estimate (bp)", true,
                  "1000000");
-  cli.add_option("k", "kmer length (0 = choose from genome length)", true,
-                 "0");
+  cli.add_option("k",
+                 "kmer length in [0, 32] (0 = the method's default, or "
+                 "chosen from the genome length)",
+                 true, "0");
   cli.add_option("error-rate", "error-rate estimate for redeem/hybrid", true,
                  "0.01");
   cli.add_option("threads",
@@ -108,6 +111,7 @@ int main(int argc, char** argv) {
       fault::Registry::instance().configure(cli.get("fault-spec"));
     }
     config.genome_length = cli.get_size("genome-length", 1000000);
+    config.k = static_cast<int>(cli.get_size("k", 0, 0, seq::kMaxK));
     config.tile_cache_mb = cli.get_size("tile-cache-mb", 32);
     options.threads = cli.get_size("threads", 0);
     options.batch_size = cli.get_size("batch-size", 4096, 1);
@@ -117,7 +121,6 @@ int main(int argc, char** argv) {
     std::cerr << "ngs-correct: " << e.what() << "\n";
     return tool_exit_code(e.kind());
   }
-  config.k = static_cast<int>(cli.get_int("k", 0));
   config.error_rate = cli.get_double("error-rate", 0.01);
 
   io::BadRecordPolicy bad_record_policy = io::BadRecordPolicy::kFail;

@@ -27,6 +27,7 @@
 
 #include "io/fastq_stream.hpp"
 #include "io/fastx.hpp"
+#include "seq/kmer.hpp"
 #include "service/client.hpp"
 #include "util/atomic_file.hpp"
 #include "util/cli.hpp"
@@ -47,8 +48,10 @@ int main(int argc, char** argv) {
                  "reptile");
   cli.add_option("genome-length", "genome length estimate (bp)", true,
                  "1000000");
-  cli.add_option("k", "kmer length (0 = choose from genome length)", true,
-                 "0");
+  cli.add_option("k",
+                 "kmer length in [0, 32] (0 = the method's default, or "
+                 "chosen from the genome length)",
+                 true, "0");
   cli.add_option("error-rate", "error-rate estimate for redeem/hybrid", true,
                  "0.01");
   cli.add_option("batch-size", "reads per request batch", true, "1024");
@@ -105,7 +108,8 @@ int main(int argc, char** argv) {
 
     service::HelloRequest hello;
     hello.method = cli.get("method", "reptile");
-    hello.k = static_cast<std::int32_t>(cli.get_int("k", 0));
+    hello.k =
+        static_cast<std::int32_t>(cli.get_size("k", 0, 0, seq::kMaxK));
     hello.genome_length =
         static_cast<std::uint64_t>(cli.get_int("genome-length", 1000000));
     hello.error_rate = cli.get_double("error-rate", 0.01);

@@ -133,13 +133,8 @@ int run_build(util::CliParser& cli) {
               << cli.usage();
     return 2;
   }
-  const int k = static_cast<int>(cli.get_int("k", 12));
+  const int k = static_cast<int>(cli.get_size("k", 12, 1, seq::kMaxK));
   const bool both_strands = cli.get_int("both-strands", 1) != 0;
-  if (k < 1 || k > seq::kMaxK) {
-    std::cerr << "ngs-index build: --k must be in [1, " << seq::kMaxK
-              << "]\n";
-    return 2;
-  }
   // The same pass 1 as ngs-correct --save-index, so both write the same
   // bytes from the same reads.
   core::PipelineOptions options;
@@ -219,7 +214,7 @@ int main(int argc, char** argv) {
   if (subcommand == "build") {
     cli.add_option("in", "input FASTQ", true, "");
     cli.add_option("out", "output index path", true, "");
-    cli.add_option("k", "kmer length", true, "12");
+    cli.add_option("k", "kmer length in [1, 32]", true, "12");
     cli.add_option("both-strands",
                    "include reverse-complement strands (1) or not (0)", true,
                    "1");
