@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "kspec/radix.hpp"
-#include "seq/alphabet.hpp"
+#include "kspec/read_windows.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ngs::kspec {
@@ -16,15 +16,15 @@ ChunkedSpectrumBuilder::ChunkedSpectrumBuilder(int k, bool both_strands,
                                                SpillOptions spill)
     : k_(k),
       both_strands_(both_strands),
-      batch_instances_(std::max<std::size_t>(1024, batch_instances)),
       pool_(pool),
+      buffer_capacity_(std::max<std::size_t>(1024, batch_instances)),
       memory_budget_(spill.memory_budget_bytes) {
   if (memory_budget_ > 0) {
     spill_shard_bits_ = std::min(kSpillShardBits, 2 * k);
-    // A third of the budget buffers raw instances; the spill-bin
-    // buffers take ~a sixth; the rest covers one bin's finish-phase
-    // read + sort + count arrays (see note_tracked).
-    spill_threshold_ = std::max<std::size_t>(
+    // A third of the budget buffers raw instances before they spill;
+    // the spill-bin buffers take ~a sixth; the rest covers one bin's
+    // finish-phase read + scratch + count arrays (see note_tracked).
+    buffer_capacity_ = std::max<std::size_t>(
         4096, memory_budget_ / (3 * sizeof(seq::KmerCode)));
     if (!spill.spill_dir.empty()) {
       spill_dir_ = spill.spill_dir;
@@ -40,7 +40,8 @@ ChunkedSpectrumBuilder::~ChunkedSpectrumBuilder() = default;
 
 void ChunkedSpectrumBuilder::note_tracked(std::size_t finish_phase_bytes) {
   if (memory_budget_ == 0) return;
-  std::size_t current = buffer_.capacity() * sizeof(seq::KmerCode);
+  std::size_t current =
+      (buffer_.capacity() + scratch_.capacity()) * sizeof(seq::KmerCode);
   if (partitioner_ != nullptr) current += partitioner_->buffer_bytes();
   current += finish_phase_bytes;
   peak_tracked_bytes_ = std::max(peak_tracked_bytes_, current);
@@ -52,21 +53,24 @@ void ChunkedSpectrumBuilder::add_read(std::string_view bases) {
     spill_bytes_ = 0;
     finish_pending_reset_ = false;
   }
-  if (memory_budget_ > 0 && buffer_.capacity() == 0) {
-    // One up-front reservation so growth never doubles past the
-    // threshold; the slack absorbs the final read's windows.
-    buffer_.reserve(spill_threshold_ + 4096);
-  }
-  seq::extract_kmer_codes(bases, k_, buffer_);
-  if (both_strands_) {
-    const std::string rc = seq::reverse_complement(bases);
-    seq::extract_kmer_codes(rc, k_, buffer_);
-  }
+  if (buffer_.capacity() == 0) buffer_.reserve(buffer_capacity_);
+  detail::for_each_window(
+      bases, k_, [this](seq::KmerCode forward, seq::KmerCode reverse,
+                        std::size_t) {
+        push(forward);
+        if (both_strands_) push(reverse);
+      });
   peak_buffered_ = std::max(peak_buffered_, buffer_.size());
+  note_tracked(0);
+}
+
+void ChunkedSpectrumBuilder::push(seq::KmerCode code) {
+  buffer_.push_back(code);
+  if (buffer_.size() < buffer_capacity_) return;
+  peak_buffered_ = buffer_capacity_;
   if (memory_budget_ > 0) {
-    note_tracked(0);
-    if (buffer_.size() >= spill_threshold_) spill_buffer();
-  } else if (buffer_.size() >= batch_instances_) {
+    spill_buffer();
+  } else {
     flush_batch();
   }
 }
@@ -94,27 +98,15 @@ void ChunkedSpectrumBuilder::add_read_batch(std::span<const seq::Read> reads) {
   for (const auto& r : reads) add_read(r.bases);
 }
 
-void ChunkedSpectrumBuilder::add_fastq(std::istream& fastq) {
-  // Record-at-a-time FASTQ scan; malformed records raise as in io::.
-  std::string header, bases, plus, qual;
-  while (std::getline(fastq, header)) {
-    if (header.empty()) continue;
-    if (!std::getline(fastq, bases) || !std::getline(fastq, plus) ||
-        !std::getline(fastq, qual)) {
-      throw std::runtime_error("ChunkedSpectrumBuilder: truncated FASTQ");
-    }
-    if (!bases.empty() && bases.back() == '\r') bases.pop_back();
-    add_read(bases);
-  }
-}
-
 void ChunkedSpectrumBuilder::flush_batch() {
   if (buffer_.empty()) return;
   Run run;
   RadixSortOptions radix;
   radix.pool = pool_;  // nullptr -> default pool
-  radix_sort_and_count(std::move(buffer_), k_, run.codes, run.counts, radix);
-  buffer_ = {};
+  radix_sort_and_count(std::span<seq::KmerCode>(buffer_), scratch_, k_,
+                       run.codes, run.counts, radix);
+  note_tracked(0);
+  buffer_.clear();  // capacity is kept for the next batch
 
   // Binary-counter merging: a new run cascades into equal-or-smaller
   // predecessors, keeping O(log batches) live runs.
@@ -124,6 +116,13 @@ void ChunkedSpectrumBuilder::flush_batch() {
     ++merge_rounds_;
   }
   runs_.push_back(std::move(run));
+}
+
+void ChunkedSpectrumBuilder::release_buffers() {
+  // NB: `buffer_ = {}` would assign an empty initializer_list and keep
+  // the capacity; move-assigning a fresh vector actually releases it.
+  buffer_ = std::vector<seq::KmerCode>();
+  scratch_ = std::vector<seq::KmerCode>();
 }
 
 ChunkedSpectrumBuilder::Run ChunkedSpectrumBuilder::merge_runs(const Run& a,
@@ -168,9 +167,7 @@ void ChunkedSpectrumBuilder::flush_spill() {
   partitioner_->close_writes();
   spill_bytes_ = partitioner_->spilled_bytes();
   spill_flushed_ = true;
-  // NB: `buffer_ = {}` would assign an empty initializer_list and keep
-  // the capacity; move-assigning a fresh vector actually releases it.
-  buffer_ = std::vector<seq::KmerCode>();
+  release_buffers();
 }
 
 std::size_t ChunkedSpectrumBuilder::spill_nonempty_bins() const noexcept {
@@ -179,6 +176,7 @@ std::size_t ChunkedSpectrumBuilder::spill_nonempty_bins() const noexcept {
 
 void ChunkedSpectrumBuilder::reset_spill_state() {
   partitioner_.reset();  // removes the bin files
+  release_buffers();
   spilled_ = false;
   spill_flushed_ = false;
   finish_pending_reset_ = true;
@@ -193,28 +191,25 @@ void ChunkedSpectrumBuilder::finish_spilled(
   }
   flush_spill();
   try {
+    // A bin's codes share their top spill_shard_bits(), so partitioning
+    // them by prefix would find one bucket: sort each bin as one bucket
+    // on this thread.
+    RadixSortOptions radix;
+    radix.radix_bits = 0;
     for (std::size_t b = 0; b < partitioner_->bin_count(); ++b) {
       if (partitioner_->bin_instances(b) == 0) continue;
       std::vector<seq::KmerCode> codes = partitioner_->read_bin(b);
-      // Bins are a fraction of the multiset, so the in-place serial
-      // sort (no partition copy) is the memory-lean choice: the bin's
-      // 8n code bytes plus its 12n output bytes, and nothing else.
-      std::sort(codes.begin(), codes.end());
+      const std::size_t code_bytes = codes.size() * sizeof(seq::KmerCode);
       SortedRun run;
       run.prefix = static_cast<std::uint32_t>(b);
-      run.codes.reserve(codes.size());
-      run.counts.reserve(codes.size());
-      for (std::size_t i = 0; i < codes.size();) {
-        std::size_t j = i;
-        while (j < codes.size() && codes[j] == codes[i]) ++j;
-        run.codes.push_back(codes[i]);
-        run.counts.push_back(static_cast<std::uint32_t>(j - i));
-        i = j;
-      }
-      note_tracked(codes.capacity() * sizeof(seq::KmerCode) +
-                   run.codes.capacity() * sizeof(seq::KmerCode) +
-                   run.counts.capacity() * sizeof(std::uint32_t));
-      codes = std::vector<seq::KmerCode>();  // free before handing off
+      radix_sort_and_count(std::move(codes), k_, run.codes, run.counts,
+                           radix);
+      // The kernel holds the bin and its scratch, then releases one of
+      // them before it allocates the run.
+      note_tracked(std::max(2 * code_bytes,
+                            code_bytes +
+                                run.codes.capacity() * sizeof(seq::KmerCode) +
+                                run.counts.capacity() * sizeof(std::uint32_t)));
       consume(std::move(run));
     }
   } catch (...) {
@@ -243,6 +238,7 @@ KSpectrum ChunkedSpectrumBuilder::finish(int* merge_rounds) {
                                          std::move(all.counts), k_);
   }
   flush_batch();
+  release_buffers();
   // Tree reduction: merge disjoint run pairs concurrently per round
   // (counts over equal keys are associative and commutative, so any
   // merge order yields the identical final arrays).

@@ -12,14 +12,17 @@
 // proportional to the *distinct*-kmer volume plus one batch — never the
 // full instance multiset that KSpectrum::build materializes.
 //
-// Batch sorts go through the radix-partitioned parallel path
-// (kspec/radix.hpp) and the final cascade merges independent run pairs
-// concurrently on the same pool, so pass 1 of the correction pipeline
-// scales with cores while producing byte-identical spectra.
+// Each build allocates one instance buffer and one sort scratch array,
+// reuses both for every batch, and releases them before the final
+// merge. A batch is sorted and counted by the radix kernel
+// (kspec/radix.hpp) the moment the buffer fills, mid-read if need be,
+// so the buffer never grows past its capacity whatever the read
+// length. The final cascade merges independent run pairs concurrently
+// on the same pool, so pass 1 of the correction pipeline scales with
+// cores while producing byte-identical spectra.
 
 #include <cstdint>
 #include <functional>
-#include <istream>
 #include <memory>
 #include <span>
 #include <string>
@@ -61,8 +64,9 @@ inline constexpr int kSpillShardBits = 6;
 
 class ChunkedSpectrumBuilder {
  public:
-  /// `batch_instances` bounds the number of kmer instances buffered
-  /// before a batch is sorted and merged (the "portion of main memory").
+  /// `batch_instances` (at least 1024) is the capacity of the instance
+  /// buffer: a batch is sorted and merged when it fills (the "portion of
+  /// main memory").
   /// `pool` runs batch sorts and run merges; nullptr = the shared
   /// default pool. A non-zero `spill.memory_budget_bytes` switches to
   /// the out-of-core path (batch_instances is then superseded by the
@@ -73,7 +77,9 @@ class ChunkedSpectrumBuilder {
                                   SpillOptions spill = {});
   ~ChunkedSpectrumBuilder();
 
-  /// Streams one read's kmers into the current batch.
+  /// Streams one read's kmers (and, with both strands, each window's
+  /// reverse complement) into the current batch, flushing or spilling
+  /// whenever the buffer fills.
   void add_read(std::string_view bases);
 
   /// Adds every read of a set.
@@ -81,9 +87,6 @@ class ChunkedSpectrumBuilder {
 
   /// Adds every read of one streamed batch.
   void add_read_batch(std::span<const seq::Read> reads);
-
-  /// Adds every read of a FASTQ stream without materializing the set.
-  void add_fastq(std::istream& fastq);
 
   /// Finalizes: flushes the last batch and returns the spectrum.
   /// The builder is left empty and reusable. On a spilled build this
@@ -109,13 +112,15 @@ class ChunkedSpectrumBuilder {
   void flush_spill();
 
   /// Out-of-core finalization: reads each non-empty spill bin back,
-  /// sorts and counts it in isolation, and hands the runs to `consume`
-  /// in ascending prefix order. Peak memory is one bin at a time — the
-  /// full spectrum never exists in this process unless the consumer
-  /// accumulates it. The builder is left empty and reusable.
+  /// sorts and counts it in isolation with the radix kernel, and hands
+  /// the runs to `consume` in ascending prefix order. Peak memory is one
+  /// bin at a time — the full spectrum never exists in this process
+  /// unless the consumer accumulates it. The builder is left empty and
+  /// reusable.
   void finish_spilled(const std::function<void(SortedRun&&)>& consume);
 
-  /// Peak number of buffered instances observed (for tests/telemetry).
+  /// Peak number of buffered instances observed (for tests/telemetry);
+  /// never more than the buffer's capacity.
   std::size_t peak_buffered() const noexcept { return peak_buffered_; }
 
   // --- Budget-mode observability (all zero/false without a budget) ---
@@ -131,11 +136,12 @@ class ChunkedSpectrumBuilder {
   /// Directory the spill files live in (resolved from SpillOptions).
   const std::string& spill_dir() const noexcept { return spill_dir_; }
   /// The builder's own memory accounting, maxed over the whole build:
-  /// instance-buffer capacity + spill-bin buffer capacity + the
-  /// per-bin read/sort/count arrays of the finish phase. This is the
-  /// number the bounded-memory acceptance test asserts against the
-  /// budget; it survives finish() so callers can read it afterwards
-  /// (reset by the next add_read on a reused builder).
+  /// instance-buffer capacity + sort-scratch capacity + spill-bin
+  /// buffer capacity + the per-bin read/sort/count arrays of the finish
+  /// phase. This is the number the bounded-memory acceptance test
+  /// asserts against the budget; it survives finish() so callers can
+  /// read it afterwards (reset by the next add_read on a reused
+  /// builder).
   std::size_t peak_tracked_bytes() const noexcept {
     return peak_tracked_bytes_;
   }
@@ -149,17 +155,25 @@ class ChunkedSpectrumBuilder {
     std::size_t size() const noexcept { return codes.size(); }
   };
 
+  void push(seq::KmerCode code);
   void flush_batch();
   static Run merge_runs(const Run& a, const Run& b);
   void spill_buffer();
+  void release_buffers();
   void note_tracked(std::size_t finish_phase_bytes);
   void reset_spill_state();
 
   int k_;
   bool both_strands_;
-  std::size_t batch_instances_;
   util::ThreadPool* pool_;
+  /// batch_instances, or under a budget the spill threshold (~budget/3
+  /// worth of 8-byte codes).
+  std::size_t buffer_capacity_;
+  /// Instances of the current batch; reserved to buffer_capacity_ once
+  /// per build and flushed (or spilled) as soon as it is full.
   std::vector<seq::KmerCode> buffer_;
+  /// The radix kernel's second buffer, kept across batches.
+  std::vector<seq::KmerCode> scratch_;
   /// Sorted distinct runs awaiting the final merge; run i holds ~2^i
   /// merged batches (binary-counter merging, so each instance is merged
   /// O(log batches) times).
@@ -171,9 +185,6 @@ class ChunkedSpectrumBuilder {
   std::size_t memory_budget_ = 0;
   std::string spill_dir_;
   int spill_shard_bits_ = 0;
-  /// Instances buffered before routing everything through the spill
-  /// partition (~budget/3 worth of 8-byte codes).
-  std::size_t spill_threshold_ = 0;
   std::unique_ptr<SpillPartitioner> partitioner_;
   bool spilled_ = false;
   bool spill_flushed_ = false;

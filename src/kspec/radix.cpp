@@ -1,6 +1,7 @@
 #include "kspec/radix.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cerrno>
@@ -21,34 +22,119 @@ namespace ngs::kspec {
 
 namespace {
 
-/// Shift that maps a code to its bucket: bucket = code >> shift. The key
-/// occupies the low 2k bits of the word, so the top `bits` of the key
-/// start at bit 2k - bits.
-inline int bucket_shift(int k, int bits) noexcept { return 2 * k - bits; }
+/// Buckets this small are insertion-sorted: their counting passes would
+/// spend more on histograms than on codes.
+constexpr std::size_t kInsertionSortMax = 32;
+/// Widest LSD digit: a 256-entry histogram per pass.
+constexpr int kMaxDigitBits = 8;
+constexpr int kMaxPasses = (64 + kMaxDigitBits - 1) / kMaxDigitBits;
 
-struct Partition {
-  std::vector<seq::KmerCode> sorted;    // bucket-major, each bucket sorted
-  std::vector<std::size_t> offsets;     // size 2^bits + 1
+/// LSD passes over `key_bits` bits of digits at most kMaxDigitBits wide.
+int lsd_passes(int key_bits) noexcept {
+  return (key_bits + kMaxDigitBits - 1) / kMaxDigitBits;
+}
+
+void insertion_sort(seq::KmerCode* first, seq::KmerCode* last) noexcept {
+  if (first == last) return;
+  for (seq::KmerCode* i = first + 1; i < last; ++i) {
+    const seq::KmerCode code = *i;
+    seq::KmerCode* j = i;
+    for (; j > first && *(j - 1) > code; --j) *j = *(j - 1);
+    *j = code;
+  }
+}
+
+/// Sorts the n codes at `src` by their low `key_bits` bits (all higher
+/// bits must be equal across them) with LSD counting passes that
+/// ping-pong between `src` and `other`. One read fills every pass's
+/// histogram; a pass whose digit is the same for every code is skipped.
+/// Returns whichever of the two buffers holds the sorted codes.
+seq::KmerCode* lsd_sort(seq::KmerCode* src, seq::KmerCode* other,
+                        std::size_t n, int key_bits) noexcept {
+  if (n <= kInsertionSortMax) {
+    insertion_sort(src, src + n);
+    return src;
+  }
+  const int passes = lsd_passes(key_bits);
+  if (passes == 0) return src;  // no key bits left: all codes are equal
+  const int width = (key_bits + passes - 1) / passes;
+  const std::size_t radix = std::size_t{1} << width;
+  const seq::KmerCode mask = radix - 1;
+  // Only the first `radix` entries of the first `passes` rows are used;
+  // zeroing just those keeps a small bucket from paying for all 16 KiB.
+  std::array<std::array<std::size_t, std::size_t{1} << kMaxDigitBits>,
+             kMaxPasses>
+      counts;
+  for (int d = 0; d < passes; ++d) {
+    std::fill_n(counts[d].begin(), radix, std::size_t{0});
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const seq::KmerCode code = src[i];
+    for (int d = 0; d < passes; ++d) ++counts[d][(code >> (d * width)) & mask];
+  }
+  for (int d = 0; d < passes; ++d) {
+    const int shift = d * width;
+    auto& cursor = counts[d];
+    if (cursor[(src[0] >> shift) & mask] == n) continue;
+    std::size_t running = 0;
+    for (std::size_t q = 0; q < radix; ++q) {
+      const std::size_t c = cursor[q];
+      cursor[q] = running;
+      running += c;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const seq::KmerCode code = src[i];
+      other[cursor[(code >> shift) & mask]++] = code;
+    }
+    std::swap(src, other);
+  }
+  return src;
+}
+
+std::size_t count_runs(const seq::KmerCode* sorted, std::size_t n) noexcept {
+  std::size_t runs = n > 0;
+  for (std::size_t i = 1; i < n; ++i) runs += sorted[i] != sorted[i - 1];
+  return runs;
+}
+
+/// Bucket q of a sorted partition is data[offsets[q], offsets[q + 1]),
+/// ascending, with runs[q] distinct codes.
+struct SortedBuckets {
+  const seq::KmerCode* data = nullptr;
+  std::vector<std::size_t> offsets;
+  std::vector<std::size_t> runs;
 };
 
-/// Stable two-pass counting partition by the top `bits` key bits, then
-/// per-bucket sorts on the pool. Buckets cover disjoint ascending key
-/// ranges, so `sorted` is globally sorted on return.
-Partition partition_and_sort(std::vector<seq::KmerCode>&& codes, int k,
-                             int bits, util::ThreadPool& pool) {
-  const std::size_t n = codes.size();
+/// Sorts the n codes at `codes` with `scratch` (n codes) as the second
+/// buffer. bits == 0 is one bucket on the calling thread. Otherwise a
+/// stable two-pass counting partition by the top `bits` key bits
+/// scatters `codes` into `scratch`, and each bucket is LSD-sorted on the
+/// pool over the 2k - bits bits below its prefix, the input array being
+/// the other buffer. A bucket that runs every pass ends in `home`; one
+/// that skipped passes or was insertion-sorted is copied there if it
+/// ended in the other buffer, so one pointer locates every bucket.
+SortedBuckets sort_buckets(seq::KmerCode* codes, seq::KmerCode* scratch,
+                           std::size_t n, int k, int bits,
+                           util::ThreadPool* pool) {
+  SortedBuckets out;
+  if (bits == 0) {
+    out.data = lsd_sort(codes, scratch, n, 2 * k);
+    out.offsets = {0, n};
+    out.runs = {count_runs(out.data, n)};
+    return out;
+  }
   const std::size_t buckets = std::size_t{1} << bits;
-  const int shift = bucket_shift(k, bits);
+  const int shift = 2 * k - bits;
 
   // Pass 1: per-block histograms (blocks = contiguous input slices, one
   // task each), so the scatter below needs no atomics.
   const std::size_t num_blocks =
-      std::min<std::size_t>(std::max<std::size_t>(1, pool.size() * 4),
+      std::min<std::size_t>(std::max<std::size_t>(1, pool->size() * 4),
                             std::max<std::size_t>(1, n / 4096));
   const std::size_t block = (n + num_blocks - 1) / num_blocks;
   std::vector<std::vector<std::size_t>> histograms(
       num_blocks, std::vector<std::size_t>(buckets, 0));
-  pool.parallel_for(0, num_blocks, [&](std::size_t b) {
+  pool->parallel_for(0, num_blocks, [&](std::size_t b) {
     const std::size_t lo = b * block;
     const std::size_t hi = std::min(n, lo + block);
     auto& h = histograms[b];
@@ -58,38 +144,87 @@ Partition partition_and_sort(std::vector<seq::KmerCode>&& codes, int k,
   // Exclusive prefix sums: offsets[bucket] plus each block's start within
   // its bucket. Block-major order within a bucket keeps the partition
   // stable (input order preserved), hence deterministic.
-  Partition part;
-  part.offsets.assign(buckets + 1, 0);
+  out.offsets.assign(buckets + 1, 0);
   std::size_t running = 0;
   for (std::size_t q = 0; q < buckets; ++q) {
-    part.offsets[q] = running;
+    out.offsets[q] = running;
     for (std::size_t b = 0; b < num_blocks; ++b) {
       const std::size_t c = histograms[b][q];
       histograms[b][q] = running;  // becomes this block's write cursor
       running += c;
     }
   }
-  part.offsets[buckets] = running;
+  out.offsets[buckets] = running;
 
   // Pass 2: scatter. Each block owns disjoint write cursors.
-  part.sorted.resize(n);
-  seq::KmerCode* out = part.sorted.data();
-  pool.parallel_for(0, num_blocks, [&](std::size_t b) {
+  pool->parallel_for(0, num_blocks, [&](std::size_t b) {
     const std::size_t lo = b * block;
     const std::size_t hi = std::min(n, lo + block);
     auto& cursors = histograms[b];
     for (std::size_t i = lo; i < hi; ++i) {
-      out[cursors[codes[i] >> shift]++] = codes[i];
+      scratch[cursors[codes[i] >> shift]++] = codes[i];
     }
   });
-  codes.clear();
-  codes.shrink_to_fit();
 
-  // Per-bucket sorts; each bucket is small enough to be cache-friendly.
-  pool.parallel_for(0, buckets, [&](std::size_t q) {
-    std::sort(out + part.offsets[q], out + part.offsets[q + 1]);
+  const int key_bits = 2 * k - bits;
+  seq::KmerCode* const home = lsd_passes(key_bits) % 2 == 0 ? scratch : codes;
+  out.data = home;
+  out.runs.assign(buckets, 0);
+  pool->parallel_for(0, buckets, [&](std::size_t q) {
+    const std::size_t lo = out.offsets[q];
+    const std::size_t size = out.offsets[q + 1] - lo;
+    const seq::KmerCode* sorted =
+        lsd_sort(scratch + lo, codes + lo, size, key_bits);
+    if (sorted != home + lo) std::copy_n(sorted, size, home + lo);
+    out.runs[q] = count_runs(home + lo, size);
   });
-  return part;
+  return out;
+}
+
+/// Run-length encodes every bucket straight into its slice of the
+/// outputs. A run never crosses a bucket boundary (equal codes share a
+/// prefix).
+void encode_runs(const SortedBuckets& sorted,
+                 std::vector<seq::KmerCode>& out_codes,
+                 std::vector<std::uint32_t>& out_counts,
+                 util::ThreadPool* pool) {
+  const std::size_t buckets = sorted.runs.size();
+  std::vector<std::size_t> first(buckets + 1, 0);
+  for (std::size_t q = 0; q < buckets; ++q) {
+    first[q + 1] = first[q] + sorted.runs[q];
+  }
+  out_codes.resize(first[buckets]);
+  out_counts.resize(first[buckets]);
+  const auto encode = [&](std::size_t q) {
+    const seq::KmerCode* data = sorted.data;
+    const std::size_t hi = sorted.offsets[q + 1];
+    std::size_t w = first[q];
+    for (std::size_t i = sorted.offsets[q]; i < hi;) {
+      std::size_t j = i + 1;
+      while (j < hi && data[j] == data[i]) ++j;
+      out_codes[w] = data[i];
+      out_counts[w] = static_cast<std::uint32_t>(j - i);
+      ++w;
+      i = j;
+    }
+  };
+  if (buckets == 1) {
+    encode(0);
+  } else {
+    pool->parallel_for(0, buckets, encode);
+  }
+}
+
+/// The radix width a run uses: the caller's, clamped to the key, or the
+/// automatic choice.
+int radix_bits_for(std::size_t n, int k, const RadixSortOptions& options) {
+  return options.radix_bits < 0 ? choose_radix_bits(n, k)
+                                : std::min(options.radix_bits, 2 * k);
+}
+
+util::ThreadPool* pool_for(int bits, const RadixSortOptions& options) {
+  if (bits == 0) return nullptr;
+  return options.pool != nullptr ? options.pool : &util::default_pool();
 }
 
 }  // namespace
@@ -100,21 +235,6 @@ int choose_radix_bits(std::size_t n, int k) noexcept {
   // so the per-block histograms (2^bits words each) stay cheap.
   const int target = std::bit_width(n / 8192);
   return std::clamp(target, 4, std::min(2 * k, 14));
-}
-
-void radix_sort_codes(std::vector<seq::KmerCode>& codes, int k,
-                      const RadixSortOptions& options) {
-  const int bits = options.radix_bits < 0
-                       ? choose_radix_bits(codes.size(), k)
-                       : std::min(options.radix_bits, 2 * k);
-  if (bits <= 0 || codes.size() < 2) {
-    std::sort(codes.begin(), codes.end());
-    return;
-  }
-  util::ThreadPool& pool =
-      options.pool != nullptr ? *options.pool : util::default_pool();
-  Partition part = partition_and_sort(std::move(codes), k, bits, pool);
-  codes = std::move(part.sorted);
 }
 
 void serial_sort_and_count(std::vector<seq::KmerCode>&& codes,
@@ -136,45 +256,34 @@ void radix_sort_and_count(std::vector<seq::KmerCode>&& codes, int k,
                           std::vector<seq::KmerCode>& out_codes,
                           std::vector<std::uint32_t>& out_counts,
                           const RadixSortOptions& options) {
-  const int bits = options.radix_bits < 0
-                       ? choose_radix_bits(codes.size(), k)
-                       : std::min(options.radix_bits, 2 * k);
-  if (bits <= 0) {
-    serial_sort_and_count(std::move(codes), out_codes, out_counts);
-    return;
+  std::vector<seq::KmerCode> input = std::move(codes);
+  const std::size_t n = input.size();
+  const int bits = radix_bits_for(n, k, options);
+  util::ThreadPool* pool = pool_for(bits, options);
+  auto scratch = std::make_unique_for_overwrite<seq::KmerCode[]>(n);
+  const SortedBuckets sorted =
+      sort_buckets(input.data(), scratch.get(), n, k, bits, pool);
+  // Keep only the buffer holding the sorted codes while the outputs are
+  // allocated, so the peak stays at two arrays of n codes.
+  if (sorted.data == scratch.get()) {
+    input = std::vector<seq::KmerCode>();
+  } else {
+    scratch.reset();
   }
-  util::ThreadPool& pool =
-      options.pool != nullptr ? *options.pool : util::default_pool();
-  const Partition part = partition_and_sort(std::move(codes), k, bits, pool);
-  const std::size_t buckets = part.offsets.size() - 1;
-  const seq::KmerCode* sorted = part.sorted.data();
+  encode_runs(sorted, out_codes, out_counts, pool);
+}
 
-  // Aggregate per bucket: count distinct runs, prefix-sum into output
-  // offsets, then run-length encode each bucket straight into its slice.
-  // A run never crosses a bucket boundary (equal codes share a prefix).
-  std::vector<std::size_t> distinct(buckets + 1, 0);
-  pool.parallel_for(0, buckets, [&](std::size_t q) {
-    std::size_t runs = 0;
-    for (std::size_t i = part.offsets[q]; i < part.offsets[q + 1]; ++i) {
-      runs += (i == part.offsets[q] || sorted[i] != sorted[i - 1]);
-    }
-    distinct[q + 1] = runs;
-  });
-  for (std::size_t q = 0; q < buckets; ++q) distinct[q + 1] += distinct[q];
-
-  out_codes.resize(distinct[buckets]);
-  out_counts.resize(distinct[buckets]);
-  pool.parallel_for(0, buckets, [&](std::size_t q) {
-    std::size_t w = distinct[q];
-    for (std::size_t i = part.offsets[q]; i < part.offsets[q + 1];) {
-      std::size_t j = i;
-      while (j < part.offsets[q + 1] && sorted[j] == sorted[i]) ++j;
-      out_codes[w] = sorted[i];
-      out_counts[w] = static_cast<std::uint32_t>(j - i);
-      ++w;
-      i = j;
-    }
-  });
+void radix_sort_and_count(std::span<seq::KmerCode> codes,
+                          std::vector<seq::KmerCode>& scratch, int k,
+                          std::vector<seq::KmerCode>& out_codes,
+                          std::vector<std::uint32_t>& out_counts,
+                          const RadixSortOptions& options) {
+  const std::size_t n = codes.size();
+  if (scratch.size() < n) scratch.resize(n);
+  const int bits = radix_bits_for(n, k, options);
+  util::ThreadPool* pool = pool_for(bits, options);
+  encode_runs(sort_buckets(codes.data(), scratch.data(), n, k, bits, pool),
+              out_codes, out_counts, pool);
 }
 
 namespace {

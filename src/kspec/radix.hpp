@@ -1,20 +1,24 @@
 #pragma once
-// Parallel radix-partitioned sorting of packed kmer codes — the
-// construction engine behind KSpectrum and ChunkedSpectrumBuilder.
+// Parallel radix counting of packed kmer codes — the one construction
+// kernel behind KSpectrum, TileTable and ChunkedSpectrumBuilder.
 //
 // Codes are sharded by their top `radix_bits` bits (the 5'-most bases,
 // since the codec stores the first base in the most significant pair)
-// into 2^radix_bits buckets with a two-pass stable counting partition,
-// then each bucket is sorted independently on a util::ThreadPool.
-// Because the buckets cover disjoint, ascending key ranges, their
-// concatenation is globally sorted — the output is byte-identical to a
-// single std::sort over the whole array, for every thread count and
-// every radix width. Aggregation into unique (code, count) runs is also
-// per-bucket and therefore parallel.
+// into 2^radix_bits buckets with a two-pass stable counting partition.
+// Each bucket is then sorted on a util::ThreadPool by LSD counting
+// passes of at most 8 bits over the key bits below the prefix,
+// ping-ponging between the partition target and the input array, so
+// the kernel never holds more than two arrays of n codes. Because the
+// buckets cover disjoint, ascending key ranges, their concatenation is
+// globally sorted — the output is byte-identical to a single std::sort
+// over the whole array, for every thread count and every radix width.
+// Aggregation into unique (code, count) runs is also per-bucket and
+// therefore parallel.
 //
 // This is the Jellyfish-style parallel counting decomposition
-// (Marçais & Kingsford 2011) restricted to the exact, deterministic
-// sorted-array representation Sec. 2.3 of the paper builds on.
+// (Marçais & Kingsford 2011) with KMC's radix passes in place of a
+// comparison sort, restricted to the exact, deterministic sorted-array
+// representation Sec. 2.3 of the paper builds on.
 
 #include <cstdint>
 #include <memory>
@@ -33,11 +37,11 @@ namespace ngs::kspec {
 
 struct RadixSortOptions {
   /// Bucket count is 2^radix_bits. Negative = choose from input size
-  /// (targeting a few thousand codes per bucket); 0 = one bucket
-  /// (degenerates to a single sort).
+  /// (targeting a few thousand codes per bucket); 0 = one bucket, sorted
+  /// by LSD passes over the whole key on the calling thread.
   int radix_bits = -1;
   /// Pool for per-bucket work. nullptr = util::default_pool(). The
-  /// serial entry points below never touch a pool.
+  /// serial reference below never touches a pool.
   util::ThreadPool* pool = nullptr;
 };
 
@@ -46,23 +50,31 @@ struct RadixSortOptions {
 /// offset table stays small and never wider than the key itself.
 int choose_radix_bits(std::size_t n, int k) noexcept;
 
-/// Sorts `codes` ascending via the radix partition. Multiset- and
-/// byte-identical to std::sort(codes.begin(), codes.end()).
-void radix_sort_codes(std::vector<seq::KmerCode>& codes, int k,
-                      const RadixSortOptions& options = {});
-
 /// Sorts the instance multiset `codes` (destructively) and aggregates it
 /// into strictly ascending unique `out_codes` with parallel positive
 /// `out_counts` — the (R^k, multiplicity) arrays KSpectrum stores.
 /// Equivalent to sort + run-length encode, but partitioned: counting,
-/// sorting, and aggregation all run per-bucket on the pool.
+/// sorting, and aggregation all run per-bucket on the pool. The second
+/// buffer is allocated here, and whichever of the two does not hold the
+/// sorted codes is released before the outputs are allocated.
 void radix_sort_and_count(std::vector<seq::KmerCode>&& codes, int k,
                           std::vector<seq::KmerCode>& out_codes,
                           std::vector<std::uint32_t>& out_counts,
                           const RadixSortOptions& options = {});
 
-/// Serial reference paths (the seed implementation), kept callable so
-/// benches and tests can diff the parallel output against them.
+/// The same kernel over caller-owned buffers, for callers that count
+/// many batches: `codes` is clobbered, and `scratch` is the second
+/// buffer, grown to codes.size() when smaller and otherwise reused as
+/// is (its capacity is never released here).
+void radix_sort_and_count(std::span<seq::KmerCode> codes,
+                          std::vector<seq::KmerCode>& scratch, int k,
+                          std::vector<seq::KmerCode>& out_codes,
+                          std::vector<std::uint32_t>& out_counts,
+                          const RadixSortOptions& options = {});
+
+/// Serial reference path (the seed implementation: one std::sort and a
+/// run-length loop), kept as the `threads == 1` build and as the
+/// reference the tests diff the radix kernel against.
 void serial_sort_and_count(std::vector<seq::KmerCode>&& codes,
                            std::vector<seq::KmerCode>& out_codes,
                            std::vector<std::uint32_t>& out_counts);

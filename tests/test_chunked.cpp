@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "io/fastq_stream.hpp"
 #include "io/fastx.hpp"
 #include "kspec/chunked_builder.hpp"
 #include "sim/genome.hpp"
@@ -74,9 +75,50 @@ TEST(ChunkedBuilder, PeakBufferIsBounded) {
   constexpr std::size_t kBatch = 4096;
   kspec::ChunkedSpectrumBuilder builder(13, true, kBatch);
   builder.add_reads(run.reads);
-  // A read contributes at most 2*(L-k+1) instances past the threshold.
-  EXPECT_LE(builder.peak_buffered(), kBatch + 2 * 36);
+  // The buffer flushes the moment it fills, mid-read if need be.
+  EXPECT_LE(builder.peak_buffered(), kBatch);
   (void)builder.finish();
+}
+
+/// Random bases with an N every ~500, so windows restart mid-read.
+std::string random_read(util::Rng& rng, std::size_t length) {
+  std::string read(length, 'A');
+  for (char& c : read) c = "ACGT"[rng() % 4];
+  for (std::size_t i = rng() % 500; i < length; i += 400 + rng() % 200) {
+    read[i] = 'N';
+  }
+  return read;
+}
+
+TEST(ChunkedBuilder, ReadsLongerThanOneBatchMatchSerialBuild) {
+  util::Rng rng(21);
+  seq::ReadSet reads;
+  for (const std::size_t length : {3000ul, 700ul, 5000ul, 1024ul, 2500ul}) {
+    reads.reads.push_back({"r", random_read(rng, length), {}});
+  }
+  for (int i = 0; i < 3; ++i) reads.reads.push_back(reads.reads[i]);
+  kspec::SpectrumBuildOptions serial;
+  serial.threads = 1;
+  for (const bool both : {false, true}) {
+    const auto reference = kspec::KSpectrum::build(reads, 11, both, serial);
+    for (const std::size_t threads : {1ul, 2ul, 4ul}) {
+      util::ThreadPool pool(threads);
+      // 1024 is the floor, so the buffer fills in the middle of reads.
+      kspec::ChunkedSpectrumBuilder builder(11, both, 1024, &pool);
+      builder.add_reads(reads);
+      EXPECT_EQ(builder.peak_buffered(), 1024u);
+      const auto chunked = builder.finish();
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << threads << " both=" << both);
+      ASSERT_EQ(chunked.total_instances(), reference.total_instances());
+      ASSERT_TRUE(std::equal(chunked.codes().begin(), chunked.codes().end(),
+                             reference.codes().begin(),
+                             reference.codes().end()));
+      ASSERT_TRUE(std::equal(chunked.counts().begin(), chunked.counts().end(),
+                             reference.counts().begin(),
+                             reference.counts().end()));
+    }
+  }
 }
 
 TEST(ChunkedBuilder, StreamsFastqWithoutReadSet) {
@@ -84,12 +126,23 @@ TEST(ChunkedBuilder, StreamsFastqWithoutReadSet) {
   std::stringstream fastq;
   io::write_fastq(fastq, run.reads);
 
+  // The pass-1 loop of core::build_spectrum: parse a batch, add it.
   kspec::ChunkedSpectrumBuilder builder(13, true, 8192);
-  builder.add_fastq(fastq);
+  io::FastqStreamReader reader(fastq);
+  std::vector<seq::Read> batch;
+  while (reader.read_batch(batch, 1000) > 0) {
+    builder.add_read_batch(batch);
+    batch.clear();
+  }
   const auto streamed = builder.finish();
   const auto reference = kspec::KSpectrum::build(run.reads, 13, true);
   EXPECT_EQ(streamed.size(), reference.size());
   EXPECT_EQ(streamed.total_instances(), reference.total_instances());
+  EXPECT_TRUE(std::equal(streamed.codes().begin(), streamed.codes().end(),
+                         reference.codes().begin(), reference.codes().end()));
+  EXPECT_TRUE(std::equal(streamed.counts().begin(), streamed.counts().end(),
+                         reference.counts().begin(),
+                         reference.counts().end()));
 }
 
 TEST(ChunkedBuilder, ReusableAfterFinish) {
@@ -192,6 +245,29 @@ TEST(ChunkedBuilder, FinishSpilledStreamsDisjointAscendingRuns) {
   EXPECT_TRUE(std::equal(codes.begin(), codes.end(),
                          reference.codes().begin(), reference.codes().end()));
   EXPECT_TRUE(std::equal(counts.begin(), counts.end(),
+                         reference.counts().begin(),
+                         reference.counts().end()));
+}
+
+TEST(ChunkedBuilder, LongReadStaysUnderBudget) {
+  constexpr std::size_t kBudget = std::size_t{1} << 20;
+  util::Rng rng(100000);
+  std::string read(100000, 'A');
+  for (char& c : read) c = "ACGT"[rng() % 4];
+  seq::ReadSet reads;
+  reads.reads.push_back({"long", read, {}});
+
+  kspec::ChunkedSpectrumBuilder builder(13, true, 1 << 20, nullptr,
+                                        spill_options(kBudget));
+  builder.add_read(read);
+  EXPECT_TRUE(builder.spilled());
+  const auto spilled = builder.finish();
+  EXPECT_LE(builder.peak_tracked_bytes(), kBudget);
+  const auto reference = kspec::KSpectrum::build(reads, 13, true);
+  ASSERT_EQ(spilled.total_instances(), reference.total_instances());
+  ASSERT_TRUE(std::equal(spilled.codes().begin(), spilled.codes().end(),
+                         reference.codes().begin(), reference.codes().end()));
+  ASSERT_TRUE(std::equal(spilled.counts().begin(), spilled.counts().end(),
                          reference.counts().begin(),
                          reference.counts().end()));
 }

@@ -137,16 +137,91 @@ TEST(RadixBuild, ExternalPoolAndSortOnlyEntryPoint) {
   std::vector<seq::KmerCode> codes;
   const seq::KmerCode mask = (seq::KmerCode{1} << 26) - 1;
   for (int i = 0; i < 50000; ++i) codes.push_back(rng() & mask);
-  auto expected = codes;
-  std::sort(expected.begin(), expected.end());
+  std::vector<seq::KmerCode> expected_codes;
+  std::vector<std::uint32_t> expected_counts;
+  kspec::serial_sort_and_count(std::vector<seq::KmerCode>(codes),
+                               expected_codes, expected_counts);
 
   kspec::RadixSortOptions opts;
   opts.pool = &pool;
   for (const int bits : {-1, 0, 5, 11}) {
-    auto sorted = codes;
     opts.radix_bits = bits;
-    kspec::radix_sort_codes(sorted, 13, opts);
-    ASSERT_EQ(sorted, expected) << "radix_bits=" << bits;
+    std::vector<seq::KmerCode> out_codes;
+    std::vector<std::uint32_t> out_counts;
+    kspec::radix_sort_and_count(std::vector<seq::KmerCode>(codes), 13,
+                                out_codes, out_counts, opts);
+    ASSERT_EQ(out_codes, expected_codes) << "radix_bits=" << bits;
+    ASSERT_EQ(out_counts, expected_counts) << "radix_bits=" << bits;
+  }
+}
+
+/// Instance multisets of one shape: `size` codes of a 2k-bit key.
+std::vector<seq::KmerCode> shaped_codes(const std::string& shape, int k,
+                                        std::size_t size, util::Rng& rng) {
+  const seq::KmerCode mask =
+      k == 32 ? ~seq::KmerCode{0} : (seq::KmerCode{1} << (2 * k)) - 1;
+  std::vector<seq::KmerCode> codes(size);
+  if (shape == "uniform") {
+    for (auto& c : codes) c = rng() & mask;
+  } else if (shape == "duplicates") {  // 16 distinct codes
+    std::vector<seq::KmerCode> pool(16);
+    for (auto& c : pool) c = rng() & mask;
+    for (auto& c : codes) c = pool[rng() % pool.size()];
+  } else if (shape == "equal") {
+    std::fill(codes.begin(), codes.end(), rng() & mask);
+  } else {  // "prefix": one top-6-bit prefix, like a spill bin
+    const int low = 2 * k - std::min(6, 2 * k);
+    const seq::KmerCode prefix = (rng() & mask) >> low << low;
+    const seq::KmerCode low_mask = (seq::KmerCode{1} << low) - 1;
+    for (auto& c : codes) c = prefix | (rng() & low_mask);
+  }
+  return codes;
+}
+
+TEST(RadixBuild, LsdKernelMatchesSerialAcrossKeyWidths) {
+  util::Rng rng(2024);
+  util::ThreadPool one(1);
+  util::ThreadPool three(3);
+  std::vector<seq::KmerCode> scratch;  // reused, so often larger than n
+  for (const int k : {1, 2, 3, 4, 7, 8, 12, 13, 16, 20, 24, 31, 32}) {
+    for (const std::size_t size :
+         {0ul, 1ul, 63ul, 64ul, 65ul, 8191ul, 8192ul, 100000ul}) {
+      for (const std::string shape :
+           {"uniform", "duplicates", "equal", "prefix"}) {
+        const auto codes = shaped_codes(shape, k, size, rng);
+        std::vector<seq::KmerCode> expected_codes;
+        std::vector<std::uint32_t> expected_counts;
+        kspec::serial_sort_and_count(std::vector<seq::KmerCode>(codes),
+                                     expected_codes, expected_counts);
+        for (const int bits : {-1, 0, 3, 8, 14}) {
+          for (util::ThreadPool* pool : {&one, &three,
+                                         static_cast<util::ThreadPool*>(
+                                             nullptr)}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "k=" << k << " size=" << size << " shape="
+                         << shape << " radix_bits=" << bits
+                         << " pool=" << (pool ? pool->size() : 0));
+            kspec::RadixSortOptions opts;
+            opts.radix_bits = bits;
+            opts.pool = pool;
+            std::vector<seq::KmerCode> out_codes;
+            std::vector<std::uint32_t> out_counts;
+            kspec::radix_sort_and_count(std::vector<seq::KmerCode>(codes), k,
+                                        out_codes, out_counts, opts);
+            ASSERT_EQ(out_codes, expected_codes);
+            ASSERT_EQ(out_counts, expected_counts);
+            if (pool != &three) continue;
+            // The caller-owned form the builder runs, on a kept scratch.
+            auto buffer = codes;
+            kspec::radix_sort_and_count(std::span<seq::KmerCode>(buffer),
+                                        scratch, k, out_codes, out_counts,
+                                        opts);
+            ASSERT_EQ(out_codes, expected_codes);
+            ASSERT_EQ(out_counts, expected_counts);
+          }
+        }
+      }
+    }
   }
 }
 

@@ -373,6 +373,28 @@ cmp "$WORK/corrected_sharded.fastq" "$WORK/corrected_sap.fastq"
 head -c 4096 "$WORK/sharded.ngsx" > "$WORK/sharded_trunc.ngsx"
 expect_exit 4 "$BIN_DIR/ngs_index" verify --index "$WORK/sharded_trunc.ngsx"
 
+# One read longer than the budget's instance buffer: the buffer spills
+# mid-read, so the tracked peak stays under 1 MiB and the file matches
+# the unbudgeted build byte for byte.
+awk 'BEGIN {
+  srand(11)
+  printf "@long\n"
+  for (i = 0; i < 100000; ++i) printf "%s", substr("ACGT", int(rand() * 4) + 1, 1)
+  printf "\n+\n"
+  for (i = 0; i < 100000; ++i) printf "I"
+  printf "\n"
+}' > "$WORK/long.fastq"
+"$BIN_DIR/ngs_index" build --in "$WORK/long.fastq" \
+  --out "$WORK/long.ngsx" --k 12 --both-strands 1 --threads 2
+"$BIN_DIR/ngs_index" build --in "$WORK/long.fastq" \
+  --out "$WORK/long_budget.ngsx" --k 12 --both-strands 1 --threads 2 \
+  --memory-budget-mb 1 --spill-dir "$WORK" 2>"$WORK/stderr.txt"
+cmp "$WORK/long.ngsx" "$WORK/long_budget.ngsx"
+long_peak="$(sed -n 's/.*peak tracked memory \([0-9]*\) bytes.*/\1/p' \
+  "$WORK/stderr.txt")"
+test -n "$long_peak"
+test "$long_peak" -le 1048576
+
 # Direct bounded-memory correction: --memory-budget-mb spills pass 1,
 # reports it, and still writes byte-identical output.
 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
