@@ -50,6 +50,16 @@ void require_spectrum_k(std::string_view method, int k,
   }
 }
 
+/// Throws std::invalid_argument unless the error rate a misread model is
+/// built from is a probability (NaN included).
+void require_error_rate(std::string_view method, double error_rate) {
+  if (!(error_rate >= 0.0 && error_rate <= 1.0)) {
+    throw std::invalid_argument(std::string(method) + ": error rate " +
+                                std::to_string(error_rate) +
+                                " outside [0, 1]");
+  }
+}
+
 InputSummary summarize(const seq::ReadSet& reads) {
   InputSummary summary;
   for (const auto& r : reads.reads) summary.add(r);
@@ -235,6 +245,7 @@ class RedeemAdapter final : public Corrector {
   explicit RedeemAdapter(const CorrectorConfig& config)
       : config_(config), k_(config.k > 0 ? config.k : 11) {
     require_spectrum_k(method(), k_, k_);
+    require_error_rate(method(), config.error_rate);
   }
 
   std::string_view method() const noexcept override { return "redeem"; }
@@ -347,7 +358,9 @@ class FrecluAdapter final : public Corrector {
 
 class HybridAdapter final : public Corrector {
  public:
-  explicit HybridAdapter(const CorrectorConfig& config) : config_(config) {}
+  explicit HybridAdapter(const CorrectorConfig& config) : config_(config) {
+    require_error_rate(method(), config.error_rate);
+  }
 
   std::string_view method() const noexcept override { return "hybrid"; }
   bool supports_batches() const noexcept override { return false; }

@@ -244,12 +244,6 @@ CorrectionPipeline::CorrectionPipeline(std::unique_ptr<Corrector> corrector,
   if (options_.batch_size == 0) options_.batch_size = 1;
 }
 
-CorrectionPipeline::~CorrectionPipeline() {
-  for (std::size_t i = 0; i < scratch_slot_count_; ++i) {
-    delete scratch_slots_[i].load(std::memory_order_relaxed);
-  }
-}
-
 PipelineResult CorrectionPipeline::run_file(const std::string& in_fastq,
                                             const std::string& out_fastq) {
   // Atomic output via the shared util::AtomicFile protocol (the same
@@ -402,7 +396,10 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
     const std::size_t workers = options_.threads > 0
                                     ? options_.threads
                                     : util::default_pool().size();
-    ensure_scratch_slots(workers);
+    // One scratch per executor worker for the whole run: worker ids are
+    // stable, so each slot has exactly one user.
+    std::vector<std::unique_ptr<BatchScratch>> scratch(workers);
+    for (auto& s : scratch) s = corrector_->make_scratch();
     util::PipelineExecutor<Pass2Chunk> executor({.workers = workers});
     Recycler<Pass2Chunk> recycler;
     std::mutex report_mutex;
@@ -418,10 +415,8 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
         },
         [&](Pass2Chunk& chunk, std::size_t worker) {
           CorrectionReport local;
-          auto scratch = acquire_scratch(worker);
           chunk.out.reserve(chunk.in.size());
-          correct_span(chunk.in, chunk.out, local, scratch.get());
-          release_scratch(std::move(scratch), worker);
+          correct_span(chunk.in, chunk.out, local, scratch[worker].get());
           std::lock_guard<std::mutex> lock(report_mutex);
           result.report.merge(local);
         },
@@ -510,47 +505,6 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
   }
   result.peak_rss_bytes = util::peak_rss_bytes();
   return result;
-}
-
-void CorrectionPipeline::ensure_scratch_slots(std::size_t n) {
-  if (n <= scratch_slot_count_) return;
-  auto grown = std::make_unique<std::atomic<BatchScratch*>[]>(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    grown[i].store(i < scratch_slot_count_
-                       ? scratch_slots_[i].load(std::memory_order_relaxed)
-                       : nullptr,
-                   std::memory_order_relaxed);
-  }
-  scratch_slots_ = std::move(grown);
-  scratch_slot_count_ = n;
-}
-
-std::unique_ptr<BatchScratch> CorrectionPipeline::acquire_scratch(
-    std::size_t hint) {
-  const std::size_t n = scratch_slot_count_;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t slot = (hint + i) % n;
-    BatchScratch* held =
-        scratch_slots_[slot].exchange(nullptr, std::memory_order_acq_rel);
-    if (held != nullptr) return std::unique_ptr<BatchScratch>(held);
-  }
-  return corrector_->make_scratch();
-}
-
-void CorrectionPipeline::release_scratch(std::unique_ptr<BatchScratch> scratch,
-                                         std::size_t hint) {
-  if (scratch == nullptr) return;
-  BatchScratch* raw = scratch.release();
-  const std::size_t n = scratch_slot_count_;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t slot = (hint + i) % n;
-    BatchScratch* expected = nullptr;
-    if (scratch_slots_[slot].compare_exchange_strong(
-            expected, raw, std::memory_order_acq_rel)) {
-      return;
-    }
-  }
-  delete raw;  // every slot occupied: more concurrent callers than slots
 }
 
 void CorrectionPipeline::correct_span(std::span<const seq::Read> in,

@@ -17,7 +17,6 @@
 // for every method and thread count: reads are corrected independently
 // and the executor writes batches in input order.
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -187,7 +186,6 @@ class CorrectionPipeline {
 
   explicit CorrectionPipeline(std::unique_ptr<Corrector> corrector,
                               PipelineOptions options = {});
-  ~CorrectionPipeline();
 
   const Corrector& corrector() const noexcept { return *corrector_; }
   const PipelineOptions& options() const noexcept { return options_; }
@@ -211,23 +209,8 @@ class CorrectionPipeline {
                     std::vector<seq::Read>& out, CorrectionReport& local,
                     BatchScratch* scratch);
 
-  /// Per-worker scratch slots (created on demand via
-  /// corrector_->make_scratch()). Lock-free in steady state: slot i is
-  /// an atomic pointer a worker exchanges out on acquire and back in on
-  /// release, with `hint` (the worker's index) making re-acquisition of
-  /// the same warm scratch the common O(1) case. The executor checks
-  /// scratch in and out per item, so a lock would sit on the hot path.
-  std::unique_ptr<BatchScratch> acquire_scratch(std::size_t hint);
-  void release_scratch(std::unique_ptr<BatchScratch> scratch,
-                       std::size_t hint);
-  /// Grows the slot array to at least `n` entries. Call only from the
-  /// run() thread while no workers are active.
-  void ensure_scratch_slots(std::size_t n);
-
   std::unique_ptr<Corrector> corrector_;
   PipelineOptions options_;
-  std::unique_ptr<std::atomic<BatchScratch*>[]> scratch_slots_;
-  std::size_t scratch_slot_count_ = 0;
 };
 
 }  // namespace ngs::core

@@ -298,39 +298,49 @@ void KSpectrum::index_of_batch(std::span<const seq::KmerCode> probes,
   if (probes.size() != out.size()) {
     throw std::invalid_argument("index_of_batch: probes/out size mismatch");
   }
-  // Groups of kProbeGroup descents advance in lockstep (stack scratch
-  // only); each probe is independent, so original order is preserved
-  // with no pre-sort.
   for (std::size_t g = 0; g < probes.size(); g += util::kProbeGroup) {
     const std::size_t gn = std::min(util::kProbeGroup, probes.size() - g);
-    std::uint64_t keys[util::kProbeGroup];
-    std::size_t lo[util::kProbeGroup];
-    std::size_t len[util::kProbeGroup];
-    std::size_t hi[util::kProbeGroup];
+    std::size_t lb[util::kProbeGroup];
+    lower_bound_batch(probes.subspan(g, gn), {lb, gn});
     for (std::size_t j = 0; j < gn; ++j) {
-      const seq::KmerCode code = probes[g + j];
-      keys[j] = code;
-      lo[j] = 0;
-      hi[j] = codes_.size();
-      if (prefix_bits_ > 0) {
-        const std::size_t b =
-            static_cast<std::size_t>(code >> (2 * k_ - prefix_bits_));
-        if (b + 1 >= bucket_starts_.size()) {  // key out of range
-          hi[j] = 0;
-        } else {
-          lo[j] = bucket_starts_[b];
-          hi[j] = bucket_starts_[b + 1];
-        }
-      }
-      len[j] = hi[j] - lo[j];
-    }
-    util::interleaved_lower_bound(codes_.data(), keys, lo, len, gn);
-    for (std::size_t j = 0; j < gn; ++j) {
-      const std::size_t r = lo[j];
-      out[g + j] = (r < hi[j] && codes_[r] == keys[j])
-                       ? static_cast<std::int64_t>(r)
+      out[g + j] = (lb[j] < codes_.size() && codes_[lb[j]] == probes[g + j])
+                       ? static_cast<std::int64_t>(lb[j])
                        : -1;
     }
+  }
+}
+
+void KSpectrum::lower_bound_batch(std::span<const seq::KmerCode> keys,
+                                  std::span<std::size_t> out) const {
+  if (keys.size() != out.size()) {
+    throw std::invalid_argument("lower_bound_batch: keys/out size mismatch");
+  }
+  // Groups of kProbeGroup descents advance in lockstep (stack scratch
+  // only); each key is independent, so original order is preserved with
+  // no pre-sort. A bucket's lower bound is the global one: codes before
+  // the bucket are smaller than the key, and the code at the bucket's
+  // end (when the key passes every code in it) is in a later bucket,
+  // hence larger.
+  for (std::size_t g = 0; g < keys.size(); g += util::kProbeGroup) {
+    const std::size_t gn = std::min(util::kProbeGroup, keys.size() - g);
+    std::size_t len[util::kProbeGroup];
+    std::size_t* lo = out.data() + g;
+    for (std::size_t j = 0; j < gn; ++j) {
+      lo[j] = 0;
+      len[j] = codes_.size();
+      if (prefix_bits_ > 0) {
+        const std::size_t b =
+            static_cast<std::size_t>(keys[g + j] >> (2 * k_ - prefix_bits_));
+        if (b + 1 >= bucket_starts_.size()) {  // past the top bucket
+          lo[j] = codes_.size();
+          len[j] = 0;
+        } else {
+          lo[j] = bucket_starts_[b];
+          len[j] = bucket_starts_[b + 1] - lo[j];
+        }
+      }
+    }
+    util::interleaved_lower_bound(codes_.data(), keys.data() + g, lo, len, gn);
   }
 }
 

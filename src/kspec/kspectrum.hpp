@@ -12,8 +12,9 @@
 // sort for every thread count. The same prefix sharding is kept at query
 // time as a bucket-offset table, so index_of narrows to a within-bucket
 // binary search over a few cache lines instead of log2(|R^k|) scattered
-// probes — every corrector, eval::kmer_classification, and
-// assembly::debruijn inherit the speedup through contains()/count().
+// probes — every corrector, eval::kmer_classification,
+// assembly::debruijn and the tile table (whose tiles and Oc counts are a
+// KSpectrum at k = tile length) inherit the speedup.
 //
 // Storage is view-based: the code/count/bucket arrays are accessed
 // through spans that normally point into vectors the spectrum owns, but
@@ -158,6 +159,16 @@ class KSpectrum {
   /// Precondition: probes.size() == out.size().
   void index_of_batch(std::span<const seq::KmerCode> probes,
                       std::span<std::int64_t> out) const;
+
+  /// Batched global lower bound: out[i] is the index of the first code
+  /// >= keys[i], or size() when every code is smaller (keys wider than
+  /// 2k bits included) — bit-identical to std::lower_bound over codes().
+  /// Each key's descent is narrowed to its prefix bucket, and groups of
+  /// descents run interleaved (util::interleaved_lower_bound). The one
+  /// descent behind index_of_batch and TileTable::og_cross.
+  /// Precondition: keys.size() == out.size().
+  void lower_bound_batch(std::span<const seq::KmerCode> keys,
+                         std::span<std::size_t> out) const;
 
   /// (Re)builds the prefix-bucket lookup table: 2^bits offsets into the
   /// sorted array, one per top-bits key prefix. -1 = auto width from the

@@ -1,22 +1,12 @@
 #include "kspec/neighborhood.hpp"
 
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
 #include "util/thread_pool.hpp"
 
 namespace ngs::kspec {
-
-void CandidateEnumerator::for_each_neighbor(seq::KmerCode code, int d,
-                                            const NeighborVisitor& visit) const {
-  // Thin wrapper: dispatch through the template overload so both paths
-  // share one implementation.
-  for_each_neighbor(code, d,
-                    [&visit](seq::KmerCode cand, std::size_t idx) {
-                      visit(cand, idx);
-                    },
-                    scratch_);
-}
 
 namespace {
 
@@ -95,16 +85,6 @@ MaskedSortIndex::MaskedSortIndex(const KSpectrum& spectrum, int c, int d,
                 return ma != mb ? ma < mb : a < b;
               });
   });
-}
-
-void MaskedSortIndex::for_each_neighbor(seq::KmerCode code,
-                                        const NeighborVisitor& visit) const {
-  std::vector<std::uint32_t> hits;
-  for_each_neighbor(code,
-                    [&visit](seq::KmerCode cand, std::size_t idx) {
-                      visit(cand, idx);
-                    },
-                    hits);
 }
 
 std::size_t MaskedSortIndex::memory_bytes() const noexcept {

@@ -17,17 +17,15 @@
 //    densities each run is O(1), giving the paper's ~constant expected
 //    time per neighbor.
 //
-// Both expose template visitor overloads — the hot paths (Hamming-graph
-// construction, per-tile neighborhood queries) instantiate the visitor
-// inline with zero std::function dispatch or capture allocation — plus
-// caller-supplied scratch overloads so batch loops reuse one buffer per
-// worker. The std::function forms remain as thin wrappers for
-// non-critical call sites. bench_ablation_neighborhood measures the
-// trade-off between the two strategies.
+// Both expose template visitor overloads only — every caller (Hamming-
+// graph construction, per-tile neighborhood queries, the benches)
+// instantiates the visitor inline with no std::function dispatch or
+// capture allocation — plus caller-supplied scratch overloads so batch
+// loops reuse one buffer per worker. bench_ablation_neighborhood
+// measures the trade-off between the two strategies.
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "kspec/kspectrum.hpp"
@@ -40,10 +38,6 @@ class ThreadPool;
 
 namespace ngs::kspec {
 
-/// Visitor receives (neighbor_code, spectrum_index).
-using NeighborVisitor =
-    std::function<void(seq::KmerCode, std::size_t)>;
-
 /// Strategy 1: complete-neighborhood enumeration + binary search.
 class CandidateEnumerator {
  public:
@@ -51,7 +45,8 @@ class CandidateEnumerator {
       : spectrum_(&spectrum) {}
 
   /// Visits every kmer in the spectrum within Hamming distance [1, d] of
-  /// `code` (the kmer itself is not visited). `scratch` holds the
+  /// `code` (the kmer itself is not visited); the visitor receives
+  /// (neighbor_code, spectrum_index). `scratch` holds the
   /// enumerated candidates; reuse one vector per worker to keep batch
   /// queries allocation-free. Thread-safe for concurrent callers with
   /// distinct scratch vectors.
@@ -80,10 +75,6 @@ class CandidateEnumerator {
   void for_each_neighbor(seq::KmerCode code, int d, Visitor&& visit) const {
     for_each_neighbor(code, d, std::forward<Visitor>(visit), scratch_);
   }
-
-  /// Type-erased form (thin wrapper over the template overload).
-  void for_each_neighbor(seq::KmerCode code, int d,
-                         const NeighborVisitor& visit) const;
 
  private:
   const KSpectrum* spectrum_;
@@ -153,10 +144,6 @@ class MaskedSortIndex {
     std::vector<std::uint32_t> hits;
     for_each_neighbor(code, std::forward<Visitor>(visit), hits);
   }
-
-  /// Type-erased form (thin wrapper over the template overload).
-  void for_each_neighbor(seq::KmerCode code,
-                         const NeighborVisitor& visit) const;
 
   /// Memory consumed by the replica permutations, in bytes.
   std::size_t memory_bytes() const noexcept;

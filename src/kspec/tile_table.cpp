@@ -1,12 +1,10 @@
 #include "kspec/tile_table.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 
 #include "kspec/radix.hpp"
 #include "kspec/read_windows.hpp"
-#include "util/batch_search.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ngs::kspec {
@@ -59,91 +57,25 @@ TileTable TileTable::build(const seq::ReadSet& reads, const TileParams& params,
   std::vector<seq::KmerCode> hq_codes;
   std::vector<std::uint32_t> hq_counts;
   radix_sort_and_count(std::move(hq), tl, hq_codes, hq_counts, radix);
-  radix_sort_and_count(std::move(all), tl, table.codes_, table.oc_, radix);
+  std::vector<seq::KmerCode> codes;
+  std::vector<std::uint32_t> oc;
+  radix_sort_and_count(std::move(all), tl, codes, oc, radix);
   // Every high-quality tile is a tile: one merge walk places its Og.
-  table.og_.assign(table.codes_.size(), 0);
+  table.og_.assign(codes.size(), 0);
   std::size_t i = 0;
   for (std::size_t h = 0; h < hq_codes.size(); ++h) {
-    while (table.codes_[i] != hq_codes[h]) ++i;
+    while (codes[i] != hq_codes[h]) ++i;
     table.og_[i] = hq_counts[h];
   }
-  table.rebuild_prefix_index();
+  table.oc_ =
+      KSpectrum::from_sorted_counts(std::move(codes), std::move(oc), tl);
   return table;
 }
 
-void TileTable::rebuild_prefix_index() {
-  // Same sizing rule as KSpectrum: ~32 codes per bucket, capped so the
-  // offset table stays a few MB and never exceeds the key width.
-  const int key_bits = 2 * params_.tile_length();
-  const int bits =
-      codes_.size() < 64
-          ? 0
-          : std::clamp(static_cast<int>(std::bit_width(codes_.size() / 32)), 1,
-                       std::min(key_bits - 1, 20));
-  prefix_bits_ = bits;
-  if (bits <= 0) {
-    bucket_starts_.clear();
-    return;
-  }
-  const int shift = key_bits - bits;
-  const std::size_t buckets = std::size_t{1} << bits;
-  bucket_starts_.assign(buckets + 1, 0);
-  for (const seq::KmerCode code : codes_) {
-    ++bucket_starts_[(code >> shift) + 1];
-  }
-  for (std::size_t b = 1; b < bucket_starts_.size(); ++b) {
-    bucket_starts_[b] += bucket_starts_[b - 1];
-  }
-}
-
 TileTable::Counts TileTable::counts(seq::KmerCode tile) const noexcept {
-  const seq::KmerCode* first = codes_.data();
-  const seq::KmerCode* last = first + codes_.size();
-  if (prefix_bits_ > 0) {
-    const std::size_t b = static_cast<std::size_t>(
-        tile >> (2 * params_.tile_length() - prefix_bits_));
-    if (b + 1 >= bucket_starts_.size()) return {};  // key out of range
-    first = codes_.data() + bucket_starts_[b];
-    last = codes_.data() + bucket_starts_[b + 1];
-  }
-  const auto* it = std::lower_bound(first, last, tile);
-  if (it == last || *it != tile) return {};
-  const auto i = static_cast<std::size_t>(it - codes_.data());
-  return {oc_[i], og_[i]};
-}
-
-void TileTable::og_batch(std::span<const seq::KmerCode> tiles,
-                         std::span<std::uint32_t> out) const {
-  const int key_bits = 2 * params_.tile_length();
-  for (std::size_t g = 0; g < tiles.size(); g += util::kProbeGroup) {
-    const std::size_t gn = std::min(util::kProbeGroup, tiles.size() - g);
-    std::uint64_t keys[util::kProbeGroup];
-    std::size_t lo[util::kProbeGroup];
-    std::size_t len[util::kProbeGroup];
-    std::size_t hi[util::kProbeGroup];
-    for (std::size_t j = 0; j < gn; ++j) {
-      const seq::KmerCode code = tiles[g + j];
-      keys[j] = code;
-      lo[j] = 0;
-      hi[j] = codes_.size();
-      if (prefix_bits_ > 0) {
-        const std::size_t b =
-            static_cast<std::size_t>(code >> (key_bits - prefix_bits_));
-        if (b + 1 >= bucket_starts_.size()) {  // key out of range
-          hi[j] = 0;
-        } else {
-          lo[j] = bucket_starts_[b];
-          hi[j] = bucket_starts_[b + 1];
-        }
-      }
-      len[j] = hi[j] - lo[j];
-    }
-    util::interleaved_lower_bound(codes_.data(), keys, lo, len, gn);
-    for (std::size_t j = 0; j < gn; ++j) {
-      const std::size_t r = lo[j];
-      out[g + j] = (r < hi[j] && codes_[r] == keys[j]) ? og_[r] : 0;
-    }
-  }
+  const std::int64_t i = oc_.index_of(tile);
+  if (i < 0) return {};
+  return counts_at(static_cast<std::size_t>(i));
 }
 
 void TileTable::og_cross(std::span<const seq::KmerCode> a1,
@@ -186,48 +118,21 @@ void TileTable::og_cross(std::span<const seq::KmerCode> a1,
   std::sort(keys2, keys2 + n2,
             [](const LowKey& x, const LowKey& y) { return x.low < y.low; });
 
-  // Global lower bound of each a1 range start (the first tile whose code
-  // is >= a1[i] << low_bits), descents interleaved so their cache misses
-  // overlap. Bucket narrowing stays a global lower bound: codes before
-  // the bucket are < the key, and the code at the bucket's end (if the
-  // range is empty) belongs to a later bucket, hence >= the key.
-  const int key_bits = 2 * params_.tile_length();
+  // The first tile of each a1 run: the lower bound of a1[i] << low_bits.
+  seq::KmerCode starts[kMaxSide];
   std::size_t r0[kMaxSide];
-  for (std::size_t g = 0; g < n1; g += util::kProbeGroup) {
-    const std::size_t gn = std::min(util::kProbeGroup, n1 - g);
-    std::uint64_t keys[util::kProbeGroup];
-    std::size_t lo[util::kProbeGroup];
-    std::size_t len[util::kProbeGroup];
-    for (std::size_t j = 0; j < gn; ++j) {
-      const seq::KmerCode key = a1[g + j] << low_bits;
-      keys[j] = key;
-      lo[j] = 0;
-      std::size_t hi = codes_.size();
-      if (prefix_bits_ > 0) {
-        const std::size_t b =
-            static_cast<std::size_t>(key >> (key_bits - prefix_bits_));
-        if (b + 1 >= bucket_starts_.size()) {  // key out of range
-          lo[j] = codes_.size();
-          hi = lo[j];
-        } else {
-          lo[j] = bucket_starts_[b];
-          hi = bucket_starts_[b + 1];
-        }
-      }
-      len[j] = hi - lo[j];
-    }
-    util::interleaved_lower_bound(codes_.data(), keys, lo, len, gn);
-    for (std::size_t j = 0; j < gn; ++j) r0[g + j] = lo[j];
-  }
+  for (std::size_t i = 0; i < n1; ++i) starts[i] = a1[i] << low_bits;
+  oc_.lower_bound_batch({starts, n1}, {r0, n1});
 
   // Walk each a1 run (short: the distinct tiles extending one kmer) and
   // merge it against the sorted a2 contributions.
+  const std::span<const seq::KmerCode> codes = oc_.codes();
   for (std::size_t i = 0; i < n1; ++i) {
     std::uint32_t* row = out.data() + i * n2;
     const seq::KmerCode prefix = a1[i];
     for (std::size_t r = r0[i];
-         r < codes_.size() && (codes_[r] >> low_bits) == prefix; ++r) {
-      const seq::KmerCode low = codes_[r] & low_mask;
+         r < codes.size() && (codes[r] >> low_bits) == prefix; ++r) {
+      const seq::KmerCode low = codes[r] & low_mask;
       std::size_t t = 0;
       std::size_t hi2 = n2;
       while (t < hi2) {

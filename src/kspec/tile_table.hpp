@@ -6,11 +6,16 @@
 //   Og — the multiplicity counting only instances in which every base has
 //        quality score >= Qc (Og = Oc when quality is unavailable).
 // Algorithm 1 (tile correction) bases all decisions on Og.
+//
+// The distinct tiles and their Oc form a KSpectrum at k = tile length
+// (sorted codes, prefix-bucket table, batched descent), so tile probes
+// are spectrum probes; Og is one column beside it.
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "kspec/kspectrum.hpp"
 #include "seq/kmer.hpp"
 #include "seq/read.hpp"
 #include "util/stats.hpp"
@@ -49,32 +54,20 @@ class TileTable {
 
   const TileParams& params() const noexcept { return params_; }
   int tile_length() const noexcept { return params_.tile_length(); }
-  std::size_t size() const noexcept { return codes_.size(); }
+  std::size_t size() const noexcept { return oc_.size(); }
 
   /// Occurrence counts of a packed tile code (zeros if absent).
   Counts counts(seq::KmerCode tile) const noexcept;
 
-  std::uint32_t og(seq::KmerCode tile) const noexcept {
-    return counts(tile).og;
-  }
-
-  /// Batched Og lookup: out[i] = og(tiles[i]) (0 if absent), bit-identical
-  /// to the single-probe path. The candidate cross-product of Algorithm 1
-  /// probes dozens of tiles per decision; batching advances groups of
-  /// binary-search descents in lockstep with software prefetch,
-  /// overlapping their cache misses. Precondition:
-  /// tiles.size() == out.size().
-  void og_batch(std::span<const seq::KmerCode> tiles,
-                std::span<std::uint32_t> out) const;
-
   /// Og's of Algorithm 1's full candidate cross-product in one call:
   /// out[i * a2.size() + j] = og of the tile whose leading kmer is a1[i]
   /// and whose trailing kmer contributes a2[j]'s low 2(k-l) bits — i.e.
-  /// og(concat_kmers(a1[i], k, a2[j], k, l)). Exploits that all tiles
-  /// sharing a leading kmer are contiguous in the sorted table: one
-  /// interleaved range find per a1 entry plus a merge of that (short)
-  /// run against the sorted a2 contributions replaces a full binary
-  /// search per pair. Values are bit-identical to per-pair counts().
+  /// counts(concat_kmers(a1[i], k, a2[j], k, l)).og. Exploits that all
+  /// tiles sharing a leading kmer are contiguous in the sorted table:
+  /// one batched lower bound (KSpectrum::lower_bound_batch) finds every
+  /// a1 entry's run, and a merge of that (short) run against the sorted
+  /// a2 contributions replaces a full binary search per pair. Values are
+  /// bit-identical to per-pair counts().
   /// Precondition: out.size() == a1.size() * a2.size().
   void og_cross(std::span<const seq::KmerCode> a1,
                 std::span<const seq::KmerCode> a2,
@@ -84,23 +77,17 @@ class TileTable {
   /// the input to Reptile's data-driven choice of Cg and Cm.
   util::Histogram og_histogram() const;
 
-  seq::KmerCode code_at(std::size_t i) const noexcept { return codes_[i]; }
+  seq::KmerCode code_at(std::size_t i) const noexcept {
+    return oc_.code_at(i);
+  }
   Counts counts_at(std::size_t i) const noexcept {
-    return {oc_[i], og_[i]};
+    return {oc_.count_at(i), og_[i]};
   }
 
  private:
-  void rebuild_prefix_index();
-
   TileParams params_;
-  std::vector<seq::KmerCode> codes_;  // sorted distinct tile codes
-  std::vector<std::uint32_t> oc_;
-  std::vector<std::uint32_t> og_;
-  // Prefix-bucket index over the top prefix_bits_ of each tile code:
-  // codes with prefix p live in [bucket_starts_[p], bucket_starts_[p+1]).
-  // Narrows every lookup from the full array to a ~32-entry bucket.
-  std::vector<std::uint64_t> bucket_starts_;
-  int prefix_bits_ = 0;
+  KSpectrum oc_;  // distinct tile codes with their Oc
+  std::vector<std::uint32_t> og_;  // parallel to oc_'s codes
 };
 
 }  // namespace ngs::kspec

@@ -38,7 +38,6 @@ void BlockStore::write(const std::string& name, std::string_view data) {
     for (std::size_t r = 0; r < replication_; ++r) {
       const std::size_t node = pick_node(block.replicas);
       block.replicas.push_back(node);
-      nodes_[node].bytes += block.data.size();
     }
     block_ids.push_back(blocks_.size());
     blocks_.push_back(std::move(block));
@@ -74,9 +73,6 @@ void BlockStore::remove(const std::string& name) {
   const auto it = files_.find(name);
   if (it == files_.end()) return;
   for (const std::size_t b : it->second) {
-    for (const std::size_t node : blocks_[b].replicas) {
-      nodes_[node].bytes -= blocks_[b].data.size();
-    }
     blocks_[b].replicas.clear();
     blocks_[b].data.clear();
   }
@@ -85,7 +81,6 @@ void BlockStore::remove(const std::string& name) {
 
 void BlockStore::fail_node(std::size_t node) {
   nodes_.at(node).alive = false;
-  nodes_[node].bytes = 0;
 }
 
 std::size_t BlockStore::rereplicate() {
@@ -101,7 +96,6 @@ std::size_t BlockStore::rereplicate() {
     while (live.size() < replication_ && live.size() < live_nodes()) {
       const std::size_t node = pick_node(live);
       live.push_back(node);
-      nodes_[node].bytes += block.data.size();
       ++created;
     }
     block.replicas = std::move(live);
@@ -113,10 +107,6 @@ std::size_t BlockStore::live_nodes() const {
   std::size_t n = 0;
   for (const auto& node : nodes_) n += node.alive;
   return n;
-}
-
-std::uint64_t BlockStore::bytes_stored(std::size_t node) const {
-  return nodes_.at(node).bytes;
 }
 
 }  // namespace ngs::mapreduce

@@ -5,7 +5,6 @@
 // failure drops all replicas on that node; a read succeeds while at
 // least one live replica of every block remains.
 
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -41,7 +40,6 @@ class BlockStore {
   std::size_t num_nodes() const noexcept { return nodes_.size(); }
   std::size_t live_nodes() const;
   std::size_t total_blocks() const noexcept { return blocks_.size(); }
-  std::uint64_t bytes_stored(std::size_t node) const;
 
  private:
   struct Block {
@@ -50,7 +48,6 @@ class BlockStore {
   };
   struct Node {
     bool alive = true;
-    std::uint64_t bytes = 0;
   };
 
   std::size_t pick_node(const std::vector<std::size_t>& exclude) const;

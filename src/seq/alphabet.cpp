@@ -20,10 +20,4 @@ std::size_t hamming_distance(std::string_view a, std::string_view b) {
   return d;
 }
 
-std::size_t count_ambiguous(std::string_view s) {
-  std::size_t n = 0;
-  for (char c : s) n += is_ambiguous(c);
-  return n;
-}
-
 }  // namespace ngs::seq

@@ -75,7 +75,4 @@ std::string reverse_complement(std::string_view s);
 /// Precondition: a.size() == b.size().
 std::size_t hamming_distance(std::string_view a, std::string_view b);
 
-/// Count of ambiguous (non-ACGT) characters in s.
-std::size_t count_ambiguous(std::string_view s);
-
 }  // namespace ngs::seq

@@ -530,22 +530,21 @@ void CorrectionServer::handle_request(const std::shared_ptr<Connection>& conn,
 }
 
 void CorrectionServer::worker_loop() {
-  // Per-worker scratch, reused across every batch this worker corrects
-  // with the same corrector. The weak_ptr detects both a retired epoch
-  // and a recycled heap address.
-  struct ScratchEntry {
-    std::weak_ptr<const core::Corrector> owner;
-    std::unique_ptr<core::BatchScratch> scratch;
-  };
-  std::map<const core::Corrector*, ScratchEntry> scratch_pool;
+  // One scratch slot per worker, rebuilt when a task brings another
+  // corrector (a new HELLO configuration or epoch), so a retired
+  // corrector's scratch goes with the first batch after it. The weak_ptr
+  // tells a retired corrector from a new one at a recycled address
+  // without keeping it alive.
+  std::weak_ptr<const core::Corrector> scratch_owner;
+  std::unique_ptr<core::BatchScratch> scratch;
   const auto scratch_for =
-      [&scratch_pool](const std::shared_ptr<const core::Corrector>& c) {
-        ScratchEntry& entry = scratch_pool[c.get()];
-        if (entry.owner.lock() != c) {
-          entry.owner = c;
-          entry.scratch = c->make_scratch();
+      [&](const std::shared_ptr<const core::Corrector>& c) {
+        if (scratch_owner.lock() != c) {
+          scratch.reset();
+          scratch = c->make_scratch();
+          scratch_owner = c;
         }
-        return entry.scratch.get();
+        return scratch.get();
       };
 
   Task task;

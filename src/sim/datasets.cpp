@@ -1,7 +1,5 @@
 #include "sim/datasets.hpp"
 
-#include <cstdlib>
-
 namespace ngs::sim {
 namespace {
 
@@ -138,13 +136,6 @@ std::vector<DatasetSpec> chapter3_specs(double scale) {
   d6.genome.repeats = {{600, 4, 0.01}};
   specs.push_back(std::move(d6));
   return specs;
-}
-
-double bench_scale_from_env() {
-  const char* s = std::getenv("NGS_BENCH_SCALE");
-  if (s == nullptr) return 1.0;
-  const double v = std::atof(s);
-  return v > 0.0 ? v : 1.0;
 }
 
 }  // namespace ngs::sim

@@ -47,9 +47,4 @@ std::vector<DatasetSpec> chapter2_specs(double scale = 1.0);
 /// repeats), D5 maize-like (diverged repeats), D6 E. coli-like low-repeat.
 std::vector<DatasetSpec> chapter3_specs(double scale = 1.0);
 
-/// Reads an optional scale override from the NGS_BENCH_SCALE environment
-/// variable (default 1.0) so benches can be run at larger sizes without
-/// recompiling.
-double bench_scale_from_env();
-
 }  // namespace ngs::sim

@@ -88,9 +88,27 @@ std::size_t CliParser::get_size(const std::string& name,
   return value;
 }
 
-double CliParser::get_double(const std::string& name, double fallback) const {
+double CliParser::get_double(const std::string& name, double fallback,
+                             double min, double max) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::atof(it->second.c_str());
+  if (it == values_.end()) return fallback;
+  const std::string& text = it->second;
+  double value = 0.0;
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  // NaN fails both comparisons, so the range check rejects it too.
+  if (ec != std::errc() || end != last || !(value >= min && value <= max)) {
+    const bool has_min = min > std::numeric_limits<double>::lowest();
+    std::ostringstream os;
+    os << "--" << name << " must be a number";
+    if (has_min) os << " >= " << min;
+    if (max < std::numeric_limits<double>::max()) {
+      os << (has_min ? " and" : "") << " <= " << max;
+    }
+    os << ", got '" << text << "'";
+    throw Error(ErrorKind::kConfig, "cli", os.str());
+  }
+  return value;
 }
 
 std::string CliParser::usage() const {

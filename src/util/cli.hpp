@@ -5,6 +5,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -43,7 +44,13 @@ class CliParser {
   std::size_t get_size(const std::string& name, std::size_t fallback,
                        std::size_t min = 0,
                        std::size_t max = SIZE_MAX) const;
-  double get_double(const std::string& name, double fallback) const;
+  /// Strict value of `name` (`fallback` when never set): throws
+  /// ngs::Error(kConfig) naming the flag unless the whole text is a
+  /// decimal number in [min, max] (so "abc", "0.1x", "" and "nan" are
+  /// rejected).
+  double get_double(const std::string& name, double fallback,
+                    double min = std::numeric_limits<double>::lowest(),
+                    double max = std::numeric_limits<double>::max()) const;
 
   /// Positional (non-option) arguments in order.
   const std::vector<std::string>& positional() const noexcept {

@@ -18,13 +18,6 @@ namespace {
 
 // ---------------------------------------------------------------- scalar
 
-void hamming_batch_scalar(const std::uint64_t* codes, std::size_t n,
-                          std::uint64_t query, std::uint8_t* hd) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    hd[i] = static_cast<std::uint8_t>(hamming2(codes[i], query));
-  }
-}
-
 std::size_t masked_run_filter_scalar(const std::uint64_t* codes,
                                      const std::uint32_t* order,
                                      std::size_t limit, std::uint64_t keep,
@@ -63,25 +56,6 @@ __attribute__((target("avx2"))) inline __m256i hamming2_lanes(
   const __m256i counts = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
                                          _mm256_shuffle_epi8(lut, hi));
   return _mm256_sad_epu8(counts, _mm256_setzero_si256());
-}
-
-__attribute__((target("avx2"))) void hamming_batch_avx2(
-    const std::uint64_t* codes, std::size_t n, std::uint64_t query,
-    std::uint8_t* hd) noexcept {
-  const __m256i q = _mm256_set1_epi64x(static_cast<long long>(query));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i values =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(codes + i));
-    alignas(32) std::uint64_t sums[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(sums),
-                       hamming2_lanes(values, q));
-    hd[i + 0] = static_cast<std::uint8_t>(sums[0]);
-    hd[i + 1] = static_cast<std::uint8_t>(sums[1]);
-    hd[i + 2] = static_cast<std::uint8_t>(sums[2]);
-    hd[i + 3] = static_cast<std::uint8_t>(sums[3]);
-  }
-  hamming_batch_scalar(codes + i, n - i, query, hd + i);
 }
 
 __attribute__((target("avx2"))) std::size_t masked_run_filter_avx2(
@@ -140,19 +114,6 @@ inline int hamming2_neon_pair(uint64x2_t values, uint64x2_t query,
   return static_cast<int>(lo);
 }
 
-void hamming_batch_neon(const std::uint64_t* codes, std::size_t n,
-                        std::uint64_t query, std::uint8_t* hd) noexcept {
-  const uint64x2_t q = vdupq_n_u64(query);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    int hd1 = 0;
-    const int hd0 = hamming2_neon_pair(vld1q_u64(codes + i), q, &hd1);
-    hd[i] = static_cast<std::uint8_t>(hd0);
-    hd[i + 1] = static_cast<std::uint8_t>(hd1);
-  }
-  hamming_batch_scalar(codes + i, n - i, query, hd + i);
-}
-
 std::size_t masked_run_filter_neon(const std::uint64_t* codes,
                                    const std::uint32_t* order,
                                    std::size_t limit, std::uint64_t keep,
@@ -189,8 +150,6 @@ std::size_t masked_run_filter_neon(const std::uint64_t* codes,
 
 // -------------------------------------------------------------- dispatch
 
-using HammingBatchFn = void (*)(const std::uint64_t*, std::size_t,
-                                std::uint64_t, std::uint8_t*) noexcept;
 using MaskedRunFn = std::size_t (*)(const std::uint64_t*, const std::uint32_t*,
                                     std::size_t, std::uint64_t, std::uint64_t,
                                     std::uint64_t, int, std::uint32_t*,
@@ -198,19 +157,15 @@ using MaskedRunFn = std::size_t (*)(const std::uint64_t*, const std::uint32_t*,
 
 struct Kernels {
   Level level;
-  HammingBatchFn hamming_batch;
   MaskedRunFn masked_run_filter;
 };
 
-constexpr Kernels kScalarKernels{Level::kScalar, hamming_batch_scalar,
-                                 masked_run_filter_scalar};
+constexpr Kernels kScalarKernels{Level::kScalar, masked_run_filter_scalar};
 #ifdef NGS_SIMD_HAVE_AVX2
-constexpr Kernels kAvx2Kernels{Level::kAVX2, hamming_batch_avx2,
-                               masked_run_filter_avx2};
+constexpr Kernels kAvx2Kernels{Level::kAVX2, masked_run_filter_avx2};
 #endif
 #ifdef NGS_SIMD_HAVE_NEON
-constexpr Kernels kNeonKernels{Level::kNEON, hamming_batch_neon,
-                               masked_run_filter_neon};
+constexpr Kernels kNeonKernels{Level::kNEON, masked_run_filter_neon};
 #endif
 
 const Kernels* kernels_for(Level level) noexcept {
@@ -293,11 +248,6 @@ Level active() noexcept { return resolve()->level; }
 
 void force_level(Level level) noexcept {
   g_kernels.store(kernels_for(level), std::memory_order_release);
-}
-
-void hamming_batch(const std::uint64_t* codes, std::size_t n,
-                   std::uint64_t query, std::uint8_t* hd) noexcept {
-  resolve()->hamming_batch(codes, n, query, hd);
 }
 
 std::size_t masked_run_filter(const std::uint64_t* codes,

@@ -1,8 +1,9 @@
 #pragma once
-// Runtime CPU-dispatch shim for the pass-2 packed-kmer kernels. The
+// Runtime CPU-dispatch shim for the pass-2 packed-kmer kernel. The
 // neighborhood candidate scan is, at its core, XOR + popcount over 2-bit
-// packed words; this header exposes exactly those kernels behind a
-// dispatch table resolved once at startup:
+// packed words; this header exposes that kernel, the masked-sort
+// collision-run filter, behind a dispatch table resolved once at
+// startup:
 //
 //   scalar — portable baseline, always available, and the only path
 //            compiled when the build sets -DNGS_SIMD=OFF;
@@ -39,16 +40,12 @@ Level active() noexcept;
 void force_level(Level level) noexcept;
 
 /// Hamming distance between two equal-length (<= 32) 2-bit packed kmer
-/// codes — the scalar reference kernel, also used for tails.
+/// codes — the scalar reference, also used for the kernel's tails.
 constexpr int hamming2(std::uint64_t a, std::uint64_t b) noexcept {
   std::uint64_t x = a ^ b;
   x = (x | (x >> 1)) & 0x5555555555555555ULL;
   return __builtin_popcountll(x);
 }
-
-/// hd[i] = hamming2(codes[i], query) for i in [0, n).
-void hamming_batch(const std::uint64_t* codes, std::size_t n,
-                   std::uint64_t query, std::uint8_t* hd) noexcept;
 
 /// Scans the permutation run order[0..limit) while
 /// (codes[order[i]] & keep) == key, appending to `out` every order[i]

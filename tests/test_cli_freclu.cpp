@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "baselines/freclu.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
@@ -77,6 +80,46 @@ TEST(Cli, GetSizeAcceptsOnlyDecimalIntegersInRange) {
     } catch (const Error& e) {
       EXPECT_EQ(e.kind(), ErrorKind::kConfig) << bad;
       EXPECT_NE(std::string(e.what()).find("--n"), std::string::npos) << bad;
+    }
+  }
+}
+
+TEST(Cli, GetDoubleAcceptsOnlyNumbersInRange) {
+  util::CliParser cli("prog", "test");
+  cli.add_option("rate", "a rate", true, "0.25");
+  {
+    const char* argv[] = {"prog"};
+    util::CliParser c = cli;
+    ASSERT_TRUE(c.parse(1, argv));
+    EXPECT_DOUBLE_EQ(c.get_double("rate", 0.0, 0.0, 1.0), 0.25);
+    EXPECT_DOUBLE_EQ(c.get_double("unset", 0.5, 0.0, 1.0), 0.5);
+  }
+  for (const auto& [text, value] :
+       {std::pair<const char*, double>{"0", 0.0}, {"1", 1.0}, {"0.01", 0.01},
+        {"1e-3", 1e-3}, {".5", 0.5}}) {
+    const char* argv[] = {"prog", "--rate", text};
+    util::CliParser c = cli;
+    ASSERT_TRUE(c.parse(3, argv));
+    EXPECT_DOUBLE_EQ(c.get_double("rate", 0.0, 0.0, 1.0), value) << text;
+  }
+  {
+    const char* argv[] = {"prog", "--rate", "-3.5"};
+    util::CliParser c = cli;
+    ASSERT_TRUE(c.parse(3, argv));
+    EXPECT_DOUBLE_EQ(c.get_double("rate", 0.0), -3.5);  // default range
+  }
+  for (const char* bad : {"abc", "-1", "1.5", "nan", "inf", "", " 0.1",
+                          "+0.1", "0.1x", "1e400"}) {
+    const char* argv[] = {"prog", "--rate", bad};
+    util::CliParser c = cli;
+    ASSERT_TRUE(c.parse(3, argv));
+    try {
+      (void)c.get_double("rate", 0.0, 0.0, 1.0);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kConfig) << bad;
+      EXPECT_NE(std::string(e.what()).find("--rate"), std::string::npos)
+          << bad;
     }
   }
 }

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -461,6 +463,31 @@ TEST(CorrectionPipeline, EmptyInputProducesEmptyOutput) {
   EXPECT_EQ(out.str(), "");
   EXPECT_EQ(result.report.reads, 0u);
   EXPECT_EQ(result.batches, 0u);
+}
+
+// REDEEM's misread model is built from the error rate, so redeem and the
+// hybrid reject a rate that is not a probability (NaN included) with a
+// message naming the method, and accept the bounds.
+TEST(Registry, RejectsErrorRateOutsideUnitInterval) {
+  core::CorrectorConfig config;
+  for (const char* method : {"redeem", "hybrid"}) {
+    for (const double rate : {0.0, 0.01, 1.0}) {
+      config.error_rate = rate;
+      EXPECT_NO_THROW((void)core::make_corrector(method, config))
+          << method << " rate " << rate;
+    }
+    for (const double rate : {-1.0, -1e-9, 1.5, std::nan(""),
+                              std::numeric_limits<double>::infinity()}) {
+      config.error_rate = rate;
+      try {
+        (void)core::make_corrector(method, config);
+        ADD_FAILURE() << method << " accepted rate " << rate;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(method), std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(Registry, CustomRegistrationShadowsAndLists) {

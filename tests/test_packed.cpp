@@ -1,8 +1,8 @@
 // Property tests for the 2-bit packed pass-2 hot path: PackedSeq
 // round-trips, window extraction vs the string-slice encode path, the
-// SIMD kernels vs their scalar references at every compiled dispatch
-// level, and the batched spectrum/tile-table probes vs their
-// single-probe counterparts.
+// SIMD kernel vs its scalar reference at every compiled dispatch level,
+// and the batched spectrum/tile-table probes vs their single-probe
+// counterparts.
 
 #include <gtest/gtest.h>
 
@@ -152,7 +152,7 @@ TEST(PackedSeq, ReverseComplementMatchesStringPath) {
 }
 
 // ---------------------------------------------------------------------
-// SIMD kernels: every compiled dispatch level agrees with scalar.
+// SIMD kernel: every compiled dispatch level agrees with scalar.
 
 class SimdDispatch : public ::testing::TestWithParam<util::simd::Level> {
  protected:
@@ -169,31 +169,6 @@ class SimdDispatch : public ::testing::TestWithParam<util::simd::Level> {
  private:
   util::simd::Level orig_ = util::simd::Level::kScalar;
 };
-
-TEST_P(SimdDispatch, HammingBatchMatchesScalarKernel) {
-  util::Rng rng(42);
-  constexpr std::size_t kN = 1000;
-  std::vector<std::uint64_t> codes(kN);
-  std::vector<std::uint8_t> hd(kN);
-  for (int round = 0; round < 20; ++round) {
-    const int k = 1 + static_cast<int>(rng.below(32));
-    const std::uint64_t mask =
-        k == 32 ? ~std::uint64_t{0} : ((std::uint64_t{1} << (2 * k)) - 1);
-    const std::uint64_t query = rng() & mask;
-    for (auto& c : codes) {
-      // Bias toward near neighbors so small distances are exercised.
-      c = rng.below(4) == 0 ? (query ^ (std::uint64_t{3} << (2 * rng.below(
-                                            static_cast<std::uint64_t>(k)))))
-                            : (rng() & mask);
-    }
-    util::simd::hamming_batch(codes.data(), kN, query, hd.data());
-    for (std::size_t i = 0; i < kN; ++i) {
-      ASSERT_EQ(static_cast<int>(hd[i]),
-                util::simd::hamming2(codes[i], query))
-          << "k=" << k << " i=" << i;
-    }
-  }
-}
 
 TEST_P(SimdDispatch, MaskedRunFilterMatchesReferenceScan) {
   util::Rng rng(4242);
@@ -312,121 +287,154 @@ TEST(SimdNeighborhoods, ScalarAndBestLevelIdenticalCandidates) {
 // ---------------------------------------------------------------------
 // Batched probes agree with the single-probe paths.
 
+// Every probe table shape: the full table (prefix index on), one under
+// 64 codes (no prefix index) and an empty one, probed with present
+// codes, random in-range keys, keys past the last code and keys past
+// the top bucket (wider than the table's 2k bits).
 TEST(BatchedLookup, SpectrumIndexOfBatchMatchesSingle) {
   util::Rng rng(2024);
   seq::ReadSet reads;
   for (int i = 0; i < 300; ++i) {
     reads.reads.push_back({"r", random_bases(rng, 50, false), {}});
   }
+  seq::ReadSet few;
+  few.reads.push_back({"r", random_bases(rng, 30, false), {}});
   constexpr int kK = 11;
-  const auto spectrum = kspec::KSpectrum::build(reads, kK, true);
+  const kspec::KSpectrum spectra[] = {kspec::KSpectrum::build(reads, kK, true),
+                                      kspec::KSpectrum::build(few, kK, true),
+                                      kspec::KSpectrum::build({}, kK, true)};
+  ASSERT_GT(spectra[0].prefix_index_bits(), 0);
+  ASSERT_EQ(spectra[1].prefix_index_bits(), 0);
+  ASSERT_GT(spectra[1].size(), 0u);
+  ASSERT_EQ(spectra[2].size(), 0u);
   const std::uint64_t mask = (std::uint64_t{1} << (2 * kK)) - 1;
-  for (const std::size_t n : {0ul, 1ul, 15ul, 16ul, 17ul, 63ul, 64ul, 65ul,
-                              200ul, 1000ul}) {
-    std::vector<seq::KmerCode> probes(n);
-    for (auto& p : probes) {
-      p = rng.below(2) ? spectrum.code_at(rng.below(spectrum.size()))
-                       : (rng() & mask);
-    }
-    std::vector<std::int64_t> got(n);
-    spectrum.index_of_batch(probes, got);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(got[i], spectrum.index_of(probes[i])) << "n=" << n << " i=" << i;
+  for (const auto& spectrum : spectra) {
+    const auto codes = spectrum.codes();
+    const seq::KmerCode last = codes.empty() ? 0 : codes.back();
+    for (const std::size_t n : {0ul, 1ul, 15ul, 16ul, 17ul, 63ul, 64ul, 65ul,
+                                200ul, 1000ul}) {
+      std::vector<seq::KmerCode> probes(n);
+      for (auto& p : probes) {
+        const std::uint64_t pick = rng.below(4);
+        if (pick == 0 && !codes.empty()) {
+          p = codes[rng.below(codes.size())];
+        } else if (pick <= 1) {
+          p = rng() & mask;
+        } else if (pick == 2) {
+          p = last + 1 + rng.below(mask - last + 1);
+        } else {
+          p = rng() | (mask + 1);
+        }
+      }
+      std::vector<std::int64_t> got(n);
+      spectrum.index_of_batch(probes, got);
+      std::vector<std::size_t> lb(n);
+      spectrum.lower_bound_batch(probes, lb);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got[i], spectrum.index_of(probes[i]))
+            << "size=" << codes.size() << " n=" << n << " i=" << i;
+        ASSERT_EQ(lb[i], static_cast<std::size_t>(
+                             std::lower_bound(codes.begin(), codes.end(),
+                                              probes[i]) -
+                             codes.begin()))
+            << "size=" << codes.size() << " n=" << n << " i=" << i;
+      }
     }
   }
   std::vector<std::int64_t> bad(3);
   EXPECT_THROW(
-      spectrum.index_of_batch(std::vector<seq::KmerCode>(2), bad),
+      spectra[0].index_of_batch(std::vector<seq::KmerCode>(2), bad),
       std::invalid_argument);
-}
-
-TEST(BatchedLookup, TileTableOgBatchMatchesSingle) {
-  util::Rng rng(555);
-  seq::ReadSet reads;
-  for (int i = 0; i < 300; ++i) {
-    reads.reads.push_back({"r", random_bases(rng, 50, false), {}});
-  }
-  kspec::TileParams tp;
-  tp.k = 10;
-  tp.overlap = 0;  // 20bp tiles, the D3 configuration
-  const auto table = kspec::TileTable::build(reads, tp);
-  ASSERT_GT(table.size(), 0u);
-  const std::uint64_t mask = (std::uint64_t{1} << (2 * tp.tile_length())) - 1;
-  for (const std::size_t n : {0ul, 1ul, 16ul, 63ul, 64ul, 65ul, 500ul}) {
-    std::vector<seq::KmerCode> tiles(n);
-    for (auto& t : tiles) {
-      t = rng.below(2) ? table.code_at(rng.below(table.size()))
-                       : (rng() & mask);
-    }
-    std::vector<std::uint32_t> got(n);
-    table.og_batch(tiles, got);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(got[i], table.og(tiles[i])) << "n=" << n << " i=" << i;
-    }
-  }
+  std::vector<std::size_t> bad_lb(3);
+  EXPECT_THROW(
+      spectra[0].lower_bound_batch(std::vector<seq::KmerCode>(2), bad_lb),
+      std::invalid_argument);
 }
 
 // og_cross must agree with per-pair counts() for every (a1, a2) pair —
 // including the overlap > 0 layout (distinct a2 kmers masking to the
-// same tile contribution) and the large-side fallback path.
+// same tile contribution) and the large-side fallback path — on a full
+// table, one under 64 tiles (no prefix index) and an empty one, with
+// leading kmers past the last tile's and past the top bucket.
 TEST(BatchedLookup, TileTableOgCrossMatchesPerPairCounts) {
   util::Rng rng(777);
   seq::ReadSet reads;
   for (int i = 0; i < 300; ++i) {
     reads.reads.push_back({"r", random_bases(rng, 50, false), {}});
   }
-  for (const int overlap : {0, 3}) {
-    kspec::TileParams tp;
-    tp.k = 10;
-    tp.overlap = overlap;
-    const auto table = kspec::TileTable::build(reads, tp);
-    ASSERT_GT(table.size(), 0u);
-    const std::uint64_t kmask = (std::uint64_t{1} << (2 * tp.k)) - 1;
-    const int low_bits = 2 * (tp.k - tp.overlap);
-    const auto ref_og = [&](seq::KmerCode a1, seq::KmerCode a2) {
-      return table
-          .counts((a1 << low_bits) |
-                  (a2 & ((seq::KmerCode{1} << low_bits) - 1)))
-          .og;
-    };
-    // Mix present tile halves (so some pairs hit) with random kmers.
-    const auto random_side = [&](std::size_t n) {
-      std::vector<seq::KmerCode> side(n);
-      for (auto& v : side) {
-        if (rng.below(2)) {
-          const seq::KmerCode tile = table.code_at(rng.below(table.size()));
-          v = rng.below(2) ? (tile >> low_bits) : (tile & kmask);
-        } else {
-          v = rng() & kmask;
+  seq::ReadSet few;
+  few.reads.push_back({"r", random_bases(rng, 30, false), {}});
+  seq::ReadSet empty;
+  for (const seq::ReadSet* set : {&reads, &few, &empty}) {
+    for (const int overlap : {0, 3}) {
+      kspec::TileParams tp;
+      tp.k = 10;
+      tp.overlap = overlap;
+      const auto table = kspec::TileTable::build(*set, tp);
+      if (set == &few) {
+        ASSERT_GT(table.size(), 0u);
+        ASSERT_LT(table.size(), 64u);
+      }
+      if (set == &empty) {
+        ASSERT_EQ(table.size(), 0u);
+      }
+      const std::uint64_t kmask = (std::uint64_t{1} << (2 * tp.k)) - 1;
+      const int low_bits = 2 * (tp.k - tp.overlap);
+      const seq::KmerCode last_prefix =
+          table.size() == 0 ? 0 : table.code_at(table.size() - 1) >> low_bits;
+      const auto ref_og = [&](seq::KmerCode a1, seq::KmerCode a2) {
+        return table
+            .counts((a1 << low_bits) |
+                    (a2 & ((seq::KmerCode{1} << low_bits) - 1)))
+            .og;
+      };
+      // Mix present tile halves (so some pairs hit) with random kmers,
+      // kmers past the last tile's leading kmer and kmers whose tiles lie
+      // past the top bucket.
+      const auto random_side = [&](std::size_t n) {
+        std::vector<seq::KmerCode> side(n);
+        for (auto& v : side) {
+          const std::uint64_t pick = rng.below(5);
+          if (pick <= 1 && table.size() > 0) {
+            const seq::KmerCode tile = table.code_at(rng.below(table.size()));
+            v = rng.below(2) ? (tile >> low_bits) : (tile & kmask);
+          } else if (pick <= 2) {
+            v = rng() & kmask;
+          } else if (pick == 3) {
+            v = last_prefix + 1 + rng.below(kmask - last_prefix + 1);
+          } else {
+            v = (kmask + 1) | rng.below(kmask + 1);
+          }
+        }
+        return side;
+      };
+      for (const auto& [n1, n2] : {std::pair<std::size_t, std::size_t>{0, 5},
+                                  {5, 0},
+                                  {1, 1},
+                                  {16, 16},
+                                  {17, 33},
+                                  {64, 64},
+                                  {70, 3},   // n1 fallback
+                                  {3, 70}})  // n2 fallback
+      {
+        const auto a1 = random_side(n1);
+        const auto a2 = random_side(n2);
+        std::vector<std::uint32_t> got(n1 * n2);
+        table.og_cross(a1, a2, got);
+        for (std::size_t i = 0; i < n1; ++i) {
+          for (std::size_t j = 0; j < n2; ++j) {
+            ASSERT_EQ(got[i * n2 + j], ref_og(a1[i], a2[j]))
+                << "tiles=" << table.size() << " overlap=" << overlap
+                << " n1=" << n1 << " n2=" << n2 << " i=" << i << " j=" << j;
+          }
         }
       }
-      return side;
-    };
-    for (const auto& [n1, n2] : {std::pair<std::size_t, std::size_t>{0, 5},
-                                {5, 0},
-                                {1, 1},
-                                {16, 16},
-                                {17, 33},
-                                {70, 3},   // n1 fallback
-                                {3, 70}})  // n2 fallback
-    {
-      const auto a1 = random_side(n1);
-      const auto a2 = random_side(n2);
-      std::vector<std::uint32_t> got(n1 * n2);
-      table.og_cross(a1, a2, got);
-      for (std::size_t i = 0; i < n1; ++i) {
-        for (std::size_t j = 0; j < n2; ++j) {
-          ASSERT_EQ(got[i * n2 + j], ref_og(a1[i], a2[j]))
-              << "overlap=" << overlap << " n1=" << n1 << " n2=" << n2
-              << " i=" << i << " j=" << j;
-        }
-      }
+      std::vector<std::uint32_t> bad(3);
+      EXPECT_THROW(
+          table.og_cross(std::vector<seq::KmerCode>(2),
+                         std::vector<seq::KmerCode>(2), bad),
+          std::invalid_argument);
     }
-    std::vector<std::uint32_t> bad(3);
-    EXPECT_THROW(
-        table.og_cross(std::vector<seq::KmerCode>(2),
-                       std::vector<seq::KmerCode>(2), bad),
-        std::invalid_argument);
   }
 }
 

@@ -4,7 +4,8 @@
 // offline pipeline, in-order windowed streaming, typed BUSY under
 // saturation, per-batch worker-fault salvage, epoch-based hot reload
 // (including a corrupt replacement being rejected while the old epoch
-// keeps serving), and serving an index built under a memory budget.
+// keeps serving, and a worker dropping the retired corrector's
+// scratch), and serving an index built under a memory budget.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +13,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -525,6 +529,21 @@ TEST_F(ServerTest, HelloRejectsUnknownMethodAndMissingIndex) {
       EXPECT_EQ(e.kind(), ErrorKind::kConfig);
     }
   }
+  for (const double rate : {-1.0, 2.0, std::nan("")}) {
+    // An error rate that is not a probability, NaN included.
+    auto client = make_client();
+    service::HelloRequest hello;
+    hello.method = "redeem";
+    hello.error_rate = rate;
+    try {
+      (void)client.hello(hello);
+      FAIL() << "error rate " << rate << " accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kConfig);
+      EXPECT_NE(std::string(e.what()).find("error rate"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST_F(ServerTest, OutOfOrderSeqClosesConnectionWithTypedError) {
@@ -709,6 +728,77 @@ TEST_F(ServerTest, HotReloadSwapsEpochWithoutDisruptingClients) {
   const auto limits2 = after.hello(sap_hello());
   EXPECT_EQ(limits2.epoch_id, 2u);
   EXPECT_EQ(client_correct(after, limits2, fastq_), expected_sap_);
+}
+
+// A passthrough method whose scratch counts its live instances, so a
+// test can see how many scratch objects the daemon's workers hold.
+std::atomic<int> g_live_scratch{0};
+
+struct CountedScratch final : core::BatchScratch {
+  CountedScratch() { ++g_live_scratch; }
+  ~CountedScratch() override { --g_live_scratch; }
+};
+
+class ScratchCounter final : public core::Corrector {
+ public:
+  std::string_view method() const noexcept override {
+    return "scratch_counter";
+  }
+  void build(const seq::ReadSet&) override { mark_ready(); }
+  std::unique_ptr<core::BatchScratch> make_scratch() const override {
+    return std::make_unique<CountedScratch>();
+  }
+  void correct_batch(std::span<const seq::Read> in,
+                     std::vector<seq::Read>& out,
+                     core::CorrectionReport& report,
+                     core::BatchScratch*) const override {
+    require_ready();
+    for (const auto& r : in) {
+      out.push_back(r);
+      core::tally_read(r, r, report);
+    }
+  }
+};
+
+// Every RELOAD retires the epoch's corrector. A worker that served both
+// sides of a reload must drop the retired corrector's scratch instead of
+// keeping it beside the new one's.
+TEST_F(ServerTest, WorkerDropsRetiredCorrectorScratchAcrossReloads) {
+  core::register_corrector({"scratch_counter", "counts live scratch", false},
+                           [](const core::CorrectorConfig&) {
+                             return std::make_unique<ScratchCounter>();
+                           });
+  service::ServiceOptions options;
+  options.workers = 1;
+  start(options);
+  const std::string expected = offline_correct(fastq_, "scratch_counter");
+  const auto reads = parse_reads(fastq_);
+
+  auto client = make_client();
+  auto control = make_client();
+  service::HelloRequest hello;
+  hello.method = "scratch_counter";
+  hello.genome_length = 5000;
+  (void)client.hello(hello);
+  for (std::uint64_t seq = 0; seq < 4; ++seq) {
+    if (seq > 0) {
+      ASSERT_EQ(control.reload(), seq + 1);
+    }
+    // One batch on the long-lived connection: it moves to the new
+    // epoch's corrector while the old one is still pinned.
+    service::ReadBatch batch;
+    batch.seq = seq;
+    batch.reads = reads;
+    client.send_request(batch);
+    const auto reply = client.read_reply();
+    ASSERT_EQ(reply.type, service::FrameType::kResponse);
+    const auto resp =
+        service::decode_response(reply.payload.data(), reply.payload.size());
+    std::ostringstream served;
+    io::write_fastq(served, resp.reads);
+    EXPECT_EQ(served.str(), expected) << "after reload " << seq;
+    EXPECT_LE(g_live_scratch.load(), 1) << "after reload " << seq;
+  }
 }
 
 TEST_F(ServerTest, ReloadFaultKeepsOldEpochServing) {

@@ -229,6 +229,13 @@ expect_exit 2 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
 grep -q -- "--k" "$WORK/stderr.txt"
 expect_exit 2 "$BIN_DIR/ngs_index" build --in "$WORK/reads.fastq" \
   --out "$WORK/x.ngsx" --k 4294967308
+# An error rate must be a number in [0, 1]: text, a negative rate and
+# NaN are config errors, not a run at some other rate.
+for rate in abc -1 nan; do
+  expect_exit 2 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
+    --out "$WORK/x.fastq" --method redeem --error-rate "$rate"
+  grep -q -- "--error-rate" "$WORK/stderr.txt"
+done
 test ! -e "$WORK/x.fastq"
 test ! -e "$WORK/x.ngsx"
 

@@ -12,6 +12,7 @@
 #include "closet/closet.hpp"
 #include "io/fastx.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 #include "util/timer.hpp"
 
 using namespace ngs;
@@ -37,6 +38,15 @@ int main(int argc, char** argv) {
     return cli.help_requested() ? 0 : 2;
   }
 
+  closet::ClosetParams params;
+  try {
+    params.gamma = cli.get_double("gamma", 2.0 / 3.0, 0.0, 1.0);
+    params.cmin = cli.get_double("cmin", 0.6, 0.0, 1.0);
+  } catch (const Error& e) {
+    std::cerr << "ngs-cluster: " << e.what() << "\n";
+    return tool_exit_code(e.kind());
+  }
+
   const std::string path = cli.get("in");
   const bool fastq = path.size() > 6 &&
                      (path.rfind(".fastq") == path.size() - 6 ||
@@ -45,10 +55,7 @@ int main(int argc, char** argv) {
       fastq ? io::read_fastq_file(path) : io::read_fasta_file(path);
   std::cerr << "read " << reads.size() << " sequences\n";
 
-  closet::ClosetParams params;
   params.k = static_cast<int>(cli.get_int("k", 15));
-  params.gamma = cli.get_double("gamma", 2.0 / 3.0);
-  params.cmin = cli.get_double("cmin", 0.6);
   params.validate_with_alignment = cli.has("alignment");
   params.thresholds.clear();
   {

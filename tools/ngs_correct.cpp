@@ -117,11 +117,11 @@ int main(int argc, char** argv) {
     options.batch_size = cli.get_size("batch-size", 4096, 1);
     options.memory_budget_bytes =
         cli.get_size("memory-budget-mb", 0, 0, SIZE_MAX >> 20) << 20;
+    config.error_rate = cli.get_double("error-rate", 0.01, 0.0, 1.0);
   } catch (const Error& e) {
     std::cerr << "ngs-correct: " << e.what() << "\n";
     return tool_exit_code(e.kind());
   }
-  config.error_rate = cli.get_double("error-rate", 0.01);
 
   io::BadRecordPolicy bad_record_policy = io::BadRecordPolicy::kFail;
   const std::string on_bad_record = cli.get("on-bad-record", "fail");

@@ -92,6 +92,12 @@ int main(int argc, char** argv) {
     stream.batch_size = cli.get_size("batch-size", 1024, 1);
     stream.window = cli.get_size("window", 4);
     stream.busy_retry_limit = cli.get_size("busy-retry-limit", 64);
+    service::HelloRequest hello;
+    hello.method = cli.get("method", "reptile");
+    hello.k =
+        static_cast<std::int32_t>(cli.get_size("k", 0, 0, seq::kMaxK));
+    hello.genome_length = cli.get_size("genome-length", 1000000);
+    hello.error_rate = cli.get_double("error-rate", 0.01, 0.0, 1.0);
 
     service::Client client(cli.get("socket"));
     client.connect();
@@ -106,13 +112,6 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    service::HelloRequest hello;
-    hello.method = cli.get("method", "reptile");
-    hello.k =
-        static_cast<std::int32_t>(cli.get_size("k", 0, 0, seq::kMaxK));
-    hello.genome_length =
-        static_cast<std::uint64_t>(cli.get_int("genome-length", 1000000));
-    hello.error_rate = cli.get_double("error-rate", 0.01);
     const service::HelloOk limits = client.hello(hello);
 
     if (limits.max_batch_reads > 0 &&

@@ -44,11 +44,16 @@ int main(int argc, char** argv) {
   util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 42)));
   sim::GenomeSpec gspec;
   std::size_t rep_len = 0, rep_n = 0, read_length = 0;
+  double error_rate = 0.0;
+  sim::ReadSimConfig cfg;
   try {
     gspec.length = cli.get_size("genome-length", 100000, 1);
     rep_len = cli.get_size("repeat-length", 0);
     rep_n = cli.get_size("repeat-copies", 0);
     read_length = cli.get_size("read-length", 36, 1);
+    error_rate = cli.get_double("error-rate", 0.01, 0.0, 1.0);
+    cfg.coverage = cli.get_double("coverage", 60.0, 0.0);
+    cfg.ambiguous_rate = cli.get_double("ambiguous-rate", 0.0, 0.0, 1.0);
   } catch (const Error& e) {
     std::cerr << "ngs-simulate: " << e.what() << "\n";
     return tool_exit_code(e.kind());
@@ -58,12 +63,8 @@ int main(int argc, char** argv) {
   }
   const auto genome = sim::simulate_genome(gspec, rng);
 
-  const auto model =
-      sim::ErrorModel::illumina(read_length, cli.get_double("error-rate", 0.01));
-  sim::ReadSimConfig cfg;
+  const auto model = sim::ErrorModel::illumina(read_length, error_rate);
   cfg.read_length = read_length;
-  cfg.coverage = cli.get_double("coverage", 60.0);
-  cfg.ambiguous_rate = cli.get_double("ambiguous-rate", 0.0);
   const auto run = sim::simulate_reads(genome.sequence, model, cfg, rng);
 
   seq::ReadSet genome_set;
