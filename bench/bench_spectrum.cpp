@@ -1,6 +1,6 @@
 // Spectrum construction + lookup microbench. Builds the Table 2.1
-// D3-scale simulated dataset, times the serial seed path against the
-// radix-partitioned parallel build at several thread counts (verifying
+// D3-scale simulated dataset, times the one k-mer counter
+// (ChunkedSpectrumBuilder) on pools of 1, 2, 4 and 8 threads (verifying
 // byte-identical spectra), and times index_of with and without the
 // prefix-bucket index. Emits BENCH_spectrum.json (path overridable via
 // NGS_BENCH_JSON) so the perf trajectory of the k-spectrum stack is
@@ -54,7 +54,7 @@ int main() {
   constexpr int kRepeats = 3;
   bench::print_header(
       "Spectrum build + lookup microbench (Table 2.1 D3-scale)",
-      "Radix-partitioned parallel build vs the serial seed path; "
+      "Chunked radix build on pools of 1-8 threads; "
       "prefix-indexed vs full-range binary-search lookups.");
 
   const auto specs = sim::chapter2_specs(scale);
@@ -66,51 +66,36 @@ int main() {
             << ", k=" << k << ", hardware_threads="
             << std::thread::hardware_concurrency() << "\n\n";
 
-  // --- Build: serial seed path vs parallel radix path. ---
-  kspec::SpectrumBuildOptions serial;
-  serial.threads = 1;
-  kspec::KSpectrum reference;
-  const double serial_s = best_seconds(
-      kRepeats, [&] { reference = kspec::KSpectrum::build(reads, k, true, serial); });
-
+  // --- Build: the chunked builder on pools of 1, 2, 4 and 8 threads,
+  // as pipeline pass 1 runs it. ---
   struct BuildRow {
     std::size_t threads;
     double seconds;
     bool identical;
   };
   std::vector<BuildRow> builds;
-  util::Table build_table({"Threads", "Build (s)", "Speedup", "Identical"});
-  build_table.add_row({"serial (seed)", util::Table::fixed(serial_s, 4),
-                       "1.00x", "-"});
+  kspec::KSpectrum reference;
   for (const std::size_t threads : {1ul, 2ul, 4ul, 8ul}) {
     util::ThreadPool pool(threads);
-    kspec::SpectrumBuildOptions opts;
-    opts.pool = &pool;
     kspec::KSpectrum spec;
-    const double s = best_seconds(
-        kRepeats, [&] { spec = kspec::KSpectrum::build(reads, k, true, opts); });
-    const bool same = identical(spec, reference);
-    builds.push_back({threads, s, same});
-    build_table.add_row({std::to_string(threads), util::Table::fixed(s, 4),
-                         util::Table::fixed(serial_s / s, 2) + "x",
-                         same ? "yes" : "NO"});
+    const double s = best_seconds(kRepeats, [&] {
+      kspec::ChunkedSpectrumBuilder builder(k, true, 1 << 20, &pool);
+      builder.add_read_batch(reads.reads);
+      spec = builder.finish();
+    });
+    if (builds.empty()) reference = spec;
+    builds.push_back({threads, s, identical(spec, reference)});
+  }
+  util::Table build_table({"Threads", "Build (s)", "Speedup", "Identical"});
+  for (const auto& row : builds) {
+    build_table.add_row({std::to_string(row.threads),
+                         util::Table::fixed(row.seconds, 4),
+                         util::Table::fixed(builds[0].seconds / row.seconds,
+                                            2) + "x",
+                         row.identical ? "yes" : "NO"});
   }
   build_table.print(std::cout);
   std::cout << "\n";
-
-  // --- Streamed (chunked) build, as pipeline pass 1 sees it. ---
-  double chunked_s = 0.0;
-  {
-    util::ThreadPool pool(0);
-    chunked_s = best_seconds(kRepeats, [&] {
-      kspec::ChunkedSpectrumBuilder builder(k, true, 1 << 20, &pool);
-      builder.add_reads(reads);
-      const auto spec = builder.finish();
-      if (!identical(spec, reference)) std::abort();
-    });
-    std::cout << "chunked streamed build (default pool): "
-              << util::Table::fixed(chunked_s, 4) << " s\n\n";
-  }
 
   // --- Budget-constrained (out-of-core) build: the spill path of the
   // bounded-memory build, same bytes out, bounded tracked memory. ---
@@ -128,7 +113,7 @@ int main() {
     spill_budget = spill.memory_budget_bytes;
     spilled_s = best_seconds(kRepeats, [&] {
       kspec::ChunkedSpectrumBuilder builder(k, true, 1 << 20, nullptr, spill);
-      builder.add_reads(reads);
+      builder.add_read_batch(reads.reads);
       builder.flush_spill();
       spill_bins = builder.spill_nonempty_bins();
       const auto spec = builder.finish();
@@ -249,19 +234,18 @@ int main() {
        << "  \"distinct_kmers\": " << reference.size() << ",\n"
        << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
        << ",\n"
-       << "  \"serial_build_s\": " << serial_s << ",\n"
-       << "  \"chunked_build_s\": " << chunked_s << ",\n"
        << "  \"spilled_build\": {\"seconds\": " << spilled_s
        << ", \"budget_bytes\": " << spill_budget
        << ", \"spill_bytes\": " << spill_bytes
        << ", \"bins\": " << spill_bins
        << ", \"peak_tracked_bytes\": " << spill_peak_tracked << "},\n"
        << "  \"peak_rss_bytes\": " << util::peak_rss_bytes() << ",\n"
-       << "  \"parallel_builds\": [\n";
+       << "  \"builds\": [\n";
   for (std::size_t i = 0; i < builds.size(); ++i) {
     json << "    {\"threads\": " << builds[i].threads
          << ", \"seconds\": " << builds[i].seconds
-         << ", \"speedup_vs_serial\": " << serial_s / builds[i].seconds
+         << ", \"speedup_vs_1_thread\": "
+         << builds[0].seconds / builds[i].seconds
          << ", \"byte_identical\": " << (builds[i].identical ? "true" : "false")
          << "}" << (i + 1 < builds.size() ? "," : "") << "\n";
   }

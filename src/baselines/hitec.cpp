@@ -8,11 +8,6 @@
 
 namespace ngs::baselines {
 
-HitecCorrector::HitecCorrector(const seq::ReadSet& reads, HitecParams params)
-    : params_(params),
-      extensions_(kspec::KSpectrum::build(reads, params.k + 1,
-                                          /*both_strands=*/true)) {}
-
 HitecCorrector::HitecCorrector(kspec::KSpectrum extensions, HitecParams params)
     : params_(params), extensions_(std::move(extensions)) {
   if (!extensions_.empty() && extensions_.k() != params_.k + 1) {

@@ -32,8 +32,6 @@ struct HitecStats {
 
 class HitecCorrector {
  public:
-  HitecCorrector(const seq::ReadSet& reads, HitecParams params);
-
   /// Builds from a pre-aggregated witness spectrum (streamed; must be a
   /// (k+1)-spectrum over both strands): `extensions.k() == params.k + 1`.
   HitecCorrector(kspec::KSpectrum extensions, HitecParams params);

@@ -8,11 +8,6 @@
 
 namespace ngs::baselines {
 
-SapCorrector::SapCorrector(const seq::ReadSet& reads, SapParams params)
-    : params_(params),
-      spectrum_(kspec::KSpectrum::build(reads, params.k,
-                                        params.both_strands)) {}
-
 SapCorrector::SapCorrector(kspec::KSpectrum spectrum, SapParams params)
     : params_(params), spectrum_(std::move(spectrum)) {
   if (!spectrum_.empty() && spectrum_.k() != params_.k) {

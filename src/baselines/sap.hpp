@@ -50,8 +50,6 @@ class SapCorrector {
     std::vector<std::size_t> order;      // positions in visit order
   };
 
-  SapCorrector(const seq::ReadSet& reads, SapParams params);
-
   /// Builds from a pre-aggregated k-spectrum (e.g. streamed through
   /// kspec::ChunkedSpectrumBuilder, so the reads never have to be held
   /// in memory). `spectrum.k()` must equal `params.k`.

@@ -1,10 +1,11 @@
 // Adapters binding the seven concrete correction methods to the unified
 // core::Corrector interface, and their registration with the factory.
-// Spectrum-based methods (SAP, HiTEC, REDEEM) advertise spectrum_k() so
-// the CorrectionPipeline can build them from a ChunkedSpectrumBuilder
-// stream in bounded memory; Reptile builds per-read but needs the
-// buffered reads for its tile table and parameter selection; SHREC,
-// FreClu, and the hybrid are whole-set algorithms.
+// Spectrum-based methods (SAP, HiTEC, REDEEM) advertise spectrum_k() and
+// build only from a spectrum: the CorrectionPipeline streams it through
+// a ChunkedSpectrumBuilder in bounded memory, and Corrector::build
+// counts a ReadSet with the same builder. Reptile builds per-read but
+// needs the buffered reads for its tile table and parameter selection;
+// SHREC, FreClu, and the hybrid are whole-set algorithms.
 
 #include <algorithm>
 #include <cstdint>
@@ -162,11 +163,6 @@ class SapAdapter final : public Corrector {
     return params_.both_strands;
   }
 
-  void build(const seq::ReadSet& reads) override {
-    corrector_.emplace(reads, params_);
-    mark_ready();
-  }
-
   void build_from_spectrum(kspec::KSpectrum spectrum,
                            const InputSummary& /*input*/) override {
     corrector_.emplace(std::move(spectrum), params_);
@@ -210,11 +206,6 @@ class HitecAdapter final : public Corrector {
   std::string_view method() const noexcept override { return "hitec"; }
   int spectrum_k() const noexcept override { return params_.k + 1; }
 
-  void build(const seq::ReadSet& reads) override {
-    corrector_.emplace(reads, params_);
-    mark_ready();
-  }
-
   void build_from_spectrum(kspec::KSpectrum spectrum,
                            const InputSummary& /*input*/) override {
     corrector_.emplace(std::move(spectrum), params_);
@@ -252,14 +243,15 @@ class RedeemAdapter final : public Corrector {
   int spectrum_k() const noexcept override { return k_; }
   bool spectrum_both_strands() const noexcept override { return false; }
 
-  void build(const seq::ReadSet& reads) override {
-    init(kspec::KSpectrum::build(reads, k_, /*both_strands=*/false),
-         summarize(reads));
-  }
-
   void build_from_spectrum(kspec::KSpectrum spectrum,
                            const InputSummary& input) override {
-    init(std::move(spectrum), input);
+    const auto model = misread_model(config_, input.max_read_length, k_);
+    spectrum_ = std::move(spectrum);
+    q_ = redeem::kmer_error_matrices(redeem::ErrorDistKind::kTrueIllumina, k_,
+                                     model);
+    model_.emplace(spectrum_, q_, redeem::RedeemParams{});
+    corrector_.emplace(*model_, redeem::RedeemCorrectorParams{});
+    mark_ready();
   }
 
   void correct_batch(std::span<const seq::Read> in,
@@ -276,16 +268,6 @@ class RedeemAdapter final : public Corrector {
   }
 
  private:
-  void init(kspec::KSpectrum spectrum, const InputSummary& input) {
-    const auto model = misread_model(config_, input.max_read_length, k_);
-    spectrum_ = std::move(spectrum);
-    q_ = redeem::kmer_error_matrices(redeem::ErrorDistKind::kTrueIllumina, k_,
-                                     model);
-    model_.emplace(spectrum_, q_, redeem::RedeemParams{});
-    corrector_.emplace(*model_, redeem::RedeemCorrectorParams{});
-    mark_ready();
-  }
-
   CorrectorConfig config_;
   int k_;
   kspec::KSpectrum spectrum_;  // owned here: RedeemModel keeps a pointer

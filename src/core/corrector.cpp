@@ -88,6 +88,19 @@ void Corrector::build_from_spectrum(kspec::KSpectrum /*spectrum*/,
                          ": streaming spectrum build not supported");
 }
 
+void Corrector::build(const seq::ReadSet& reads) {
+  if (spectrum_k() <= 0) {
+    throw std::logic_error(std::string(method()) +
+                           ": phase 1 is not a k-spectrum and needs its own "
+                           "build");
+  }
+  InputSummary input;
+  for (const auto& r : reads.reads) input.add(r);
+  build_from_spectrum(
+      kspec::KSpectrum::build(reads, spectrum_k(), spectrum_both_strands()),
+      input);
+}
+
 void Corrector::correct_batch(std::span<const seq::Read> /*in*/,
                               std::vector<seq::Read>& /*out*/,
                               CorrectionReport& /*report*/,

@@ -140,8 +140,12 @@ class Corrector {
   virtual void build_from_spectrum(kspec::KSpectrum spectrum,
                                    const InputSummary& input);
 
-  /// Phase 1 from the in-memory read set. Always supported.
-  virtual void build(const seq::ReadSet& reads) = 0;
+  /// Phase 1 from the in-memory read set. Always supported. The default,
+  /// for spectrum methods, counts the reads at spectrum_k() and
+  /// spectrum_both_strands() and calls build_from_spectrum with their
+  /// InputSummary, so a file, a ReadSet and an index build them alike;
+  /// methods with spectrum_k() == 0 override it.
+  virtual void build(const seq::ReadSet& reads);
 
   /// True once either build overload has completed.
   bool ready() const noexcept { return ready_; }

@@ -90,10 +90,6 @@ void ChunkedSpectrumBuilder::spill_buffer() {
   buffer_.clear();  // capacity is kept for the next fill
 }
 
-void ChunkedSpectrumBuilder::add_reads(const seq::ReadSet& reads) {
-  for (const auto& r : reads.reads) add_read(r.bases);
-}
-
 void ChunkedSpectrumBuilder::add_read_batch(std::span<const seq::Read> reads) {
   for (const auto& r : reads) add_read(r.bases);
 }
@@ -113,7 +109,6 @@ void ChunkedSpectrumBuilder::flush_batch() {
   while (!runs_.empty() && runs_.back().size() <= run.size()) {
     run = merge_runs(runs_.back(), run);
     runs_.pop_back();
-    ++merge_rounds_;
   }
   runs_.push_back(std::move(run));
 }
@@ -221,7 +216,7 @@ void ChunkedSpectrumBuilder::finish_spilled(
   peak_buffered_ = 0;
 }
 
-KSpectrum ChunkedSpectrumBuilder::finish(int* merge_rounds) {
+KSpectrum ChunkedSpectrumBuilder::finish() {
   if (spilled_) {
     // Concatenating disjoint ascending prefix bins yields the globally
     // sorted arrays directly (no merging) — identical to what the
@@ -232,8 +227,6 @@ KSpectrum ChunkedSpectrumBuilder::finish(int* merge_rounds) {
       all.counts.insert(all.counts.end(), run.counts.begin(),
                         run.counts.end());
     });
-    if (merge_rounds != nullptr) *merge_rounds = 0;
-    merge_rounds_ = 0;
     return KSpectrum::from_sorted_counts(std::move(all.codes),
                                          std::move(all.counts), k_);
   }
@@ -251,13 +244,10 @@ KSpectrum ChunkedSpectrumBuilder::finish(int* merge_rounds) {
       next[p] = merge_runs(runs_[2 * p], runs_[2 * p + 1]);
     });
     if (runs_.size() % 2 != 0) next.back() = std::move(runs_.back());
-    merge_rounds_ += static_cast<int>(pairs);
     runs_ = std::move(next);
   }
   Run all = runs_.empty() ? Run{} : std::move(runs_.front());
   runs_.clear();
-  if (merge_rounds != nullptr) *merge_rounds = merge_rounds_;
-  merge_rounds_ = 0;
   peak_buffered_ = 0;
   finish_pending_reset_ = true;
 

@@ -6,11 +6,13 @@
 // through each read and record the k-spectrum and tile information,
 // merging it with the data from previous chunks.").
 //
-// The builder consumes reads in batches (from any source: an in-memory
-// ReadSet, a FASTQ stream, a generator), keeps each batch's sorted
-// (code, count) run, and merges runs pairwise so peak memory stays
-// proportional to the *distinct*-kmer volume plus one batch — never the
-// full instance multiset that KSpectrum::build materializes.
+// The builder is the one counter of k-mers in reads: KSpectrum::build,
+// the streamed methods' pass 1 and ngs-index build all run it. It
+// consumes reads in batches (from any source: an in-memory ReadSet, a
+// FASTQ stream, a generator), keeps each batch's sorted (code, count)
+// run, and merges runs pairwise so peak memory stays proportional to the
+// *distinct*-kmer volume plus one batch — never the full instance
+// multiset of the input.
 //
 // Each build allocates one instance buffer and one sort scratch array,
 // reuses both for every batch, and releases them before the final
@@ -82,9 +84,6 @@ class ChunkedSpectrumBuilder {
   /// whenever the buffer fills.
   void add_read(std::string_view bases);
 
-  /// Adds every read of a set.
-  void add_reads(const seq::ReadSet& reads);
-
   /// Adds every read of one streamed batch.
   void add_read_batch(std::span<const seq::Read> reads);
 
@@ -95,7 +94,7 @@ class ChunkedSpectrumBuilder {
   /// need the bounded-memory guarantee end-to-end stream
   /// finish_spilled() into an index::ShardedIndexWriter and map the
   /// file it writes (core::build_spectrum does).
-  KSpectrum finish(int* merge_rounds = nullptr);
+  KSpectrum finish();
 
   /// One finished prefix bin: the top spill_shard_bits() of every code
   /// equal `prefix`, and codes are strictly ascending within the run.
@@ -179,7 +178,6 @@ class ChunkedSpectrumBuilder {
   /// O(log batches) times).
   std::vector<Run> runs_;
   std::size_t peak_buffered_ = 0;
-  int merge_rounds_ = 0;
 
   // --- Out-of-core (budget) state; inert when memory_budget_ == 0 ---
   std::size_t memory_budget_ = 0;

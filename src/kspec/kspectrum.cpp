@@ -8,28 +8,11 @@
 #include <stdexcept>
 #include <utility>
 
+#include "kspec/chunked_builder.hpp"
 #include "kspec/radix.hpp"
-#include "kspec/read_windows.hpp"
-#include "seq/alphabet.hpp"
 #include "util/batch_search.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ngs::kspec {
-
-namespace {
-
-/// The pool a build runs on: nullptr for the serial path (threads == 1),
-/// else the override, a dedicated pool of `threads` workers (held in
-/// `own`), or the shared default pool.
-util::ThreadPool* construction_pool(const SpectrumBuildOptions& options,
-                                    std::optional<util::ThreadPool>& own) {
-  if (options.threads == 1) return nullptr;
-  if (options.pool != nullptr) return options.pool;
-  if (options.threads > 1) return &own.emplace(options.threads);
-  return &util::default_pool();
-}
-
-}  // namespace
 
 int KSpectrum::auto_prefix_bits(std::size_t size, int k) noexcept {
   if (size < 64) return 0;
@@ -117,30 +100,11 @@ KSpectrum& KSpectrum::operator=(const KSpectrum& other) {
   return *this;
 }
 
-KSpectrum KSpectrum::from_instances(std::vector<seq::KmerCode> instances,
-                                    int k,
-                                    const SpectrumBuildOptions& options) {
-  KSpectrum s;
-  s.k_ = k;
-  s.total_ = instances.size();
-  std::optional<util::ThreadPool> own_pool;
-  if (util::ThreadPool* pool = construction_pool(options, own_pool)) {
-    RadixSortOptions radix;
-    radix.radix_bits = options.radix_bits;
-    radix.pool = pool;
-    radix_sort_and_count(std::move(instances), k, s.codes_vec_, s.counts_vec_,
-                         radix);
-  } else {
-    serial_sort_and_count(std::move(instances), s.codes_vec_, s.counts_vec_);
-  }
-  s.rebind_owned();
-  s.rebuild_prefix_index(options.prefix_index_bits);
-  return s;
-}
-
-KSpectrum KSpectrum::from_codes(std::vector<seq::KmerCode> codes, int k,
-                                const SpectrumBuildOptions& options) {
-  return from_instances(std::move(codes), k, options);
+KSpectrum KSpectrum::from_codes(std::vector<seq::KmerCode> codes, int k) {
+  std::vector<seq::KmerCode> distinct;
+  std::vector<std::uint32_t> counts;
+  radix_sort_and_count(std::move(codes), k, distinct, counts);
+  return from_sorted_counts(std::move(distinct), std::move(counts), k);
 }
 
 std::optional<std::string> KSpectrum::validate_sorted_counts(
@@ -219,39 +183,17 @@ KSpectrum KSpectrum::adopt_external(std::span<const seq::KmerCode> codes,
 }
 
 KSpectrum KSpectrum::build(const seq::ReadSet& reads, int k,
-                           bool both_strands,
-                           const SpectrumBuildOptions& options) {
-  // Blocks of reads fill slices of one instance array sized from the
-  // exact window count, Σ max(0, len−k+1) per strand, on the same pool
-  // that then sorts it.
-  std::optional<util::ThreadPool> own_pool;
-  util::ThreadPool* pool = construction_pool(options, own_pool);
-  auto [instances] = detail::fill_windows<1>(
-      reads, k, both_strands, pool,
-      [&](const seq::Read& r, std::array<seq::KmerCode*, 1>& out) {
-        detail::for_each_window(
-            r.bases, k, [&](seq::KmerCode fwd, seq::KmerCode rc, std::size_t) {
-              *out[0]++ = fwd;
-              if (both_strands) *out[0]++ = rc;
-            });
-      });
-  SpectrumBuildOptions sort = options;
-  sort.pool = pool;
-  return from_instances(std::move(instances), k, sort);
+                           bool both_strands) {
+  ChunkedSpectrumBuilder builder(k, both_strands);
+  builder.add_read_batch(reads.reads);
+  return builder.finish();
 }
 
 KSpectrum KSpectrum::build_from_sequence(std::string_view sequence, int k,
-                                         bool both_strands,
-                                         const SpectrumBuildOptions& options) {
-  std::vector<seq::KmerCode> instances;
-  instances.reserve(seq::max_kmer_windows(sequence.size(), k) *
-                    (both_strands ? 2 : 1));
-  seq::extract_kmer_codes(sequence, k, instances);
-  if (both_strands) {
-    const std::string rc = seq::reverse_complement(std::string(sequence));
-    seq::extract_kmer_codes(rc, k, instances);
-  }
-  return from_instances(std::move(instances), k, options);
+                                         bool both_strands) {
+  ChunkedSpectrumBuilder builder(k, both_strands);
+  builder.add_read(sequence);
+  return builder.finish();
 }
 
 void KSpectrum::rebuild_prefix_index(int prefix_index_bits) {

@@ -6,15 +6,16 @@
 // are binary searches and the structure is directly usable as the base
 // array of the masked-sort neighborhood index.
 //
-// Construction is radix-partitioned and parallel (see kspec/radix.hpp):
-// instances are sharded by their top prefix bits, buckets sort
-// concurrently, and the concatenation is byte-identical to the serial
-// sort for every thread count. The same prefix sharding is kept at query
-// time as a bucket-offset table, so index_of narrows to a within-bucket
-// binary search over a few cache lines instead of log2(|R^k|) scattered
-// probes — every corrector, eval::kmer_classification,
-// assembly::debruijn and the tile table (whose tiles and Oc counts are a
-// KSpectrum at k = tile length) inherit the speedup.
+// Reads are counted by one counter, kspec::ChunkedSpectrumBuilder, which
+// streams them in batches through the radix kernel (kspec/radix.hpp)
+// and merges each batch's counts into the earlier ones (Sec. 2.3); the
+// arrays are the same for every batch size and pool size. The kernel's
+// prefix sharding is kept at query time as a bucket-offset table, so
+// index_of narrows to a within-bucket binary search over a few cache
+// lines instead of log2(|R^k|) scattered probes — every corrector,
+// eval::kmer_classification, assembly::debruijn and the tile table
+// (whose tiles and Oc counts are a KSpectrum at k = tile length) inherit
+// the speedup.
 //
 // Storage is view-based: the code/count/bucket arrays are accessed
 // through spans that normally point into vectors the spectrum owns, but
@@ -35,28 +36,7 @@
 #include "seq/kmer.hpp"
 #include "seq/read.hpp"
 
-namespace ngs::util {
-class ThreadPool;
-}
-
 namespace ngs::kspec {
-
-/// Controls for the parallel spectrum build and the lookup index.
-struct SpectrumBuildOptions {
-  /// 1 = the serial seed path (single std::sort in the calling thread,
-  /// kept as the benchmark baseline); 0 = the shared default pool; any
-  /// other value = a dedicated pool of that many workers for this build.
-  std::size_t threads = 0;
-  /// Radix partition width for construction (2^bits buckets); -1 = auto
-  /// from input size, 0 = a single bucket (plain sort).
-  int radix_bits = -1;
-  /// Prefix-bucket lookup index width; -1 = auto from spectrum size,
-  /// 0 = disable (index_of falls back to a full-range binary search).
-  int prefix_index_bits = -1;
-  /// Pool override for construction; supersedes `threads` unless
-  /// threads == 1 (serial stays serial).
-  util::ThreadPool* pool = nullptr;
-};
 
 class KSpectrum {
  public:
@@ -69,22 +49,20 @@ class KSpectrum {
   KSpectrum& operator=(KSpectrum&& other) noexcept;
   ~KSpectrum() = default;
 
-  /// Builds the k-spectrum of `reads`. If both_strands, every read's
-  /// reverse complement contributes as well. Windows with ambiguous
-  /// bases are skipped (callers convert N's beforehand if desired).
+  /// Builds the k-spectrum of `reads`: one ChunkedSpectrumBuilder run on
+  /// the shared default pool. If both_strands, every read's reverse
+  /// complement contributes as well. Windows with ambiguous bases are
+  /// skipped (callers convert N's beforehand if desired).
   static KSpectrum build(const seq::ReadSet& reads, int k,
-                         bool both_strands = true,
-                         const SpectrumBuildOptions& options = {});
+                         bool both_strands = true);
 
   /// Builds from a single long sequence (e.g. the reference genome, for
-  /// ground-truth kmer classification).
+  /// ground-truth kmer classification), as one read of a builder run.
   static KSpectrum build_from_sequence(std::string_view sequence, int k,
-                                       bool both_strands = false,
-                                       const SpectrumBuildOptions& options = {});
+                                       bool both_strands = false);
 
-  /// Builds from an explicit code multiset.
-  static KSpectrum from_codes(std::vector<seq::KmerCode> codes, int k,
-                              const SpectrumBuildOptions& options = {});
+  /// Builds from an explicit code multiset (codes within 2k bits).
+  static KSpectrum from_codes(std::vector<seq::KmerCode> codes, int k);
 
   /// Builds from pre-aggregated sorted (code, count) arrays (used by the
   /// bounded-memory ChunkedSpectrumBuilder). Precondition: codes are
@@ -200,9 +178,6 @@ class KSpectrum {
   }
 
  private:
-  static KSpectrum from_instances(std::vector<seq::KmerCode> instances, int k,
-                                  const SpectrumBuildOptions& options);
-
   /// Points the code/count views at the owned vectors (after they were
   /// filled or moved).
   void rebind_owned() noexcept;

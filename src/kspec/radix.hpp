@@ -1,6 +1,7 @@
 #pragma once
 // Parallel radix counting of packed kmer codes — the one construction
-// kernel behind KSpectrum, TileTable and ChunkedSpectrumBuilder.
+// kernel behind ChunkedSpectrumBuilder, TileTable and
+// KSpectrum::from_codes.
 //
 // Codes are sharded by their top `radix_bits` bits (the 5'-most bases,
 // since the codec stores the first base in the most significant pair)
@@ -72,9 +73,9 @@ void radix_sort_and_count(std::span<seq::KmerCode> codes,
                           std::vector<std::uint32_t>& out_counts,
                           const RadixSortOptions& options = {});
 
-/// Serial reference path (the seed implementation: one std::sort and a
-/// run-length loop), kept as the `threads == 1` build and as the
-/// reference the tests diff the radix kernel against.
+/// Serial reference path (one std::sort and a run-length loop): no
+/// build runs it; the tests diff the radix kernel and the builder
+/// against it.
 void serial_sort_and_count(std::vector<seq::KmerCode>&& codes,
                            std::vector<seq::KmerCode>& out_codes,
                            std::vector<std::uint32_t>& out_counts);

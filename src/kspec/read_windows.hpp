@@ -1,15 +1,17 @@
 #pragma once
-// Parallel extraction of per-read window codes into flat instance
-// arrays: the fill step in front of radix_sort_and_count in
-// KSpectrum::build and TileTable::build.
+// Window extraction: for_each_window rolls one read's window codes for
+// ChunkedSpectrumBuilder and TileTable::build, and fill_windows is the
+// parallel fill of flat instance arrays in front of
+// radix_sort_and_count in TileTable::build. Tiles are mostly distinct,
+// so one sort of the whole array costs less than merging batch runs.
 //
-// The calling thread sizes every output array from the read lengths
-// (L - w + 1 windows per strand, exact unless a read has ambiguous
-// bases) and cuts it into disjoint slices, one per block of reads. Pool
-// tasks fill their own slice and report how many codes they wrote; the
-// calling thread then closes the gaps left by skipped windows, in block
-// order. No task allocates: the arrays are the only bulk memory (see
-// DESIGN.md, "Reptile phase 1 on the pool").
+// In fill_windows the calling thread sizes every output array from the
+// read lengths (L - w + 1 windows per strand, exact unless a read has
+// ambiguous bases) and cuts it into disjoint slices, one per block of
+// reads. Pool tasks fill their own slice and report how many codes they
+// wrote; the calling thread then closes the gaps left by skipped
+// windows, in block order. No task allocates: the arrays are the only
+// bulk memory (see DESIGN.md, "Reptile phase 1 on the pool").
 
 #include <algorithm>
 #include <array>

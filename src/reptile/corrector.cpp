@@ -10,40 +10,55 @@
 namespace ngs::reptile {
 namespace {
 
+/// Converts the eligible N's of one read in place: an ambiguous base
+/// becomes p.default_base, at quality 0, when no window of
+/// effective_ambig_window() bases covering it holds more than
+/// effective_ambig_max() ambiguous bases. `prefix` is scratch for the
+/// ambiguity prefix sums. Returns the number of bases converted.
+std::uint64_t convert_ambiguous(std::string& bases,
+                                std::vector<std::uint8_t>& quality,
+                                std::vector<int>& prefix,
+                                const ReptileParams& p) {
+  const int w = p.effective_ambig_window();
+  const int amax = p.effective_ambig_max();
+  const auto L = static_cast<int>(bases.size());
+  const int win = std::min(w, L);
+  if (win <= 0) return 0;
+  prefix.assign(static_cast<std::size_t>(L) + 1, 0);
+  for (int i = 0; i < L; ++i) {
+    prefix[static_cast<std::size_t>(i) + 1] =
+        prefix[static_cast<std::size_t>(i)] +
+        (seq::is_ambiguous(bases[static_cast<std::size_t>(i)]) ? 1 : 0);
+  }
+  std::uint64_t converted = 0;
+  for (int i = 0; i < L; ++i) {
+    const auto ui = static_cast<std::size_t>(i);
+    if (!seq::is_ambiguous(bases[ui])) continue;
+    const int s_lo = std::max(0, i - win + 1);
+    const int s_hi = std::min(i, L - win);
+    int max_in_window = 0;
+    for (int s = s_lo; s <= s_hi; ++s) {
+      max_in_window =
+          std::max(max_in_window, prefix[static_cast<std::size_t>(s + win)] -
+                                      prefix[static_cast<std::size_t>(s)]);
+    }
+    if (max_in_window <= amax) {
+      bases[ui] = p.default_base;
+      if (ui < quality.size()) quality[ui] = 0;
+      ++converted;
+    }
+  }
+  return converted;
+}
+
 /// Working copy of the reads with eligible N's converted, used to build
 /// the tables so that spectrum lookups during correction never miss.
 seq::ReadSet preconvert(const seq::ReadSet& reads, const ReptileParams& p) {
   seq::ReadSet converted;
   converted.reads = reads.reads;
-  const int w = p.effective_ambig_window();
-  const int amax = p.effective_ambig_max();
+  std::vector<int> prefix;
   for (auto& r : converted.reads) {
-    const auto L = static_cast<int>(r.bases.size());
-    const int win = std::min(w, L);
-    if (win <= 0) continue;
-    // Prefix sums of the ambiguity indicator.
-    std::vector<int> prefix(static_cast<std::size_t>(L) + 1, 0);
-    for (int i = 0; i < L; ++i) {
-      prefix[static_cast<std::size_t>(i) + 1] =
-          prefix[static_cast<std::size_t>(i)] +
-          (seq::is_ambiguous(r.bases[static_cast<std::size_t>(i)]) ? 1 : 0);
-    }
-    for (int i = 0; i < L; ++i) {
-      const auto ui = static_cast<std::size_t>(i);
-      if (!seq::is_ambiguous(r.bases[ui])) continue;
-      const int s_lo = std::max(0, i - win + 1);
-      const int s_hi = std::min(i, L - win);
-      int max_in_window = 0;
-      for (int s = s_lo; s <= s_hi; ++s) {
-        max_in_window =
-            std::max(max_in_window, prefix[static_cast<std::size_t>(s + win)] -
-                                        prefix[static_cast<std::size_t>(s)]);
-      }
-      if (max_in_window <= amax) {
-        r.bases[ui] = p.default_base;
-        if (ui < r.quality.size()) r.quality[ui] = 0;
-      }
-    }
+    convert_ambiguous(r.bases, r.quality, prefix, p);
   }
   return converted;
 }
@@ -79,41 +94,6 @@ ReptileCorrector::ReptileCorrector(const seq::ReadSet& reads,
     tiles_ = kspec::TileTable::build(converted, tile_params_of(params_));
   }
   graph_ = kspec::HammingGraph(spectrum_, params_.d);
-}
-
-std::uint64_t ReptileCorrector::convert_ambiguous(
-    std::string& bases, std::vector<std::uint8_t>& quality,
-    std::vector<int>& prefix) const {
-  const int w = params_.effective_ambig_window();
-  const int amax = params_.effective_ambig_max();
-  const auto L = static_cast<int>(bases.size());
-  const int win = std::min(w, L);
-  if (win <= 0) return 0;
-  prefix.assign(static_cast<std::size_t>(L) + 1, 0);
-  for (int i = 0; i < L; ++i) {
-    prefix[static_cast<std::size_t>(i) + 1] =
-        prefix[static_cast<std::size_t>(i)] +
-        (seq::is_ambiguous(bases[static_cast<std::size_t>(i)]) ? 1 : 0);
-  }
-  std::uint64_t converted = 0;
-  for (int i = 0; i < L; ++i) {
-    const auto ui = static_cast<std::size_t>(i);
-    if (!seq::is_ambiguous(bases[ui])) continue;
-    const int s_lo = std::max(0, i - win + 1);
-    const int s_hi = std::min(i, L - win);
-    int max_in_window = 0;
-    for (int s = s_lo; s <= s_hi; ++s) {
-      max_in_window =
-          std::max(max_in_window, prefix[static_cast<std::size_t>(s + win)] -
-                                      prefix[static_cast<std::size_t>(s)]);
-    }
-    if (max_in_window <= amax) {
-      bases[ui] = params_.default_base;
-      if (ui < quality.size()) quality[ui] = 0;
-      ++converted;
-    }
-  }
-  return converted;
 }
 
 void ReptileCorrector::kmer_options(seq::KmerCode code, int d_limit,
@@ -428,7 +408,7 @@ seq::Read ReptileCorrector::correct(const seq::Read& read,
   auto& quality = scratch.quality;
   quality = read.quality;
   stats.ambiguous_converted +=
-      convert_ambiguous(out.bases, quality, scratch.prefix);
+      convert_ambiguous(out.bases, quality, scratch.prefix, params_);
 
   // The read is packed once here and stays 2-bit until the final decode;
   // both sweeps and the strand flip between them operate on packed words.

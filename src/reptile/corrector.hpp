@@ -167,12 +167,6 @@ class ReptileCorrector {
              CorrectionStats& stats, Scratch& scratch,
              TileDecisionCache* cache) const;
 
-  /// Converts eligible N's in place; returns number converted. `prefix`
-  /// is per-worker scratch for the ambiguity prefix sums.
-  std::uint64_t convert_ambiguous(std::string& bases,
-                                  std::vector<std::uint8_t>& quality,
-                                  std::vector<int>& prefix) const;
-
   ReptileParams params_;
   kspec::KSpectrum spectrum_;
   kspec::TileTable tiles_;

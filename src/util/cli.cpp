@@ -1,7 +1,6 @@
 #include "util/cli.hpp"
 
 #include <charconv>
-#include <cstdlib>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -66,7 +65,16 @@ std::string CliParser::get(const std::string& name,
 std::int64_t CliParser::get_int(const std::string& name,
                                 std::int64_t fallback) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::atoll(it->second.c_str());
+  if (it == values_.end()) return fallback;
+  const std::string& text = it->second;
+  std::int64_t value = 0;
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc() || end != last) {
+    throw Error(ErrorKind::kConfig, "cli",
+                "--" + name + " must be an integer, got '" + text + "'");
+  }
+  return value;
 }
 
 std::size_t CliParser::get_size(const std::string& name,
@@ -91,8 +99,12 @@ std::size_t CliParser::get_size(const std::string& name,
 double CliParser::get_double(const std::string& name, double fallback,
                              double min, double max) const {
   const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  const std::string& text = it->second;
+  return it == values_.end() ? fallback
+                             : parse_double(name, it->second, min, max);
+}
+
+double parse_double(const std::string& name, const std::string& text,
+                    double min, double max) {
   double value = 0.0;
   const char* last = text.data() + text.size();
   const auto [end, ec] = std::from_chars(text.data(), last, value);

@@ -37,6 +37,10 @@ class CliParser {
   /// Every occurrence of a repeatable option, in command-line order
   /// (get() keeps returning the last one). Empty if never passed.
   std::vector<std::string> get_all(const std::string& name) const;
+  /// Strict signed value of `name` (`fallback` when never set): throws
+  /// ngs::Error(kConfig) naming the flag unless the whole text is a
+  /// base-10 integer that fits 64 bits (so "abc", "4k", "+5" and "" are
+  /// rejected).
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   /// Strict unsigned value of `name` (`fallback` when never set): throws
   /// ngs::Error(kConfig) naming the flag unless the whole text is a
@@ -44,10 +48,8 @@ class CliParser {
   std::size_t get_size(const std::string& name, std::size_t fallback,
                        std::size_t min = 0,
                        std::size_t max = SIZE_MAX) const;
-  /// Strict value of `name` (`fallback` when never set): throws
-  /// ngs::Error(kConfig) naming the flag unless the whole text is a
-  /// decimal number in [min, max] (so "abc", "0.1x", "" and "nan" are
-  /// rejected).
+  /// Strict value of `name` (`fallback` when never set): parse_double
+  /// of the flag's text.
   double get_double(const std::string& name, double fallback,
                     double min = std::numeric_limits<double>::lowest(),
                     double max = std::numeric_limits<double>::max()) const;
@@ -75,5 +77,13 @@ class CliParser {
   std::string error_;
   bool help_ = false;
 };
+
+/// Strict parse of one value of flag `name`: throws ngs::Error(kConfig)
+/// naming the flag unless the whole of `text` is a decimal number in
+/// [min, max] (so "abc", "0.1x", "" and "nan" are rejected). Flags that
+/// take a list parse each item with it.
+double parse_double(const std::string& name, const std::string& text,
+                    double min = std::numeric_limits<double>::lowest(),
+                    double max = std::numeric_limits<double>::max());
 
 }  // namespace ngs::util

@@ -63,7 +63,9 @@ TEST(Sap, WeakKmerCounting) {
   baselines::SapParams params;
   params.k = 11;
   params.solid_threshold = 3;
-  baselines::SapCorrector corrector(setup.sim.reads, params);
+  baselines::SapCorrector corrector(
+      kspec::KSpectrum::build(setup.sim.reads, params.k, params.both_strands),
+      params);
   // An error-free genomic window at decent coverage has no weak kmers.
   EXPECT_EQ(corrector.weak_kmers(setup.genome.substr(1000, 36)), 0);
   // Random sequence is all-weak.
@@ -245,7 +247,7 @@ TEST(Sap, MatchesReferenceGreedy) {
 
     // The pipeline reads the same bytes back from FASTQ and corrects them
     // with the sap defaults (M = 3, 3 edits) at this k.
-    const baselines::SapCorrector sap(reads, baselines::SapParams{k, 3, 3});
+    const baselines::SapCorrector sap(spectrum, baselines::SapParams{k, 3, 3});
     std::vector<seq::Read> expected;
     baselines::SapStats stats;
     std::size_t unused_ties = 0;
@@ -323,7 +325,8 @@ TEST(Hitec, ShortReadsPassThrough) {
   const auto setup = make_setup(11);
   baselines::HitecParams params;
   params.k = 11;
-  baselines::HitecCorrector corrector(setup.sim.reads, params);
+  baselines::HitecCorrector corrector(
+      kspec::KSpectrum::build(setup.sim.reads, params.k + 1, true), params);
   baselines::HitecStats stats;
   const seq::Read tiny{"t", "ACGTACGT", {}};
   EXPECT_EQ(corrector.correct(tiny, stats).bases, "ACGT" "ACGT");

@@ -13,10 +13,13 @@
 #include "sim/read_sim.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "spectrum_reference.hpp"
 
 namespace {
 
 using namespace ngs;
+using ref::expect_byte_identical;
+using ref::reference_spectrum;
 
 sim::SimulatedReads make_run(std::uint64_t seed) {
   util::Rng rng(seed);
@@ -32,41 +35,26 @@ sim::SimulatedReads make_run(std::uint64_t seed) {
 
 TEST(ChunkedBuilder, MatchesMonolithicBuild) {
   const auto run = make_run(3);
-  const auto reference = kspec::KSpectrum::build(run.reads, 13, true);
+  const auto reference = reference_spectrum(run.reads, 13, true);
 
   for (const std::size_t batch : {2048ul, 16384ul, std::size_t{1} << 22}) {
+    SCOPED_TRACE(::testing::Message() << "batch=" << batch);
     kspec::ChunkedSpectrumBuilder builder(13, true, batch);
-    builder.add_reads(run.reads);
-    int rounds = 0;
-    const auto chunked = builder.finish(&rounds);
-    ASSERT_EQ(chunked.size(), reference.size()) << "batch=" << batch;
-    ASSERT_EQ(chunked.total_instances(), reference.total_instances());
-    for (std::size_t i = 0; i < reference.size(); i += 101) {
-      ASSERT_EQ(chunked.code_at(i), reference.code_at(i));
-      ASSERT_EQ(chunked.count_at(i), reference.count_at(i));
-    }
+    builder.add_read_batch(run.reads.reads);
+    expect_byte_identical(builder.finish(), reference);
   }
 }
 
 TEST(ChunkedBuilder, ByteIdenticalAcrossPoolSizes) {
   const auto run = make_run(9);
-  kspec::SpectrumBuildOptions serial;
-  serial.threads = 1;
-  const auto reference = kspec::KSpectrum::build(run.reads, 13, true, serial);
+  const auto reference = reference_spectrum(run.reads, 13, true);
 
   for (const std::size_t threads : {1ul, 2ul, 4ul}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     util::ThreadPool pool(threads);
     kspec::ChunkedSpectrumBuilder builder(13, true, 4096, &pool);
-    builder.add_reads(run.reads);
-    const auto chunked = builder.finish();
-    ASSERT_EQ(chunked.size(), reference.size()) << "threads=" << threads;
-    ASSERT_EQ(chunked.total_instances(), reference.total_instances());
-    ASSERT_TRUE(std::equal(chunked.codes().begin(), chunked.codes().end(),
-                           reference.codes().begin(),
-                           reference.codes().end()));
-    ASSERT_TRUE(std::equal(chunked.counts().begin(), chunked.counts().end(),
-                           reference.counts().begin(),
-                           reference.counts().end()));
+    builder.add_read_batch(run.reads.reads);
+    expect_byte_identical(builder.finish(), reference);
   }
 }
 
@@ -74,7 +62,7 @@ TEST(ChunkedBuilder, PeakBufferIsBounded) {
   const auto run = make_run(5);
   constexpr std::size_t kBatch = 4096;
   kspec::ChunkedSpectrumBuilder builder(13, true, kBatch);
-  builder.add_reads(run.reads);
+  builder.add_read_batch(run.reads.reads);
   // The buffer flushes the moment it fills, mid-read if need be.
   EXPECT_LE(builder.peak_buffered(), kBatch);
   (void)builder.finish();
@@ -97,26 +85,17 @@ TEST(ChunkedBuilder, ReadsLongerThanOneBatchMatchSerialBuild) {
     reads.reads.push_back({"r", random_read(rng, length), {}});
   }
   for (int i = 0; i < 3; ++i) reads.reads.push_back(reads.reads[i]);
-  kspec::SpectrumBuildOptions serial;
-  serial.threads = 1;
   for (const bool both : {false, true}) {
-    const auto reference = kspec::KSpectrum::build(reads, 11, both, serial);
+    const auto reference = reference_spectrum(reads, 11, both);
     for (const std::size_t threads : {1ul, 2ul, 4ul}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << threads << " both=" << both);
       util::ThreadPool pool(threads);
       // 1024 is the floor, so the buffer fills in the middle of reads.
       kspec::ChunkedSpectrumBuilder builder(11, both, 1024, &pool);
-      builder.add_reads(reads);
+      builder.add_read_batch(reads.reads);
       EXPECT_EQ(builder.peak_buffered(), 1024u);
-      const auto chunked = builder.finish();
-      SCOPED_TRACE(::testing::Message()
-                   << "threads=" << threads << " both=" << both);
-      ASSERT_EQ(chunked.total_instances(), reference.total_instances());
-      ASSERT_TRUE(std::equal(chunked.codes().begin(), chunked.codes().end(),
-                             reference.codes().begin(),
-                             reference.codes().end()));
-      ASSERT_TRUE(std::equal(chunked.counts().begin(), chunked.counts().end(),
-                             reference.counts().begin(),
-                             reference.counts().end()));
+      expect_byte_identical(builder.finish(), reference);
     }
   }
 }
@@ -134,15 +113,8 @@ TEST(ChunkedBuilder, StreamsFastqWithoutReadSet) {
     builder.add_read_batch(batch);
     batch.clear();
   }
-  const auto streamed = builder.finish();
-  const auto reference = kspec::KSpectrum::build(run.reads, 13, true);
-  EXPECT_EQ(streamed.size(), reference.size());
-  EXPECT_EQ(streamed.total_instances(), reference.total_instances());
-  EXPECT_TRUE(std::equal(streamed.codes().begin(), streamed.codes().end(),
-                         reference.codes().begin(), reference.codes().end()));
-  EXPECT_TRUE(std::equal(streamed.counts().begin(), streamed.counts().end(),
-                         reference.counts().begin(),
-                         reference.counts().end()));
+  expect_byte_identical(builder.finish(),
+                        reference_spectrum(run.reads, 13, true));
 }
 
 TEST(ChunkedBuilder, ReusableAfterFinish) {
@@ -174,27 +146,21 @@ kspec::SpillOptions spill_options(std::size_t budget) {
 
 TEST(ChunkedBuilder, SpilledBuildMatchesInMemoryByteForByte) {
   const auto run = make_run(11);
-  const auto reference = kspec::KSpectrum::build(run.reads, 13, true);
+  const auto reference = reference_spectrum(run.reads, 13, true);
 
   // The floor for this dataset is the finish-phase working set of the
   // largest prefix bin (~301 KB); budgets below that cannot be honored.
   for (const std::size_t budget : {std::size_t{350000}, std::size_t{600000}}) {
     kspec::ChunkedSpectrumBuilder builder(13, true, 1 << 20, nullptr,
                                           spill_options(budget));
-    builder.add_reads(run.reads);
+    builder.add_read_batch(run.reads.reads);
     EXPECT_TRUE(builder.spilled()) << "budget=" << budget;
     const auto spilled = builder.finish();
     EXPECT_GT(builder.spill_bytes(), 0u);
     EXPECT_GT(builder.peak_tracked_bytes(), 0u);
     EXPECT_LE(builder.peak_tracked_bytes(), budget) << "budget=" << budget;
-    ASSERT_EQ(spilled.size(), reference.size()) << "budget=" << budget;
-    ASSERT_EQ(spilled.total_instances(), reference.total_instances());
-    ASSERT_TRUE(std::equal(spilled.codes().begin(), spilled.codes().end(),
-                           reference.codes().begin(),
-                           reference.codes().end()));
-    ASSERT_TRUE(std::equal(spilled.counts().begin(), spilled.counts().end(),
-                           reference.counts().begin(),
-                           reference.counts().end()));
+    SCOPED_TRACE(::testing::Message() << "budget=" << budget);
+    expect_byte_identical(spilled, reference);
   }
 }
 
@@ -202,22 +168,20 @@ TEST(ChunkedBuilder, UnderBudgetNeverSpills) {
   const auto run = make_run(13);
   kspec::ChunkedSpectrumBuilder builder(13, true, 1 << 20, nullptr,
                                         spill_options(std::size_t{1} << 30));
-  builder.add_reads(run.reads);
+  builder.add_read_batch(run.reads.reads);
   EXPECT_FALSE(builder.spilled());
   const auto spec = builder.finish();
   EXPECT_EQ(builder.spill_bytes(), 0u);
-  const auto reference = kspec::KSpectrum::build(run.reads, 13, true);
-  EXPECT_EQ(spec.size(), reference.size());
-  EXPECT_EQ(spec.total_instances(), reference.total_instances());
+  expect_byte_identical(spec, reference_spectrum(run.reads, 13, true));
 }
 
 TEST(ChunkedBuilder, FinishSpilledStreamsDisjointAscendingRuns) {
   const auto run = make_run(17);
-  const auto reference = kspec::KSpectrum::build(run.reads, 13, true);
+  const auto reference = reference_spectrum(run.reads, 13, true);
 
   kspec::ChunkedSpectrumBuilder builder(13, true, 1 << 20, nullptr,
                                         spill_options(250000));
-  builder.add_reads(run.reads);
+  builder.add_read_batch(run.reads.reads);
   ASSERT_TRUE(builder.spilled());
   builder.flush_spill();
   const std::size_t bins = builder.spill_nonempty_bins();
@@ -263,13 +227,7 @@ TEST(ChunkedBuilder, LongReadStaysUnderBudget) {
   EXPECT_TRUE(builder.spilled());
   const auto spilled = builder.finish();
   EXPECT_LE(builder.peak_tracked_bytes(), kBudget);
-  const auto reference = kspec::KSpectrum::build(reads, 13, true);
-  ASSERT_EQ(spilled.total_instances(), reference.total_instances());
-  ASSERT_TRUE(std::equal(spilled.codes().begin(), spilled.codes().end(),
-                         reference.codes().begin(), reference.codes().end()));
-  ASSERT_TRUE(std::equal(spilled.counts().begin(), spilled.counts().end(),
-                         reference.counts().begin(),
-                         reference.counts().end()));
+  expect_byte_identical(spilled, reference_spectrum(reads, 13, true));
 }
 
 TEST(ChunkedBuilder, SpilledBuilderIsReusable) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -76,6 +77,39 @@ TEST(Cli, GetSizeAcceptsOnlyDecimalIntegersInRange) {
     ASSERT_TRUE(c.parse(3, argv));
     try {
       (void)c.get_size("n", 0, 1);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kConfig) << bad;
+      EXPECT_NE(std::string(e.what()).find("--n"), std::string::npos) << bad;
+    }
+  }
+}
+
+TEST(Cli, GetIntAcceptsOnlyDecimalIntegers) {
+  util::CliParser cli("prog", "test");
+  cli.add_option("n", "an integer", true, "7");
+  {
+    const char* argv[] = {"prog"};
+    util::CliParser c = cli;
+    ASSERT_TRUE(c.parse(1, argv));
+    EXPECT_EQ(c.get_int("n", 0), 7);
+    EXPECT_EQ(c.get_int("unset", -3), -3);
+  }
+  for (const auto& [text, value] :
+       {std::pair<const char*, std::int64_t>{"0", 0}, {"-12", -12},
+        {"9223372036854775807", INT64_MAX}}) {
+    const char* argv[] = {"prog", "--n", text};
+    util::CliParser c = cli;
+    ASSERT_TRUE(c.parse(3, argv));
+    EXPECT_EQ(c.get_int("n", 0), value) << text;
+  }
+  for (const char* bad : {"abc", "4k", "", " 5", "+5", "1.5",
+                          "9223372036854775808"}) {
+    const char* argv[] = {"prog", "--n", bad};
+    util::CliParser c = cli;
+    ASSERT_TRUE(c.parse(3, argv));
+    try {
+      (void)c.get_int("n", 0);
       ADD_FAILURE() << "accepted '" << bad << "'";
     } catch (const Error& e) {
       EXPECT_EQ(e.kind(), ErrorKind::kConfig) << bad;

@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 
+#include "kspec/chunked_builder.hpp"
 #include "kspec/hamming_graph.hpp"
 #include "kspec/kspectrum.hpp"
 #include "kspec/neighborhood.hpp"
@@ -15,11 +16,14 @@
 #include "sim/read_sim.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "spectrum_reference.hpp"
 
 namespace {
 
 using namespace ngs;
 using kspec::KSpectrum;
+using ref::expect_byte_identical;
+using ref::reference_spectrum;
 
 seq::ReadSet tiny_reads() {
   seq::ReadSet set;
@@ -72,63 +76,59 @@ seq::ReadSet simulated_reads(std::uint64_t seed, std::size_t genome_len) {
   return sim::simulate_reads(genome.sequence, model, cfg, rng).reads;
 }
 
-void expect_byte_identical(const KSpectrum& a, const KSpectrum& b) {
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(a.total_instances(), b.total_instances());
-  ASSERT_TRUE(std::equal(a.codes().begin(), a.codes().end(),
-                         b.codes().begin(), b.codes().end()));
-  ASSERT_TRUE(std::equal(a.counts().begin(), a.counts().end(),
-                         b.counts().begin(), b.counts().end()));
+/// One builder run over `reads` on `pool`, flushing every `batch`
+/// instances.
+KSpectrum build_on(const seq::ReadSet& reads, int k, bool both,
+                   util::ThreadPool& pool, std::size_t batch = 1 << 20) {
+  kspec::ChunkedSpectrumBuilder builder(k, both, batch, &pool);
+  builder.add_read_batch(reads.reads);
+  return builder.finish();
 }
 
 TEST(RadixBuild, ByteIdenticalToSerialAcrossThreadCounts) {
   const auto reads = simulated_reads(11, 15000);
   for (const bool both : {false, true}) {
-    kspec::SpectrumBuildOptions serial;
-    serial.threads = 1;
-    const auto reference = KSpectrum::build(reads, 13, both, serial);
-    for (const std::size_t threads : {std::size_t{2}, std::size_t{3},
-                                      std::size_t{8}}) {
-      for (const int radix_bits : {-1, 0, 3, 8}) {
-        kspec::SpectrumBuildOptions opts;
-        opts.threads = threads;
-        opts.radix_bits = radix_bits;
-        const auto parallel = KSpectrum::build(reads, 13, both, opts);
-        SCOPED_TRACE(::testing::Message()
-                     << "threads=" << threads << " radix_bits=" << radix_bits
-                     << " both=" << both);
-        expect_byte_identical(parallel, reference);
+    const auto reference = reference_spectrum(reads, 13, both);
+    expect_byte_identical(KSpectrum::build(reads, 13, both), reference);
+    for (const std::size_t threads : {1ul, 2ul, 3ul, 8ul}) {
+      util::ThreadPool pool(threads);
+      // One batch, and batches small enough to merge many runs.
+      for (const std::size_t batch : {std::size_t{1} << 20,
+                                      std::size_t{4096}}) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads
+                                          << " batch=" << batch
+                                          << " both=" << both);
+        expect_byte_identical(build_on(reads, 13, both, pool, batch),
+                              reference);
       }
     }
   }
 }
 
 TEST(RadixBuild, DegenerateInputs) {
-  kspec::SpectrumBuildOptions parallel;
-  parallel.threads = 4;
-  parallel.radix_bits = 6;
-
   seq::ReadSet empty;
-  expect_byte_identical(KSpectrum::build(empty, 13, true, parallel),
-                        KSpectrum::build(empty, 13, true, {.threads = 1}));
-
   seq::ReadSet short_read;  // shorter than k: zero windows
   short_read.reads.push_back({"s", "ACGT", {}});
-  const auto spec = KSpectrum::build(short_read, 13, true, parallel);
-  EXPECT_TRUE(spec.empty());
-  EXPECT_EQ(spec.total_instances(), 0u);
-
   seq::ReadSet one;
   one.reads.push_back({"a", "ACGTACGTACGTACGT", {}});
-  expect_byte_identical(KSpectrum::build(one, 13, true, parallel),
-                        KSpectrum::build(one, 13, true, {.threads = 1}));
-
   seq::ReadSet dup;  // every instance identical: a single fat bucket
   for (int i = 0; i < 64; ++i) dup.reads.push_back({"d", "AAAAAAAAAAAAA", {}});
-  const auto dups = KSpectrum::build(dup, 13, false, parallel);
-  ASSERT_EQ(dups.size(), 1u);
-  EXPECT_EQ(dups.count_at(0), 64u);
-  expect_byte_identical(dups, KSpectrum::build(dup, 13, false, {.threads = 1}));
+
+  for (const std::size_t threads : {1ul, 2ul, 3ul, 8ul}) {
+    util::ThreadPool pool(threads);
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    for (const auto* reads : {&empty, &short_read, &one}) {
+      expect_byte_identical(build_on(*reads, 13, true, pool),
+                            reference_spectrum(*reads, 13, true));
+    }
+    const auto none = build_on(short_read, 13, true, pool);
+    EXPECT_TRUE(none.empty());
+    EXPECT_EQ(none.total_instances(), 0u);
+    const auto dups = build_on(dup, 13, false, pool);
+    ASSERT_EQ(dups.size(), 1u);
+    EXPECT_EQ(dups.count_at(0), 64u);
+    expect_byte_identical(dups, reference_spectrum(dup, 13, false));
+  }
 }
 
 TEST(RadixBuild, ExternalPoolAndSortOnlyEntryPoint) {
@@ -600,26 +600,44 @@ TEST(KSpectrum, ParallelBuildIdenticalOnReadsWithAmbiguousBases) {
   const auto reads = oracle_reads(47, 6000);
   const auto pools = oracle_pools();
   for (const bool both : {false, true}) {
-    // Reference: string-by-string extraction of each strand.
-    std::vector<seq::KmerCode> instances;
-    for (const auto& r : reads.reads) {
-      seq::extract_kmer_codes(r.bases, 11, instances);
-      if (both) {
-        seq::extract_kmer_codes(seq::reverse_complement(r.bases), 11,
-                                instances);
-      }
-    }
-    const auto reference =
-        KSpectrum::from_codes(std::move(instances), 11, {.threads = 1});
-    expect_byte_identical(KSpectrum::build(reads, 11, both, {.threads = 1}),
-                          reference);
+    const auto reference = reference_spectrum(reads, 11, both);
+    expect_byte_identical(KSpectrum::build(reads, 11, both), reference);
     for (const auto& pool : pools) {
       SCOPED_TRACE(::testing::Message() << "both=" << both
                                         << " pool=" << pool->size());
-      kspec::SpectrumBuildOptions opts;
-      opts.pool = pool.get();
-      expect_byte_identical(KSpectrum::build(reads, 11, both, opts), reference);
+      expect_byte_identical(build_on(reads, 11, both, *pool, 4096),
+                            reference);
     }
+  }
+}
+
+TEST(KSpectrum, SequenceAndCodeBuildsMatchReference) {
+  // A sequence longer than one builder batch, with N runs and lowercase
+  // bases, so windows restart mid-sequence.
+  util::Rng rng(61);
+  auto genome = sim::random_sequence(700000, {0.25, 0.25, 0.25, 0.25}, rng);
+  for (std::size_t i = rng.below(1000); i < genome.size();
+       i += 500 + rng.below(1000)) {
+    genome[i] = 'N';
+    if (i + 1 < genome.size()) genome[i + 1] = 'N';
+    if (i + 40 < genome.size()) genome[i + 40] = 'a';
+  }
+  seq::ReadSet as_read;
+  as_read.reads.push_back({"genome", genome, {}});
+  for (const bool both : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "both=" << both);
+    const auto reference = reference_spectrum(as_read, 15, both);
+    expect_byte_identical(KSpectrum::build_from_sequence(genome, 15, both),
+                          reference);
+    // from_codes counts the same instance multiset in any order.
+    std::vector<seq::KmerCode> instances;
+    seq::extract_kmer_codes(genome, 15, instances);
+    if (both) {
+      seq::extract_kmer_codes(seq::reverse_complement(genome), 15, instances);
+    }
+    std::reverse(instances.begin(), instances.end());
+    expect_byte_identical(KSpectrum::from_codes(std::move(instances), 15),
+                          reference);
   }
 }
 

@@ -236,6 +236,30 @@ for rate in abc -1 nan; do
     --out "$WORK/x.fastq" --method redeem --error-rate "$rate"
   grep -q -- "--error-rate" "$WORK/stderr.txt"
 done
+# Integer and list flags are parsed whole: text, a k outside [1, 32], a
+# threshold outside [0, 1], a seed that is no unsigned integer and a
+# strand switch other than 0 or 1 are config errors naming the flag, not
+# a run at k = 0, threshold 0 or seed 0.
+expect_exit 2 "$BIN_DIR/ngs_cluster" --in "$WORK/reads.fasta" \
+  --out "$WORK/x.tsv" --k abc --thresholds abc,-3
+grep -q -- "--k" "$WORK/stderr.txt"
+expect_exit 2 "$BIN_DIR/ngs_cluster" --in "$WORK/reads.fasta" \
+  --out "$WORK/x.tsv" --k 33
+for thresholds in abc 0.9,-3 1.5; do
+  expect_exit 2 "$BIN_DIR/ngs_cluster" --in "$WORK/reads.fasta" \
+    --out "$WORK/x.tsv" --thresholds "$thresholds"
+  grep -q -- "--thresholds" "$WORK/stderr.txt"
+done
+for seed in abc -1; do
+  expect_exit 2 "$BIN_DIR/ngs_simulate" --genome-length 1000 --seed "$seed" \
+    --reads "$WORK/x.fastq" --genome "$WORK/x.fasta"
+  grep -q -- "--seed" "$WORK/stderr.txt"
+done
+expect_exit 2 "$BIN_DIR/ngs_index" build --in "$WORK/reads.fastq" \
+  --out "$WORK/x.ngsx" --both-strands 2
+grep -q -- "--both-strands" "$WORK/stderr.txt"
+test ! -e "$WORK/x.tsv"
+test ! -e "$WORK/x.fasta"
 test ! -e "$WORK/x.fastq"
 test ! -e "$WORK/x.ngsx"
 

@@ -11,6 +11,7 @@
 
 #include "closet/closet.hpp"
 #include "io/fastx.hpp"
+#include "seq/kmer.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
@@ -40,8 +41,16 @@ int main(int argc, char** argv) {
 
   closet::ClosetParams params;
   try {
+    params.k = static_cast<int>(cli.get_size("k", 15, 1, seq::kMaxK));
     params.gamma = cli.get_double("gamma", 2.0 / 3.0, 0.0, 1.0);
     params.cmin = cli.get_double("cmin", 0.6, 0.0, 1.0);
+    params.thresholds.clear();
+    std::stringstream ss(cli.get("thresholds"));
+    std::string item;
+    while (std::getline(ss, item, ',')) {
+      params.thresholds.push_back(
+          util::parse_double("thresholds", item, 0.0, 1.0));
+    }
   } catch (const Error& e) {
     std::cerr << "ngs-cluster: " << e.what() << "\n";
     return tool_exit_code(e.kind());
@@ -55,16 +64,7 @@ int main(int argc, char** argv) {
       fastq ? io::read_fastq_file(path) : io::read_fasta_file(path);
   std::cerr << "read " << reads.size() << " sequences\n";
 
-  params.k = static_cast<int>(cli.get_int("k", 15));
   params.validate_with_alignment = cli.has("alignment");
-  params.thresholds.clear();
-  {
-    std::stringstream ss(cli.get("thresholds"));
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      params.thresholds.push_back(std::atof(item.c_str()));
-    }
-  }
 
   util::Timer timer;
   closet::Closet engine(params);

@@ -134,7 +134,7 @@ int run_build(util::CliParser& cli) {
     return 2;
   }
   const int k = static_cast<int>(cli.get_size("k", 12, 1, seq::kMaxK));
-  const bool both_strands = cli.get_int("both-strands", 1) != 0;
+  const bool both_strands = cli.get_size("both-strands", 1, 0, 1) != 0;
   // The same pass 1 as ngs-correct --save-index, so both write the same
   // bytes from the same reads.
   core::PipelineOptions options;

@@ -41,12 +41,12 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 42)));
   sim::GenomeSpec gspec;
-  std::size_t rep_len = 0, rep_n = 0, read_length = 0;
+  std::size_t seed = 0, rep_len = 0, rep_n = 0, read_length = 0;
   double error_rate = 0.0;
   sim::ReadSimConfig cfg;
   try {
+    seed = cli.get_size("seed", 42);
     gspec.length = cli.get_size("genome-length", 100000, 1);
     rep_len = cli.get_size("repeat-length", 0);
     rep_n = cli.get_size("repeat-copies", 0);
@@ -61,6 +61,7 @@ int main(int argc, char** argv) {
   if (rep_len > 0 && rep_n > 0) {
     gspec.repeats = {{rep_len, rep_n, 0.0}};
   }
+  util::Rng rng(seed);
   const auto genome = sim::simulate_genome(gspec, rng);
 
   const auto model = sim::ErrorModel::illumina(read_length, error_rate);
