@@ -89,8 +89,11 @@ class ReptileAdapter final : public Corrector {
   std::string_view method() const noexcept override { return "reptile"; }
 
   void build(const seq::ReadSet& reads) override {
-    corrector_.emplace(reads, reptile::select_parameters(
+    // Cg and Cm come from the corrector's own tile table, so the tiles
+    // are counted once.
+    corrector_.emplace(reads, reptile::select_read_parameters(
                                   reads, config_.genome_length, config_.k));
+    corrector_->choose_thresholds();
     // One concurrent tile-decision memo shared by every correction
     // worker: at coverage c each erroneous tile is decided once and
     // reused ~c times. Decisions are pure functions of the tile code, so
@@ -356,6 +359,8 @@ class HybridAdapter final : public Corrector {
   std::vector<seq::Read> correct_all(const seq::ReadSet& reads,
                                      CorrectionReport& report) const override {
     require_ready();
+    // Stage 2 corrects the stage-1 output, so Cg and Cm come from a tile
+    // table counted here from the raw reads.
     redeem::HybridParams params;
     params.reptile =
         reptile::select_parameters(reads, config_.genome_length, config_.k);

@@ -15,47 +15,46 @@ HammingGraph::HammingGraph(const KSpectrum& spectrum, int d, int chunks,
   c = std::max(c, d + 1);
   util::ThreadPool& workers = pool != nullptr ? *pool : util::default_pool();
   const MaskedSortIndex index(spectrum, c, d, &workers);
-
-  // Vertices are queried in chunks, `slots` chunks per round, one pool
-  // task per chunk. Slot s keeps its adjacency and dedup buffers across
-  // rounds, so no task holds more than one chunk's edges. Tasks write
-  // each vertex's degree into offsets_; the calling thread appends the
-  // round's chunks in vertex order, so the CSR arrays come out identical
-  // to a serial build, and one prefix sum turns degrees into offsets.
-  constexpr std::size_t kChunk = 512;
   const std::size_t n = spectrum.size();
-  const std::size_t slots = workers.size() * 8;
-  struct Slot {
-    std::vector<std::uint32_t> adjacency;
-    std::vector<std::uint32_t> hits;
-  };
-  std::vector<Slot> slot(slots);
-  offsets_.assign(n + 1, 0);
-  for (std::size_t round = 0; round < n; round += kChunk * slots) {
-    const std::size_t used =
-        std::min(slots, (n - round + kChunk - 1) / kChunk);
-    workers.parallel_for(0, used, [&](std::size_t s) {
-      auto& adjacency = slot[s].adjacency;
-      adjacency.clear();
-      const std::size_t lo = round + s * kChunk;
-      const std::size_t hi = std::min(n, lo + kChunk);
-      for (std::size_t i = lo; i < hi; ++i) {
-        const std::size_t before = adjacency.size();
-        index.for_each_neighbor(
-            spectrum.code_at(i),
-            [&adjacency](seq::KmerCode, std::size_t j) {
-              adjacency.push_back(static_cast<std::uint32_t>(j));
-            },
-            slot[s].hits);
-        offsets_[i + 1] = adjacency.size() - before;
-      }
-    });
-    for (std::size_t s = 0; s < used; ++s) {
-      neighbors_.insert(neighbors_.end(), slot[s].adjacency.begin(),
-                        slot[s].adjacency.end());
+
+  // Both passes walk one replica at a time, its order split into blocks
+  // on the pool. A block takes the runs that start in it, and a kmer
+  // sits in one run per replica, so each vertex's slot is written by one
+  // task per replica and the wait between replicas orders the writes.
+  const auto walk = [&](const auto& on_edge) {
+    for (std::size_t r = 0; r < index.num_replicas(); ++r) {
+      workers.parallel_for_blocked(0, n, [&](std::size_t lo, std::size_t hi) {
+        std::vector<seq::KmerCode> run;
+        index.for_each_run_pair(r, lo, hi, on_edge, run);
+      });
     }
-  }
+  };
+
+  // Count pass: degrees into offsets_[i + 1], then one prefix sum.
+  offsets_.assign(n + 1, 0);
+  walk([this](std::uint32_t i, std::uint32_t j) {
+    ++offsets_[i + 1];
+    ++offsets_[j + 1];
+  });
   std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+
+  // Fill pass: offsets_[i] is vertex i's cursor and ends at its list's
+  // end, the next list's start, so shifting the array by one restores
+  // the offsets. Each list is then sorted into vertex order.
+  neighbors_.resize(offsets_[n]);
+  walk([this](std::uint32_t i, std::uint32_t j) {
+    neighbors_[offsets_[i]++] = j;
+    neighbors_[offsets_[j]++] = i;
+  });
+  std::copy_backward(offsets_.begin(), offsets_.end() - 1, offsets_.end());
+  offsets_[0] = 0;
+  workers.parallel_for_blocked(0, n, [this](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      std::sort(neighbors_.begin() + static_cast<std::ptrdiff_t>(offsets_[i]),
+                neighbors_.begin() +
+                    static_cast<std::ptrdiff_t>(offsets_[i + 1]));
+    }
+  });
 }
 
 }  // namespace ngs::kspec

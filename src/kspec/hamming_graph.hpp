@@ -1,10 +1,13 @@
 #pragma once
 // The Hamming graph G_H over the k-spectrum (Sec. 2.3, phase 1b): vertex
 // i is spectrum kmer i; an edge joins kmers within Hamming distance d.
-// Stored as CSR adjacency over spectrum indices. Edges are recovered with
-// the MaskedSortIndex replicas (one pass over the spectrum), which is the
-// paper's space/time trade-off; the graph is then shared read-only by
-// all correction threads.
+// Stored as CSR adjacency over spectrum indices, each list ascending.
+// Edges come from the MaskedSortIndex replicas, the paper's space/time
+// trade-off: every d-neighbour of a kmer shares a collision run with it
+// in some replica, so the build walks each replica's runs in order and
+// tests the pairs inside them (MaskedSortIndex::for_each_run_pair), with
+// no per-vertex search. The graph is then shared read-only by all
+// correction threads.
 //
 // REDEEM builds the same graph for its misread neighborhoods N^dmax.
 
@@ -28,9 +31,10 @@ class HammingGraph {
 
   /// Builds adjacency for all spectrum kmers within distance [1, d].
   /// `chunks` is the c of the masked-sort index (0 = auto: d + 3,
-  /// clamped to k). The replica sorts and the per-vertex neighbour
-  /// queries run on `pool` (nullptr = util::default_pool()); the CSR
-  /// arrays are identical for every pool size.
+  /// clamped to k). The replica sorts and two walks over the replicas'
+  /// runs, one counting degrees and one filling the lists, run on `pool`
+  /// (nullptr = util::default_pool()); the CSR arrays are identical for
+  /// every pool size.
   HammingGraph(const KSpectrum& spectrum, int d, int chunks = 0,
                util::ThreadPool* pool = nullptr);
 

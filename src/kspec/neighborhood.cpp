@@ -59,12 +59,22 @@ MaskedSortIndex::MaskedSortIndex(const KSpectrum& spectrum, int c, int d,
 
   // Materialize the replica masks first, then sort every replica's
   // permutation concurrently — the C(c,d) sorts are independent and
-  // dominate construction time.
+  // dominate construction time. A pair differing in the chunk set D
+  // collides in every replica that masks D; the first such subset is D
+  // plus the lowest chunks outside D. That subset is this one exactly
+  // when every masked chunk above the lowest unmasked one lies in D.
   for_each_subset(c, d, [&](const std::vector<int>& subset) {
     Replica rep;
+    int lowest_unmasked = 0;
     for (int j : subset) {
-      rep.mask |= positions_mask(k, chunks[static_cast<std::size_t>(j)].first,
-                                 chunks[static_cast<std::size_t>(j)].second);
+      if (j == lowest_unmasked) ++lowest_unmasked;
+    }
+    for (int j : subset) {
+      const seq::KmerCode chunk =
+          positions_mask(k, chunks[static_cast<std::size_t>(j)].first,
+                         chunks[static_cast<std::size_t>(j)].second);
+      rep.mask |= chunk;
+      if (j > lowest_unmasked) rep.must_differ.push_back(chunk);
     }
     replicas_.push_back(std::move(rep));
   });

@@ -17,12 +17,17 @@
 //    densities each run is O(1), giving the paper's ~constant expected
 //    time per neighbor.
 //
-// Both expose template visitor overloads only — every caller (Hamming-
-// graph construction, per-tile neighborhood queries, the benches)
-// instantiates the visitor inline with no std::function dispatch or
-// capture allocation — plus caller-supplied scratch overloads so batch
-// loops reuse one buffer per worker. bench_ablation_neighborhood
-// measures the trade-off between the two strategies.
+//    The same replicas yield every edge of G_H without a query: every
+//    d-neighbour of a kmer shares a collision run with it, so
+//    for_each_run_pair walks a replica's runs in order and tests the
+//    pairs inside each run. HammingGraph builds the graph that way.
+//
+// Both expose template visitor overloads only — every caller (the graph
+// build's run walk, the benches, the tests) instantiates the visitor
+// inline with no std::function dispatch or capture allocation — plus
+// caller-supplied scratch overloads so batch loops reuse one buffer per
+// worker. bench_ablation_neighborhood measures the trade-off between the
+// two strategies.
 
 #include <algorithm>
 #include <cstdint>
@@ -145,6 +150,54 @@ class MaskedSortIndex {
     for_each_neighbor(code, std::forward<Visitor>(visit), hits);
   }
 
+  /// Visits visit(i, j), i and j spectrum indices, for every pair of
+  /// kmers within Hamming distance [1, d] whose collision run in replica
+  /// `r` starts at a position in [lo, hi) of the replica's order. A pair
+  /// collides in every replica that masks all the chunks it differs in;
+  /// it is visited only in the first of them (its own chunks plus the
+  /// lowest others), so the calls for every replica over a partition of
+  /// [0, spectrum size) visit each pair exactly once. Within a replica a
+  /// kmer lies in exactly one run, so calls on disjoint ranges of one
+  /// replica touch disjoint kmers. `run` is scratch for one run's codes.
+  template <typename Visitor>
+  void for_each_run_pair(std::size_t r, std::size_t lo, std::size_t hi,
+                         Visitor&& visit,
+                         std::vector<seq::KmerCode>& run) const {
+    const Replica& rep = replicas_[r];
+    const seq::KmerCode keep = ~rep.mask;
+    const seq::KmerCode* codes = spectrum_->codes().data();
+    const std::uint32_t* order = rep.order.data();
+    const std::size_t n = rep.order.size();
+    std::size_t p = lo;
+    if (p > 0 && p < hi) {
+      // The run holding lo belongs to the range its start falls in.
+      const seq::KmerCode before = codes[order[p - 1]] & keep;
+      while (p < n && (codes[order[p]] & keep) == before) ++p;
+    }
+    while (p < hi) {
+      const seq::KmerCode key = codes[order[p]] & keep;
+      run.clear();
+      for (std::size_t q = p; q < n; ++q) {
+        const seq::KmerCode code = codes[order[q]];
+        if ((code & keep) != key) break;
+        run.push_back(code);
+      }
+      for (std::size_t a = 0; a + 1 < run.size(); ++a) {
+        for (std::size_t b = a + 1; b < run.size(); ++b) {
+          if (!seq::kmer_within(run[a], run[b], d_)) continue;
+          const seq::KmerCode x = run[a] ^ run[b];
+          if (std::all_of(rep.must_differ.begin(), rep.must_differ.end(),
+                          [x](seq::KmerCode chunk) {
+                            return (x & chunk) != 0;
+                          })) {
+            visit(order[p + a], order[p + b]);
+          }
+        }
+      }
+      p += run.size();
+    }
+  }
+
   /// Memory consumed by the replica permutations, in bytes.
   std::size_t memory_bytes() const noexcept;
 
@@ -152,6 +205,9 @@ class MaskedSortIndex {
   struct Replica {
     seq::KmerCode mask = 0;  // bits cleared before comparison
     std::vector<std::uint32_t> order;  // spectrum indices sorted by masked code
+    // The masked chunks above the lowest unmasked one: a pair is this
+    // replica's to visit only if it differs in each of them.
+    std::vector<seq::KmerCode> must_differ;
   };
 
   const KSpectrum* spectrum_;

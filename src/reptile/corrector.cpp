@@ -63,15 +63,6 @@ seq::ReadSet preconvert(const seq::ReadSet& reads, const ReptileParams& p) {
   return converted;
 }
 
-kspec::TileParams tile_params_of(const ReptileParams& p) {
-  kspec::TileParams tp;
-  tp.k = p.k;
-  tp.overlap = p.overlap;
-  tp.quality_cutoff = p.quality_cutoff;
-  tp.both_strands = true;
-  return tp;
-}
-
 /// Memo value layout: tag in the top 2 bits (0 = insufficient,
 /// 1 = valid, 2 = corrected+quality-gated, 3 = corrected), the corrected
 /// tile code in the low 62.
@@ -85,15 +76,21 @@ ReptileCorrector::ReptileCorrector(const seq::ReadSet& reads,
     : params_(params) {
   params_.validate();
   {
-    // The converted copy feeds the spectrum and the tile table, then goes
+    // The converted copy feeds the tile table and the spectrum, then goes
     // before the Hamming graph is built: phase 1's memory peak never
-    // holds the copy and the graph at once.
+    // holds the copy and the graph at once. The tile count's whole-input
+    // arrays set that peak, so it runs first, before the spectrum count
+    // leaves its batch buffers in the heap.
     const seq::ReadSet converted = preconvert(reads, params_);
+    tiles_ = kspec::TileTable::build(converted, params_.tile_params());
     spectrum_ = kspec::KSpectrum::build(converted, params_.k,
                                         /*both_strands=*/true);
-    tiles_ = kspec::TileTable::build(converted, tile_params_of(params_));
   }
   graph_ = kspec::HammingGraph(spectrum_, params_.d);
+}
+
+void ReptileCorrector::choose_thresholds() {
+  select_thresholds(tiles_, params_);
 }
 
 void ReptileCorrector::kmer_options(seq::KmerCode code, int d_limit,

@@ -98,11 +98,17 @@ class ReptileCorrector {
 
   /// Phase 1: ambiguous bases satisfying the density constraint are
   /// converted to params.default_base in a working copy of the reads,
-  /// from which the spectrum and tile table are counted; the Hamming
+  /// from which the tile table and the spectrum are counted; the Hamming
   /// graph is built from the spectrum after the copy is released. Every
   /// step runs on util::default_pool(). Throws std::invalid_argument
   /// (ReptileParams::validate) before any work on an invalid tile.
   ReptileCorrector(const seq::ReadSet& reads, ReptileParams params);
+
+  /// Sets Cg and Cm by select_thresholds on tiles(), the table counted
+  /// from the N-converted reads. Only phase 2 reads them, so a caller
+  /// that chose the other parameters with select_read_parameters counts
+  /// the tiles once. Must not run concurrently with correct().
+  void choose_thresholds();
 
   const ReptileParams& params() const noexcept { return params_; }
   const kspec::KSpectrum& spectrum() const noexcept { return spectrum_; }

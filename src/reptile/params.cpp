@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "kspec/tile_table.hpp"
 #include "seq/kmer.hpp"
 #include "util/stats.hpp"
 
@@ -23,8 +22,18 @@ void ReptileParams::validate() const {
   }
 }
 
-ReptileParams select_parameters(const seq::ReadSet& reads,
-                                std::uint64_t genome_length_estimate, int k) {
+kspec::TileParams ReptileParams::tile_params() const noexcept {
+  kspec::TileParams tp;
+  tp.k = k;
+  tp.overlap = overlap;
+  tp.quality_cutoff = quality_cutoff;
+  tp.both_strands = true;
+  return tp;
+}
+
+ReptileParams select_read_parameters(const seq::ReadSet& reads,
+                                     std::uint64_t genome_length_estimate,
+                                     int k) {
   ReptileParams p;
   if (k > 0) {
     p.k = k;
@@ -52,14 +61,11 @@ ReptileParams select_parameters(const seq::ReadSet& reads,
     p.quality_cutoff = static_cast<int>(quality_hist.quantile(0.17));
     p.quality_max = static_cast<int>(quality_hist.quantile(0.60));
   }
+  return p;
+}
 
-  // Tile multiplicity histogram with the chosen Qc drives Cg and Cm.
-  kspec::TileParams tile_params;
-  tile_params.k = p.k;
-  tile_params.overlap = p.overlap;
-  tile_params.quality_cutoff = p.quality_cutoff;
-  const auto table = kspec::TileTable::build(reads, tile_params);
-  const auto hist = table.og_histogram();
+void select_thresholds(const kspec::TileTable& tiles, ReptileParams& p) {
+  const auto hist = tiles.og_histogram();
   if (!hist.empty()) {
     p.c_good = static_cast<std::uint32_t>(
         std::max<std::int64_t>(4, hist.quantile(0.98)));
@@ -73,6 +79,12 @@ ReptileParams select_parameters(const seq::ReadSet& reads,
         hist.quantile(0.95), 2,
         std::max<std::int64_t>(2, p.c_good / 4)));
   }
+}
+
+ReptileParams select_parameters(const seq::ReadSet& reads,
+                                std::uint64_t genome_length_estimate, int k) {
+  ReptileParams p = select_read_parameters(reads, genome_length_estimate, k);
+  select_thresholds(kspec::TileTable::build(reads, p.tile_params()), p);
   return p;
 }
 

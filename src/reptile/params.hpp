@@ -6,6 +6,7 @@
 
 #include <cstdint>
 
+#include "kspec/tile_table.hpp"
 #include "seq/read.hpp"
 
 namespace ngs::reptile {
@@ -37,6 +38,8 @@ struct ReptileParams {
   char default_base = 'A';
 
   int tile_length() const noexcept { return 2 * k - overlap; }
+  /// The tile table's shape: k, l and Qc, both strands.
+  kspec::TileParams tile_params() const noexcept;
   /// Throws std::invalid_argument, naming k, l and the tile length,
   /// unless 0 <= l < k and the tile fits one 64-bit code (<= 32 bases).
   void validate() const;
@@ -48,16 +51,24 @@ struct ReptileParams {
   }
 };
 
-/// Selects parameters from the data:
+/// Selects the parameters that need no tile count:
 ///  - k as given, or if k == 0, ceil(log4(genome_length_estimate))
 ///    clamped to [10, 15];
-///  - Qc at the ~17% quantile of the base-quality histogram;
-///  - Cg so ~2% of distinct tiles exceed it;
-///  - Cm so ~5% of distinct tiles exceed it;
-///  - Cr = 2, d = 1 (paper defaults).
-/// Building the tile histogram requires a provisional pass at the chosen
-/// k; the function performs it internally, after validate() has
-/// accepted that k.
+///  - Qc at the ~17% quantile of the base-quality histogram, Qm at the
+///    ~60% quantile;
+///  - Cr = 2, d = 1 (paper defaults), Cg and Cm at their defaults.
+/// Throws std::invalid_argument (validate()) on an invalid tile.
+ReptileParams select_read_parameters(const seq::ReadSet& reads,
+                                     std::uint64_t genome_length_estimate,
+                                     int k = 0);
+
+/// Sets Cg and Cm from the high-quality multiplicities Og of `tiles`:
+/// Cg so ~2% of distinct tiles exceed it, Cm so ~5% do, capped at Cg/4.
+/// Leaves both unchanged when the table is empty.
+void select_thresholds(const kspec::TileTable& tiles, ReptileParams& p);
+
+/// select_read_parameters, then select_thresholds on a tile table
+/// counted from `reads` as given.
 ReptileParams select_parameters(const seq::ReadSet& reads,
                                 std::uint64_t genome_length_estimate,
                                 int k = 0);

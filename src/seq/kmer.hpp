@@ -63,6 +63,15 @@ constexpr int kmer_hamming(KmerCode a, KmerCode b) noexcept {
   return __builtin_popcountll(x);
 }
 
+/// kmer_hamming(a, b) <= d without a popcount, which is a libgcc call on
+/// baseline x86-64: each step clears one differing base.
+constexpr bool kmer_within(KmerCode a, KmerCode b, int d) noexcept {
+  std::uint64_t x = a ^ b;
+  x = (x | (x >> 1)) & 0x5555555555555555ULL;
+  for (int e = 0; e < d && x != 0; ++e) x &= x - 1;
+  return x == 0;
+}
+
 /// Concatenation a||_l b of a k1-mer and a k2-mer overlapping by l bases
 /// (the paper's l-concatenation). Precondition: the suffix-l of a equals
 /// the prefix-l of b, and k1 + k2 - l <= 32. Returns the packed

@@ -18,6 +18,7 @@
 #include "core/registry.hpp"
 #include "io/fastq_stream.hpp"
 #include "io/fastx.hpp"
+#include "reptile/corrector.hpp"
 #include "reptile/params.hpp"
 #include "sim/genome.hpp"
 #include "sim/read_sim.hpp"
@@ -450,6 +451,39 @@ TEST(CorrectionPipeline, ReptileKChoosesThresholdsAtThatK) {
     EXPECT_EQ(report.note_or("reptile_params"), note(k == 0 ? derived : at_12))
         << k;
   }
+}
+
+// Reptile chooses Cg and Cm from the corrector's own tile table, counted
+// from the reads with eligible N's converted. On reads dense in N's that
+// rule reports other thresholds than the rule on a raw-read table would.
+TEST(CorrectionPipeline, ReptileThresholdsComeFromTheCorrectorsTiles) {
+  util::Rng rng(9);
+  sim::GenomeSpec gspec;
+  gspec.length = 20000;
+  const auto genome = sim::simulate_genome(gspec, rng);
+  sim::ReadSimConfig cfg;
+  cfg.read_length = 36;
+  cfg.coverage = 30;
+  cfg.ambiguous_rate = 0.03;
+  const auto run = sim::simulate_reads(
+      genome.sequence, sim::ErrorModel::illumina(36, 0.01), cfg, rng);
+  const auto thresholds = [](const reptile::ReptileParams& p) {
+    return "Cg:" + std::to_string(p.c_good) + ",Cm:" + std::to_string(p.c_min);
+  };
+
+  auto expected = reptile::select_read_parameters(run.reads, 20000);
+  const reptile::ReptileCorrector corrector(run.reads, expected);
+  reptile::select_thresholds(corrector.tiles(), expected);
+  ASSERT_NE(thresholds(expected),
+            thresholds(reptile::select_parameters(run.reads, 20000)));
+
+  core::CorrectorConfig config;
+  config.genome_length = 20000;
+  core::CorrectionPipeline pipeline(core::make_corrector("reptile", config));
+  std::ostringstream out;
+  const auto report = pipeline.run(factory_for(to_fastq(run.reads)), out).report;
+  const std::string note(report.note_or("reptile_params"));
+  EXPECT_NE(note.find(thresholds(expected)), std::string::npos) << note;
 }
 
 TEST(CorrectionPipeline, NullCorrectorThrows) {

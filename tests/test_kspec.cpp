@@ -289,6 +289,30 @@ TEST(Neighborhood, EnumeratorFindsPlantedNeighbors) {
   EXPECT_EQ(found, (std::set<seq::KmerCode>{n1, n2}));
 }
 
+// `bases` random k-mers, each with `mutants` copies carrying one or two
+// substitutions (planted mutation clusters), so neighbourhoods are
+// nonempty at any k.
+std::vector<seq::KmerCode> clustered_codes(util::Rng& rng, int k, int bases,
+                                           int mutants) {
+  const seq::KmerCode mask =
+      k == 32 ? ~seq::KmerCode{0} : ((seq::KmerCode{1} << (2 * k)) - 1);
+  std::vector<seq::KmerCode> codes;
+  for (int i = 0; i < bases; ++i) {
+    const seq::KmerCode base = rng() & mask;
+    codes.push_back(base);
+    for (int m = 0; m < mutants; ++m) {
+      seq::KmerCode mut = base;
+      for (int e = 0; e <= static_cast<int>(rng.below(2)); ++e) {
+        mut = seq::kmer_with_base(
+            mut, k, static_cast<int>(rng.below(static_cast<std::uint64_t>(k))),
+            static_cast<std::uint8_t>(rng.below(4)));
+      }
+      codes.push_back(mut);
+    }
+  }
+  return codes;
+}
+
 struct MaskedIndexCase {
   int k;
   int c;
@@ -301,25 +325,7 @@ class MaskedIndexEquivalence
 TEST_P(MaskedIndexEquivalence, MatchesEnumeratorOnRandomSpectra) {
   const auto [k, c, d] = GetParam();
   util::Rng rng(static_cast<std::uint64_t>(k * 100 + c * 10 + d));
-  // Random spectrum with planted mutation clusters so neighborhoods are
-  // nonempty.
-  std::vector<seq::KmerCode> codes;
-  const seq::KmerCode mask =
-      k == 32 ? ~seq::KmerCode{0} : ((seq::KmerCode{1} << (2 * k)) - 1);
-  for (int i = 0; i < 300; ++i) {
-    const seq::KmerCode base = rng() & mask;
-    codes.push_back(base);
-    for (int m = 0; m < 3; ++m) {
-      seq::KmerCode mut = base;
-      for (int e = 0; e <= static_cast<int>(rng.below(2)); ++e) {
-        mut = seq::kmer_with_base(
-            mut, k, static_cast<int>(rng.below(static_cast<std::uint64_t>(k))),
-            static_cast<std::uint8_t>(rng.below(4)));
-      }
-      codes.push_back(mut);
-    }
-  }
-  const auto spec = KSpectrum::from_codes(codes, k);
+  const auto spec = KSpectrum::from_codes(clustered_codes(rng, k, 300, 3), k);
   const kspec::CandidateEnumerator enumerator(spec);
   const kspec::MaskedSortIndex index(spec, c, d);
 
@@ -558,39 +564,153 @@ TEST(TileTable, ParallelBuildOfEmptyAndShortReads) {
   }
 }
 
+// The CSR arrays of G_H from all pairs, in vertex order.
+struct Csr {
+  std::vector<std::uint64_t> offsets{0};
+  std::vector<std::uint32_t> neighbors;
+};
+
+Csr brute_force_graph(const KSpectrum& spec, int d) {
+  Csr csr;
+  for (std::size_t i = 0; i < spec.size(); ++i) {
+    for (std::size_t j = 0; j < spec.size(); ++j) {
+      const int hd = seq::kmer_hamming(spec.code_at(i), spec.code_at(j));
+      if (hd >= 1 && hd <= d) {
+        csr.neighbors.push_back(static_cast<std::uint32_t>(j));
+      }
+    }
+    csr.offsets.push_back(csr.neighbors.size());
+  }
+  return csr;
+}
+
+// Builds G_H at (d, chunks) on every pool and checks both CSR arrays
+// against the brute-force ones, entry for entry.
+void expect_graph_matches(const KSpectrum& spec, int d, int chunks,
+                          const Csr& expect) {
+  for (const auto& pool : oracle_pools()) {
+    SCOPED_TRACE(::testing::Message() << "k=" << spec.k() << " d=" << d
+                                      << " c=" << chunks
+                                      << " pool=" << pool->size());
+    const kspec::HammingGraph graph(spec, d, chunks, pool.get());
+    ASSERT_EQ(graph.num_vertices(), spec.size());
+    ASSERT_EQ(graph.num_edges(), expect.neighbors.size() / 2);
+    if (spec.empty()) continue;
+    const std::uint32_t* base = graph.neighbors(0).data();
+    for (std::size_t i = 0; i < spec.size(); ++i) {
+      const auto adj = graph.neighbors(i);
+      ASSERT_EQ(static_cast<std::uint64_t>(adj.data() - base),
+                expect.offsets[i]);
+      ASSERT_TRUE(std::equal(adj.begin(), adj.end(),
+                             expect.neighbors.begin() +
+                                 static_cast<std::ptrdiff_t>(expect.offsets[i]),
+                             expect.neighbors.begin() +
+                                 static_cast<std::ptrdiff_t>(
+                                     expect.offsets[i + 1])))
+          << i;
+    }
+  }
+}
+
 TEST(HammingGraph, ParallelBuildMatchesBruteForce) {
   util::Rng rng(43);
-  const int k = 8;
-  std::vector<seq::KmerCode> codes;
-  for (int i = 0; i < 5000; ++i) {
-    codes.push_back(rng.below(std::uint64_t{1} << (2 * k)));
-  }
-  const auto spec = KSpectrum::from_codes(codes, k);
-  const auto pools = oracle_pools();
-  for (const int d : {1, 2}) {
-    // All pairs, in vertex order: the CSR arrays a serial build writes.
-    std::vector<std::uint64_t> offsets = {0};
-    std::vector<std::uint32_t> neighbors;
-    for (std::size_t i = 0; i < spec.size(); ++i) {
-      for (std::size_t j = 0; j < spec.size(); ++j) {
-        const int hd = seq::kmer_hamming(spec.code_at(i), spec.code_at(j));
-        if (hd >= 1 && hd <= d) neighbors.push_back(static_cast<std::uint32_t>(j));
-      }
-      offsets.push_back(neighbors.size());
+  {
+    // Sparse k = 8 spectrum (~7 % of the codes) at the automatic c, at
+    // c = d + 1 (few wide chunks, long runs) and at c = k (one base per
+    // chunk), up to d = 3.
+    const int k = 8;
+    std::vector<seq::KmerCode> codes;
+    for (int i = 0; i < 5000; ++i) {
+      codes.push_back(rng.below(std::uint64_t{1} << (2 * k)));
     }
-    for (const auto& pool : pools) {
-      SCOPED_TRACE(::testing::Message() << "d=" << d << " pool=" << pool->size());
-      const kspec::HammingGraph graph(spec, d, 0, pool.get());
-      ASSERT_EQ(graph.num_vertices(), spec.size());
-      ASSERT_EQ(graph.num_edges(), neighbors.size() / 2);
-      const std::uint32_t* base = graph.neighbors(0).data();
-      for (std::size_t i = 0; i < spec.size(); ++i) {
-        const auto adj = graph.neighbors(i);
-        ASSERT_EQ(static_cast<std::uint64_t>(adj.data() - base), offsets[i]);
-        ASSERT_TRUE(std::equal(adj.begin(), adj.end(),
-                               neighbors.begin() + offsets[i],
-                               neighbors.begin() + offsets[i + 1]))
-            << i;
+    const auto spec = KSpectrum::from_codes(codes, k);
+    for (const int d : {1, 2, 3}) {
+      const Csr expect = brute_force_graph(spec, d);
+      for (const int c : {0, d + 1, k}) expect_graph_matches(spec, d, c, expect);
+    }
+  }
+  {
+    // Dense: ~40 % of the 4^6 codes, as the k = 10 spectrum of a deep
+    // run is.
+    const int k = 6;
+    std::vector<seq::KmerCode> codes;
+    for (seq::KmerCode code = 0; code < (seq::KmerCode{1} << (2 * k)); ++code) {
+      if (rng.below(5) < 2) codes.push_back(code);
+    }
+    const auto spec = KSpectrum::from_codes(codes, k);
+    ASSERT_GE(spec.size() * 10, (std::size_t{1} << (2 * k)) * 3);
+    for (const int d : {1, 2, 3}) {
+      const Csr expect = brute_force_graph(spec, d);
+      for (const int c : {0, d + 1}) expect_graph_matches(spec, d, c, expect);
+    }
+  }
+  {
+    // k = 32: the codes fill all 64 bits.
+    const auto spec = KSpectrum::from_codes(clustered_codes(rng, 32, 300, 3), 32);
+    for (const int d : {1, 2}) {
+      const Csr expect = brute_force_graph(spec, d);
+      for (const int c : {0, d + 1}) expect_graph_matches(spec, d, c, expect);
+    }
+  }
+  {
+    // One collision run longer than a task block: at c = 2 the replica
+    // masking the last four bases puts all 256 codes sharing the first
+    // four in one run, and a pool of p threads cuts the order into 3p
+    // blocks of under 256 entries.
+    const int k = 8;
+    std::vector<seq::KmerCode> codes;
+    const seq::KmerCode prefix = seq::encode_kmer("ACGT").value() << 8;
+    for (seq::KmerCode low = 0; low < 256; ++low) codes.push_back(prefix | low);
+    for (int i = 0; i < 100; ++i) codes.push_back(rng.below(1u << 16));
+    const auto spec = KSpectrum::from_codes(codes, k);
+    ASSERT_LT(spec.size(), 3u * 256u);
+    for (const int d : {1, 2}) {
+      expect_graph_matches(spec, d, d + 1, brute_force_graph(spec, d));
+    }
+  }
+  // Empty and one-code spectra: no edges.
+  for (const auto& spec :
+       {KSpectrum::from_codes({}, 8),
+        KSpectrum::from_codes({seq::encode_kmer("ACGTACGT").value()}, 8)}) {
+    expect_graph_matches(spec, 1, 0, brute_force_graph(spec, 1));
+  }
+}
+
+// The replica walk behind HammingGraph: over all replicas and any cut of
+// the order into ranges, down to one entry per range, every pair within
+// distance [1, d] is visited exactly once.
+TEST(MaskedSortIndex, RunPairsVisitEachPairOnce) {
+  util::Rng rng(61);
+  const int k = 8;
+  const auto spec = KSpectrum::from_codes(clustered_codes(rng, k, 60, 6), k);
+  for (const int d : {1, 2, 3}) {
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> expect;
+    for (std::uint32_t i = 0; i < spec.size(); ++i) {
+      for (std::uint32_t j = i + 1; j < spec.size(); ++j) {
+        const int hd = seq::kmer_hamming(spec.code_at(i), spec.code_at(j));
+        if (hd >= 1 && hd <= d) expect.emplace_back(i, j);
+      }
+    }
+    ASSERT_FALSE(expect.empty());
+    for (int c = d + 1; c <= k; ++c) {
+      const kspec::MaskedSortIndex index(spec, c, d);
+      for (const std::size_t block : {std::size_t{1}, std::size_t{7},
+                                      spec.size()}) {
+        std::vector<std::pair<std::uint32_t, std::uint32_t>> got;
+        std::vector<seq::KmerCode> run;
+        for (std::size_t r = 0; r < index.num_replicas(); ++r) {
+          for (std::size_t lo = 0; lo < spec.size(); lo += block) {
+            index.for_each_run_pair(
+                r, lo, std::min(spec.size(), lo + block),
+                [&](std::uint32_t i, std::uint32_t j) {
+                  got.emplace_back(std::min(i, j), std::max(i, j));
+                },
+                run);
+          }
+        }
+        std::sort(got.begin(), got.end());
+        ASSERT_EQ(got, expect) << "d=" << d << " c=" << c
+                               << " block=" << block;
       }
     }
   }

@@ -41,6 +41,24 @@ TEST(Alphabet, HammingDistance) {
   EXPECT_EQ(hamming_distance("", ""), 0u);
 }
 
+TEST(Kmer, WithinMatchesHammingDistance) {
+  ngs::util::Rng rng(17);
+  for (int round = 0; round < 20000; ++round) {
+    const KmerCode a = rng();
+    // Flip a few random bases so small distances are common.
+    KmerCode b = a;
+    const int flips = static_cast<int>(rng.below(6));
+    for (int f = 0; f < flips; ++f) {
+      b ^= (rng.below(3) + 1) << (2 * rng.below(32));
+    }
+    if (round % 4 == 0) b = rng();
+    const int hd = kmer_hamming(a, b);
+    for (int d = 0; d <= 5; ++d) {
+      ASSERT_EQ(kmer_within(a, b, d), hd <= d) << a << " " << b;
+    }
+  }
+}
+
 TEST(Kmer, EncodeDecodeRoundTrip) {
   ngs::util::Rng rng(5);
   for (int trial = 0; trial < 200; ++trial) {

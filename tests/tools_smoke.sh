@@ -263,6 +263,41 @@ test ! -e "$WORK/x.fasta"
 test ! -e "$WORK/x.fastq"
 test ! -e "$WORK/x.ngsx"
 
+# ngs-simulate's impossible shapes are config errors naming the flag:
+# reads longer than the genome, repeat content past its length.
+expect_exit 2 "$BIN_DIR/ngs_simulate" --genome-length 30 --read-length 36 \
+  --reads "$WORK/x.fastq" --genome "$WORK/x.fasta"
+grep -q -- "--read-length" "$WORK/stderr.txt"
+expect_exit 2 "$BIN_DIR/ngs_simulate" --genome-length 1000 \
+  --repeat-length 300 --repeat-copies 4 \
+  --reads "$WORK/x.fastq" --genome "$WORK/x.fasta"
+grep -q -- "--repeat-length" "$WORK/stderr.txt"
+
+# File errors of ngs-cluster and ngs-simulate are I/O errors (exit 3)
+# naming the path: a missing input, and an output in a missing
+# directory, which leaves no output of the run behind and no "wrote"
+# line.
+expect_exit 3 "$BIN_DIR/ngs_cluster" --in "$WORK/nonexistent.fasta" \
+  --out "$WORK/x.tsv"
+grep -q "nonexistent.fasta" "$WORK/stderr.txt"
+expect_exit 3 "$BIN_DIR/ngs_cluster" --in "$WORK/reads.fasta" \
+  --thresholds 0.9 --out "$WORK/nodir/x.tsv"
+grep -q "nodir/x.tsv" "$WORK/stderr.txt"
+if grep -q "^wrote" "$WORK/stderr.txt"; then
+  echo "ngs_cluster reported a write that failed" >&2
+  exit 1
+fi
+for output in reads genome truth; do
+  expect_exit 3 "$BIN_DIR/ngs_simulate" --genome-length 1000 \
+    --reads "$WORK/x.fastq" --genome "$WORK/x.fasta" --truth "$WORK/x.tsv" \
+    --"$output" "$WORK/nodir/x.out"
+  grep -q "nodir/x.out" "$WORK/stderr.txt"
+done
+test ! -e "$WORK/nodir"
+test ! -e "$WORK/x.tsv"
+test ! -e "$WORK/x.fasta"
+test ! -e "$WORK/x.fastq"
+
 # Missing/unreadable input -> 3.
 expect_exit 3 "$BIN_DIR/ngs_correct" --in "$WORK/nonexistent.fastq" \
   --out "$WORK/x.fastq" --method sap

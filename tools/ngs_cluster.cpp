@@ -5,13 +5,13 @@
 //   ngs-cluster --in 16s.fasta --thresholds 0.95,0.90,0.85 \\
 //               --out clusters.tsv
 
-#include <fstream>
 #include <iostream>
 #include <sstream>
 
 #include "closet/closet.hpp"
 #include "io/fastx.hpp"
 #include "seq/kmer.hpp"
+#include "util/atomic_file.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
@@ -56,42 +56,54 @@ int main(int argc, char** argv) {
     return tool_exit_code(e.kind());
   }
 
-  const std::string path = cli.get("in");
-  const bool fastq = path.size() > 6 &&
-                     (path.rfind(".fastq") == path.size() - 6 ||
-                      path.rfind(".fq") == path.size() - 3);
-  const auto reads =
-      fastq ? io::read_fastq_file(path) : io::read_fasta_file(path);
-  std::cerr << "read " << reads.size() << " sequences\n";
+  // A missing input or an unwritable output is an I/O error (exit 3).
+  // The TSV goes through util::AtomicFile, so a failed run leaves no
+  // partial file and prints no "wrote" line.
+  try {
+    const std::string path = cli.get("in");
+    const bool fastq = path.size() > 6 &&
+                       (path.rfind(".fastq") == path.size() - 6 ||
+                        path.rfind(".fq") == path.size() - 3);
+    const auto reads =
+        fastq ? io::read_fastq_file(path) : io::read_fasta_file(path);
+    std::cerr << "read " << reads.size() << " sequences\n";
 
-  params.validate_with_alignment = cli.has("alignment");
+    params.validate_with_alignment = cli.has("alignment");
 
-  util::Timer timer;
-  closet::Closet engine(params);
-  const auto result = engine.run(reads);
-  std::cerr << "validated " << result.confirmed_edges << " edges in "
-            << timer.seconds() << "s\n";
+    util::Timer timer;
+    closet::Closet engine(params);
+    const auto result = engine.run(reads);
+    std::cerr << "validated " << result.confirmed_edges << " edges in "
+              << timer.seconds() << "s\n";
 
-  std::ofstream out(cli.get("out"));
-  out << "read";
-  for (const auto& level : result.levels) {
-    out << "\tcluster@" << level.threshold;
-  }
-  out << "\n";
-  std::vector<std::vector<std::uint32_t>> labels;
-  labels.reserve(result.levels.size());
-  for (const auto& level : result.levels) {
-    labels.push_back(
-        closet::Closet::to_partition(level.clusters, reads.size()));
-  }
-  for (std::size_t i = 0; i < reads.size(); ++i) {
-    out << reads.reads[i].id;
-    for (const auto& l : labels) out << '\t' << l[i];
-    out << '\n';
-  }
-  for (const auto& level : result.levels) {
-    std::cerr << "threshold " << level.threshold << ": "
-              << level.resulting_clusters << " clusters\n";
+    std::ostringstream out;
+    out << "read";
+    for (const auto& level : result.levels) {
+      out << "\tcluster@" << level.threshold;
+    }
+    out << "\n";
+    std::vector<std::vector<std::uint32_t>> labels;
+    labels.reserve(result.levels.size());
+    for (const auto& level : result.levels) {
+      labels.push_back(
+          closet::Closet::to_partition(level.clusters, reads.size()));
+    }
+    for (std::size_t i = 0; i < reads.size(); ++i) {
+      out << reads.reads[i].id;
+      for (const auto& l : labels) out << '\t' << l[i];
+      out << '\n';
+    }
+    util::AtomicFile file(cli.get("out"));
+    const std::string text = out.str();
+    file.write(text.data(), text.size());
+    file.commit();
+    for (const auto& level : result.levels) {
+      std::cerr << "threshold " << level.threshold << ": "
+                << level.resulting_clusters << " clusters\n";
+    }
+  } catch (const Error& e) {
+    std::cerr << "ngs-cluster: " << e.what() << "\n";
+    return tool_exit_code(e.kind());
   }
   std::cerr << "wrote " << cli.get("out") << "\n";
   return 0;

@@ -6,15 +6,35 @@
 //                --reads out.fastq --genome genome.fasta --truth truth.tsv
 
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <optional>
 
 #include "io/fastx.hpp"
 #include "sim/genome.hpp"
 #include "sim/read_sim.hpp"
+#include "util/atomic_file.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
 
 using namespace ngs;
+
+namespace {
+
+/// Writes `file`'s temp file through an ofstream; throws Error(kIo)
+/// naming the target when it cannot be opened or written.
+void write_through(util::AtomicFile& file,
+                   const std::function<void(std::ostream&)>& fill) {
+  std::ofstream os(file.temp_path());
+  if (os) fill(os);
+  os.flush();
+  if (!os) {
+    throw Error(ErrorKind::kIo, "io.open",
+                "cannot write " + file.target_path());
+  }
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   util::CliParser cli("ngs-simulate",
@@ -54,6 +74,20 @@ int main(int argc, char** argv) {
     error_rate = cli.get_double("error-rate", 0.01, 0.0, 1.0);
     cfg.coverage = cli.get_double("coverage", 60.0, 0.0);
     cfg.ambiguous_rate = cli.get_double("ambiguous-rate", 0.0, 0.0, 1.0);
+    // Shapes no genome can hold are config errors, raised before any
+    // simulation or output.
+    const std::string genome_length = std::to_string(gspec.length);
+    if (read_length > gspec.length) {
+      throw Error(ErrorKind::kConfig, "cli",
+                  "--read-length " + std::to_string(read_length) +
+                      " exceeds --genome-length " + genome_length);
+    }
+    if (rep_len > 0 && rep_n > 0 && rep_len > gspec.length / rep_n) {
+      throw Error(ErrorKind::kConfig, "cli",
+                  "--repeat-length " + std::to_string(rep_len) +
+                      " x --repeat-copies " + std::to_string(rep_n) +
+                      " exceeds --genome-length " + genome_length);
+    }
   } catch (const Error& e) {
     std::cerr << "ngs-simulate: " << e.what() << "\n";
     return tool_exit_code(e.kind());
@@ -68,20 +102,36 @@ int main(int argc, char** argv) {
   cfg.read_length = read_length;
   const auto run = sim::simulate_reads(genome.sequence, model, cfg, rng);
 
-  seq::ReadSet genome_set;
-  genome_set.reads.push_back({"genome", genome.sequence, {}});
-  io::write_fasta_file(cli.get("genome"), genome_set);
-  io::write_fastq_file(cli.get("reads"), run.reads);
-
-  if (!cli.get("truth").empty()) {
-    std::ofstream truth(cli.get("truth"));
-    truth << "read\tposition\tstrand\ttrue_bases\n";
-    for (std::size_t i = 0; i < run.reads.size(); ++i) {
-      const auto& t = run.reads.truth[i];
-      truth << run.reads.reads[i].id << '\t' << t.genome_pos << '\t'
-            << (t.reverse_strand ? '-' : '+') << '\t' << t.true_bases
-            << '\n';
+  // Every output is written to its temp file before any is committed, so
+  // an unwritable path (exit 3) leaves none of them behind.
+  try {
+    seq::ReadSet genome_set;
+    genome_set.reads.push_back({"genome", genome.sequence, {}});
+    util::AtomicFile genome_file(cli.get("genome"));
+    util::AtomicFile reads_file(cli.get("reads"));
+    write_through(genome_file,
+                  [&](std::ostream& os) { io::write_fasta(os, genome_set); });
+    write_through(reads_file,
+                  [&](std::ostream& os) { io::write_fastq(os, run.reads); });
+    std::optional<util::AtomicFile> truth_file;
+    if (!cli.get("truth").empty()) {
+      truth_file.emplace(cli.get("truth"));
+      write_through(*truth_file, [&](std::ostream& os) {
+        os << "read\tposition\tstrand\ttrue_bases\n";
+        for (std::size_t i = 0; i < run.reads.size(); ++i) {
+          const auto& t = run.reads.truth[i];
+          os << run.reads.reads[i].id << '\t' << t.genome_pos << '\t'
+             << (t.reverse_strand ? '-' : '+') << '\t' << t.true_bases
+             << '\n';
+        }
+      });
     }
+    genome_file.commit();
+    reads_file.commit();
+    if (truth_file) truth_file->commit();
+  } catch (const Error& e) {
+    std::cerr << "ngs-simulate: " << e.what() << "\n";
+    return tool_exit_code(e.kind());
   }
 
   std::cerr << "wrote " << run.reads.size() << " reads ("
