@@ -1,13 +1,13 @@
 // End-to-end pass-2 correction throughput on the Table 2.1 D3 workload:
 // Reptile phase 2 (the CorrectionPipeline hot path since PR 2 made
 // phase 1 parallel) with the shared tile-decision cache on and off, at
-// 1/2/4/8 worker threads and at every compiled SIMD dispatch level,
-// verifying that every configuration produces output byte-identical to
-// the uncached single-thread scalar reference. Emits BENCH_correct.json
-// (path overridable via NGS_BENCH_JSON) so the pass-2 perf trajectory is
-// recorded alongside BENCH_spectrum.json. Rows running more workers than
-// the machine has hardware threads are flagged oversubscribed — their
-// scaling numbers measure scheduling, not the corrector.
+// 1/2/4/8 worker threads, verifying that every configuration produces
+// output byte-identical to the uncached single-thread reference. Emits
+// BENCH_correct.json (path overridable via NGS_BENCH_JSON) so the pass-2
+// perf trajectory is recorded alongside BENCH_spectrum.json. Rows
+// running more workers than the machine has hardware threads are
+// flagged oversubscribed — their scaling numbers measure scheduling, not
+// the corrector.
 
 #include "bench_common.hpp"
 
@@ -25,7 +25,6 @@
 #include "io/fastx.hpp"
 #include "reptile/corrector.hpp"
 #include "reptile/params.hpp"
-#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace ngs;
@@ -79,7 +78,6 @@ std::vector<seq::Read> run_pass2(const reptile::ReptileCorrector& corrector,
 struct Row {
   std::size_t threads = 0;
   bool cached = false;
-  util::simd::Level dispatch = util::simd::Level::kScalar;
   bool oversubscribed = false;
   double seconds = 0.0;
   double reads_per_sec = 0.0;
@@ -112,20 +110,13 @@ int main() {
   constexpr int kRepeats = 2;
   bench::print_header(
       "Pass-2 correction throughput (Table 2.1 D3-scale)",
-      "Reptile tile correction with the shared tile-decision cache on/off "
-      "at every SIMD dispatch level; outputs checked byte-identical to the "
-      "uncached 1-thread scalar reference.");
+      "Reptile tile correction with the shared tile-decision cache on/off; "
+      "outputs checked byte-identical to the uncached 1-thread reference.");
 
   const auto specs = sim::chapter2_specs(scale);
   const auto& d3_spec = specs.at(2);  // D3
   const auto d3 = sim::make_dataset(d3_spec, 42);
   const auto& reads = d3.sim.reads;
-
-  // Dispatch levels under test: scalar always, plus the best level this
-  // build + CPU supports (absent in -DNGS_SIMD=OFF builds).
-  const util::simd::Level best_level = util::simd::active();
-  std::vector<util::simd::Level> levels{util::simd::Level::kScalar};
-  if (best_level != util::simd::Level::kScalar) levels.push_back(best_level);
 
   const unsigned hw = std::thread::hardware_concurrency();
   auto params = reptile::select_parameters(reads, d3_spec.genome.length);
@@ -136,77 +127,62 @@ int main() {
             << "), reads=" << reads.size() << ", bases=" << reads.total_bases()
             << ", k=" << params.k << ", tile=" << params.tile_length()
             << "bp, phase-1 build " << util::Table::fixed(build_s, 2)
-            << "s, hardware_threads=" << hw << ", best dispatch="
-            << util::simd::level_name(best_level) << "\n\n";
+            << "s, hardware_threads=" << hw << "\n\n";
 
-  // Reference: uncached, single worker, scalar kernels.
+  // Reference: uncached, single worker.
   util::ThreadPool ref_pool(1);
-  util::simd::force_level(util::simd::Level::kScalar);
   std::vector<seq::Read> reference;
-  const double scalar_1t_s = best_seconds(kRepeats, [&] {
+  const double uncached_1t_s = best_seconds(kRepeats, [&] {
     reference = run_pass2(corrector, reads, ref_pool, nullptr);
   });
 
   const auto nreads = static_cast<double>(reads.size());
   std::vector<Row> rows;
-  rows.push_back({1, false, util::simd::Level::kScalar, hw != 0 && 1 > hw,
-                  scalar_1t_s, nreads / scalar_1t_s, 0.0, true});
+  rows.push_back({1, false, hw != 0 && 1 > hw, uncached_1t_s,
+                  nreads / uncached_1t_s, 0.0, true});
 
-  util::Table table({"Dispatch", "Threads", "Cache", "Pass 2 (s)", "Reads/s",
-                     "Speedup vs scalar 1t", "Hit rate", "Identical"});
-  table.add_row({"scalar", "1", "off", util::Table::fixed(scalar_1t_s, 3),
+  util::Table table({"Threads", "Cache", "Pass 2 (s)", "Reads/s",
+                     "Speedup vs 1t", "Hit rate", "Identical"});
+  table.add_row({"1", "off", util::Table::fixed(uncached_1t_s, 3),
                  util::Table::num(
-                     static_cast<std::uint64_t>(nreads / scalar_1t_s)),
+                     static_cast<std::uint64_t>(nreads / uncached_1t_s)),
                  "1.00x", "-", "-"});
 
-  double uncached_1t_s = scalar_1t_s;  // best-dispatch headline number
-  for (const util::simd::Level level : levels) {
-    util::simd::force_level(level);
-    for (const std::size_t threads : {1ul, 2ul, 4ul, 8ul}) {
-      util::ThreadPool pool(threads);
-      for (const bool cached : {false, true}) {
-        if (!cached && threads == 1 &&
-            level == util::simd::Level::kScalar) {
-          continue;  // the reference row above
+  for (const std::size_t threads : {1ul, 2ul, 4ul, 8ul}) {
+    util::ThreadPool pool(threads);
+    for (const bool cached : {false, true}) {
+      if (!cached && threads == 1) continue;  // the reference row above
+      std::vector<seq::Read> out;
+      double hit_rate = 0.0;
+      const double s = best_seconds(kRepeats, [&] {
+        // Fresh cache per repetition: timing must include the miss-and-
+        // fill phase, not reuse a previous repetition's warm entries.
+        if (cached) {
+          reptile::TileDecisionCache cache(reptile::kDefaultTileCacheBytes);
+          out = run_pass2(corrector, reads, pool, &cache);
+          hit_rate = cache.stats().hit_rate();
+        } else {
+          out = run_pass2(corrector, reads, pool, nullptr);
         }
-        std::vector<seq::Read> out;
-        double hit_rate = 0.0;
-        const double s = best_seconds(kRepeats, [&] {
-          // Fresh cache per repetition: timing must include the miss-and-
-          // fill phase, not reuse a previous repetition's warm entries.
-          if (cached) {
-            reptile::TileDecisionCache cache(reptile::kDefaultTileCacheBytes);
-            out = run_pass2(corrector, reads, pool, &cache);
-            hit_rate = cache.stats().hit_rate();
-          } else {
-            out = run_pass2(corrector, reads, pool, nullptr);
-          }
-        });
-        Row row;
-        row.threads = threads;
-        row.cached = cached;
-        row.dispatch = level;
-        row.oversubscribed = hw != 0 && threads > hw;
-        row.seconds = s;
-        row.reads_per_sec = nreads / s;
-        row.hit_rate = hit_rate;
-        row.identical = identical(out, reference);
-        rows.push_back(row);
-        if (!cached && threads == 1 && level == best_level) {
-          uncached_1t_s = s;
-        }
-        table.add_row(
-            {util::simd::level_name(level),
-             std::to_string(threads) + (row.oversubscribed ? "*" : ""),
-             cached ? "on" : "off", util::Table::fixed(s, 3),
-             util::Table::num(static_cast<std::uint64_t>(row.reads_per_sec)),
-             util::Table::fixed(scalar_1t_s / s, 2) + "x",
-             cached ? util::Table::percent(hit_rate) : "-",
-             row.identical ? "yes" : "NO"});
-      }
+      });
+      Row row;
+      row.threads = threads;
+      row.cached = cached;
+      row.oversubscribed = hw != 0 && threads > hw;
+      row.seconds = s;
+      row.reads_per_sec = nreads / s;
+      row.hit_rate = hit_rate;
+      row.identical = identical(out, reference);
+      rows.push_back(row);
+      table.add_row(
+          {std::to_string(threads) + (row.oversubscribed ? "*" : ""),
+           cached ? "on" : "off", util::Table::fixed(s, 3),
+           util::Table::num(static_cast<std::uint64_t>(row.reads_per_sec)),
+           util::Table::fixed(uncached_1t_s / s, 2) + "x",
+           cached ? util::Table::percent(hit_rate) : "-",
+           row.identical ? "yes" : "NO"});
     }
   }
-  util::simd::force_level(best_level);
   table.print(std::cout);
   std::cout << "(* = more workers than the " << hw
             << " hardware thread(s): oversubscribed, scaling not "
@@ -215,7 +191,7 @@ int main() {
   double cached_1t_s = 0.0;
   bool all_identical = true;
   for (const auto& r : rows) {
-    if (r.threads == 1 && r.cached && r.dispatch == best_level) {
+    if (r.threads == 1 && r.cached) {
       cached_1t_s = r.seconds;
     }
     all_identical = all_identical && r.identical;
@@ -306,11 +282,8 @@ int main() {
        << "  \"k\": " << params.k << ",\n"
        << "  \"tile_length\": " << params.tile_length() << ",\n"
        << "  \"hardware_threads\": " << hw << ",\n"
-       << "  \"best_dispatch\": \"" << util::simd::level_name(best_level)
-       << "\",\n"
        << "  \"phase1_build_s\": " << build_s << ",\n"
        << "  \"uncached_1t_s\": " << uncached_1t_s << ",\n"
-       << "  \"uncached_1t_scalar_s\": " << scalar_1t_s << ",\n"
        << "  \"cached_speedup_1t\": " << uncached_1t_s / cached_1t_s << ",\n"
        << "  \"seed_uncached_reads_per_sec\": " << kSeedUncachedReadsPerSec
        << ",\n"
@@ -322,8 +295,7 @@ int main() {
     const auto& r = rows[i];
     json << "    {\"threads\": " << r.threads
          << ", \"cache\": " << (r.cached ? "true" : "false")
-         << ", \"dispatch\": \"" << util::simd::level_name(r.dispatch)
-         << "\", \"oversubscribed\": " << (r.oversubscribed ? "true" : "false")
+         << ", \"oversubscribed\": " << (r.oversubscribed ? "true" : "false")
          << ", \"seconds\": " << r.seconds
          << ", \"reads_per_sec\": " << r.reads_per_sec
          << ", \"hit_rate\": " << r.hit_rate

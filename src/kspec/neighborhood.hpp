@@ -35,13 +35,34 @@
 
 #include "kspec/kspectrum.hpp"
 #include "seq/kmer.hpp"
-#include "util/simd.hpp"
 
 namespace ngs::util {
 class ThreadPool;
 }
 
 namespace ngs::kspec {
+
+/// Scans the collision run order[0..n) while (codes[order[i]] & keep) ==
+/// key, appending to `out` every order[i] whose code lies within Hamming
+/// distance [1, d] of `query`. Returns the number of entries consumed
+/// (the run length, capped at n). This is MaskedSortIndex's per-replica
+/// filter; the run continuation test and the distance test share one
+/// load of each code.
+inline std::size_t masked_run_filter(const seq::KmerCode* codes,
+                                     const std::uint32_t* order,
+                                     std::size_t n, seq::KmerCode keep,
+                                     seq::KmerCode key, seq::KmerCode query,
+                                     int d, std::vector<std::uint32_t>& out) {
+  std::size_t i = 0;
+  for (; i < n; ++i) {
+    const seq::KmerCode code = codes[order[i]];
+    if ((code & keep) != key) break;
+    if (code != query && seq::kmer_within(code, query, d)) {
+      out.push_back(order[i]);
+    }
+  }
+  return i;
+}
 
 /// Strategy 1: complete-neighborhood enumeration + binary search.
 class CandidateEnumerator {
@@ -109,8 +130,6 @@ class MaskedSortIndex {
   void for_each_neighbor(seq::KmerCode code, Visitor&& visit,
                          std::vector<std::uint32_t>& hits) const {
     hits.clear();
-    // The collision-run scan runs as a fused gather + XOR/popcount
-    // kernel (util::simd) over the spectrum's contiguous code array.
     const std::span<const seq::KmerCode> codes = spectrum_->codes();
     for (const auto& rep : replicas_) {
       const seq::KmerCode keep = ~rep.mask;
@@ -118,23 +137,11 @@ class MaskedSortIndex {
       auto cmp_lo = [&](std::uint32_t idx, seq::KmerCode value) {
         return (codes[idx] & keep) < value;
       };
-      auto it = std::lower_bound(rep.order.begin(), rep.order.end(), key,
-                                 cmp_lo);
-      // Blocked so the stack buffer stays small: a block consumed in
-      // full means the collision run may continue into the next block.
-      constexpr std::size_t kRunBlock = 128;
-      std::size_t off = static_cast<std::size_t>(it - rep.order.begin());
-      while (off < rep.order.size()) {
-        const std::size_t avail = std::min(kRunBlock, rep.order.size() - off);
-        std::uint32_t buf[kRunBlock];
-        std::size_t out_n = 0;
-        const std::size_t consumed = util::simd::masked_run_filter(
-            codes.data(), rep.order.data() + off, avail, keep, key, code, d_,
-            buf, &out_n);
-        hits.insert(hits.end(), buf, buf + out_n);
-        if (consumed < avail) break;
-        off += consumed;
-      }
+      const auto off = static_cast<std::size_t>(
+          std::lower_bound(rep.order.begin(), rep.order.end(), key, cmp_lo) -
+          rep.order.begin());
+      masked_run_filter(codes.data(), rep.order.data() + off,
+                        rep.order.size() - off, keep, key, code, d_, hits);
     }
     std::sort(hits.begin(), hits.end());
     hits.erase(std::unique(hits.begin(), hits.end()), hits.end());

@@ -5,7 +5,6 @@
 
 #include "seq/alphabet.hpp"
 #include "seq/kmer.hpp"
-#include "util/simd.hpp"
 
 namespace ngs::mapper {
 
@@ -20,8 +19,8 @@ int count_mismatches(const seq::PackedSeq& genome, std::size_t pos,
   for (std::size_t done = 0; done < read.size() && mm <= cap; done += 32) {
     const int len =
         static_cast<int>(std::min<std::size_t>(32, read.size() - done));
-    mm += util::simd::hamming2(genome.window_raw(pos + done, len),
-                               read.window_raw(done, len));
+    mm += seq::kmer_hamming(genome.window_raw(pos + done, len),
+                            read.window_raw(done, len));
   }
   return mm;
 }

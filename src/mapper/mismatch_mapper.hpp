@@ -7,7 +7,7 @@
 // Strategy: pigeonhole seeding. A read with <= m mismatches contains at
 // least one exact seed among m+1 disjoint seeds; each seed is looked up
 // in a genome q-gram index and every candidate placement is verified by
-// counting mismatches 32 packed bases at a time (util::simd::hamming2 over
+// counting mismatches 32 packed bases at a time (seq::kmer_hamming over
 // seq::PackedSeq windows). Both strands are searched.
 
 #include <array>

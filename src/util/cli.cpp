@@ -81,8 +81,12 @@ std::size_t CliParser::get_size(const std::string& name,
                                 std::size_t fallback, std::size_t min,
                                 std::size_t max) const {
   const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  const std::string& text = it->second;
+  return it == values_.end() ? fallback
+                             : parse_size(name, it->second, min, max);
+}
+
+std::size_t parse_size(const std::string& name, const std::string& text,
+                       std::size_t min, std::size_t max) {
   std::size_t value = 0;
   const char* last = text.data() + text.size();
   const auto [end, ec] = std::from_chars(text.data(), last, value);

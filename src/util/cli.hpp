@@ -42,9 +42,8 @@ class CliParser {
   /// base-10 integer that fits 64 bits (so "abc", "4k", "+5" and "" are
   /// rejected).
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
-  /// Strict unsigned value of `name` (`fallback` when never set): throws
-  /// ngs::Error(kConfig) naming the flag unless the whole text is a
-  /// base-10 integer in [min, max] (so "-1", "4k" and "" are rejected).
+  /// Strict value of `name` (`fallback` when never set): parse_size of
+  /// the flag's text.
   std::size_t get_size(const std::string& name, std::size_t fallback,
                        std::size_t min = 0,
                        std::size_t max = SIZE_MAX) const;
@@ -77,6 +76,13 @@ class CliParser {
   std::string error_;
   bool help_ = false;
 };
+
+/// Strict parse of one value of flag `name`: throws ngs::Error(kConfig)
+/// naming the flag unless the whole of `text` is a base-10 integer in
+/// [min, max] (so "-1", "4k", "" and values past 64 bits are rejected).
+/// Flags whose value embeds an integer parse that part with it.
+std::size_t parse_size(const std::string& name, const std::string& text,
+                       std::size_t min = 0, std::size_t max = SIZE_MAX);
 
 /// Strict parse of one value of flag `name`: throws ngs::Error(kConfig)
 /// naming the flag unless the whole of `text` is a decimal number in

@@ -356,6 +356,79 @@ TEST(MaskedSortIndex, RejectsBadParameters) {
   EXPECT_THROW(kspec::MaskedSortIndex(spec, 9, 1), std::invalid_argument);
 }
 
+// The per-replica collision-run filter against a plain scan with
+// kmer_hamming: random code sets with two bases masked, queried with a
+// code of the set or a one-base mutant of one.
+TEST(MaskedSortIndex, MaskedRunFilterMatchesReferenceScan) {
+  util::Rng rng(4242);
+  constexpr int kK = 12;
+  const seq::KmerCode mask = (seq::KmerCode{1} << (2 * kK)) - 1;
+  for (int round = 0; round < 200; ++round) {
+    const std::size_t n = 1 + rng.below(300);
+    std::vector<seq::KmerCode> codes(n);
+    for (auto& c : codes) c = rng() & mask;
+    std::sort(codes.begin(), codes.end());
+    const seq::KmerCode keep =
+        ~(seq::KmerCode{0xf} << (2 * rng.below(kK - 1))) & mask;
+    std::vector<std::uint32_t> order(n);
+    for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint32_t>(i);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return (codes[a] & keep) < (codes[b] & keep);
+                     });
+    const seq::KmerCode query =
+        codes[rng.below(n)] ^
+        (rng.below(2) ? 0 : (seq::KmerCode{3} << (2 * rng.below(kK))));
+    const seq::KmerCode key = query & keep;
+    const int d = 1 + static_cast<int>(rng.below(2));
+    // Reference: plain scan from the first masked match.
+    std::size_t start = 0;
+    while (start < n && (codes[order[start]] & keep) < key) ++start;
+    std::vector<std::uint32_t> expect;
+    std::size_t expect_consumed = 0;
+    for (std::size_t i = start; i < n; ++i) {
+      if ((codes[order[i]] & keep) != key) break;
+      ++expect_consumed;
+      const int hd = seq::kmer_hamming(codes[order[i]], query);
+      if (hd >= 1 && hd <= d) expect.push_back(order[i]);
+    }
+    std::vector<std::uint32_t> got;
+    const std::size_t consumed =
+        kspec::masked_run_filter(codes.data(), order.data() + start,
+                                 n - start, keep, key, query, d, got);
+    ASSERT_EQ(consumed, expect_consumed) << "round " << round;
+    ASSERT_EQ(got, expect) << "round " << round;
+  }
+}
+
+// A collision run far longer than the ~10-entry runs of clustered
+// spectra: at c = 2 the replica masking the last four bases puts all
+// 256 k = 8 codes sharing the first four in one run, scanned whole by
+// every query.
+TEST(MaskedSortIndex, LongCollisionRunMatchesEnumerator) {
+  const int k = 8;
+  std::vector<seq::KmerCode> codes;
+  const seq::KmerCode prefix = seq::encode_kmer("ACGT").value() << 8;
+  for (seq::KmerCode low = 0; low < 256; ++low) codes.push_back(prefix | low);
+  const auto spec = KSpectrum::from_codes(codes, k);
+  const kspec::CandidateEnumerator enumerator(spec);
+  const kspec::MaskedSortIndex index(spec, /*c=*/2, /*d=*/1);
+  for (std::size_t i = 0; i < spec.size(); ++i) {
+    std::set<std::pair<seq::KmerCode, std::size_t>> expect, got;
+    enumerator.for_each_neighbor(spec.code_at(i), 1,
+                                 [&](seq::KmerCode x, std::size_t j) {
+                                   expect.emplace(x, j);
+                                 });
+    index.for_each_neighbor(spec.code_at(i),
+                            [&](seq::KmerCode x, std::size_t j) {
+                              got.emplace(x, j);
+                            });
+    // One substitution in one of the four free bases: 4 x 3 neighbours.
+    ASSERT_EQ(expect.size(), 12u) << "code " << i;
+    ASSERT_EQ(got, expect) << "code " << i;
+  }
+}
+
 TEST(HammingGraph, EdgesAreSymmetricAndBounded) {
   util::Rng rng(5);
   const auto genome =

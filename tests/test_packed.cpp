@@ -1,7 +1,6 @@
 // Property tests for the 2-bit packed pass-2 hot path: PackedSeq
-// round-trips, window extraction vs the string-slice encode path, the
-// SIMD kernel vs its scalar reference at every compiled dispatch level,
-// and the batched spectrum/tile-table probes vs their single-probe
+// round-trips, window extraction vs the string-slice encode path, and
+// the batched spectrum/tile-table probes vs their single-probe
 // counterparts.
 
 #include <gtest/gtest.h>
@@ -13,14 +12,12 @@
 #include <vector>
 
 #include "kspec/kspectrum.hpp"
-#include "kspec/neighborhood.hpp"
 #include "kspec/tile_table.hpp"
 #include "seq/alphabet.hpp"
 #include "seq/kmer.hpp"
 #include "seq/packed.hpp"
 #include "seq/read.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace {
 
@@ -149,139 +146,6 @@ TEST(PackedSeq, ReverseComplementMatchesStringPath) {
     rc.reverse_complement_into(back);
     EXPECT_EQ(back.to_string(), normalized(s)) << "length " << n;
   }
-}
-
-// ---------------------------------------------------------------------
-// SIMD kernel: every compiled dispatch level agrees with scalar.
-
-class SimdDispatch : public ::testing::TestWithParam<util::simd::Level> {
- protected:
-  void SetUp() override {
-    orig_ = util::simd::active();
-    if (!util::simd::supported(GetParam())) {
-      GTEST_SKIP() << "level " << util::simd::level_name(GetParam())
-                   << " not supported on this build/CPU";
-    }
-    util::simd::force_level(GetParam());
-  }
-  void TearDown() override { util::simd::force_level(orig_); }
-
- private:
-  util::simd::Level orig_ = util::simd::Level::kScalar;
-};
-
-TEST_P(SimdDispatch, MaskedRunFilterMatchesReferenceScan) {
-  util::Rng rng(4242);
-  constexpr int kK = 12;
-  const std::uint64_t mask = (std::uint64_t{1} << (2 * kK)) - 1;
-  for (int round = 0; round < 200; ++round) {
-    const std::size_t n = 1 + rng.below(300);
-    std::vector<std::uint64_t> codes(n);
-    for (auto& c : codes) c = rng() & mask;
-    std::vector<std::uint32_t> order(n);
-    const std::uint64_t keep =
-        ~(std::uint64_t{0xf} << (2 * rng.below(kK - 1))) & mask;
-    std::sort(codes.begin(), codes.end());
-    for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint32_t>(i);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return (codes[a] & keep) < (codes[b] & keep);
-                     });
-    const std::uint64_t query = codes[rng.below(n)] ^
-                                (rng.below(2) ? 0 : (3ull << (2 * rng.below(kK))));
-    const std::uint64_t key = query & keep;
-    const int d = 1 + static_cast<int>(rng.below(2));
-    // Reference: plain scan from the first masked match.
-    std::size_t start = 0;
-    while (start < n && (codes[order[start]] & keep) < key) ++start;
-    std::vector<std::uint32_t> expect;
-    std::size_t expect_consumed = 0;
-    for (std::size_t i = start; i < n; ++i) {
-      if ((codes[order[i]] & keep) != key) break;
-      ++expect_consumed;
-      const int hd = util::simd::hamming2(codes[order[i]], query);
-      if (hd >= 1 && hd <= d) expect.push_back(order[i]);
-    }
-    std::vector<std::uint32_t> got(n);
-    std::size_t got_n = 0;
-    const std::size_t consumed = util::simd::masked_run_filter(
-        codes.data(), order.data() + start, n - start, keep, key, query, d,
-        got.data(), &got_n);
-    ASSERT_EQ(consumed, expect_consumed) << "round " << round;
-    got.resize(got_n);
-    ASSERT_EQ(got, expect) << "round " << round;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllLevels, SimdDispatch,
-    ::testing::Values(util::simd::Level::kScalar, util::simd::Level::kAVX2,
-                      util::simd::Level::kNEON),
-    [](const ::testing::TestParamInfo<util::simd::Level>& info) {
-      return util::simd::level_name(info.param);
-    });
-
-// ---------------------------------------------------------------------
-// Neighborhood candidates: scalar and the active SIMD level agree on
-// 10k random neighborhoods, for both retrieval strategies.
-
-TEST(SimdNeighborhoods, ScalarAndBestLevelIdenticalCandidates) {
-  util::Rng rng(777);
-  constexpr int kK = 12;
-  seq::ReadSet reads;
-  for (int i = 0; i < 400; ++i) {
-    reads.reads.push_back({"r", random_bases(rng, 60, false), {}});
-  }
-  const auto spectrum = kspec::KSpectrum::build(reads, kK, true);
-  ASSERT_GT(spectrum.size(), 0u);
-  const kspec::MaskedSortIndex index(spectrum, /*c=*/4, /*d=*/2);
-  const kspec::CandidateEnumerator enumerator(spectrum);
-
-  const util::simd::Level best = util::simd::active();
-  const std::uint64_t mask = (std::uint64_t{1} << (2 * kK)) - 1;
-  std::vector<std::uint32_t> hits;
-  std::vector<seq::KmerCode> enum_scratch;
-  std::size_t nonempty = 0;
-  for (int q = 0; q < 10000; ++q) {
-    // Half the queries perturb a spectrum kmer (guaranteed dense
-    // neighborhoods), half are uniform.
-    const std::uint64_t query =
-        q % 2 == 0 ? spectrum.code_at(rng.below(spectrum.size())) ^
-                         (3ull << (2 * rng.below(kK)))
-                   : (rng() & mask);
-    std::vector<std::pair<seq::KmerCode, std::size_t>> scalar_masked,
-        best_masked, scalar_enum, best_enum;
-    util::simd::force_level(util::simd::Level::kScalar);
-    index.for_each_neighbor(
-        query, [&](seq::KmerCode c, std::size_t i) {
-          scalar_masked.emplace_back(c, i);
-        },
-        hits);
-    enumerator.for_each_neighbor(
-        query, 2,
-        [&](seq::KmerCode c, std::size_t i) {
-          scalar_enum.emplace_back(c, i);
-        },
-        enum_scratch);
-    util::simd::force_level(best);
-    index.for_each_neighbor(
-        query, [&](seq::KmerCode c, std::size_t i) {
-          best_masked.emplace_back(c, i);
-        },
-        hits);
-    enumerator.for_each_neighbor(
-        query, 2,
-        [&](seq::KmerCode c, std::size_t i) {
-          best_enum.emplace_back(c, i);
-        },
-        enum_scratch);
-    ASSERT_EQ(scalar_masked, best_masked) << "query " << q;
-    ASSERT_EQ(scalar_enum, best_enum) << "query " << q;
-    if (!scalar_masked.empty()) ++nonempty;
-  }
-  util::simd::force_level(best);
-  // The perturbed half must actually produce neighbors.
-  EXPECT_GT(nonempty, 4000u);
 }
 
 // ---------------------------------------------------------------------

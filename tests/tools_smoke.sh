@@ -119,11 +119,18 @@ service_scenario() {
   done
 
   # Daemon startup failures: missing index file -> 4, a declared k that
-  # contradicts the file header -> 2, nothing to serve -> 2.
+  # contradicts the file header -> 2, a declared k past 32 bits (which
+  # would wrap to the file's k = 12) or past 64 bits -> 2, nothing to
+  # serve -> 2.
   expect_exit 4 "$BIN_DIR/ngs_correctd" --socket "$sock" \
     --index "$WORK/nonexistent.ngsx"
   expect_exit 2 "$BIN_DIR/ngs_correctd" --socket "$sock" \
     --index "9=$WORK/sap.ngsx"
+  for declared in 4294967308 99999999999999999999; do
+    expect_exit 2 "$BIN_DIR/ngs_correctd" --socket "$sock" \
+      --index "$declared=$WORK/sap.ngsx"
+    grep -q -- "--index" "$WORK/stderr.txt"
+  done
   expect_exit 2 "$BIN_DIR/ngs_correctd" --socket "$sock"
 }
 

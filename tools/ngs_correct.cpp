@@ -3,8 +3,8 @@
 // pipeline (bounded read buffering for spectrum-based methods, parallel
 // batch correction, order-preserving batched writes).
 //
-//   ngs-correct --in reads.fastq --out corrected.fastq \\
-//               --method reptile --genome-length 100000 \\
+//   ngs-correct --in reads.fastq --out corrected.fastq
+//               --method reptile --genome-length 100000
 //               --threads 8 --batch-size 4096
 //
 //   ngs-correct --method list       # discover registered methods

@@ -5,7 +5,7 @@
 //     corrected FASTQ — byte-identical to running ngs-correct offline
 //     with the same method and parameters.
 //
-//       ngs-correct-client --socket /tmp/ngs.sock --in reads.fastq \
+//       ngs-correct-client --socket /tmp/ngs.sock --in reads.fastq
 //                          --out corrected.fastq --method sap
 //
 //   stats:  print the daemon's counter dump ("key=value" lines).

@@ -5,7 +5,7 @@
 // the indexes without dropping in-flight requests; SIGTERM/SIGINT shut
 // down cleanly.
 //
-//   ngs-correctd --socket /tmp/ngs.sock --index 15=spectrum.ngsx \
+//   ngs-correctd --socket /tmp/ngs.sock --index 15=spectrum.ngsx
 //                --reads reads.fastq --threads 4
 //
 // --index is repeatable (one spectrum file per k; the `k=` prefix is
@@ -18,7 +18,6 @@
 
 #include <signal.h>
 
-#include <cstdlib>
 #include <exception>
 #include <iostream>
 #include <string>
@@ -26,6 +25,7 @@
 
 #include "fault/fault.hpp"
 #include "index/spectrum_index.hpp"
+#include "seq/kmer.hpp"
 #include "service/server.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
@@ -35,7 +35,8 @@ using namespace ngs;
 namespace {
 
 /// Splits an --index argument "K=PATH" (or bare "PATH") into its parts.
-/// Returns the path; `declared_k` is 0 when no prefix was given.
+/// Returns the path; `declared_k` is 0 when no prefix was given. A K
+/// outside [1, 32] throws ngs::Error(kConfig).
 std::string split_index_arg(const std::string& arg, int& declared_k) {
   declared_k = 0;
   const auto eq = arg.find('=');
@@ -43,7 +44,8 @@ std::string split_index_arg(const std::string& arg, int& declared_k) {
   for (std::size_t i = 0; i < eq; ++i) {
     if (arg[i] < '0' || arg[i] > '9') return arg;  // path containing '='
   }
-  declared_k = std::atoi(arg.substr(0, eq).c_str());
+  declared_k = static_cast<int>(
+      util::parse_size("index K", arg.substr(0, eq), 1, seq::kMaxK));
   return arg.substr(eq + 1);
 }
 

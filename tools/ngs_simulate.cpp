@@ -2,7 +2,7 @@
 // writing genome FASTA, reads FASTQ, and a truth TSV (read id, position,
 // strand, error-free bases) for downstream evaluation.
 //
-//   ngs-simulate --genome-length 100000 --coverage 60 --error-rate 0.01 \\
+//   ngs-simulate --genome-length 100000 --coverage 60 --error-rate 0.01
 //                --reads out.fastq --genome genome.fasta --truth truth.tsv
 
 #include <fstream>
