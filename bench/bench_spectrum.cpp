@@ -145,10 +145,12 @@ int main() {
 
   reference.rebuild_prefix_index(0);  // plain full-range binary search
   volatile std::uint64_t sink = 0;
-  const double plain_s = best_seconds(kRepeats, [&] { sink += run_lookups(); });
+  const double plain_s =
+      best_seconds(kRepeats, [&] { sink = sink + run_lookups(); });
   reference.rebuild_prefix_index(-1);  // auto width
   const int prefix_bits = reference.prefix_index_bits();
-  const double prefix_s = best_seconds(kRepeats, [&] { sink += run_lookups(); });
+  const double prefix_s =
+      best_seconds(kRepeats, [&] { sink = sink + run_lookups(); });
   const double plain_ns = 1e9 * plain_s / static_cast<double>(queries.size());
   const double prefix_ns = 1e9 * prefix_s / static_cast<double>(queries.size());
 
@@ -182,7 +184,7 @@ int main() {
         }
       }
     });
-    sink += found;
+    sink = sink + found;
     return 1e9 * s / static_cast<double>(queries.size());
   };
   const double single_mem_ns = time_lookups(reference, false);

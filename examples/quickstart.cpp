@@ -59,7 +59,8 @@ int main(int argc, char** argv) {
   std::cout << "corrected: " << result.report.summary() << "\n";
   std::cout << "pipeline: " << result.batches << " batches of "
             << pipeline.options().batch_size << ", "
-            << (result.streamed ? "streamed" : "buffered") << " phase 1, "
+            << (result.pass1_overlap.workers > 0 ? "streamed" : "buffered")
+            << " phase 1, "
             << util::Table::fixed(timer.seconds(), 1) << "s\n";
 
   // 4. Score against the simulator's exact truth.

@@ -3,9 +3,10 @@
 // Spectrum-based methods (SAP, HiTEC, REDEEM) advertise spectrum_k() and
 // build only from a spectrum: the CorrectionPipeline streams it through
 // a ChunkedSpectrumBuilder in bounded memory, and Corrector::build
-// counts a ReadSet with the same builder. Reptile builds per-read but
-// needs the buffered reads for its tile table and parameter selection;
-// SHREC, FreClu, and the hybrid are whole-set algorithms.
+// counts a ReadSet with the same builder. Reptile counts its spectrum,
+// qualities and tiles in passes over the streamed input (a ReadSet is
+// streamed in blocks); SHREC, FreClu, and the hybrid are whole-set
+// algorithms.
 
 #include <algorithm>
 #include <cstdint>
@@ -89,10 +90,15 @@ class ReptileAdapter final : public Corrector {
   std::string_view method() const noexcept override { return "reptile"; }
 
   void build(const seq::ReadSet& reads) override {
-    // Cg and Cm come from the corrector's own tile table, so the tiles
-    // are counted once.
-    corrector_.emplace(reads, reptile::select_read_parameters(
-                                  reads, config_.genome_length, config_.k));
+    build_streamed(seq::pass_over(reads));
+  }
+
+  void build_streamed(const seq::ReadPass& pass) override {
+    // Qc and Qm come from the qualities phase 1 streams, and Cg and Cm
+    // from the corrector's own tile table, so the tiles are counted once.
+    corrector_.emplace(
+        pass, reptile::select_k(config_.genome_length, config_.k),
+        reptile::ReptileCorrector::QualityCutoffs::kFromReads);
     corrector_->choose_thresholds();
     // One concurrent tile-decision memo shared by every correction
     // worker: at coverage c each erroneous tile is decided once and

@@ -101,6 +101,14 @@ void Corrector::build(const seq::ReadSet& reads) {
       input);
 }
 
+void Corrector::build_streamed(const seq::ReadPass& pass) {
+  seq::ReadSet reads;
+  pass([&reads](std::span<const seq::Read> batch) {
+    reads.reads.insert(reads.reads.end(), batch.begin(), batch.end());
+  });
+  build(reads);
+}
+
 void Corrector::correct_batch(std::span<const seq::Read> /*in*/,
                               std::vector<seq::Read>& /*out*/,
                               CorrectionReport& /*report*/,

@@ -7,9 +7,10 @@
 // method *name* through core::make_corrector (see registry.hpp) instead
 // of per-method if/else chains:
 //
-//   phase 1 (build)  — index construction, from the buffered reads or,
-//                      for spectrum-based methods, from a k-spectrum
-//                      streamed in bounded memory;
+//   phase 1 (build)  — index construction: from a k-spectrum streamed
+//                      in bounded memory (spectrum methods), from the
+//                      method's own passes over the streamed input
+//                      (Reptile), or from the buffered reads;
 //   phase 2 (correct)— per-read batch correction (thread-safe, order-
 //                      preserving) or, for whole-set algorithms, a
 //                      single correct_all over the buffered reads.
@@ -127,8 +128,8 @@ class Corrector {
 
   /// Kmer length of the phase-1 spectrum when the method can be built
   /// from streamed kmer counts alone (SAP, HiTEC, REDEEM); 0 when phase
-  /// 1 needs the buffered reads (Reptile's tile table, SHREC/FreClu/
-  /// hybrid whole-set passes).
+  /// 1 needs more (Reptile's tile table, SHREC/FreClu/hybrid whole-set
+  /// passes).
   virtual int spectrum_k() const noexcept { return 0; }
 
   /// Strand convention of the streamed spectrum (only meaningful when
@@ -146,6 +147,12 @@ class Corrector {
   /// InputSummary, so a file, a ReadSet and an index build them alike;
   /// methods with spectrum_k() == 0 override it.
   virtual void build(const seq::ReadSet& reads);
+
+  /// Phase 1 of a batch method with spectrum_k() == 0 from the streamed
+  /// input: each call of `pass` reads the whole input once. The default
+  /// buffers one pass and calls build(); Reptile overrides it to count
+  /// its tables in passes without holding the reads.
+  virtual void build_streamed(const seq::ReadPass& pass);
 
   /// True once either build overload has completed.
   bool ready() const noexcept { return ready_; }

@@ -89,15 +89,74 @@ class Recycler {
 };
 
 /// One unit of pass 2: a batch of reads flowing reader → workers →
-/// writer through the PipelineExecutor. `in` views either `owned`
-/// (streamed input) or the buffered ReadSet; moving a chunk moves the
-/// vectors, which keeps their heap buffers — and therefore the span —
-/// valid.
+/// writer through the PipelineExecutor.
 struct Pass2Chunk {
-  std::vector<seq::Read> owned;
-  std::span<const seq::Read> in;
+  std::vector<seq::Read> in;
   std::vector<seq::Read> out;
 };
+
+/// What one streamed pass over the input cost and saw.
+struct Ingest {
+  util::PipelineExecutorStats executor;
+  std::uint64_t records_skipped = 0;
+  /// Largest number of parsed reads held between reader and consumer.
+  std::size_t peak_buffered_reads = 0;
+};
+
+/// One pass over open_input(): the executor's reader thread parses
+/// batches of options.batch_size ahead while this thread, its in-order
+/// consumer, hands each batch to `consume`; the one worker passes
+/// batches through. Only this thread runs `consume`, so whatever it
+/// feeds needs no locking.
+Ingest stream_batches(const PipelineOptions& options,
+                      const StreamFactory& open_input,
+                      const seq::BatchSink& consume) {
+  const std::size_t batch_size = std::max<std::size_t>(1, options.batch_size);
+  auto is = open_input();
+  io::FastqStreamReader reader(*is);
+  reader.set_bad_record_policy(options.on_bad_record);
+
+  using Batch = std::vector<seq::Read>;
+  util::PipelineExecutor<Batch> executor({.workers = 1});
+  Recycler<Batch> recycler;
+  ReadGauge gauge;
+  Ingest ingest;
+  ingest.executor = executor.run(
+      [&](Batch& batch) {
+        fault::maybe_fail(fault::sites::kPipelineReader, ErrorKind::kIo,
+                          "pass-1 read-ahead failed");
+        recycler.take(batch);
+        if (reader.read_batch(batch, batch_size) == 0) return false;
+        gauge.add(batch.size());
+        return true;
+      },
+      [](Batch&, std::size_t) {},
+      [&](Batch&& batch) {
+        consume(batch);
+        gauge.sub(batch.size());
+        batch.clear();
+        recycler.give(std::move(batch));
+      });
+  ingest.records_skipped = reader.records_skipped();
+  ingest.peak_buffered_reads = gauge.peak();
+  return ingest;
+}
+
+/// Folds one more pass's executor telemetry into `total`: times and
+/// items add up, peaks take the larger.
+void add_pass(util::PipelineExecutorStats& total,
+              const util::PipelineExecutorStats& pass) {
+  total.workers = std::max(total.workers, pass.workers);
+  total.items += pass.items;
+  total.queue_peak = std::max(total.queue_peak, pass.queue_peak);
+  total.reorder_peak = std::max(total.reorder_peak, pass.reorder_peak);
+  total.reader_busy_seconds += pass.reader_busy_seconds;
+  total.reader_stall_seconds += pass.reader_stall_seconds;
+  total.worker_stall_seconds += pass.worker_stall_seconds;
+  total.writer_busy_seconds += pass.writer_busy_seconds;
+  total.writer_stall_seconds += pass.writer_stall_seconds;
+  total.elapsed_seconds += pass.elapsed_seconds;
+}
 
 }  // namespace
 
@@ -156,38 +215,14 @@ SpectrumStep build_spectrum(const PipelineOptions& options, int k,
   kspec::ChunkedSpectrumBuilder builder(
       k, both_strands, options.spectrum_batch_instances,
       own_pool ? &*own_pool : nullptr, spill);
-  const std::size_t batch_size = std::max<std::size_t>(1, options.batch_size);
-  auto is = open_input();
-  io::FastqStreamReader reader(*is);
-  reader.set_bad_record_policy(options.on_bad_record);
-
-  // The executor's reader thread parses batches ahead while this thread
-  // (its in-order consumer) feeds the builder; the one worker passes
-  // batches through. Only this thread touches the builder, so it needs
-  // no locking.
-  using Batch = std::vector<seq::Read>;
-  util::PipelineExecutor<Batch> executor({.workers = 1});
-  Recycler<Batch> recycler;
-  ReadGauge gauge;
-  step.ingest = executor.run(
-      [&](Batch& batch) {
-        fault::maybe_fail(fault::sites::kPipelineReader, ErrorKind::kIo,
-                          "pass-1 read-ahead failed");
-        recycler.take(batch);
-        if (reader.read_batch(batch, batch_size) == 0) return false;
-        gauge.add(batch.size());
-        return true;
-      },
-      [](Batch&, std::size_t) {},
-      [&](Batch&& batch) {
+  const Ingest ingest = stream_batches(
+      options, open_input, [&](std::span<const seq::Read> batch) {
         builder.add_read_batch(batch);
         for (const auto& r : batch) step.input.add(r);
-        gauge.sub(batch.size());
-        batch.clear();
-        recycler.give(std::move(batch));
       });
-  step.records_skipped = reader.records_skipped();
-  step.peak_buffered_reads = gauge.peak();
+  step.ingest = ingest.executor;
+  step.records_skipped = ingest.records_skipped;
+  step.peak_buffered_reads = ingest.peak_buffered_reads;
 
   index::IndexBuildInfo build;
   build.k = k;
@@ -315,11 +350,13 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
     }
   };
 
-  // Phase 1: the spectrum step for streaming methods, else the whole
-  // input buffered. `spectrum` lives until pass 2 ends, since it may
-  // keep a transient index on disk that pass 2 queries.
+  // Phase 1: the spectrum step for spectrum methods, the corrector's own
+  // passes for other batch methods, else the whole input buffered.
+  // `spectrum` lives until pass 2 ends, since it may keep a transient
+  // index on disk that pass 2 queries.
   SpectrumStep spectrum;
   seq::ReadSet all;
+  std::uint64_t phase1_skipped = 0;
   result.streamed = corrector_->spectrum_k() > 0;
   if (result.streamed) {
     spectrum = build_spectrum(options_, corrector_->spectrum_k(),
@@ -333,31 +370,54 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
     result.spectrum_spilled_bytes = spectrum.spilled_bytes;
     result.spectrum_spill_bins = spectrum.spill_bins;
     result.spectrum_peak_tracked_bytes = spectrum.peak_tracked_bytes;
+    phase1_skipped = spectrum.records_skipped;
     corrector_->build_from_spectrum(std::move(spectrum.spectrum),
                                     result.input);
   } else {
     if (!options_.load_index_path.empty() ||
-        !options_.save_index_path.empty()) {
+        !options_.save_index_path.empty() ||
+        options_.memory_budget_bytes > 0) {
       throw std::invalid_argument(
           std::string(corrector_->method()) +
           ": phase 1 is not a pure k-spectrum, so a spectrum index cannot "
-          "replace or capture it (--load-index/--save-index apply to "
+          "replace or capture it and a memory budget cannot bound it "
+          "(--load-index, --save-index and --memory-budget-mb apply to "
           "streaming methods only)");
     }
-    auto is = open_with_retry();
-    io::FastqStreamReader reader(*is);
-    reader.set_bad_record_policy(options_.on_bad_record);
-    while (reader.read_batch(all.reads, batch_size) > 0) {
+    if (corrector_->supports_batches()) {
+      // The corrector reads the input in as many passes as it needs;
+      // each one streams like the spectrum step does.
+      std::size_t passes = 0;
+      corrector_->build_streamed([&](const seq::BatchSink& sink) {
+        const bool first = passes++ == 0;
+        const Ingest ingest = stream_batches(
+            options_, open_with_retry, [&](std::span<const seq::Read> batch) {
+              if (first) {
+                for (const auto& r : batch) result.input.add(r);
+              }
+              sink(batch);
+            });
+        add_pass(result.pass1_overlap, ingest.executor);
+        result.peak_buffered_reads =
+            std::max(result.peak_buffered_reads, ingest.peak_buffered_reads);
+        phase1_skipped = std::max(phase1_skipped, ingest.records_skipped);
+      });
+    } else {
+      auto is = open_with_retry();
+      io::FastqStreamReader reader(*is);
+      reader.set_bad_record_policy(options_.on_bad_record);
+      while (reader.read_batch(all.reads, batch_size) > 0) {
+      }
+      result.reads_skipped = reader.records_skipped();
+      for (const auto& r : all.reads) result.input.add(r);
+      result.peak_buffered_reads = all.reads.size();
+      corrector_->build(all);
     }
-    result.reads_skipped = reader.records_skipped();
-    for (const auto& r : all.reads) result.input.add(r);
-    result.peak_buffered_reads = all.reads.size();
-    corrector_->build(all);
   }
 
   // Phase 2.
   double pass2_seconds = 0.0;
-  if (!result.streamed && !corrector_->supports_batches()) {
+  if (!corrector_->supports_batches()) {
     // Whole-set methods correct the buffered input natively.
     const util::Timer pass2_timer;
     const auto corrected = corrector_->correct_all(all, result.report);
@@ -370,28 +430,10 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
     }
   } else {
     // Reader thread → bounded queue → correction workers → in-order
-    // writer (this thread). The reader re-streams the input, or slices
-    // the buffered ReadSet into chunks that view it without copies.
-    std::unique_ptr<std::istream> is;
-    std::optional<io::FastqStreamReader> reader;
-    if (result.streamed) {
-      is = open_with_retry();
-      reader.emplace(*is);
-      reader->set_bad_record_policy(options_.on_bad_record);
-    }
-    std::size_t offset = 0;
-    const auto fill = [&](Pass2Chunk& chunk) {
-      if (reader) {
-        if (reader->read_batch(chunk.owned, batch_size) == 0) return false;
-        chunk.in = std::span<const seq::Read>(chunk.owned);
-        return true;
-      }
-      if (offset >= all.reads.size()) return false;
-      const std::size_t n = std::min(batch_size, all.reads.size() - offset);
-      chunk.in = std::span<const seq::Read>(all.reads.data() + offset, n);
-      offset += n;
-      return true;
-    };
+    // writer (this thread), over the input streamed once more.
+    auto is = open_with_retry();
+    io::FastqStreamReader reader(*is);
+    reader.set_bad_record_policy(options_.on_bad_record);
 
     const std::size_t workers = options_.threads > 0
                                     ? options_.threads
@@ -409,7 +451,7 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
           fault::maybe_fail(fault::sites::kPipelineReader, ErrorKind::kIo,
                             "pass-2 read-ahead failed");
           recycler.take(chunk);
-          if (!fill(chunk)) return false;
+          if (reader.read_batch(chunk.in, batch_size) == 0) return false;
           gauge.add(chunk.in.size());
           return true;
         },
@@ -426,21 +468,17 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
           write_batch(std::span<const seq::Read>(chunk.out));
           ++result.batches;
           gauge.sub(chunk.in.size());
-          chunk.owned.clear();
+          chunk.in.clear();
           chunk.out.clear();
-          chunk.in = {};
           recycler.give(std::move(chunk));
         });
     pass2_seconds = result.pass2_overlap.elapsed_seconds;
     result.peak_buffered_reads =
         std::max(result.peak_buffered_reads, gauge.peak());
-    if (reader) {
-      // A genuinely malformed record is dropped by both passes, so take
-      // the max rather than the sum (summing would double-count it;
-      // taking only pass 2 would hide a record dropped by pass 1 alone).
-      result.reads_skipped =
-          std::max(spectrum.records_skipped, reader->records_skipped());
-    }
+    // A genuinely malformed record is dropped by every pass, so take the
+    // max rather than the sum (summing would double-count it; taking
+    // only pass 2 would hide a record dropped by phase 1 alone).
+    result.reads_skipped = std::max(phase1_skipped, reader.records_skipped());
   }
   out.flush();
   if (!out) {

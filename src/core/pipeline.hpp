@@ -6,12 +6,12 @@
 //   pass 1 — the spectrum step (build_spectrum) loads a saved index or
 //            counts the k-spectrum of streamed batches, in memory or by
 //            spilling to disk bins that stream into an index file;
-//            methods that need the whole input (Reptile, SHREC, FreClu,
-//            hybrid) buffer a ReadSet;
-//   pass 2 — one util::PipelineExecutor run over streamed batches or
-//            spans of the buffered ReadSet: a reader thread, `threads`
-//            correction workers, and an in-order writer. Methods without
-//            batch support (SHREC, FreClu, hybrid) use correct_all.
+//            Reptile counts its tables in passes of its own over the
+//            streamed input (Corrector::build_streamed); the whole-set
+//            methods (SHREC, FreClu, hybrid) buffer a ReadSet;
+//   pass 2 — one util::PipelineExecutor run over the input streamed
+//            again: a reader thread, `threads` correction workers, and
+//            an in-order writer. The whole-set methods use correct_all.
 //
 // Output is byte-identical to the in-memory Corrector::correct_all path
 // for every method and thread count: reads are corrected independently
@@ -143,8 +143,8 @@ struct PipelineResult {
   /// Number of output batches written.
   std::size_t batches = 0;
   /// Largest number of reads resident in the pipeline's own buffers at
-  /// any point: <= batch_size * (queue_depth + 2*workers + 1) on the
-  /// streamed path, the whole input on the buffered path.
+  /// any point: <= batch_size * (queue_depth + 2*workers + 1) for batch
+  /// methods, the whole input for the whole-set ones.
   std::size_t peak_buffered_reads = 0;
   /// util::peak_rss_bytes() sampled at completion (process-wide telemetry).
   std::uint64_t peak_rss_bytes = 0;
@@ -154,8 +154,9 @@ struct PipelineResult {
   /// spectrum index (report extras then carry index_path/index_checksum
   /// /pass1_skipped provenance).
   bool pass1_skipped = false;
-  /// Executor telemetry of the pass-1 ingest (streamed spectrum builds
-  /// only) and of pass 2 (zero for correct_all methods).
+  /// Executor telemetry of the phase-1 ingest (summed over Reptile's
+  /// passes; zero for whole-set methods and loaded indexes) and of
+  /// pass 2 (zero for correct_all methods).
   util::PipelineExecutorStats pass1_overlap;
   util::PipelineExecutorStats pass2_overlap;
   /// Malformed records dropped across all passes under

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <thread>
 
+#include "util/cli.hpp"
+
 namespace ngs::fault {
 
 namespace {
@@ -35,6 +37,18 @@ bool known_site(const std::string& name) {
                   "sites listed in fault::sites)");
 }
 
+/// The number `parse` reads from a trigger or the seed, the strict
+/// util::parse_size / parse_double contract (whole text, in range, no
+/// NaN); on bad text a spec error that says `what`.
+template <typename Parse>
+auto spec_number(const Parse& parse, const std::string& what) {
+  try {
+    return parse();
+  } catch (const Error& e) {
+    spec_error(what + ": " + e.what());
+  }
+}
+
 }  // namespace
 
 Registry& Registry::instance() {
@@ -55,21 +69,17 @@ void Registry::arm(const std::string& site, const std::string& trigger) {
   } else if (trigger == "off") {
     state.trigger = Trigger::kNever;
   } else if (trigger.size() > 1 && trigger[0] == 'n') {
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(trigger.c_str() + 1, &end, 10);
-    if (end == nullptr || *end != '\0' || n == 0) {
-      spec_error("bad nth-call trigger '" + trigger + "' for " + site);
-    }
     state.trigger = Trigger::kNth;
-    state.nth = n;
+    state.nth = spec_number(
+        [&] { return util::parse_size("fault-spec", trigger.substr(1), 1); },
+        "bad nth-call trigger '" + trigger + "' for " + site);
   } else if (trigger.size() > 1 && trigger[0] == 'p') {
-    char* end = nullptr;
-    const double p = std::strtod(trigger.c_str() + 1, &end);
-    if (end == nullptr || *end != '\0' || p < 0.0 || p > 1.0) {
-      spec_error("bad probability trigger '" + trigger + "' for " + site);
-    }
     state.trigger = Trigger::kProbability;
-    state.probability = p;
+    state.probability = spec_number(
+        [&] {
+          return util::parse_double("fault-spec", trigger.substr(1), 0.0, 1.0);
+        },
+        "bad probability trigger '" + trigger + "' for " + site);
   } else {
     spec_error("bad trigger '" + trigger + "' for " + site);
   }
@@ -99,11 +109,9 @@ void Registry::configure(const std::string& spec) {
   // regardless of position.
   for (const auto& token : tokens) {
     if (token.rfind("seed=", 0) != 0) continue;
-    char* end = nullptr;
-    seed_ = std::strtoull(token.c_str() + 5, &end, 0);
-    if (end == nullptr || *end != '\0' || token.size() == 5) {
-      spec_error("bad seed '" + token.substr(5) + "'");
-    }
+    seed_ = spec_number(
+        [&] { return util::parse_size("fault-spec", token.substr(5)); },
+        "bad seed '" + token.substr(5) + "'");
   }
   for (const auto& token : tokens) {
     if (token.rfind("seed=", 0) == 0) continue;

@@ -3,12 +3,43 @@
 #include <algorithm>
 #include <filesystem>
 #include <stdexcept>
+#include <string_view>
 
 #include "kspec/radix.hpp"
-#include "kspec/read_windows.hpp"
+#include "seq/alphabet.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ngs::kspec {
+namespace {
+
+/// Calls emit(forward, reverse_complement) for every window of `bases`
+/// of length w (1 <= w <= 32) free of ambiguous bases, in read order.
+/// Emitting both codes of each forward window yields exactly the
+/// multiset of the read plus its reverse complement, without building
+/// the reverse string.
+template <typename Emit>
+void for_each_window(std::string_view bases, int w, Emit&& emit) {
+  if (bases.size() < static_cast<std::size_t>(w)) return;
+  const seq::KmerCode mask =
+      w == 32 ? ~seq::KmerCode{0} : (seq::KmerCode{1} << (2 * w)) - 1;
+  const int rc_shift = 2 * (w - 1);
+  seq::KmerCode forward = 0;
+  seq::KmerCode reverse = 0;
+  int valid = 0;
+  for (std::size_t i = 0; i < bases.size(); ++i) {
+    const std::uint8_t b = seq::base_to_code(bases[i]);
+    if (b == seq::kInvalidBase) {
+      valid = 0;
+      continue;
+    }
+    forward = ((forward << 2) | b) & mask;
+    reverse = (reverse >> 2) |
+              (seq::KmerCode{seq::complement_code(b)} << rc_shift);
+    if (++valid >= w) emit(forward, reverse);
+  }
+}
+
+}  // namespace
 
 ChunkedSpectrumBuilder::ChunkedSpectrumBuilder(int k, bool both_strands,
                                                std::size_t batch_instances,
@@ -54,12 +85,11 @@ void ChunkedSpectrumBuilder::add_read(std::string_view bases) {
     finish_pending_reset_ = false;
   }
   if (buffer_.capacity() == 0) buffer_.reserve(buffer_capacity_);
-  detail::for_each_window(
-      bases, k_, [this](seq::KmerCode forward, seq::KmerCode reverse,
-                        std::size_t) {
-        push(forward);
-        if (both_strands_) push(reverse);
-      });
+  for_each_window(bases, k_,
+                  [this](seq::KmerCode forward, seq::KmerCode reverse) {
+                    push(forward);
+                    if (both_strands_) push(reverse);
+                  });
   peak_buffered_ = std::max(peak_buffered_, buffer_.size());
   note_tracked(0);
 }

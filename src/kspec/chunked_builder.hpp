@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "kspec/kspectrum.hpp"
-#include "kspec/tile_table.hpp"
 #include "seq/read.hpp"
 
 namespace ngs::util {

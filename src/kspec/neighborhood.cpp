@@ -1,6 +1,9 @@
 #include "kspec/neighborhood.hpp"
 
+#include <array>
+#include <bit>
 #include <functional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -35,6 +38,36 @@ void for_each_subset(int c, int d,
     }
   };
   rec(0, 0);
+}
+
+/// Stably sorts `order` by codes[order[i]] & keep with LSD counting
+/// passes of at most 8 bits. A pass covers the lowest unmasked bits not
+/// yet sorted by, so fully masked digits cost nothing, and a pass whose
+/// digit is the same for every entry is skipped. Started from the
+/// identity, ties keep spectrum-index order: the order of a comparator
+/// sort on (masked code, index).
+void sort_by_masked_code(std::span<const seq::KmerCode> codes,
+                         seq::KmerCode keep,
+                         std::vector<std::uint32_t>& order) {
+  constexpr int kDigitBits = 8;
+  constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+  const std::size_t n = order.size();
+  std::vector<std::uint32_t> scratch(n);
+  for (seq::KmerCode rest = keep; rest != 0;) {
+    const int shift = std::countr_zero(rest);
+    rest &= ~((seq::KmerCode{kBuckets} - 1) << shift);
+    const auto digit = [&](std::uint32_t i) {
+      return static_cast<std::size_t>(((codes[i] & keep) >> shift) &
+                                      (kBuckets - 1));
+    };
+    std::array<std::size_t, kBuckets> start{};
+    for (const std::uint32_t i : order) ++start[digit(i)];
+    if (std::find(start.begin(), start.end(), n) != start.end()) continue;
+    std::size_t sum = 0;
+    for (std::size_t& c : start) sum += std::exchange(c, sum);
+    for (const std::uint32_t i : order) scratch[start[digit(i)]++] = i;
+    order.swap(scratch);
+  }
 }
 
 }  // namespace
@@ -81,19 +114,15 @@ MaskedSortIndex::MaskedSortIndex(const KSpectrum& spectrum, int c, int d,
 
   util::ThreadPool& sort_pool =
       pool != nullptr ? *pool : util::default_pool();
+  const seq::KmerCode key_bits =
+      k == 32 ? ~seq::KmerCode{0} : (seq::KmerCode{1} << (2 * k)) - 1;
   sort_pool.parallel_for(0, replicas_.size(), [&](std::size_t r) {
     Replica& rep = replicas_[r];
     rep.order.resize(spectrum.size());
     for (std::size_t i = 0; i < spectrum.size(); ++i) {
       rep.order[i] = static_cast<std::uint32_t>(i);
     }
-    const seq::KmerCode keep = ~rep.mask;
-    std::sort(rep.order.begin(), rep.order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                const seq::KmerCode ma = spectrum.code_at(a) & keep;
-                const seq::KmerCode mb = spectrum.code_at(b) & keep;
-                return ma != mb ? ma < mb : a < b;
-              });
+    sort_by_masked_code(spectrum.codes(), ~rep.mask & key_bits, rep.order);
   });
 }
 

@@ -31,6 +31,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "kspec/kspectrum.hpp"
@@ -111,7 +112,8 @@ class CandidateEnumerator {
 class MaskedSortIndex {
  public:
   /// Builds C(c,d) sorted replicas over the spectrum, one pool task per
-  /// replica (they are independent permutations). Requires d < c <= k.
+  /// replica (they are independent permutations), each sorted by stable
+  /// LSD counting passes over its unmasked bits. Requires d < c <= k.
   /// nullptr pool = the shared default pool. Replica contents are
   /// deterministic regardless of thread count (ties in the masked key
   /// break by spectrum index).
@@ -120,6 +122,15 @@ class MaskedSortIndex {
 
   int d() const noexcept { return d_; }
   std::size_t num_replicas() const noexcept { return replicas_.size(); }
+
+  /// Replica r: the bits it masks, and the spectrum indices ordered by
+  /// their code with those bits cleared, then by index.
+  seq::KmerCode replica_mask(std::size_t r) const noexcept {
+    return replicas_[r].mask;
+  }
+  std::span<const std::uint32_t> replica_order(std::size_t r) const noexcept {
+    return replicas_[r].order;
+  }
 
   /// Visits every spectrum kmer within Hamming distance [1, d] of `code`.
   /// Exact: each neighbor is reported exactly once. `hits` is dedup

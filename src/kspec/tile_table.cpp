@@ -3,73 +3,76 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "kspec/radix.hpp"
-#include "kspec/read_windows.hpp"
-#include "util/thread_pool.hpp"
-
 namespace ngs::kspec {
 
-TileTable TileTable::build(const seq::ReadSet& reads, const TileParams& params,
-                           util::ThreadPool* pool) {
+namespace {
+
+const TileParams& checked(const TileParams& params) {
   if (params.tile_length() > seq::kMaxK || params.overlap >= params.k ||
       params.overlap < 0) {
     throw std::invalid_argument("TileTable: invalid k/overlap combination");
   }
-  util::ThreadPool& workers = pool != nullptr ? *pool : util::default_pool();
-  const int tl = params.tile_length();
-  const bool both = params.both_strands;
-  const auto qc = params.quality_cutoff;
-  // Array 0 takes every tile instance, array 1 the high-quality ones: a
-  // window is high quality when none of its bases scores below Qc (a
-  // window and its reverse complement cover the same bases).
-  auto [all, hq] = detail::fill_windows<2>(
-      reads, tl, both, &workers,
-      [&](const seq::Read& r, std::array<seq::KmerCode*, 2>& out) {
-        const auto& quality = r.quality;
-        const bool filter = qc > 0 && !quality.empty();
-        std::size_t scanned = 0;
-        std::size_t low_end = 0;  // one past the last base scoring < Qc
-        detail::for_each_window(
-            r.bases, tl,
-            [&](seq::KmerCode fwd, seq::KmerCode rc, std::size_t last) {
-              *out[0]++ = fwd;
-              if (both) *out[0]++ = rc;
-              if (filter) {
-                for (; scanned <= last && scanned < quality.size();
-                     ++scanned) {
-                  if (quality[scanned] < qc) low_end = scanned + 1;
-                }
-                if (low_end > last + 1 - static_cast<std::size_t>(tl)) {
-                  return;
-                }
-              }
-              *out[1]++ = fwd;
-              if (both) *out[1]++ = rc;
-            });
-      });
+  return params;
+}
 
-  TileTable table;
-  table.params_ = params;
-  RadixSortOptions radix;
-  radix.pool = &workers;
-  // The high-quality subset first: counting it releases its array
-  // before the full one needs its sort buffer.
-  std::vector<seq::KmerCode> hq_codes;
-  std::vector<std::uint32_t> hq_counts;
-  radix_sort_and_count(std::move(hq), tl, hq_codes, hq_counts, radix);
-  std::vector<seq::KmerCode> codes;
-  std::vector<std::uint32_t> oc;
-  radix_sort_and_count(std::move(all), tl, codes, oc, radix);
-  // Every high-quality tile is a tile: one merge walk places its Og.
-  table.og_.assign(codes.size(), 0);
-  std::size_t i = 0;
-  for (std::size_t h = 0; h < hq_codes.size(); ++h) {
-    while (codes[i] != hq_codes[h]) ++i;
-    table.og_[i] = hq_counts[h];
+}  // namespace
+
+TileCounter::TileCounter(const TileParams& params,
+                         std::size_t batch_instances, util::ThreadPool* pool)
+    : params_(checked(params)),
+      all_(params.tile_length(), params.both_strands, batch_instances, pool),
+      high_quality_(params.tile_length(), params.both_strands,
+                    batch_instances, pool) {}
+
+void TileCounter::add_read(std::string_view bases,
+                           std::span<const std::uint8_t> quality) {
+  all_.add_read(bases);
+  const int qc = params_.quality_cutoff;
+  if (qc <= 0) return;  // Og is Oc
+  if (quality.empty()) {
+    high_quality_.add_read(bases);
+    return;
   }
-  table.oc_ =
-      KSpectrum::from_sorted_counts(std::move(codes), std::move(oc), tl);
+  masked_.assign(bases);
+  const std::size_t n = std::min(masked_.size(), quality.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    if (quality[i] < qc) masked_[i] = 'N';
+  }
+  high_quality_.add_read(masked_);
+}
+
+void TileCounter::add_read_batch(std::span<const seq::Read> reads) {
+  for (const auto& r : reads) add_read(r.bases, r.quality);
+}
+
+TileTable TileCounter::finish() {
+  TileTable table;
+  table.params_ = params_;
+  // Og first: finishing a builder releases its batch buffers, so the
+  // larger Oc merge runs after the Og ones have gone.
+  const KSpectrum high_quality = high_quality_.finish();
+  table.oc_ = all_.finish();
+  if (params_.quality_cutoff <= 0) {
+    const auto oc = table.oc_.counts();
+    table.og_.assign(oc.begin(), oc.end());
+    return table;
+  }
+  // Every high-quality tile is a tile: one merge walk places its Og.
+  table.og_.assign(table.oc_.size(), 0);
+  const auto codes = table.oc_.codes();
+  std::size_t i = 0;
+  for (std::size_t h = 0; h < high_quality.size(); ++h) {
+    while (codes[i] != high_quality.code_at(h)) ++i;
+    table.og_[i] = high_quality.count_at(h);
+  }
   return table;
+}
+
+TileTable TileTable::build(const seq::ReadSet& reads, const TileParams& params,
+                           util::ThreadPool* pool) {
+  TileCounter counter(params, 1 << 20, pool);
+  counter.add_read_batch(reads.reads);
+  return counter.finish();
 }
 
 TileTable::Counts TileTable::counts(seq::KmerCode tile) const noexcept {

@@ -10,11 +10,20 @@
 // The distinct tiles and their Oc form a KSpectrum at k = tile length
 // (sorted codes, prefix-bucket table, batched descent), so tile probes
 // are spectrum probes; Og is one column beside it.
+//
+// TileCounter counts both from streamed reads on two
+// ChunkedSpectrumBuilders at k = tile length: every window for Oc, and
+// for Og the windows left when the bases scoring below Qc are masked to
+// N. A window survives the mask exactly when none of its bases scores
+// below Qc, the Og rule, so no whole-input tile array is ever filled.
 
 #include <cstdint>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "kspec/chunked_builder.hpp"
 #include "kspec/kspectrum.hpp"
 #include "seq/kmer.hpp"
 #include "seq/read.hpp"
@@ -39,10 +48,9 @@ class TileTable {
  public:
   TileTable() = default;
 
-  /// Counts every tile of `reads`. Blocks of reads fill the instance
-  /// arrays on `pool` (nullptr = util::default_pool()) and both counts
-  /// go through radix_sort_and_count, so the table is identical for
-  /// every pool size. Throws std::invalid_argument unless
+  /// Counts every tile of `reads` with a TileCounter whose builders sort
+  /// on `pool` (nullptr = util::default_pool()), so the table is
+  /// identical for every pool size. Throws std::invalid_argument unless
   /// 0 <= overlap < k and the tile length is at most 32.
   static TileTable build(const seq::ReadSet& reads, const TileParams& params,
                          util::ThreadPool* pool = nullptr);
@@ -85,9 +93,39 @@ class TileTable {
   }
 
  private:
+  friend class TileCounter;
+
   TileParams params_;
   KSpectrum oc_;  // distinct tile codes with their Oc
   std::vector<std::uint32_t> og_;  // parallel to oc_'s codes
+};
+
+/// Streams reads into a TileTable. The table does not depend on how the
+/// reads are batched or on the pool size.
+class TileCounter {
+ public:
+  /// Throws std::invalid_argument unless 0 <= overlap < k and the tile
+  /// length is at most 32. `batch_instances` and `pool` size and run
+  /// each of the two builders (see ChunkedSpectrumBuilder).
+  explicit TileCounter(const TileParams& params,
+                       std::size_t batch_instances = 1 << 20,
+                       util::ThreadPool* pool = nullptr);
+
+  /// Counts the tiles of one read. `quality` holds its Phred scores
+  /// (empty when unavailable: every window then counts toward Og too).
+  void add_read(std::string_view bases,
+                std::span<const std::uint8_t> quality);
+
+  void add_read_batch(std::span<const seq::Read> reads);
+
+  /// The table of every tile added. The counter is left empty.
+  TileTable finish();
+
+ private:
+  TileParams params_;
+  ChunkedSpectrumBuilder all_;           // Oc: every window
+  ChunkedSpectrumBuilder high_quality_;  // Og: windows with no base < Qc
+  std::string masked_;                   // a read with its low bases N'd
 };
 
 }  // namespace ngs::kspec

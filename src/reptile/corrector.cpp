@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <mutex>
 
+#include "kspec/chunked_builder.hpp"
 #include "seq/alphabet.hpp"
 #include "seq/kmer.hpp"
+#include "util/memory.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ngs::reptile {
@@ -51,17 +53,30 @@ std::uint64_t convert_ambiguous(std::string& bases,
   return converted;
 }
 
-/// Working copy of the reads with eligible N's converted, used to build
-/// the tables so that spectrum lookups during correction never miss.
-seq::ReadSet preconvert(const seq::ReadSet& reads, const ReptileParams& p) {
-  seq::ReadSet converted;
-  converted.reads = reads.reads;
-  std::vector<int> prefix;
-  for (auto& r : converted.reads) {
-    convert_ambiguous(r.bases, r.quality, prefix, p);
+/// A read with its eligible N's converted (convert_ambiguous), in
+/// buffers reused from read to read: phase 1 counts the tables from
+/// converted reads, so spectrum lookups during correction never miss.
+class Converter {
+ public:
+  explicit Converter(const ReptileParams& p) : p_(p) {}
+
+  /// `r` itself when it holds no ambiguous base, else the converted copy
+  /// (valid until the next call).
+  const seq::Read& operator()(const seq::Read& r) {
+    if (std::none_of(r.bases.begin(), r.bases.end(), seq::is_ambiguous)) {
+      return r;
+    }
+    read_.bases = r.bases;
+    read_.quality = r.quality;
+    convert_ambiguous(read_.bases, read_.quality, prefix_, p_);
+    return read_;
   }
-  return converted;
-}
+
+ private:
+  const ReptileParams& p_;
+  seq::Read read_;
+  std::vector<int> prefix_;
+};
 
 /// Memo value layout: tag in the top 2 bits (0 = insufficient,
 /// 1 = valid, 2 = corrected+quality-gated, 3 = corrected), the corrected
@@ -71,22 +86,41 @@ constexpr std::uint64_t kCodeMask = (std::uint64_t{1} << kTagShift) - 1;
 
 }  // namespace
 
-ReptileCorrector::ReptileCorrector(const seq::ReadSet& reads,
-                                   ReptileParams params)
+ReptileCorrector::ReptileCorrector(const seq::ReadPass& pass,
+                                   ReptileParams params,
+                                   QualityCutoffs cutoffs)
     : params_(params) {
   params_.validate();
+  Converter convert(params_);
   {
-    // The converted copy feeds the tile table and the spectrum, then goes
-    // before the Hamming graph is built: phase 1's memory peak never
-    // holds the copy and the graph at once. The tile count's whole-input
-    // arrays set that peak, so it runs first, before the spectrum count
-    // leaves its batch buffers in the heap.
-    const seq::ReadSet converted = preconvert(reads, params_);
-    tiles_ = kspec::TileTable::build(converted, params_.tile_params());
-    spectrum_ = kspec::KSpectrum::build(converted, params_.k,
-                                        /*both_strands=*/true);
+    QualityCounts qualities;
+    kspec::ChunkedSpectrumBuilder kmers(params_.k, /*both_strands=*/true);
+    pass([&](std::span<const seq::Read> batch) {
+      if (cutoffs == QualityCutoffs::kFromReads) qualities.add(batch);
+      for (const auto& r : batch) kmers.add_read(convert(r).bases);
+    });
+    spectrum_ = kmers.finish();
+    if (cutoffs == QualityCutoffs::kFromReads) {
+      qualities.select_cutoffs(params_);
+    }
   }
+  {
+    kspec::TileCounter tiles(params_.tile_params());
+    pass([&](std::span<const seq::Read> batch) {
+      for (const auto& r : batch) {
+        const seq::Read& converted = convert(r);
+        tiles.add_read(converted.bases, converted.quality);
+      }
+    });
+    tiles_ = tiles.finish();
+  }
+  // The counts' batch buffers and merge runs are gone, and so are the
+  // graph's replica orders once it is built. Their heap pages go back
+  // at each boundary, so the resident set is not their high-water mark
+  // plus the graph, and pass 2 starts from the tables alone.
+  util::release_free_memory();
   graph_ = kspec::HammingGraph(spectrum_, params_.d);
+  util::release_free_memory();
 }
 
 void ReptileCorrector::choose_thresholds() {

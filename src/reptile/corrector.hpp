@@ -96,18 +96,31 @@ class ReptileCorrector {
     std::vector<int> prefix;                // convert_ambiguous prefix sums
   };
 
-  /// Phase 1: ambiguous bases satisfying the density constraint are
-  /// converted to params.default_base in a working copy of the reads,
-  /// from which the tile table and the spectrum are counted; the Hamming
-  /// graph is built from the spectrum after the copy is released. Every
-  /// step runs on util::default_pool(). Throws std::invalid_argument
-  /// (ReptileParams::validate) before any work on an invalid tile.
-  ReptileCorrector(const seq::ReadSet& reads, ReptileParams params);
+  /// Whether phase 1 keeps the given Qc and Qm or chooses them from the
+  /// base qualities it streams in pass 0 (QualityCounts).
+  enum class QualityCutoffs { kGiven, kFromReads };
+
+  /// Phase 1 over a re-readable input, holding no copy of the reads.
+  /// Each read's ambiguous bases that satisfy the density constraint
+  /// are converted to params.default_base, batch by batch. Pass 0
+  /// counts the k-spectrum of the converted reads (conversion needs only
+  /// k and d) and, for kFromReads, the raw base qualities; pass 1
+  /// counts the tiles of the converted reads under Qc (TileCounter).
+  /// The Hamming graph is then built from the spectrum. The sorts and
+  /// the graph run on util::default_pool(). Throws
+  /// std::invalid_argument (ReptileParams::validate) before any pass on
+  /// an invalid tile.
+  ReptileCorrector(const seq::ReadPass& pass, ReptileParams params,
+                   QualityCutoffs cutoffs = QualityCutoffs::kGiven);
+
+  /// The same phase 1 over blocks of `reads`, with params' Qc and Qm.
+  ReptileCorrector(const seq::ReadSet& reads, ReptileParams params)
+      : ReptileCorrector(seq::pass_over(reads), params) {}
 
   /// Sets Cg and Cm by select_thresholds on tiles(), the table counted
   /// from the N-converted reads. Only phase 2 reads them, so a caller
-  /// that chose the other parameters with select_read_parameters counts
-  /// the tiles once. Must not run concurrently with correct().
+  /// that chose the other parameters without a tile count counts the
+  /// tiles once. Must not run concurrently with correct().
   void choose_thresholds();
 
   const ReptileParams& params() const noexcept { return params_; }

@@ -1,7 +1,6 @@
 #include "reptile/params.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -31,9 +30,7 @@ kspec::TileParams ReptileParams::tile_params() const noexcept {
   return tp;
 }
 
-ReptileParams select_read_parameters(const seq::ReadSet& reads,
-                                     std::uint64_t genome_length_estimate,
-                                     int k) {
+ReptileParams select_k(std::uint64_t genome_length_estimate, int k) {
   ReptileParams p;
   if (k > 0) {
     p.k = k;
@@ -44,23 +41,37 @@ ReptileParams select_read_parameters(const seq::ReadSet& reads,
     p.k = std::clamp(p.k, 10, 15);
   }
   p.validate();
+  return p;
+}
 
-  // Qc: ~17% of base calls fall below the cutoff. Scores are bytes, so
-  // count into 256 bins and hand the histogram one add per bin.
-  std::array<std::uint64_t, 256> quality_bins{};
-  for (const auto& r : reads.reads) {
-    for (const std::uint8_t q : r.quality) ++quality_bins[q];
+void QualityCounts::add(std::span<const seq::Read> reads) {
+  for (const auto& r : reads) {
+    for (const std::uint8_t q : r.quality) ++bins_[q];
   }
+}
+
+void QualityCounts::select_cutoffs(ReptileParams& p) const {
+  // Qc: ~17% of base calls fall below the cutoff. Scores are bytes, so
+  // the histogram takes one add per bin.
   util::Histogram quality_hist;
-  for (std::size_t q = 0; q < quality_bins.size(); ++q) {
-    if (quality_bins[q] > 0) {
-      quality_hist.add(static_cast<std::int64_t>(q), quality_bins[q]);
+  for (std::size_t q = 0; q < bins_.size(); ++q) {
+    if (bins_[q] > 0) {
+      quality_hist.add(static_cast<std::int64_t>(q), bins_[q]);
     }
   }
   if (!quality_hist.empty()) {
     p.quality_cutoff = static_cast<int>(quality_hist.quantile(0.17));
     p.quality_max = static_cast<int>(quality_hist.quantile(0.60));
   }
+}
+
+ReptileParams select_read_parameters(const seq::ReadSet& reads,
+                                     std::uint64_t genome_length_estimate,
+                                     int k) {
+  ReptileParams p = select_k(genome_length_estimate, k);
+  QualityCounts qualities;
+  qualities.add(reads.reads);
+  qualities.select_cutoffs(p);
   return p;
 }
 

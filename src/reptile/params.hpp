@@ -4,7 +4,9 @@
 // multiplicity histograms — the paper's alternative to analytical
 // calculations under unrealistic uniformity assumptions.
 
+#include <array>
 #include <cstdint>
+#include <span>
 
 #include "kspec/tile_table.hpp"
 #include "seq/read.hpp"
@@ -51,13 +53,27 @@ struct ReptileParams {
   }
 };
 
-/// Selects the parameters that need no tile count:
-///  - k as given, or if k == 0, ceil(log4(genome_length_estimate))
-///    clamped to [10, 15];
-///  - Qc at the ~17% quantile of the base-quality histogram, Qm at the
-///    ~60% quantile;
-///  - Cr = 2, d = 1 (paper defaults), Cg and Cm at their defaults.
+/// The parameters that need no look at the reads: k as given, or if
+/// k == 0, ceil(log4(genome_length_estimate)) clamped to [10, 15]; every
+/// other field at its default (Cr = 2 and d = 1, the paper's).
 /// Throws std::invalid_argument (validate()) on an invalid tile.
+ReptileParams select_k(std::uint64_t genome_length_estimate, int k = 0);
+
+/// The base-quality histogram of streamed reads, from which Qc and Qm
+/// are chosen.
+class QualityCounts {
+ public:
+  void add(std::span<const seq::Read> reads);
+  /// Sets Qc at the ~17% quantile of the scores added and Qm at the ~60%
+  /// quantile; leaves both unchanged when no read had scores.
+  void select_cutoffs(ReptileParams& p) const;
+
+ private:
+  std::array<std::uint64_t, 256> bins_{};
+};
+
+/// Selects the parameters that need no tile count: select_k, then Qc
+/// and Qm from the base qualities of `reads` (QualityCounts).
 ReptileParams select_read_parameters(const seq::ReadSet& reads,
                                      std::uint64_t genome_length_estimate,
                                      int k = 0);

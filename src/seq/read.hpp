@@ -7,7 +7,10 @@
 // sequence) that the evaluation module consumes — this replaces the
 // paper's RMAP-based approximate truth with exact truth.
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,5 +47,25 @@ struct ReadSet {
     return n;
   }
 };
+
+/// Takes one batch of reads.
+using BatchSink = std::function<void(std::span<const Read>)>;
+
+/// One whole pass over a re-readable input: every call hands every read
+/// to the sink, batch by batch and in input order, on the calling
+/// thread. A method that counts its tables in several passes reads the
+/// input through one, so a file need never be held in memory.
+using ReadPass = std::function<void(const BatchSink&)>;
+
+/// A ReadPass over the reads of `set` in blocks of `block` reads. The
+/// set must outlive the pass.
+inline ReadPass pass_over(const ReadSet& set, std::size_t block = 4096) {
+  return [&set, block](const BatchSink& sink) {
+    const std::span<const Read> all(set.reads);
+    for (std::size_t i = 0; i < all.size(); i += block) {
+      sink(all.subspan(i, std::min(block, all.size() - i)));
+    }
+  };
+}
 
 }  // namespace ngs::seq

@@ -115,8 +115,8 @@ std::shared_ptr<const Epoch> IndexRegistry::build_epoch(
   }
   std::optional<seq::ReadSet> reads;
   if (!config_.reads_path.empty()) {
-    // Mirror the pipeline's buffered pass exactly (same reader, same
-    // policy) so buffered-method builds match offline runs.
+    // The same reader and policy as the pipeline's passes, so Reptile's
+    // build over these reads matches offline runs.
     seq::ReadSet all;
     io::FastqStreamReader reader(config_.reads_path);
     while (reader.read_batch(all.reads, 4096) > 0) {

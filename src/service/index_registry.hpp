@@ -15,10 +15,11 @@
 //
 // Corrector construction mirrors core::CorrectionPipeline exactly:
 // streaming methods get build_from_spectrum with the InputSummary from
-// the index header (the --load-index path), buffered methods get
-// build() over the read set parsed from --reads (the buffered path) —
-// which is what makes served output byte-identical to offline
-// ngs-correct.
+// the index header (the --load-index path), and Reptile, which has no
+// index, gets build() over the read set parsed from --reads; it counts
+// the same tables over blocks of the set as ngs-correct does over the
+// streamed file — which is what makes served output byte-identical to
+// offline ngs-correct.
 
 #include <cstdint>
 #include <map>
@@ -106,8 +107,8 @@ struct IndexRegistryConfig {
   /// Spectrum index files to serve, built in memory or under a memory
   /// budget alike. Each file's k must be unique within one epoch.
   std::vector<std::string> index_paths;
-  /// Optional FASTQ whose reads are the phase-1 substrate for buffered
-  /// methods (reptile, shrec, ...). Empty = streaming methods only.
+  /// Optional FASTQ whose reads are the phase-1 substrate for methods
+  /// without a spectrum index (reptile). Empty = streaming methods only.
   std::string reads_path;
   /// Per-method tile-decision cache budget, mirroring ngs-correct's
   /// --tile-cache-mb default so served output matches offline runs.

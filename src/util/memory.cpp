@@ -4,6 +4,10 @@
 #include <sstream>
 #include <string>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace ngs::util {
 namespace {
 
@@ -26,6 +30,12 @@ std::uint64_t read_status_field(const char* field) {
 std::uint64_t peak_rss_bytes() { return read_status_field("VmHWM:"); }
 
 std::uint64_t current_rss_bytes() { return read_status_field("VmRSS:"); }
+
+void release_free_memory() noexcept {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
 
 double to_gib(std::uint64_t bytes) {
   return static_cast<double>(bytes) / (1024.0 * 1024.0 * 1024.0);

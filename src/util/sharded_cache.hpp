@@ -8,13 +8,14 @@
 //    array with a bounded linear-probe window. A lookup or store takes
 //    exactly one shard mutex; distinct keys hash to distinct shards with
 //    high probability, so workers proceed contention-free in practice.
-//  - Bounded capacity: the slot arrays are sized once from a byte budget
-//    and never grow. When a probe window is full the incoming entry
+//  - Sized by use: each shard starts at one probe window and doubles,
+//    under its own mutex, once half full or when a store finds its probe
+//    window full, up to its share of the byte cap. Memory follows the
+//    working set instead of the cap.
+//  - Bounded capacity: at the cap, a store whose probe window is full
 //    *deterministically* replaces the entry at the key's home slot, so
-//    the resident set is a pure function of the store sequence.
-//  - Generation-based reset: reset() bumps a per-shard generation tag in
-//    O(#shards); slots whose tag differs from the shard's are logically
-//    empty. No slot array is touched until keys are re-inserted.
+//    the resident set is a pure function of the store sequence. Below
+//    the cap nothing is ever evicted.
 //  - Counters: per-shard hit/miss/insert/evict tallies, aggregated by
 //    stats() — observability for cache sizing (see --tile-cache-mb).
 //
@@ -48,9 +49,9 @@ class ShardedCache {
     }
   };
 
-  /// `capacity_bytes` bounds the slot storage (rounded down to a power
-  /// of two per shard, minimum one probe window each). `shards` must be
-  /// a power of two; 0 picks one based on hardware concurrency.
+  /// `capacity_bytes` caps the slot storage (rounded down to a power of
+  /// two per shard, minimum one probe window each). `shards` must be a
+  /// power of two; 0 picks one based on hardware concurrency.
   explicit ShardedCache(std::size_t capacity_bytes,
                         std::size_t shards = 0) {
     std::size_t n = shards;
@@ -71,9 +72,9 @@ class ShardedCache {
     while ((std::size_t{1} << shard_bits_) < n) ++shard_bits_;
     shards_ = std::make_unique<Shard[]>(n);
     num_shards_ = n;
-    slots_per_shard_ = per_shard;
+    max_slots_per_shard_ = per_shard;
     for (std::size_t s = 0; s < n; ++s) {
-      shards_[s].slots.assign(per_shard, Slot{});
+      shards_[s].slots.assign(kProbeWindow, Slot{});
     }
   }
 
@@ -81,17 +82,16 @@ class ShardedCache {
   ShardedCache& operator=(const ShardedCache&) = delete;
 
   /// True (and sets `value`) when `key` is resident. Counts one hit or
-  /// one miss.
+  /// one miss. The key ~0 marks free slots, so it is never resident.
   bool lookup(std::uint64_t key, std::uint64_t& value) noexcept {
     const std::uint64_t h = mix(key);
     Shard& shard = shards_[h & (num_shards_ - 1)];
-    const std::size_t home =
-        (h >> shard_bits_) & (slots_per_shard_ - 1);
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (std::size_t p = 0; p < kProbeWindow; ++p) {
-      const Slot& slot =
-          shard.slots[(home + p) & (slots_per_shard_ - 1)];
-      if (slot.gen != shard.gen) break;  // first empty ends the chain
+    const std::size_t mask = shard.slots.size() - 1;
+    const std::size_t home = (h >> shard_bits_) & mask;
+    for (std::size_t p = 0; p < kProbeWindow && key != kFree; ++p) {
+      const Slot& slot = shard.slots[(home + p) & mask];
+      if (slot.key == kFree) break;  // first free slot ends the chain
       if (slot.key == key) {
         value = slot.value;
         ++shard.stats.hits;
@@ -102,45 +102,34 @@ class ShardedCache {
     return false;
   }
 
-  /// Inserts or overwrites `key`. When the probe window is full the
-  /// entry at the key's home slot is evicted (deterministic in the
-  /// store sequence).
-  void store(std::uint64_t key, std::uint64_t value) noexcept {
+  /// Inserts or overwrites `key` (a store of ~0 is dropped). Below the
+  /// cap a full probe window grows the shard; at the cap the entry at
+  /// the key's home slot is evicted (deterministic in the store
+  /// sequence).
+  void store(std::uint64_t key, std::uint64_t value) {
+    if (key == kFree) return;
     const std::uint64_t h = mix(key);
     Shard& shard = shards_[h & (num_shards_ - 1)];
-    const std::size_t home =
-        (h >> shard_bits_) & (slots_per_shard_ - 1);
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (std::size_t p = 0; p < kProbeWindow; ++p) {
-      Slot& slot = shard.slots[(home + p) & (slots_per_shard_ - 1)];
-      if (slot.gen != shard.gen) {
-        slot = {key, value, shard.gen};
-        ++shard.used;
-        ++shard.stats.insertions;
-        return;
+    for (;;) {
+      switch (place(shard, h, {key, value})) {
+        case Placed::kOverwritten:
+          return;
+        case Placed::kInserted:
+          ++shard.used;
+          ++shard.stats.insertions;
+          if (2 * shard.used > shard.slots.size()) grow(shard);
+          return;
+        case Placed::kWindowFull:
+          if (shard.slots.size() < max_slots_per_shard_) {
+            grow(shard);
+            continue;
+          }
+          shard.slots[(h >> shard_bits_) & (shard.slots.size() - 1)] = {
+              key, value};
+          ++shard.stats.evictions;
+          return;
       }
-      if (slot.key == key) {
-        slot.value = value;
-        return;
-      }
-    }
-    shard.slots[home] = {key, value, shard.gen};
-    ++shard.stats.evictions;
-  }
-
-  /// Logically empties the cache in O(#shards). Counters are preserved
-  /// (they describe the cache's whole lifetime).
-  void reset() noexcept {
-    for (std::size_t s = 0; s < num_shards_; ++s) {
-      Shard& shard = shards_[s];
-      std::lock_guard<std::mutex> lock(shard.mu);
-      if (++shard.gen == 0) {
-        // Tag wrapped: physically clear so stale gen-0 slots cannot
-        // alias, then restart at generation 1.
-        shard.slots.assign(slots_per_shard_, Slot{});
-        shard.gen = 1;
-      }
-      shard.used = 0;
     }
   }
 
@@ -157,7 +146,7 @@ class ShardedCache {
     return total;
   }
 
-  /// Entries resident in the current generation.
+  /// Entries resident now.
   std::size_t size() const {
     std::size_t n = 0;
     for (std::size_t s = 0; s < num_shards_; ++s) {
@@ -168,9 +157,22 @@ class ShardedCache {
     return n;
   }
 
+  /// Bytes of slot storage allocated now: one probe window per shard at
+  /// first, never more than capacity_bytes().
+  std::size_t allocated_bytes() const {
+    std::size_t n = 0;
+    for (std::size_t s = 0; s < num_shards_; ++s) {
+      Shard& shard = shards_[s];
+      std::lock_guard<std::mutex> lock(shard.mu);
+      n += shard.slots.size();
+    }
+    return n * sizeof(Slot);
+  }
+
   std::size_t num_shards() const noexcept { return num_shards_; }
+  /// Slots the cache may grow to.
   std::size_t capacity() const noexcept {
-    return num_shards_ * slots_per_shard_;
+    return num_shards_ * max_slots_per_shard_;
   }
   std::size_t capacity_bytes() const noexcept {
     return capacity() * sizeof(Slot);
@@ -178,22 +180,65 @@ class ShardedCache {
 
  private:
   static constexpr std::size_t kProbeWindow = 16;
+  static constexpr std::uint64_t kFree = ~std::uint64_t{0};
 
   struct Slot {
-    std::uint64_t key = 0;
+    std::uint64_t key = kFree;
     std::uint64_t value = 0;
-    std::uint32_t gen = 0;  // empty while != owning shard's gen (>= 1)
   };
 
   /// Shards are cache-line separated so one worker's lock traffic does
   /// not false-share a neighbor's.
   struct alignas(64) Shard {
     mutable std::mutex mu;
-    std::vector<Slot> slots;
-    std::uint32_t gen = 1;
+    std::vector<Slot> slots;  // a power of two, at least kProbeWindow
     std::size_t used = 0;
     Stats stats;
   };
+
+  enum class Placed { kInserted, kOverwritten, kWindowFull };
+
+  /// Puts `entry` (whose key hashes to `h`) in the first free slot of its
+  /// probe window, or over its own older entry.
+  Placed place(Shard& shard, std::uint64_t h, const Slot& entry) const {
+    const std::size_t mask = shard.slots.size() - 1;
+    const std::size_t home = (h >> shard_bits_) & mask;
+    for (std::size_t p = 0; p < kProbeWindow; ++p) {
+      Slot& slot = shard.slots[(home + p) & mask];
+      if (slot.key == kFree) {
+        slot = entry;
+        return Placed::kInserted;
+      }
+      if (slot.key == entry.key) {
+        slot.value = entry.value;
+        return Placed::kOverwritten;
+      }
+    }
+    return Placed::kWindowFull;
+  }
+
+  /// Doubles the shard's table, and again while a rehashed entry finds
+  /// its probe window full, up to the cap. An entry that still does not
+  /// fit at the cap is evicted.
+  void grow(Shard& shard) const {
+    if (shard.slots.size() >= max_slots_per_shard_) return;
+    const std::vector<Slot> old = std::move(shard.slots);
+    for (std::size_t size = old.size() * 2;; size *= 2) {
+      shard.slots.assign(size, Slot{});
+      std::size_t lost = 0;
+      for (const Slot& slot : old) {
+        if (slot.key != kFree &&
+            place(shard, mix(slot.key), slot) != Placed::kInserted) {
+          ++lost;
+        }
+      }
+      if (lost == 0 || size >= max_slots_per_shard_) {
+        shard.used -= lost;
+        shard.stats.evictions += lost;
+        return;
+      }
+    }
+  }
 
   static std::uint64_t mix(std::uint64_t x) noexcept {
     x ^= x >> 33;
@@ -206,7 +251,7 @@ class ShardedCache {
 
   std::unique_ptr<Shard[]> shards_;
   std::size_t num_shards_ = 0;
-  std::size_t slots_per_shard_ = 0;
+  std::size_t max_slots_per_shard_ = 0;
   unsigned shard_bits_ = 0;
 };
 

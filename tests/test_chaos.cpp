@@ -465,24 +465,33 @@ TEST_F(ChaosTest, PipelineReaderFaultTearsDownOverlappedRunTyped) {
   }
   expect_fired(fault::sites::kPipelineReader);
 
-  // A buffered-input method has no pass-1 reader task, so the first
-  // firing lands in pass 2's executor producer instead: same typed
-  // teardown through the full reorder pipeline.
+  // Reptile's two phase-1 passes hit the same site once per batch plus
+  // once at the end of input, so arming the hit after them fires in
+  // pass 2's executor producer: same typed teardown through the full
+  // reorder pipeline.
+  const std::string input = make_fastq(13);
+  constexpr std::size_t kBatch = 256;
+  const auto reads = static_cast<std::size_t>(
+      std::count(input.begin(), input.end(), '\n') / 4);
+  const std::size_t phase1_hits = 2 * ((reads + kBatch - 1) / kBatch + 1);
   reg().reset();
-  reg().configure("core.pipeline.reader=n1");
-  core::PipelineOptions buffered;
-  buffered.batch_size = 256;
-  buffered.threads = 2;
-  core::CorrectionPipeline reptile(core::make_corrector("reptile"),
-                                   buffered);
+  reg().configure("core.pipeline.reader=n" +
+                  std::to_string(phase1_hits + 1));
+  core::PipelineOptions options;
+  options.batch_size = kBatch;
+  options.threads = 2;
+  core::CorrectionPipeline reptile(core::make_corrector("reptile"), options);
   std::ostringstream os;
   try {
-    reptile.run(factory_for(make_fastq(13)), os);
+    reptile.run(factory_for(input), os);
     FAIL() << "expected pass-2 reader-task failure";
   } catch (const Error& e) {
     EXPECT_EQ(e.site(), fault::sites::kPipelineReader);
+    EXPECT_NE(std::string(e.what()).find("pass-2"), std::string::npos)
+        << e.what();
   }
   expect_fired(fault::sites::kPipelineReader);
+  EXPECT_EQ(reg().stats(fault::sites::kPipelineReader).hits, phase1_hits + 1);
 }
 
 TEST_F(ChaosTest, PipelineWriterFaultAbortsRunFileAtomically) {

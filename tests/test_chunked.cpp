@@ -194,7 +194,9 @@ TEST(ChunkedBuilder, FinishSpilledStreamsDisjointAscendingRuns) {
   std::size_t runs = 0;
   std::uint32_t last_prefix = 0;
   builder.finish_spilled([&](kspec::ChunkedSpectrumBuilder::SortedRun&& r) {
-    if (runs > 0) EXPECT_GT(r.prefix, last_prefix) << "prefix order";
+    if (runs > 0) {
+      EXPECT_GT(r.prefix, last_prefix) << "prefix order";
+    }
     last_prefix = r.prefix;
     ++runs;
     ASSERT_FALSE(r.codes.empty());

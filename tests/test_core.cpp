@@ -285,31 +285,37 @@ TEST(CorrectionPipeline, OverlappedPathBuffersStayBounded) {
   const std::size_t depth = util::PipelineExecutorOptions{}.queue_depth;
   ASSERT_EQ(depth, 4u);
 
-  for (const std::size_t threads : {1ul, 2ul, 4ul}) {
-    core::CorrectorConfig config;
-    core::PipelineOptions options;
-    options.batch_size = 64;
-    options.threads = threads;
-    core::CorrectionPipeline pipeline(core::make_corrector("sap", config),
-                                      options);
-    std::ostringstream out;
-    const auto result = pipeline.run(factory_for(input), out);
+  // Reptile streams phase 1 too: two passes of its own before pass 2.
+  for (const std::string method : {"sap", "reptile"}) {
+    for (const std::size_t threads : {1ul, 2ul, 4ul}) {
+      SCOPED_TRACE(method + " at " + std::to_string(threads) + " threads");
+      core::CorrectorConfig config;
+      config.genome_length = 20000;
+      core::PipelineOptions options;
+      options.batch_size = 64;
+      options.threads = threads;
+      core::CorrectionPipeline pipeline(core::make_corrector(method, config),
+                                        options);
+      std::ostringstream out;
+      const auto result = pipeline.run(factory_for(input), out);
 
-    EXPECT_TRUE(result.streamed) << threads;
-    EXPECT_GT(result.peak_buffered_reads, 0u) << threads;
-    EXPECT_LE(result.peak_buffered_reads,
-              options.batch_size * (depth + 2 * threads + 1))
-        << threads;
-    EXPECT_GT(result.peak_rss_bytes, 0u) << threads;
-    EXPECT_EQ(result.batches,
-              (run.reads.size() + options.batch_size - 1) /
-                  options.batch_size)
-        << threads;
-    EXPECT_EQ(result.pass1_overlap.workers, 1u) << threads;
-    EXPECT_LE(result.pass1_overlap.queue_peak, depth) << threads;
-    EXPECT_EQ(result.pass2_overlap.workers, threads) << threads;
-    EXPECT_EQ(result.pass2_overlap.items, result.batches) << threads;
-    EXPECT_LE(result.pass2_overlap.queue_peak, depth) << threads;
+      const std::size_t batches =
+          (run.reads.size() + options.batch_size - 1) / options.batch_size;
+      const std::size_t phase1_passes = method == "sap" ? 1 : 2;
+      EXPECT_EQ(result.streamed, method == "sap");
+      EXPECT_GT(result.peak_buffered_reads, 0u);
+      EXPECT_LE(result.peak_buffered_reads,
+                options.batch_size * (depth + 2 * threads + 1));
+      EXPECT_GT(result.peak_rss_bytes, 0u);
+      EXPECT_EQ(result.batches, batches);
+      EXPECT_EQ(result.input.reads, run.reads.size());
+      EXPECT_EQ(result.pass1_overlap.workers, 1u);
+      EXPECT_EQ(result.pass1_overlap.items, phase1_passes * batches);
+      EXPECT_LE(result.pass1_overlap.queue_peak, depth);
+      EXPECT_EQ(result.pass2_overlap.workers, threads);
+      EXPECT_EQ(result.pass2_overlap.items, result.batches);
+      EXPECT_LE(result.pass2_overlap.queue_peak, depth);
+    }
   }
 }
 
@@ -347,13 +353,15 @@ TEST(CorrectionPipeline, OverlappedOutputByteIdenticalToCorrectAllAcrossThreads)
   }
 }
 
+// Only a whole-set method buffers the input: correct_all sees every
+// read at once, and no executor runs in either pass.
 TEST(CorrectionPipeline, BufferedPathHoldsWholeInput) {
   const auto run = make_run(17, 5.0);
   const std::string input = to_fastq(run.reads);
 
   core::PipelineOptions options;
   options.batch_size = 64;
-  core::CorrectionPipeline pipeline(core::make_corrector("reptile", {}),
+  core::CorrectionPipeline pipeline(core::make_corrector("freclu", {}),
                                     options);
   std::ostringstream out;
   const auto result = pipeline.run(factory_for(input), out);
@@ -361,6 +369,8 @@ TEST(CorrectionPipeline, BufferedPathHoldsWholeInput) {
   EXPECT_FALSE(result.streamed);
   EXPECT_EQ(result.peak_buffered_reads, run.reads.size());
   EXPECT_EQ(result.report.reads, run.reads.size());
+  EXPECT_EQ(result.pass1_overlap.workers, 0u);
+  EXPECT_EQ(result.pass2_overlap.workers, 0u);
 }
 
 TEST(CorrectionPipeline, OwnThreadCountMatchesDefaultPoolOutput) {

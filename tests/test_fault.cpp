@@ -96,6 +96,12 @@ TEST_F(FaultRegistry, UnknownSiteAndMalformedTriggersRejected) {
            "io.fastq.open=pxyz",        // not a number
            "io.fastq.open=sometimes",   // unknown trigger word
            "seed=notanumber",           // malformed seed
+           "io.fastq.open=n-1",         // would wrap to 2^64 - 1
+           "io.fastq.open=n99999999999999999999",  // past 64 bits
+           "io.fastq.open=pnan",        // NaN passes both comparisons
+           "io.fastq.open=p1e999",      // overflows to infinity
+           "seed=-5",                   // negative seed
+           "seed=0x5eed",               // seeds are decimal
        }) {
     try {
       reg().configure(bad);

@@ -649,44 +649,51 @@ TEST(CorrectionPipeline, LoadIndexRejectsParameterMismatch) {
   std::remove(path.c_str());
 }
 
-// The ISSUE acceptance criterion: on input whose spectrum exceeds the
-// budget, a budget-constrained run completes with the builder's own
-// peak accounting under the budget and output byte-identical to the
-// unconstrained run — for every registered method.
+// On input whose spectrum exceeds the budget, a budget-constrained run
+// of every spectrum method completes with the builder's own peak
+// accounting under the budget and output byte-identical to the
+// unconstrained run; every other method rejects the budget.
 TEST(CorrectionPipeline, BudgetRunMatchesUnconstrainedForEveryMethod) {
   const auto run = make_run(20260808, 12.0);
   const std::string fastq = to_fastq(run.reads);
   constexpr std::size_t kBudget = 400000;
 
   for (const auto& info : core::registered_methods()) {
-    std::ostringstream plain_out;
-    core::CorrectionPipeline plain(make_method(info.name), {});
-    const auto plain_result = plain.run(factory_for(fastq), plain_out);
-
     core::PipelineOptions budget_opts;
     budget_opts.memory_budget_bytes = kBudget;
     budget_opts.spill_dir = testing::TempDir();
     std::ostringstream budget_out;
     core::CorrectionPipeline budgeted(make_method(info.name), budget_opts);
+    if (!info.streaming) {
+      // No spectrum build to bound: the budget is rejected, naming the
+      // flag, rather than ignored.
+      try {
+        (void)budgeted.run(factory_for(fastq), budget_out);
+        ADD_FAILURE() << info.name << " accepted a memory budget";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("--memory-budget-mb"),
+                  std::string::npos)
+            << e.what();
+      }
+      EXPECT_TRUE(budget_out.str().empty()) << info.name;
+      continue;
+    }
     const auto budget_result = budgeted.run(factory_for(fastq), budget_out);
+
+    std::ostringstream plain_out;
+    core::CorrectionPipeline plain(make_method(info.name), {});
+    const auto plain_result = plain.run(factory_for(fastq), plain_out);
 
     EXPECT_EQ(budget_out.str(), plain_out.str()) << info.name;
     EXPECT_EQ(budget_result.report.reads, plain_result.report.reads)
         << info.name;
-    if (info.streaming) {
-      EXPECT_TRUE(budget_result.spectrum_spilled) << info.name;
-      EXPECT_GE(budget_result.spectrum_spill_bins, 2u) << info.name;
-      EXPECT_GT(budget_result.spectrum_spilled_bytes, 0u) << info.name;
-      EXPECT_GT(budget_result.spectrum_peak_tracked_bytes, 0u) << info.name;
-      EXPECT_LE(budget_result.spectrum_peak_tracked_bytes, kBudget)
-          << info.name << ": builder accounting exceeded the budget";
-      EXPECT_EQ(budget_result.report.extra("spectrum_spilled"), 1u);
-    } else {
-      // Buffered methods never build a streamed spectrum; the budget is
-      // inert and the report stays free of spill extras.
-      EXPECT_FALSE(budget_result.spectrum_spilled) << info.name;
-      EXPECT_EQ(budget_result.report.extra("spectrum_spilled"), 0u);
-    }
+    EXPECT_TRUE(budget_result.spectrum_spilled) << info.name;
+    EXPECT_GE(budget_result.spectrum_spill_bins, 2u) << info.name;
+    EXPECT_GT(budget_result.spectrum_spilled_bytes, 0u) << info.name;
+    EXPECT_GT(budget_result.spectrum_peak_tracked_bytes, 0u) << info.name;
+    EXPECT_LE(budget_result.spectrum_peak_tracked_bytes, kBudget)
+        << info.name << ": builder accounting exceeded the budget";
+    EXPECT_EQ(budget_result.report.extra("spectrum_spilled"), 1u);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 
 #include "kspec/chunked_builder.hpp"
@@ -348,6 +349,36 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(MaskedIndexCase{8, 4, 1}, MaskedIndexCase{12, 4, 1},
                       MaskedIndexCase{12, 6, 2}, MaskedIndexCase{13, 5, 2},
                       MaskedIndexCase{16, 4, 1}, MaskedIndexCase{16, 8, 2}));
+
+// Each replica's radix order against the comparator sort it replaces:
+// by masked code, ties by spectrum index. Clustered spectra make long
+// runs of equal masked codes, so tie order is exercised at every k.
+TEST(MaskedSortIndex, RadixOrderMatchesComparatorSort) {
+  util::Rng rng(2024);
+  for (const int k : {2, 3, 5, 8, 10, 13, 17, 24, 31, 32}) {
+    const auto spec = KSpectrum::from_codes(clustered_codes(rng, k, 60, 4), k);
+    for (const int d : {1, 2}) {
+      for (int c = d + 1; c <= k; ++c) {
+        const kspec::MaskedSortIndex index(spec, c, d);
+        for (std::size_t r = 0; r < index.num_replicas(); ++r) {
+          const seq::KmerCode keep = ~index.replica_mask(r);
+          std::vector<std::uint32_t> expected(spec.size());
+          std::iota(expected.begin(), expected.end(), 0u);
+          std::sort(expected.begin(), expected.end(),
+                    [&](std::uint32_t a, std::uint32_t b) {
+                      const auto ma = spec.code_at(a) & keep;
+                      const auto mb = spec.code_at(b) & keep;
+                      return ma != mb ? ma < mb : a < b;
+                    });
+          const auto got = index.replica_order(r);
+          ASSERT_TRUE(std::equal(got.begin(), got.end(), expected.begin(),
+                                 expected.end()))
+              << "k=" << k << " c=" << c << " d=" << d << " replica " << r;
+        }
+      }
+    }
+  }
+}
 
 TEST(MaskedSortIndex, RejectsBadParameters) {
   const auto spec = KSpectrum::from_codes(

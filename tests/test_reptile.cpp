@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <sstream>
+
 #include "eval/correction_metrics.hpp"
+#include "io/fastq_stream.hpp"
+#include "io/fastx.hpp"
 #include "reptile/corrector.hpp"
 #include "reptile/params.hpp"
+#include "seq/alphabet.hpp"
+#include "spectrum_reference.hpp"
 #include "sim/genome.hpp"
 #include "sim/read_sim.hpp"
 #include "util/rng.hpp"
@@ -187,6 +194,177 @@ TEST(ReptileCorrector, RejectsOversizedTiles) {
   p.k = 12;
   p.overlap = 12;  // l must stay below k
   EXPECT_THROW(reptile::ReptileCorrector(empty, p), std::invalid_argument);
+}
+
+/// Reads for the phase-1 identity tests: a random genome sampled at
+/// lengths around the tile length T (T - 1, T, T + 1) and longer, with
+/// substitutions, N runs, lowercase stretches and qualities that fall
+/// below any plausible Qc.
+seq::ReadSet phase1_reads(std::uint64_t seed, int tile, std::size_t count) {
+  util::Rng rng(seed);
+  std::string genome(3000, 'A');
+  for (char& c : genome) {
+    c = seq::code_to_base(static_cast<std::uint8_t>(rng.below(4)));
+  }
+  const std::size_t lengths[] = {static_cast<std::size_t>(tile - 1),
+                                 static_cast<std::size_t>(tile),
+                                 static_cast<std::size_t>(tile + 1), 36, 50};
+  seq::ReadSet set;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t len = lengths[rng.below(5)];
+    seq::Read r;
+    r.id = "r" + std::to_string(i);
+    r.bases = genome.substr(rng.below(genome.size() - len), len);
+    for (char& c : r.bases) {
+      if (rng.below(100) < 2) {
+        c = seq::code_to_base(static_cast<std::uint8_t>(rng.below(4)));
+      }
+    }
+    if (rng.below(4) == 0) {  // an N run of 1-3 bases
+      const std::size_t at = rng.below(len);
+      const std::size_t run = 1 + rng.below(3);
+      for (std::size_t j = at; j < std::min(len, at + run); ++j) {
+        r.bases[j] = 'N';
+      }
+    }
+    if (rng.below(6) == 0) {  // a lowercase stretch
+      const std::size_t at = rng.below(len);
+      for (std::size_t j = at; j < std::min(len, at + 8); ++j) {
+        if (r.bases[j] != 'N') {
+          r.bases[j] = static_cast<char>(r.bases[j] | 0x20);
+        }
+      }
+    }
+    for (std::size_t j = 0; j < len; ++j) {
+      r.quality.push_back(static_cast<std::uint8_t>(2 + rng.below(39)));
+    }
+    set.reads.push_back(std::move(r));
+  }
+  return set;
+}
+
+/// Reptile's N conversion, written out: an ambiguous base becomes
+/// default_base at quality 0 when no window of min(w, L) bases covering
+/// it holds more than amax ambiguous bases.
+seq::ReadSet convert_reference(const seq::ReadSet& in,
+                               const reptile::ReptileParams& p) {
+  seq::ReadSet out = in;
+  const int w = p.effective_ambig_window();
+  const int amax = p.effective_ambig_max();
+  for (std::size_t n = 0; n < in.reads.size(); ++n) {
+    const std::string& bases = in.reads[n].bases;
+    const int len = static_cast<int>(bases.size());
+    const int win = std::min(w, len);
+    for (int i = 0; i < len; ++i) {
+      if (!seq::is_ambiguous(bases[static_cast<std::size_t>(i)])) continue;
+      bool eligible = true;
+      for (int s = std::max(0, i - win + 1); s <= std::min(i, len - win); ++s) {
+        int ambiguous = 0;
+        for (int j = s; j < s + win; ++j) {
+          ambiguous += seq::is_ambiguous(bases[static_cast<std::size_t>(j)]);
+        }
+        eligible = eligible && ambiguous <= amax;
+      }
+      if (!eligible) continue;
+      out.reads[n].bases[static_cast<std::size_t>(i)] = p.default_base;
+      out.reads[n].quality[static_cast<std::size_t>(i)] = 0;
+    }
+  }
+  return out;
+}
+
+/// Oc and Og of every tile of `reads` (both strands), counted in a map:
+/// a window counts toward Og when none of its bases scores below Qc.
+std::map<seq::KmerCode, std::pair<std::uint32_t, std::uint32_t>> tile_counts(
+    const seq::ReadSet& reads, const reptile::ReptileParams& p) {
+  std::map<seq::KmerCode, std::pair<std::uint32_t, std::uint32_t>> counts;
+  const auto t = static_cast<std::size_t>(p.tile_length());
+  for (const auto& r : reads.reads) {
+    for (std::size_t s = 0; s + t <= r.bases.size(); ++s) {
+      const auto code =
+          seq::encode_kmer(std::string_view(r.bases).substr(s, t));
+      if (!code) continue;
+      bool high = true;
+      for (std::size_t j = s; j < s + t; ++j) {
+        high = high && r.quality[j] >= p.quality_cutoff;
+      }
+      const auto rc = seq::encode_kmer(
+          seq::reverse_complement(r.bases.substr(s, t)));
+      for (const seq::KmerCode c : {*code, *rc}) {
+        ++counts[c].first;
+        counts[c].second += high ? 1 : 0;
+      }
+    }
+  }
+  return counts;
+}
+
+/// A ReadPass parsing FASTQ text in batches of `batch` reads, as the
+/// pipeline's passes do.
+seq::ReadPass fastq_pass(const std::string& fastq, std::size_t batch) {
+  return [&fastq, batch](const seq::BatchSink& sink) {
+    std::istringstream is(fastq);
+    io::FastqStreamReader reader(is);
+    std::vector<seq::Read> reads;
+    while (reader.read_batch(reads, batch) > 0) {
+      sink(reads);
+      reads.clear();
+    }
+  };
+}
+
+// Phase 1 streamed from FASTQ in small batches, choosing Qc and Qm from
+// what it streams, counts exactly the tables of phase 1 over a ReadSet
+// with select_read_parameters: the same spectrum, tile codes, Oc, Og
+// and Cg/Cm. Both match a count written out independently.
+TEST(ReptileCorrector, StreamedAndReadSetBuildsCountTheSameTables) {
+  struct Case {
+    int k, overlap;
+  };
+  for (const Case c : {Case{6, 0}, Case{8, 3}, Case{5, 1}, Case{10, 0}}) {
+    const int tile = 2 * c.k - c.overlap;
+    SCOPED_TRACE("k=" + std::to_string(c.k) + " l=" +
+                 std::to_string(c.overlap));
+    const seq::ReadSet reads = phase1_reads(
+        static_cast<std::uint64_t>(100 + c.k), tile, 1500);
+    std::ostringstream os;
+    io::write_fastq(os, std::span<const seq::Read>(reads.reads));
+    const std::string fastq = os.str();
+
+    auto params = reptile::select_read_parameters(reads, 3000, c.k);
+    params.overlap = c.overlap;
+    auto from_reads = reptile::select_k(3000, c.k);
+    from_reads.overlap = c.overlap;
+    reptile::ReptileCorrector streamed(
+        fastq_pass(fastq, 37), from_reads,
+        reptile::ReptileCorrector::QualityCutoffs::kFromReads);
+    reptile::ReptileCorrector buffered(reads, params);
+    ASSERT_GT(params.quality_cutoff, 2);
+    EXPECT_EQ(streamed.params().quality_cutoff, params.quality_cutoff);
+    EXPECT_EQ(streamed.params().quality_max, params.quality_max);
+
+    const seq::ReadSet converted = convert_reference(reads, params);
+    const auto spectrum = ref::reference_spectrum(converted, c.k, true);
+    ref::expect_byte_identical(streamed.spectrum(), spectrum);
+    ref::expect_byte_identical(buffered.spectrum(), spectrum);
+
+    const auto expected = tile_counts(converted, params);
+    for (const auto* corrector : {&streamed, &buffered}) {
+      const auto& tiles = corrector->tiles();
+      ASSERT_EQ(tiles.size(), expected.size());
+      std::size_t i = 0;
+      for (const auto& [code, counts] : expected) {
+        ASSERT_EQ(tiles.code_at(i), code) << i;
+        ASSERT_EQ(tiles.counts_at(i).oc, counts.first) << i;
+        ASSERT_EQ(tiles.counts_at(i).og, counts.second) << i;
+        ++i;
+      }
+    }
+    streamed.choose_thresholds();
+    buffered.choose_thresholds();
+    EXPECT_EQ(streamed.params().c_good, buffered.params().c_good);
+    EXPECT_EQ(streamed.params().c_min, buffered.params().c_min);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // util::ShardedCache: the concurrent bounded memo cache behind the
-// pass-2 tile-decision memo. Covers counter accuracy, deterministic
-// bounded-capacity eviction, generation-based reset, and a concurrent
+// pass-2 tile-decision memo. Covers counter accuracy, growth by use up
+// to the cap, deterministic bounded-capacity eviction, and a concurrent
 // insert/lookup storm (run under TSan via the `sanitize` ctest label /
 // the tsan CMake preset).
 
@@ -82,35 +82,63 @@ TEST(ShardedCache, CapacityIsBoundedAndEvictionDeterministic) {
   }
 }
 
-TEST(ShardedCache, GenerationResetEmptiesInO1PerShard) {
-  ShardedCache cache(1 << 16);
-  for (std::uint64_t k = 0; k < 200; ++k) cache.store(k, value_of(k));
-  EXPECT_EQ(cache.size(), 200u);
-  cache.reset();
-  EXPECT_EQ(cache.size(), 0u);
+// The cache is sized by use: it starts at one probe window per shard,
+// grows to hold every distinct key with no eviction while under its cap,
+// never allocates past capacity_bytes(), and keeps its counters exact.
+TEST(ShardedCache, GrowsWithUseUpToItsCap) {
+  ShardedCache cache(32u << 20, 8);
+  const std::size_t window_bytes = cache.allocated_bytes() / 8;
+  EXPECT_LE(window_bytes, 256u) << "starts at one probe window per shard";
+  const auto key_of = [](std::uint64_t i) { return i * 0x9e3779b9ULL + 3; };
+  constexpr std::uint64_t kKeys = 200000;
   std::uint64_t v = 0;
-  for (std::uint64_t k = 0; k < 200; ++k) {
-    EXPECT_FALSE(cache.lookup(k, v)) << k;
+  for (std::uint64_t i = 0; i < kKeys; ++i) {
+    EXPECT_FALSE(cache.lookup(key_of(i), v));
+    cache.store(key_of(i), value_of(key_of(i)));
+    if (i % 4096 == 0) {
+      ASSERT_LE(cache.allocated_bytes(), cache.capacity_bytes()) << i;
+    }
   }
-  // The cache is fully usable after reset.
-  cache.store(5, 99);
-  ASSERT_TRUE(cache.lookup(5, v));
-  EXPECT_EQ(v, 99u);
-  EXPECT_EQ(cache.size(), 1u);
-  // Counters survive reset (lifetime totals).
-  EXPECT_EQ(cache.stats().insertions, 201u);
+  for (std::uint64_t i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(cache.lookup(key_of(i), v)) << i;
+    EXPECT_EQ(v, value_of(key_of(i))) << i;
+  }
+  auto stats = cache.stats();
+  EXPECT_EQ(stats.misses, kKeys);
+  EXPECT_EQ(stats.hits, kKeys);
+  EXPECT_EQ(stats.insertions, kKeys);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(cache.size(), kKeys);
+  // At most half full after each doubling: 2-4 slots of 16 bytes a key.
+  EXPECT_GE(cache.allocated_bytes(), 2 * 16 * kKeys);
+  EXPECT_LE(cache.allocated_bytes(), 4 * 16 * kKeys);
+  EXPECT_LT(cache.allocated_bytes(), cache.capacity_bytes());
+
+  // Past the cap it stops growing and evicts: a store either inserts or
+  // replaces the entry at its home slot.
+  ShardedCache small(1 << 14, 2);
+  const std::uint64_t n = 10 * small.capacity();
+  for (std::uint64_t i = 0; i < n; ++i) small.store(key_of(i), i);
+  EXPECT_EQ(small.allocated_bytes(), small.capacity_bytes());
+  stats = small.stats();
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(stats.insertions, small.capacity());
+  EXPECT_GE(stats.insertions + stats.evictions, n);
+  EXPECT_LE(small.size(), small.capacity());
 }
 
-TEST(ShardedCache, RepeatedResetsNeverAliasOldEntries) {
-  ShardedCache cache(1 << 12, 2);
-  for (int round = 0; round < 50; ++round) {
-    std::uint64_t v = 0;
-    EXPECT_FALSE(cache.lookup(7, v)) << round;
-    cache.store(7, static_cast<std::uint64_t>(round));
-    ASSERT_TRUE(cache.lookup(7, v));
-    EXPECT_EQ(v, static_cast<std::uint64_t>(round));
-    cache.reset();
-  }
+// The key that marks free slots is never cached, and a store of it is
+// dropped; every other key, 0 included, is.
+TEST(ShardedCache, AllOnesKeyIsNeverResident) {
+  ShardedCache cache(1 << 16);
+  const std::uint64_t all_ones = ~std::uint64_t{0};
+  std::uint64_t v = 0;
+  cache.store(all_ones, 5);
+  EXPECT_FALSE(cache.lookup(all_ones, v));
+  cache.store(0, 9);
+  ASSERT_TRUE(cache.lookup(0, v));
+  EXPECT_EQ(v, 9u);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(ShardedCache, ConcurrentStormKeepsValuesConsistent) {

@@ -215,6 +215,22 @@ expect_exit 2 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
 expect_exit 2 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
   --out "$WORK/x.fastq" --method sap --fault-spec "no.such.site=always"
 grep -q "no.such.site" "$WORK/stderr.txt"
+# Trigger numbers and the seed are parsed whole: a count that would wrap,
+# NaN and a negative seed are config errors, not a trigger that never
+# fires.
+for spec in "io.fastq.read=n-1" "io.fastq.read=pnan" "seed=-5"; do
+  expect_exit 2 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
+    --out "$WORK/x.fastq" --method sap --fault-spec "$spec"
+  grep -q "fault spec" "$WORK/stderr.txt"
+done
+# A memory budget bounds a spectrum build; a method without one rejects
+# the flag, naming it, instead of running past the budget.
+for m in reptile shrec freclu hybrid; do
+  expect_exit 2 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
+    --out "$WORK/x.fastq" --method "$m" --genome-length 20000 \
+    --memory-budget-mb 4
+  grep -q -- "--memory-budget-mb" "$WORK/stderr.txt"
+done
 
 # A tile longer than 32 bases (2k - l = 34) is a config error, raised
 # before phase 1 counts anything, naming k, l and the tile length.

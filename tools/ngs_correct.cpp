@@ -84,10 +84,16 @@ int main(int argc, char** argv) {
   }
   const std::string method_name = cli.get("method", "reptile");
   if (method_name == "list") {
+    // Phase 1: a streamed spectrum, the method's own passes over the
+    // streamed input, or the whole input buffered.
     for (const auto& info : core::registered_methods()) {
+      const bool batches =
+          core::make_corrector(info.name, {})->supports_batches();
       std::cout << info.name << '\t'
-                << (info.streaming ? "streaming" : "buffered") << '\t'
-                << info.description << '\n';
+                << (info.streaming ? "streaming"
+                    : batches      ? "multi-pass"
+                                   : "buffered")
+                << '\t' << info.description << '\n';
     }
     return 0;
   }
@@ -161,9 +167,12 @@ int main(int argc, char** argv) {
     std::cerr << "ngs-correct: internal error: " << e.what() << "\n";
     return 1;
   }
-  std::cerr << "method=" << method_name
-            << (result.streamed ? " (streamed spectrum)" : " (buffered)")
-            << ": " << result.report.summary() << "\n";
+  const char* phase1 = result.streamed ? " (streamed spectrum)"
+                       : result.pass1_overlap.workers > 0
+                           ? " (streamed passes)"
+                           : " (buffered)";
+  std::cerr << "method=" << method_name << phase1 << ": "
+            << result.report.summary() << "\n";
   // Index provenance, formatted like the tile-cache extras below: one
   // stderr line keyed off the standardized report extras.
   if (result.report.extra("pass1_skipped") +

@@ -10,8 +10,9 @@
 //
 // --index is repeatable (one spectrum file per k; the `k=` prefix is
 // optional and, when given, is validated against the file's header).
-// --reads supplies the phase-1 substrate for buffered methods
-// (reptile, ...); without it the daemon serves streaming methods only.
+// --reads supplies the phase-1 substrate for methods without a
+// spectrum index (reptile); without it the daemon serves streaming
+// methods only.
 //
 // Exit codes: 0 clean shutdown, 2 usage/config error, 3 input
 // open/parse error, 4 index error, 1 internal error.
@@ -59,8 +60,8 @@ int main(int argc, char** argv) {
                  "one file per k)",
                  true, "");
   cli.add_option("reads",
-                 "FASTQ whose reads are the phase-1 substrate for buffered "
-                 "methods (optional)",
+                 "FASTQ whose reads are the phase-1 substrate for methods "
+                 "without a spectrum index, i.e. reptile (optional)",
                  true, "");
   cli.add_option("threads", "correction worker threads", true, "2");
   cli.add_option("queue-capacity",
