@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <fstream>
 #include <mutex>
 #include <optional>
 #include <ostream>
@@ -290,23 +289,13 @@ PipelineResult CorrectionPipeline::run_file(const std::string& in_fastq,
   atomic_options.error_site = fault::sites::kOutputWrite;
   util::AtomicFile out_file(out_fastq, atomic_options);
   PipelineResult result;
-  {
-    std::ofstream os(out_file.temp_path());
-    if (!os) {
-      throw Error(ErrorKind::kIo, fault::sites::kOutputWrite,
-                  "cannot open for writing: " + out_file.temp_path());
-    }
+  out_file.write_through([&](std::ostream& os) {
     result = run(
         [&in_fastq]() -> std::unique_ptr<std::istream> {
           return io::open_input_stream(in_fastq);
         },
         os);
-    os.close();
-    if (!os) {
-      throw Error(ErrorKind::kIo, fault::sites::kOutputWrite,
-                  "error finalizing output: " + out_file.temp_path());
-    }
-  }
+  });
   out_file.commit();  // throws kIo and removes the temp on failure
   return result;
 }

@@ -449,7 +449,7 @@ void as_index_error(Step&& step) {
 void emit_through(util::AtomicFile& file, const void* data,
                   std::uint64_t bytes) {
   if (fault::should_fire(fault::sites::kIndexWrite)) {
-    fail(Kind::kIo, file.temp_path(),
+    fail(Kind::kIo, file.target_path(),
          "write failed: injected fault at index.write");
   }
   as_index_error([&] { file.write(data, static_cast<std::size_t>(bytes)); });

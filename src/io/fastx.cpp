@@ -1,10 +1,11 @@
 #include "io/fastx.hpp"
 
-#include <fstream>
+#include <functional>
 #include <istream>
 #include <ostream>
 
 #include "io/fastq_stream.hpp"
+#include "util/atomic_file.hpp"
 #include "util/error.hpp"
 
 namespace ngs::io {
@@ -14,13 +15,13 @@ void strip_cr(std::string& line) {
   if (!line.empty() && line.back() == '\r') line.pop_back();
 }
 
-std::ofstream open_output(const std::string& path) {
-  std::ofstream os(path);
-  if (!os) {
-    throw Error(ErrorKind::kIo, "io.open",
-                "cannot open for writing: " + path);
-  }
-  return os;
+/// Writes `path` atomically through `fill` (util::AtomicFile), so a
+/// failed write leaves no partial file behind.
+void write_file(const std::string& path,
+                const std::function<void(std::ostream&)>& fill) {
+  util::AtomicFile file(path);
+  file.write_through(fill);
+  file.commit();
 }
 
 seq::ReadSet read_fastq_named(std::istream& is, const std::string& name) {
@@ -105,8 +106,9 @@ void write_fastq(std::ostream& os, const seq::ReadSet& reads,
 
 void write_fastq_file(const std::string& path, const seq::ReadSet& reads,
                       std::uint8_t default_quality) {
-  auto os = open_output(path);
-  write_fastq(os, reads, default_quality);
+  write_file(path, [&](std::ostream& os) {
+    write_fastq(os, reads, default_quality);
+  });
 }
 
 void write_fasta(std::ostream& os, const seq::ReadSet& reads,
@@ -125,8 +127,8 @@ void write_fasta(std::ostream& os, const seq::ReadSet& reads,
 
 void write_fasta_file(const std::string& path, const seq::ReadSet& reads,
                       std::size_t line_width) {
-  auto os = open_output(path);
-  write_fasta(os, reads, line_width);
+  write_file(path,
+             [&](std::ostream& os) { write_fasta(os, reads, line_width); });
 }
 
 }  // namespace ngs::io

@@ -31,7 +31,9 @@ seq::ReadSet read_fasta_file(const std::string& path);
 /// Writes FASTQ. Reads without quality get a constant placeholder score.
 /// The span overload is the batched-write primitive of the streaming
 /// correction pipeline: batches append to one stream without ever
-/// forming a ReadSet.
+/// forming a ReadSet. The _file writers here write through
+/// util::AtomicFile: a failure throws ngs::Error(kIo) naming the path
+/// and leaves no partial file.
 void write_fastq(std::ostream& os, std::span<const seq::Read> reads,
                  std::uint8_t default_quality = 30);
 void write_fastq(std::ostream& os, const seq::ReadSet& reads,

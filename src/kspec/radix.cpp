@@ -231,10 +231,11 @@ util::ThreadPool* pool_for(int bits, const RadixSortOptions& options) {
 
 int choose_radix_bits(std::size_t n, int k) noexcept {
   if (n < 8192) return 0;
-  // Aim for ~8k codes per bucket; clamp to [4, 14] and to the key width
-  // so the per-block histograms (2^bits words each) stay cheap.
+  // Aim for ~8k codes per bucket, at least 4 bits and at most 14 or the
+  // key width, so the per-block histograms (2^bits words each) stay
+  // cheap. Not std::clamp: a 2-bit key (k = 1) puts the cap below 4.
   const int target = std::bit_width(n / 8192);
-  return std::clamp(target, 4, std::min(2 * k, 14));
+  return std::min(std::max(target, 4), std::min(2 * k, 14));
 }
 
 void serial_sort_and_count(std::vector<seq::KmerCode>&& codes,

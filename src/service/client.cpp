@@ -81,47 +81,47 @@ Frame Client::read_reply() {
   throw ngs::Error(error.kind(), "service.client", error.message);
 }
 
-HelloOk Client::hello(const HelloRequest& request) {
-  std::vector<std::uint8_t> payload;
-  encode_hello(request, payload);
-  send_frame(FrameType::kHello, payload);
-  Frame reply = read_reply();
+namespace {
+
+/// One round trip of a one-shot verb: sends `verb` and returns the
+/// reply, rethrowing an ERROR as the server's typed error and raising
+/// ProtocolError for any frame but `expected` (named `expected_name`).
+Frame round_trip(Client& client, FrameType verb,
+                 const std::vector<std::uint8_t>& payload,
+                 FrameType expected, const char* expected_name) {
+  client.send_frame(verb, payload);
+  Frame reply = client.read_reply();
   if (reply.type == FrameType::kError) {
     throw_error_reply(decode_error(reply.payload.data(),
                                    reply.payload.size()));
   }
-  if (reply.type != FrameType::kHelloOk) {
-    throw ProtocolError("expected HELLO_OK, got frame type " +
+  if (reply.type != expected) {
+    throw ProtocolError(std::string("expected ") + expected_name +
+                        ", got frame type " +
                         std::to_string(static_cast<unsigned>(reply.type)));
   }
+  return reply;
+}
+
+}  // namespace
+
+HelloOk Client::hello(const HelloRequest& request) {
+  std::vector<std::uint8_t> payload;
+  encode_hello(request, payload);
+  const Frame reply = round_trip(*this, FrameType::kHello, payload,
+                                 FrameType::kHelloOk, "HELLO_OK");
   return decode_hello_ok(reply.payload.data(), reply.payload.size());
 }
 
 std::string Client::stats() {
-  send_frame(FrameType::kStats, {});
-  Frame reply = read_reply();
-  if (reply.type == FrameType::kError) {
-    throw_error_reply(decode_error(reply.payload.data(),
-                                   reply.payload.size()));
-  }
-  if (reply.type != FrameType::kStatsOk) {
-    throw ProtocolError("expected STATS_OK, got frame type " +
-                        std::to_string(static_cast<unsigned>(reply.type)));
-  }
+  const Frame reply = round_trip(*this, FrameType::kStats, {},
+                                 FrameType::kStatsOk, "STATS_OK");
   return std::string(reply.payload.begin(), reply.payload.end());
 }
 
 std::uint64_t Client::reload() {
-  send_frame(FrameType::kReload, {});
-  Frame reply = read_reply();
-  if (reply.type == FrameType::kError) {
-    throw_error_reply(decode_error(reply.payload.data(),
-                                   reply.payload.size()));
-  }
-  if (reply.type != FrameType::kReloadOk) {
-    throw ProtocolError("expected RELOAD_OK, got frame type " +
-                        std::to_string(static_cast<unsigned>(reply.type)));
-  }
+  const Frame reply = round_trip(*this, FrameType::kReload, {},
+                                 FrameType::kReloadOk, "RELOAD_OK");
   return decode_reload_ok(reply.payload.data(), reply.payload.size()).epoch_id;
 }
 

@@ -74,6 +74,12 @@ struct CorrectionServer::Connection {
   std::shared_ptr<const Epoch> epoch;
   std::shared_ptr<const core::Corrector> corrector;
 
+  /// The next arrival ticket (reader thread).
+  std::uint64_t take_ticket() {
+    std::lock_guard<std::mutex> lock(mutex);
+    return next_ticket++;
+  }
+
   /// Queues `reply` for the writer at `ticket`. Safe from any thread.
   void deposit(std::uint64_t ticket, FrameType type,
                std::vector<std::uint8_t> payload, bool answers_request) {
@@ -255,21 +261,11 @@ void CorrectionServer::reader_loop(const std::shared_ptr<Connection>& conn) {
     try {
       if (!conn->channel.read_frame(frame)) break;  // clean EOF
     } catch (const ngs::Error& e) {
-      if (e.kind() == ngs::ErrorKind::kParse) ++protocol_errors_;
       // Tell the peer why before closing — unless the stream itself
       // broke, in which case nobody is listening.
       if (e.kind() != ngs::ErrorKind::kIo) {
-        std::uint64_t ticket;
-        {
-          std::lock_guard<std::mutex> lock(conn->mutex);
-          ticket = conn->next_ticket++;
-        }
-        ErrorReply err;
-        err.code = wire_error_code(e.kind());
-        err.message = e.what();
-        std::vector<std::uint8_t> payload;
-        encode_error(err, payload);
-        conn->deposit(ticket, FrameType::kError, std::move(payload), false);
+        reply_error(*conn, conn->take_ticket(), ErrorReply::kConnectionSeq,
+                    e.kind(), e.what());
       }
       break;
     }
@@ -331,23 +327,13 @@ void CorrectionServer::writer_loop(const std::shared_ptr<Connection>& conn) {
 
 bool CorrectionServer::handle_frame(const std::shared_ptr<Connection>& conn,
                                     Frame&& frame) {
-  std::uint64_t ticket;
-  {
-    std::lock_guard<std::mutex> lock(conn->mutex);
-    ticket = conn->next_ticket++;
-  }
+  const std::uint64_t ticket = conn->take_ticket();
   std::vector<std::uint8_t> payload;
 
   // Closes the connection with a typed reason the client can decode.
   const auto connection_error = [&](ngs::ErrorKind kind,
                                     const std::string& message) {
-    if (kind == ngs::ErrorKind::kParse) ++protocol_errors_;
-    ErrorReply err;
-    err.code = wire_error_code(kind);
-    err.message = message;
-    payload.clear();
-    encode_error(err, payload);
-    conn->deposit(ticket, FrameType::kError, std::move(payload), false);
+    reply_error(*conn, ticket, ErrorReply::kConnectionSeq, kind, message);
     return false;
   };
 
@@ -433,46 +419,23 @@ bool CorrectionServer::handle_frame(const std::shared_ptr<Connection>& conn,
 
 void CorrectionServer::handle_request(const std::shared_ptr<Connection>& conn,
                                       std::uint64_t ticket, Frame&& frame) {
-  std::vector<std::uint8_t> payload;
-  const auto request_error = [&](std::uint64_t seq, ngs::ErrorKind kind,
-                                 const std::string& message) {
-    ErrorReply err;
-    err.seq = seq;
-    err.code = wire_error_code(kind);
-    err.message = message;
-    payload.clear();
-    encode_error(err, payload);
-    conn->deposit(ticket, FrameType::kError, std::move(payload), true);
-  };
-
-  if (!conn->hello_done) {
-    ErrorReply err;
-    err.code = wire_error_code(ngs::ErrorKind::kParse);
-    err.message = "REQ before HELLO";
-    encode_error(err, payload);
-    ++protocol_errors_;
-    conn->deposit(ticket, FrameType::kError, std::move(payload), false);
+  // A REQ that breaks the protocol closes the connection.
+  const auto protocol_violation = [&](const std::string& message) {
+    reply_error(*conn, ticket, ErrorReply::kConnectionSeq,
+                ngs::ErrorKind::kParse, message);
     std::lock_guard<std::mutex> lock(conn->mutex);
     conn->closing = true;
-    return;
-  }
+  };
+  if (!conn->hello_done) return protocol_violation("REQ before HELLO");
 
   ReadBatch batch = decode_request(frame.payload.data(), frame.payload.size());
   frame.payload.clear();
   frame.payload.shrink_to_fit();
 
   if (batch.seq != conn->next_seq) {
-    ErrorReply err;
-    err.code = wire_error_code(ngs::ErrorKind::kParse);
-    err.message = "REQ seq " + std::to_string(batch.seq) +
-                  " out of order (expected " +
-                  std::to_string(conn->next_seq) + ")";
-    encode_error(err, payload);
-    ++protocol_errors_;
-    conn->deposit(ticket, FrameType::kError, std::move(payload), false);
-    std::lock_guard<std::mutex> lock(conn->mutex);
-    conn->closing = true;
-    return;
+    return protocol_violation("REQ seq " + std::to_string(batch.seq) +
+                              " out of order (expected " +
+                              std::to_string(conn->next_seq) + ")");
   }
   ++conn->next_seq;
 
@@ -489,10 +452,10 @@ void CorrectionServer::handle_request(const std::shared_ptr<Connection>& conn,
   }
 
   if (batch.reads.size() > options_.max_batch_reads) {
-    request_error(batch.seq, ngs::ErrorKind::kConfig,
-                  "batch of " + std::to_string(batch.reads.size()) +
-                      " reads exceeds the server's max_batch_reads=" +
-                      std::to_string(options_.max_batch_reads));
+    reply_error(*conn, ticket, batch.seq, ngs::ErrorKind::kConfig,
+                "batch of " + std::to_string(batch.reads.size()) +
+                    " reads exceeds the server's max_batch_reads=" +
+                    std::to_string(options_.max_batch_reads));
     return;
   }
 
@@ -505,7 +468,7 @@ void CorrectionServer::handle_request(const std::shared_ptr<Connection>& conn,
       conn->corrector = current->corrector_for(conn->method, conn->config);
       conn->epoch = std::move(current);
     } catch (const ngs::Error& e) {
-      request_error(batch.seq, e.kind(), e.what());
+      reply_error(*conn, ticket, batch.seq, e.kind(), e.what());
       return;
     }
   }
@@ -524,9 +487,25 @@ void CorrectionServer::handle_request(const std::shared_ptr<Connection>& conn,
     ++busy_rejections_;
     BusyReply busy;
     busy.seq = batch.seq;
+    std::vector<std::uint8_t> payload;
     encode_busy(busy, payload);
     conn->deposit(ticket, FrameType::kBusy, std::move(payload), true);
   }
+}
+
+void CorrectionServer::reply_error(Connection& conn, std::uint64_t ticket,
+                                   std::uint64_t seq, ngs::ErrorKind kind,
+                                   const std::string& message) {
+  const bool answers_request = seq != ErrorReply::kConnectionSeq;
+  if (!answers_request && kind == ngs::ErrorKind::kParse) ++protocol_errors_;
+  ErrorReply err;
+  err.seq = seq;
+  err.code = wire_error_code(kind);
+  err.message = message;
+  std::vector<std::uint8_t> payload;
+  encode_error(err, payload);
+  conn.deposit(ticket, FrameType::kError, std::move(payload),
+               answers_request);
 }
 
 void CorrectionServer::worker_loop() {
@@ -575,24 +554,11 @@ void CorrectionServer::worker_loop() {
       // One batch fails, the connection survives: the ERROR takes the
       // batch's reply slot so ordering and the window stay intact.
       ++batches_failed_;
-      ErrorReply err;
-      err.seq = task.seq;
-      err.code = wire_error_code(e.kind());
-      err.message = e.what();
-      payload.clear();
-      encode_error(err, payload);
-      task.conn->deposit(task.ticket, FrameType::kError, std::move(payload),
-                         true);
+      reply_error(*task.conn, task.ticket, task.seq, e.kind(), e.what());
     } catch (const std::exception& e) {
       ++batches_failed_;
-      ErrorReply err;
-      err.seq = task.seq;
-      err.code = wire_error_code(ngs::ErrorKind::kInternal);
-      err.message = e.what();
-      payload.clear();
-      encode_error(err, payload);
-      task.conn->deposit(task.ticket, FrameType::kError, std::move(payload),
-                         true);
+      reply_error(*task.conn, task.ticket, task.seq,
+                  ngs::ErrorKind::kInternal, e.what());
     }
     task = Task{};  // release the conn/epoch pins before the next pop
   }

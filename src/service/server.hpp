@@ -139,6 +139,12 @@ class CorrectionServer {
   bool handle_frame(const std::shared_ptr<Connection>& conn, Frame&& frame);
   void handle_request(const std::shared_ptr<Connection>& conn,
                       std::uint64_t ticket, Frame&& frame);
+  /// Queues an ERROR reply at `ticket`. One naming a REQ's `seq` takes
+  /// that REQ's window slot and the connection survives; a
+  /// connection-level one (ErrorReply::kConnectionSeq) precedes the
+  /// close and counts in protocol_errors when it is a kParse error.
+  void reply_error(Connection& conn, std::uint64_t ticket, std::uint64_t seq,
+                   ngs::ErrorKind kind, const std::string& message);
   void reap_finished_connections();
 
   ServiceOptions options_;

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <fstream>
 
 #include "util/error.hpp"
 
@@ -63,7 +64,22 @@ void AtomicFile::ensure_open() {
   file_ = std::fopen(tmp_.c_str(), "wb");
   if (file_ == nullptr) {
     throw Error(ErrorKind::kIo, options_.error_site,
-                tmp_ + ": open failed: " + std::strerror(errno));
+                target_ + ": open failed: " + std::strerror(errno));
+  }
+}
+
+void AtomicFile::write_through(
+    const std::function<void(std::ostream&)>& fill) {
+  std::ofstream os(tmp_);
+  if (!os) {
+    throw Error(ErrorKind::kIo, options_.error_site,
+                target_ + ": open failed: " + std::strerror(errno));
+  }
+  fill(os);
+  os.close();
+  if (!os) {
+    throw Error(ErrorKind::kIo, options_.error_site,
+                target_ + ": write failed");
   }
 }
 
@@ -72,7 +88,7 @@ void AtomicFile::write(const void* data, std::size_t n) {
   ensure_open();
   if (std::fwrite(data, 1, n, file_) != n) {
     throw Error(ErrorKind::kIo, options_.error_site,
-                tmp_ + ": write failed: " + std::strerror(errno));
+                target_ + ": write failed: " + std::strerror(errno));
   }
   offset_ += n;
 }
@@ -83,13 +99,13 @@ void AtomicFile::write_at(std::uint64_t offset, const void* data,
   ensure_open();
   if (offset + n > offset_) {
     throw Error(ErrorKind::kIo, options_.error_site,
-                tmp_ + ": write_at past the sequentially written extent");
+                target_ + ": write_at past the sequentially written extent");
   }
   if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0 ||
       std::fwrite(data, 1, n, file_) != n ||
       std::fseek(file_, static_cast<long>(offset_), SEEK_SET) != 0) {
     throw Error(ErrorKind::kIo, options_.error_site,
-                tmp_ + ": positioned write failed: " + std::strerror(errno));
+                target_ + ": positioned write failed: " + std::strerror(errno));
   }
 }
 
@@ -97,7 +113,7 @@ void AtomicFile::flush() {
   if (file_ == nullptr) return;
   if (std::fflush(file_) != 0) {
     throw Error(ErrorKind::kIo, options_.error_site,
-                tmp_ + ": flush failed: " + std::strerror(errno));
+                target_ + ": flush failed: " + std::strerror(errno));
   }
 }
 
@@ -108,14 +124,14 @@ void AtomicFile::commit() {
 #if NGS_ATOMIC_FILE_POSIX
     if (options_.fsync_file && ::fsync(::fileno(file_)) != 0) {
       throw Error(ErrorKind::kIo, options_.error_site,
-                  tmp_ + ": fsync failed: " + std::strerror(errno));
+                  target_ + ": fsync failed: " + std::strerror(errno));
     }
 #endif
     const int rc = std::fclose(file_);
     file_ = nullptr;
     if (rc != 0) {
       throw Error(ErrorKind::kIo, options_.error_site,
-                  tmp_ + ": close failed: " + std::strerror(errno));
+                  target_ + ": close failed: " + std::strerror(errno));
     }
   }
 #if !NGS_ATOMIC_FILE_POSIX
@@ -126,7 +142,7 @@ void AtomicFile::commit() {
     const std::string msg = std::strerror(errno);
     std::remove(tmp_.c_str());
     throw Error(ErrorKind::kIo, options_.error_site,
-                "cannot rename " + tmp_ + " to " + target_ + ": " + msg);
+                target_ + ": rename failed: " + msg);
   }
   committed_ = true;
   if (options_.fsync_dir) fsync_parent_dir(target_);

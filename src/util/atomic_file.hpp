@@ -1,7 +1,8 @@
 #pragma once
 // Atomic file replacement shared by every writer that must never leave
 // a torn or partial target behind: the corrected-FASTQ output of the
-// pipeline, the spectrum-index writers, and the spill bins of the
+// pipeline and the client, the FASTA/FASTQ file writers, the tools'
+// TSV outputs, the spectrum-index writers, and the spill bins of the
 // out-of-core spectrum build. The protocol is the classic
 // tmp + (optional fsync) + rename: bytes go to a uniquely named sibling
 // temp file, and only commit() renames it over the target, so readers
@@ -15,6 +16,8 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <iosfwd>
 #include <string>
 
 namespace ngs::util {
@@ -32,8 +35,8 @@ struct AtomicFileOptions {
 class AtomicFile {
  public:
   /// Derives a unique sibling temp path for `target`; nothing touches
-  /// the filesystem until the first write() (or an external writer
-  /// creates temp_path() itself).
+  /// the filesystem until the first write() or write_through(). Every
+  /// error this file raises names `target`, not the temp path.
   explicit AtomicFile(std::string target, AtomicFileOptions options = {});
   ~AtomicFile();  // unlinks the temp file unless commit() succeeded
   AtomicFile(const AtomicFile&) = delete;
@@ -41,9 +44,7 @@ class AtomicFile {
 
   const std::string& target_path() const noexcept { return target_; }
 
-  /// The temp file all writes land in until commit(). External writers
-  /// (e.g. an std::ofstream) may write this path directly and then call
-  /// commit(); cleanup-on-destruction still applies.
+  /// The temp file all writes land in until commit().
   const std::string& temp_path() const noexcept { return tmp_; }
 
   bool committed() const noexcept { return committed_; }
@@ -52,6 +53,13 @@ class AtomicFile {
   /// (creating/truncating) the temp file on first use. Throws
   /// ngs::Error(kIo, error_site) on failure.
   void write(const void* data, std::size_t n);
+
+  /// The stream form of write(): opens the temp file as one
+  /// std::ofstream, lets `fill` write it, and closes it; the caller then
+  /// commits. Throws ngs::Error(kIo, error_site) naming the target when
+  /// the temp file cannot be opened or written. Errors `fill` throws
+  /// propagate unchanged.
+  void write_through(const std::function<void(std::ostream&)>& fill);
 
   /// Overwrites `n` bytes at an absolute offset already covered by
   /// sequential writes (e.g. a header finalized after the payloads).

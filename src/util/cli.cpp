@@ -62,6 +62,14 @@ std::string CliParser::get(const std::string& name,
   return it == values_.end() ? fallback : it->second;
 }
 
+std::string CliParser::required(const std::string& name) const {
+  std::string value = get(name);
+  if (value.empty()) {
+    throw Error(ErrorKind::kConfig, "cli", "--" + name + " is required");
+  }
+  return value;
+}
+
 std::int64_t CliParser::get_int(const std::string& name,
                                 std::int64_t fallback) const {
   const auto it = values_.find(name);

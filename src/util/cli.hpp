@@ -30,6 +30,12 @@ class CliParser {
 
   bool help_requested() const noexcept { return help_; }
   const std::string& error() const noexcept { return error_; }
+  const std::string& program() const noexcept { return program_; }
+
+  /// True when add_option registered `name` (whether or not it was set).
+  bool declares(const std::string& name) const {
+    return options_.count(name) != 0;
+  }
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name,
@@ -37,6 +43,9 @@ class CliParser {
   /// Every occurrence of a repeatable option, in command-line order
   /// (get() keeps returning the last one). Empty if never passed.
   std::vector<std::string> get_all(const std::string& name) const;
+  /// The value of `name`; throws ngs::Error(kConfig) "--name is
+  /// required" when it is unset or empty.
+  std::string required(const std::string& name) const;
   /// Strict signed value of `name` (`fallback` when never set): throws
   /// ngs::Error(kConfig) naming the flag unless the whole text is a
   /// base-10 integer that fits 64 bits (so "abc", "4k", "+5" and "" are

@@ -70,9 +70,9 @@ class Error : public std::runtime_error {
   bool transient_;
 };
 
-/// The tools' shared exit-code contract (asserted by tools_smoke.sh):
-/// usage/config = 2, input or parse error = 3, index error = 4,
-/// everything else (task/internal) = 1.
+/// The tools' shared exit-code contract (fault::run_tool applies it;
+/// tools_smoke.sh asserts it): usage/config = 2, input or parse error
+/// = 3, index error = 4, everything else (task/internal) = 1.
 inline int tool_exit_code(ErrorKind kind) noexcept {
   switch (kind) {
     case ErrorKind::kConfig: return 2;
@@ -83,10 +83,6 @@ inline int tool_exit_code(ErrorKind kind) noexcept {
     case ErrorKind::kInternal: return 1;
   }
   return 1;
-}
-
-inline int tool_exit_code(const Error& e) noexcept {
-  return tool_exit_code(e.kind());
 }
 
 }  // namespace ngs

@@ -1,15 +1,22 @@
 // Tests for ngs::fault — the deterministic fault-injection registry:
 // spec grammar (valid and rejected forms), trigger semantics, seeded
-// reproducibility, counters, and the bounded transient-retry helper.
+// reproducibility, counters, the bounded transient-retry helper, and the
+// tools' runner (run_tool) with its exit-code ladder.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <functional>
+#include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "fault/fault.hpp"
 #include "fault/sites.hpp"
+#include "fault/tool.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -227,6 +234,139 @@ TEST(ToolExitCodes, MapTaxonomyToDistinctCodes) {
   EXPECT_EQ(tool_exit_code(ErrorKind::kIndex), 4);
   EXPECT_EQ(tool_exit_code(ErrorKind::kTask), 1);
   EXPECT_EQ(tool_exit_code(ErrorKind::kInternal), 1);
+}
+
+/// What one run_tool call did: its exit code, its stdout and stderr,
+/// and whether the body ran.
+struct ToolRun {
+  int code = -1;
+  std::string out;
+  std::string err;
+  bool body_ran = false;
+};
+
+/// Runs `body` through run_tool as "tool" with `args`, on a parser that
+/// declares --in and, when `faults`, --fault-spec.
+ToolRun run_tool_on(const std::vector<std::string>& args,
+                    const std::function<void(const util::CliParser&)>& body,
+                    bool faults = false) {
+  util::CliParser cli("tool", "a test tool");
+  cli.add_option("in", "input path", true, "");
+  if (faults) cli.add_option("fault-spec", "fault-injection spec", true, "");
+  std::vector<const char*> argv{"tool"};
+  for (const auto& arg : args) argv.push_back(arg.c_str());
+  ToolRun run;
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  run.code = fault::run_tool(cli, static_cast<int>(argv.size()), argv.data(),
+                             [&] {
+                               run.body_ran = true;
+                               body(cli);
+                             });
+  run.out = testing::internal::GetCapturedStdout();
+  run.err = testing::internal::GetCapturedStderr();
+  fault::Registry::instance().reset();
+  return run;
+}
+
+TEST(ToolExitCodes, RunToolPrintsEveryThrownErrorAsOneLine) {
+  for (const ErrorKind kind :
+       {ErrorKind::kConfig, ErrorKind::kIo, ErrorKind::kParse,
+        ErrorKind::kIndex, ErrorKind::kTask, ErrorKind::kInternal}) {
+    const ToolRun run = run_tool_on({}, [&](const util::CliParser&) {
+      throw Error(kind, "test.site", "it broke");
+    });
+    EXPECT_EQ(run.code, tool_exit_code(kind)) << error_kind_name(kind);
+    EXPECT_EQ(run.err, "tool: it broke\n") << error_kind_name(kind);
+    EXPECT_EQ(run.out, "");
+  }
+  ToolRun run = run_tool_on({}, [](const util::CliParser&) {
+    throw std::invalid_argument("unknown method 'bogus'");
+  });
+  EXPECT_EQ(run.code, 2);
+  EXPECT_EQ(run.err, "tool: unknown method 'bogus'\n");
+  run = run_tool_on({}, [](const util::CliParser&) {
+    throw std::runtime_error("invariant broke");
+  });
+  EXPECT_EQ(run.code, 1);
+  EXPECT_EQ(run.err, "tool: internal error: invariant broke\n");
+}
+
+TEST(ToolExitCodes, RunToolReturnsZeroWhenTheBodyReturns) {
+  const ToolRun run =
+      run_tool_on({"--in", "reads.fastq"}, [](const util::CliParser& cli) {
+        std::cout << cli.required("in") << "\n";
+      });
+  EXPECT_EQ(run.code, 0);
+  EXPECT_TRUE(run.body_ran);
+  EXPECT_EQ(run.out, "reads.fastq\n");
+  EXPECT_EQ(run.err, "");
+}
+
+TEST(ToolExitCodes, RunToolRejectsBadFlagsBeforeTheBody) {
+  for (const auto& args : std::vector<std::vector<std::string>>{
+           {"--bogus"}, {"--in"}}) {
+    const ToolRun run = run_tool_on(args, [](const util::CliParser&) {});
+    EXPECT_EQ(run.code, 2) << args[0];
+    EXPECT_FALSE(run.body_ran) << args[0];
+    EXPECT_NE(run.err.find(args[0]), std::string::npos) << run.err;
+    EXPECT_NE(run.err.find("Options:"), std::string::npos)
+        << "a parse error prints the usage on stderr";
+    EXPECT_EQ(run.out, "");
+  }
+}
+
+TEST(ToolExitCodes, RunToolPrintsHelpOnStdout) {
+  const ToolRun run =
+      run_tool_on({"--help"}, [](const util::CliParser&) {}, true);
+  EXPECT_EQ(run.code, 0);
+  EXPECT_FALSE(run.body_ran);
+  EXPECT_EQ(run.out.rfind("tool — a test tool\n", 0), 0u) << run.out;
+  EXPECT_NE(run.out.find("--fault-spec"), std::string::npos);
+  EXPECT_EQ(run.err, "");
+}
+
+TEST(ToolExitCodes, RunToolNamesAMissingRequiredFlag) {
+  for (const auto& args :
+       std::vector<std::vector<std::string>>{{}, {"--in", ""}}) {
+    const ToolRun run = run_tool_on(
+        args, [](const util::CliParser& cli) { cli.required("in"); });
+    EXPECT_EQ(run.code, 2);
+    EXPECT_EQ(run.err, "tool: --in is required\n");
+  }
+}
+
+TEST(ToolExitCodes, RunToolArmsFaultsOnlyWhenTheParserDeclaresTheFlag) {
+  const char* saved = std::getenv("NGS_FAULT_SPEC");
+  const std::string saved_spec = saved != nullptr ? saved : "";
+  const auto armed = [](bool faults, const std::vector<std::string>& args) {
+    bool enabled = false;
+    const ToolRun run = run_tool_on(
+        args,
+        [&](const util::CliParser&) {
+          enabled = fault::Registry::instance().enabled();
+        },
+        faults);
+    EXPECT_EQ(run.code, 0) << run.err;
+    return enabled;
+  };
+  ::unsetenv("NGS_FAULT_SPEC");
+  EXPECT_FALSE(armed(true, {}));
+  EXPECT_TRUE(armed(true, {"--fault-spec", "io.fastq.open=always"}));
+  ::setenv("NGS_FAULT_SPEC", "io.fastq.open=always", 1);
+  EXPECT_TRUE(armed(true, {}));
+  EXPECT_FALSE(armed(false, {}))
+      << "a tool without --fault-spec ignores NGS_FAULT_SPEC";
+  ::unsetenv("NGS_FAULT_SPEC");
+
+  // A bad spec is a config error, raised before the body runs.
+  const ToolRun run = run_tool_on({"--fault-spec", "no.such.site=always"},
+                                  [](const util::CliParser&) {}, true);
+  EXPECT_EQ(run.code, 2);
+  EXPECT_FALSE(run.body_ran);
+  EXPECT_EQ(run.err.rfind("tool: ", 0), 0u) << run.err;
+  EXPECT_NE(run.err.find("no.such.site"), std::string::npos) << run.err;
+  if (saved != nullptr) ::setenv("NGS_FAULT_SPEC", saved_spec.c_str(), 1);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -8,6 +9,7 @@
 
 #include "io/fastq_stream.hpp"
 #include "io/fastx.hpp"
+#include "util/atomic_file.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -119,6 +121,56 @@ TEST(FastxFiles, MissingFileErrorIsTypedAndNamesThePath) {
     EXPECT_NE(std::string(e.what()).find("/nonexistent/nope.fastq"),
               std::string::npos);
   }
+}
+
+TEST(FastxFiles, UnwritableOutputIsTypedNamesTheTargetAndLeavesNothing) {
+  const std::string dir = testing::TempDir() + "/ngs_no_such_dir";
+  for (const bool fasta : {false, true}) {
+    const std::string path = dir + (fasta ? "/out.fasta" : "/out.fastq");
+    try {
+      if (fasta) {
+        io::write_fasta_file(path, two_reads());
+      } else {
+        io::write_fastq_file(path, two_reads());
+      }
+      FAIL() << "expected a write failure for " << path;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(e.kind(), ErrorKind::kIo);
+      EXPECT_NE(what.find(path), std::string::npos) << what;
+      EXPECT_EQ(what.find(".tmp."), std::string::npos) << what;
+    }
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
+TEST(FastxFiles, StreamWriterPublishesOnlyCommittedWholeFiles) {
+  const std::string path = testing::TempDir() + "/ngs_write_through.txt";
+  std::remove(path.c_str());
+  {
+    util::AtomicFile file(path);
+    EXPECT_THROW(file.write_through([](std::ostream& os) {
+      os << "partial";
+      throw Error(ErrorKind::kIo, "test.site", "fill failed");
+    }),
+                 Error);
+  }  // destroyed uncommitted: the temp file goes with it
+  EXPECT_FALSE(std::filesystem::exists(path));
+  util::AtomicFile file(path);
+  file.write_through([](std::ostream& os) { os << "whole\n"; });
+  EXPECT_FALSE(std::filesystem::exists(path)) << "visible before commit";
+  file.commit();
+  std::ifstream in(path);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line, "whole");
+  for (const auto& entry :
+       std::filesystem::directory_iterator(testing::TempDir())) {
+    EXPECT_EQ(entry.path().filename().string().find("ngs_write_through.txt."),
+              std::string::npos)
+        << "temp file left behind: " << entry.path();
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Fastq, ParseErrorsCarryRecordAndLineLocation) {

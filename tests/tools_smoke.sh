@@ -30,6 +30,31 @@ expect_exit() {
   test -s "$WORK/stderr.txt"
 }
 
+# expect_usage <text> <cmd...>: a usage error (exit 2) naming <text>.
+expect_usage() {
+  local text="$1"
+  shift
+  expect_exit 2 "$@"
+  grep -qF -- "$text" "$WORK/stderr.txt"
+}
+
+# expect_unwritable <code> <target> <cmd...>: the command fails with
+# <code> naming <target>, not its temp file, prints no "wrote" line and
+# leaves no file at <target>.
+expect_unwritable() {
+  local want="$1" target="$2"
+  shift 2
+  expect_exit "$want" "$@"
+  grep -qF -- "$target" "$WORK/stderr.txt"
+  if grep -qF -- "$target.tmp." "$WORK/stderr.txt" ||
+     grep -q "^wrote" "$WORK/stderr.txt"; then
+    echo "unwritable $target: temp path or wrote line in:" >&2
+    cat "$WORK/stderr.txt" >&2
+    exit 1
+  fi
+  test ! -e "$target"
+}
+
 "$BIN_DIR/ngs_simulate" \
   --genome-length 20000 --coverage 30 --error-rate 0.01 --seed 7 \
   --reads "$WORK/reads.fastq" --genome "$WORK/genome.fasta" \
@@ -100,7 +125,8 @@ service_scenario() {
 
       # Client failure paths: missing --socket -> 2, bad --mode -> 2,
       # daemon not running -> 3, method the daemon rejects -> 2.
-      expect_exit 2 "$BIN_DIR/ngs_correct_client" --mode stats
+      expect_usage "--socket is required" "$BIN_DIR/ngs_correct_client" \
+        --mode stats
       expect_exit 2 "$BIN_DIR/ngs_correct_client" --socket "$sock" \
         --mode sideways
       expect_exit 3 "$BIN_DIR/ngs_correct_client" \
@@ -108,6 +134,19 @@ service_scenario() {
       grep -q "running" "$WORK/stderr.txt"
       expect_exit 2 "$BIN_DIR/ngs_correct_client" --socket "$sock" \
         --in "$WORK/reads.fastq" --out "$WORK/x.fastq" --method bogus
+      # Correct mode needs --in; a missing input -> 3; an unwritable
+      # output -> 3, naming the target and leaving nothing behind.
+      expect_usage "--in is required" "$BIN_DIR/ngs_correct_client" \
+        --socket "$sock" --out "$WORK/x.fastq"
+      expect_exit 3 "$BIN_DIR/ngs_correct_client" --socket "$sock" \
+        --in "$WORK/nonexistent.fastq" --out "$WORK/x.fastq" --method sap \
+        --genome-length 20000
+      grep -q "nonexistent.fastq" "$WORK/stderr.txt"
+      test ! -e "$WORK/x.fastq"
+      expect_unwritable 3 "$WORK/nodir/x.fastq" \
+        "$BIN_DIR/ngs_correct_client" --socket "$sock" \
+        --in "$WORK/reads.fastq" --out "$WORK/nodir/x.fastq" --method sap \
+        --genome-length 20000
     fi
 
     # Clean shutdown on SIGTERM: exit 0, socket file removed.
@@ -118,12 +157,16 @@ service_scenario() {
     test ! -e "$sock"
   done
 
-  # Daemon startup failures: missing index file -> 4, a declared k that
-  # contradicts the file header -> 2, a declared k past 32 bits (which
-  # would wrap to the file's k = 12) or past 64 bits -> 2, nothing to
-  # serve -> 2.
+  # Daemon startup failures: missing index file -> 4, missing reads
+  # -> 3, a declared k that contradicts the file header -> 2, a declared
+  # k past 32 bits (which would wrap to the file's k = 12) or past 64
+  # bits -> 2, nothing to serve -> 2.
   expect_exit 4 "$BIN_DIR/ngs_correctd" --socket "$sock" \
     --index "$WORK/nonexistent.ngsx"
+  grep -q "nonexistent.ngsx" "$WORK/stderr.txt"
+  expect_exit 3 "$BIN_DIR/ngs_correctd" --socket "$sock" \
+    --reads "$WORK/nonexistent.fastq"
+  grep -q "nonexistent.fastq" "$WORK/stderr.txt"
   expect_exit 2 "$BIN_DIR/ngs_correctd" --socket "$sock" \
     --index "9=$WORK/sap.ngsx"
   for declared in 4294967308 99999999999999999999; do
@@ -132,6 +175,7 @@ service_scenario() {
     grep -q -- "--index" "$WORK/stderr.txt"
   done
   expect_exit 2 "$BIN_DIR/ngs_correctd" --socket "$sock"
+  test ! -e "$sock"
 }
 
 if [ "$MODE" = "service" ]; then
@@ -206,10 +250,64 @@ rows=$(($(wc -l < "$WORK/clusters.tsv") - 1))
 seqs=$(grep -c '^>' "$WORK/reads.fasta")
 [ "$rows" = "$seqs" ]
 
+# One failure contract for all six tools (fault::run_tool). An unknown
+# flag and a missing required flag are usage errors (exit 2) naming the
+# flag (ngs-correct-client's required flags: service_scenario).
+for cmd in ngs_simulate ngs_correct ngs_cluster "ngs_index build" \
+    "ngs_index info" "ngs_index verify" ngs_correctd ngs_correct_client; do
+  read -ra argv <<< "$cmd"
+  expect_usage "--bogus" "$BIN_DIR/${argv[0]}" "${argv[@]:1}" --bogus
+done
+expect_usage "--in is required" "$BIN_DIR/ngs_correct" --method sap
+expect_usage "--in is required" "$BIN_DIR/ngs_cluster"
+expect_usage "--in is required" "$BIN_DIR/ngs_index" build \
+  --out "$WORK/x.ngsx"
+expect_usage "--out is required" "$BIN_DIR/ngs_index" build \
+  --in "$WORK/reads.fastq"
+for sub in info verify; do
+  expect_usage "--index is required" "$BIN_DIR/ngs_index" "$sub"
+done
+expect_usage "--socket is required" "$BIN_DIR/ngs_correctd" \
+  --reads "$WORK/reads.fastq"
+# A missing input is an I/O error (exit 3), a missing index an index
+# error (exit 4), each naming the path.
+expect_exit 3 "$BIN_DIR/ngs_correct" --in "$WORK/nonexistent.fastq" \
+  --out "$WORK/x.fastq" --method sap
+grep -q "nonexistent.fastq" "$WORK/stderr.txt"
+expect_exit 3 "$BIN_DIR/ngs_cluster" --in "$WORK/nonexistent.fasta" \
+  --out "$WORK/x.tsv"
+grep -q "nonexistent.fasta" "$WORK/stderr.txt"
+expect_exit 3 "$BIN_DIR/ngs_index" build --in "$WORK/nonexistent.fastq" \
+  --out "$WORK/x.ngsx"
+grep -q "nonexistent.fastq" "$WORK/stderr.txt"
+for sub in info verify; do
+  expect_exit 4 "$BIN_DIR/ngs_index" "$sub" --index "$WORK/nonexistent.ngsx"
+  grep -q "nonexistent.ngsx" "$WORK/stderr.txt"
+done
+# An output in a missing directory is an I/O error (exit 3; 4 for an
+# index file) naming the target, and the failed run leaves none of its
+# outputs behind.
+expect_unwritable 3 "$WORK/nodir/x.fastq" "$BIN_DIR/ngs_correct" \
+  --in "$WORK/reads.fastq" --out "$WORK/nodir/x.fastq" --method sap \
+  --genome-length 20000
+expect_unwritable 4 "$WORK/nodir/x.ngsx" "$BIN_DIR/ngs_correct" \
+  --in "$WORK/reads.fastq" --out "$WORK/x.fastq" --method sap \
+  --genome-length 20000 --save-index "$WORK/nodir/x.ngsx"
+expect_unwritable 4 "$WORK/nodir/x.ngsx" "$BIN_DIR/ngs_index" build \
+  --in "$WORK/reads.fastq" --out "$WORK/nodir/x.ngsx"
+expect_unwritable 3 "$WORK/nodir/x.tsv" "$BIN_DIR/ngs_cluster" \
+  --in "$WORK/reads.fasta" --thresholds 0.9 --out "$WORK/nodir/x.tsv"
+for output in reads genome truth; do
+  expect_unwritable 3 "$WORK/nodir/x.out" "$BIN_DIR/ngs_simulate" \
+    --genome-length 1000 --reads "$WORK/x.fastq" --genome "$WORK/x.fasta" \
+    --truth "$WORK/x.tsv" --"$output" "$WORK/nodir/x.out"
+done
+test ! -e "$WORK/nodir"
+for f in x.fastq x.ngsx x.tsv x.fasta; do test ! -e "$WORK/$f"; done
+
 # Failure paths carry distinct exit codes and stderr messages.
 # Usage/config errors -> 2.
 expect_exit 2 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" --method bogus
-expect_exit 2 "$BIN_DIR/ngs_correct" --method sap  # --in missing
 expect_exit 2 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
   --out "$WORK/x.fastq" --method sap --on-bad-record sometimes
 expect_exit 2 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
@@ -296,35 +394,6 @@ expect_exit 2 "$BIN_DIR/ngs_simulate" --genome-length 1000 \
   --reads "$WORK/x.fastq" --genome "$WORK/x.fasta"
 grep -q -- "--repeat-length" "$WORK/stderr.txt"
 
-# File errors of ngs-cluster and ngs-simulate are I/O errors (exit 3)
-# naming the path: a missing input, and an output in a missing
-# directory, which leaves no output of the run behind and no "wrote"
-# line.
-expect_exit 3 "$BIN_DIR/ngs_cluster" --in "$WORK/nonexistent.fasta" \
-  --out "$WORK/x.tsv"
-grep -q "nonexistent.fasta" "$WORK/stderr.txt"
-expect_exit 3 "$BIN_DIR/ngs_cluster" --in "$WORK/reads.fasta" \
-  --thresholds 0.9 --out "$WORK/nodir/x.tsv"
-grep -q "nodir/x.tsv" "$WORK/stderr.txt"
-if grep -q "^wrote" "$WORK/stderr.txt"; then
-  echo "ngs_cluster reported a write that failed" >&2
-  exit 1
-fi
-for output in reads genome truth; do
-  expect_exit 3 "$BIN_DIR/ngs_simulate" --genome-length 1000 \
-    --reads "$WORK/x.fastq" --genome "$WORK/x.fasta" --truth "$WORK/x.tsv" \
-    --"$output" "$WORK/nodir/x.out"
-  grep -q "nodir/x.out" "$WORK/stderr.txt"
-done
-test ! -e "$WORK/nodir"
-test ! -e "$WORK/x.tsv"
-test ! -e "$WORK/x.fasta"
-test ! -e "$WORK/x.fastq"
-
-# Missing/unreadable input -> 3.
-expect_exit 3 "$BIN_DIR/ngs_correct" --in "$WORK/nonexistent.fastq" \
-  --out "$WORK/x.fastq" --method sap
-
 # Malformed input: fail mode -> 3 with a located parse error; skip mode
 # drops the bad record and succeeds.
 {
@@ -409,15 +478,12 @@ printf '\xff' | dd of="$WORK/corrupt.ngsx" bs=1 seek=300 count=1 \
   conv=notrunc status=none
 expect_exit 4 "$BIN_DIR/ngs_index" verify --index "$WORK/corrupt.ngsx"
 
-# Index failure paths: missing index -> 4, unknown subcommand -> 2, a
-# corrupt index behind ngs-correct --load-index -> 4.
-expect_exit 4 "$BIN_DIR/ngs_index" info --index "$WORK/nonexistent.ngsx"
-expect_exit 4 "$BIN_DIR/ngs_index" verify --index "$WORK/nonexistent.ngsx"
+# Index failure paths: unknown or missing subcommand -> 2, a corrupt
+# index behind ngs-correct --load-index -> 4.
 expect_exit 2 "$BIN_DIR/ngs_index" frobnicate
+expect_exit 2 "$BIN_DIR/ngs_index"
 expect_exit 2 "$BIN_DIR/ngs_index" build --in "$WORK/reads.fastq" \
   --out "$WORK/bad_k.ngsx" --k 99
-expect_exit 3 "$BIN_DIR/ngs_index" build --in "$WORK/nonexistent.fastq" \
-  --out "$WORK/x.ngsx"
 # Structural corruption (truncation) is caught even by the lazy
 # non-verifying load behind --load-index.
 head -c 100 "$WORK/spectrum.ngsx" > "$WORK/truncated.ngsx"

@@ -9,11 +9,11 @@
 #include <sstream>
 
 #include "closet/closet.hpp"
+#include "fault/tool.hpp"
 #include "io/fastx.hpp"
 #include "seq/kmer.hpp"
 #include "util/atomic_file.hpp"
 #include "util/cli.hpp"
-#include "util/error.hpp"
 #include "util/timer.hpp"
 
 using namespace ngs;
@@ -30,17 +30,9 @@ int main(int argc, char** argv) {
   cli.add_option("cmin", "candidate screening similarity", true, "0.6");
   cli.add_option("alignment", "validate edges with banded alignment",
                  false);
-  if (!cli.parse(argc, argv)) {
-    std::cerr << cli.error() << "\n" << cli.usage();
-    return 2;
-  }
-  if (cli.help_requested() || cli.get("in").empty()) {
-    std::cout << cli.usage();
-    return cli.help_requested() ? 0 : 2;
-  }
-
-  closet::ClosetParams params;
-  try {
+  return fault::run_tool(cli, argc, argv, [&] {
+    const std::string path = cli.required("in");
+    closet::ClosetParams params;
     params.k = static_cast<int>(cli.get_size("k", 15, 1, seq::kMaxK));
     params.gamma = cli.get_double("gamma", 2.0 / 3.0, 0.0, 1.0);
     params.cmin = cli.get_double("cmin", 0.6, 0.0, 1.0);
@@ -51,16 +43,8 @@ int main(int argc, char** argv) {
       params.thresholds.push_back(
           util::parse_double("thresholds", item, 0.0, 1.0));
     }
-  } catch (const Error& e) {
-    std::cerr << "ngs-cluster: " << e.what() << "\n";
-    return tool_exit_code(e.kind());
-  }
+    params.validate_with_alignment = cli.has("alignment");
 
-  // A missing input or an unwritable output is an I/O error (exit 3).
-  // The TSV goes through util::AtomicFile, so a failed run leaves no
-  // partial file and prints no "wrote" line.
-  try {
-    const std::string path = cli.get("in");
     const bool fastq = path.size() > 6 &&
                        (path.rfind(".fastq") == path.size() - 6 ||
                         path.rfind(".fq") == path.size() - 3);
@@ -68,43 +52,38 @@ int main(int argc, char** argv) {
         fastq ? io::read_fastq_file(path) : io::read_fasta_file(path);
     std::cerr << "read " << reads.size() << " sequences\n";
 
-    params.validate_with_alignment = cli.has("alignment");
-
     util::Timer timer;
     closet::Closet engine(params);
     const auto result = engine.run(reads);
     std::cerr << "validated " << result.confirmed_edges << " edges in "
               << timer.seconds() << "s\n";
 
-    std::ostringstream out;
-    out << "read";
-    for (const auto& level : result.levels) {
-      out << "\tcluster@" << level.threshold;
-    }
-    out << "\n";
+    // The TSV goes through util::AtomicFile, so a failed run leaves no
+    // partial file and prints no "wrote" line.
     std::vector<std::vector<std::uint32_t>> labels;
     labels.reserve(result.levels.size());
     for (const auto& level : result.levels) {
       labels.push_back(
           closet::Closet::to_partition(level.clusters, reads.size()));
     }
-    for (std::size_t i = 0; i < reads.size(); ++i) {
-      out << reads.reads[i].id;
-      for (const auto& l : labels) out << '\t' << l[i];
-      out << '\n';
-    }
     util::AtomicFile file(cli.get("out"));
-    const std::string text = out.str();
-    file.write(text.data(), text.size());
+    file.write_through([&](std::ostream& out) {
+      out << "read";
+      for (const auto& level : result.levels) {
+        out << "\tcluster@" << level.threshold;
+      }
+      out << "\n";
+      for (std::size_t i = 0; i < reads.size(); ++i) {
+        out << reads.reads[i].id;
+        for (const auto& l : labels) out << '\t' << l[i];
+        out << '\n';
+      }
+    });
     file.commit();
     for (const auto& level : result.levels) {
       std::cerr << "threshold " << level.threshold << ": "
                 << level.resulting_clusters << " clusters\n";
     }
-  } catch (const Error& e) {
-    std::cerr << "ngs-cluster: " << e.what() << "\n";
-    return tool_exit_code(e.kind());
-  }
-  std::cerr << "wrote " << cli.get("out") << "\n";
-  return 0;
+    std::cerr << "wrote " << cli.get("out") << "\n";
+  });
 }

@@ -15,12 +15,12 @@
 // Exit codes: 0 success, 2 usage/config error, 3 input open/parse
 // error, 4 index error, 1 internal error.
 
-#include <exception>
 #include <iostream>
 
 #include "core/pipeline.hpp"
 #include "core/registry.hpp"
 #include "fault/fault.hpp"
+#include "fault/tool.hpp"
 #include "seq/kmer.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
@@ -78,44 +78,25 @@ int main(int argc, char** argv) {
                  "fault-injection spec, e.g. 'io.fastq.open=n2,seed=7' "
                  "(also read from NGS_FAULT_SPEC; testing only)",
                  true, "");
-  if (!cli.parse(argc, argv)) {
-    std::cerr << cli.error() << "\n" << cli.usage();
-    return 2;
-  }
-  const std::string method_name = cli.get("method", "reptile");
-  if (method_name == "list") {
-    // Phase 1: a streamed spectrum, the method's own passes over the
-    // streamed input, or the whole input buffered.
-    for (const auto& info : core::registered_methods()) {
-      const bool batches =
-          core::make_corrector(info.name, {})->supports_batches();
-      std::cout << info.name << '\t'
-                << (info.streaming ? "streaming"
-                    : batches      ? "multi-pass"
-                                   : "buffered")
-                << '\t' << info.description << '\n';
+  return fault::run_tool(cli, argc, argv, [&] {
+    const std::string method_name = cli.get("method", "reptile");
+    if (method_name == "list") {
+      // Phase 1: a streamed spectrum, the method's own passes over the
+      // streamed input, or the whole input buffered.
+      for (const auto& info : core::registered_methods()) {
+        const bool batches =
+            core::make_corrector(info.name, {})->supports_batches();
+        std::cout << info.name << '\t'
+                  << (info.streaming ? "streaming"
+                      : batches      ? "multi-pass"
+                                     : "buffered")
+                  << '\t' << info.description << '\n';
+      }
+      return;
     }
-    return 0;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.usage();
-    return 0;
-  }
-  if (cli.get("in").empty()) {
-    std::cerr << "ngs-correct: --in is required\n" << cli.usage();
-    return 2;
-  }
-
-  // Arm the fault registry before any I/O (env first, then the flag,
-  // which augments/overrides the env spec site by site) and read the
-  // numeric flags: a bad spec or value is a config error.
-  core::CorrectorConfig config;
-  core::PipelineOptions options;
-  try {
-    fault::Registry::instance().configure_from_env();
-    if (!cli.get("fault-spec").empty()) {
-      fault::Registry::instance().configure(cli.get("fault-spec"));
-    }
+    const std::string in = cli.required("in");
+    core::CorrectorConfig config;
+    core::PipelineOptions options;
     config.genome_length = cli.get_size("genome-length", 1000000);
     config.k = static_cast<int>(cli.get_size("k", 0, 0, seq::kMaxK));
     config.tile_cache_mb = cli.get_size("tile-cache-mb", 32);
@@ -124,109 +105,83 @@ int main(int argc, char** argv) {
     options.memory_budget_bytes =
         cli.get_size("memory-budget-mb", 0, 0, SIZE_MAX >> 20) << 20;
     config.error_rate = cli.get_double("error-rate", 0.01, 0.0, 1.0);
-  } catch (const Error& e) {
-    std::cerr << "ngs-correct: " << e.what() << "\n";
-    return tool_exit_code(e.kind());
-  }
+    const std::string on_bad_record = cli.get("on-bad-record", "fail");
+    if (on_bad_record != "fail" && on_bad_record != "skip") {
+      throw Error(ErrorKind::kConfig, "cli",
+                  "--on-bad-record must be 'fail' or 'skip', got '" +
+                      on_bad_record + "'");
+    }
+    options.on_bad_record = on_bad_record == "skip"
+                                ? io::BadRecordPolicy::kSkip
+                                : io::BadRecordPolicy::kFail;
+    options.load_index_path = cli.get("load-index");
+    options.save_index_path = cli.get("save-index");
+    options.spill_dir = cli.get("spill-dir");
+    core::CorrectionPipeline pipeline(
+        core::make_corrector(method_name, config), options);
 
-  io::BadRecordPolicy bad_record_policy = io::BadRecordPolicy::kFail;
-  const std::string on_bad_record = cli.get("on-bad-record", "fail");
-  if (on_bad_record == "skip") {
-    bad_record_policy = io::BadRecordPolicy::kSkip;
-  } else if (on_bad_record != "fail") {
-    std::cerr << "ngs-correct: --on-bad-record must be 'fail' or 'skip', got '"
-              << on_bad_record << "'\n";
-    return 2;
-  }
-
-  std::unique_ptr<core::Corrector> corrector;
-  try {
-    corrector = core::make_corrector(method_name, config);
-  } catch (const std::invalid_argument& e) {
-    std::cerr << e.what() << "\n" << cli.usage();
-    return 2;
-  }
-
-  options.load_index_path = cli.get("load-index");
-  options.save_index_path = cli.get("save-index");
-  options.spill_dir = cli.get("spill-dir");
-  options.on_bad_record = bad_record_policy;
-  core::CorrectionPipeline pipeline(std::move(corrector), options);
-
-  util::Timer timer;
-  core::PipelineResult result;
-  try {
-    result = pipeline.run_file(cli.get("in"), cli.get("out"));
-  } catch (const Error& e) {
-    std::cerr << "ngs-correct: " << e.what() << "\n";
-    return tool_exit_code(e.kind());
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "ngs-correct: " << e.what() << "\n";
-    return 2;
-  } catch (const std::exception& e) {
-    std::cerr << "ngs-correct: internal error: " << e.what() << "\n";
-    return 1;
-  }
-  const char* phase1 = result.streamed ? " (streamed spectrum)"
-                       : result.pass1_overlap.workers > 0
-                           ? " (streamed passes)"
-                           : " (buffered)";
-  std::cerr << "method=" << method_name << phase1 << ": "
-            << result.report.summary() << "\n";
-  // Index provenance, formatted like the tile-cache extras below: one
-  // stderr line keyed off the standardized report extras.
-  if (result.report.extra("pass1_skipped") +
-          result.report.extra("index_saved") >
-      0) {
-    std::cerr << "index: " << result.report.note_or("index_path")
-              << " (checksum " << result.report.note_or("index_checksum")
-              << ", pass 1 "
-              << (result.pass1_skipped ? "skipped — spectrum mmap-loaded"
-                                       : "built and saved")
-              << ")\n";
-  }
-  const std::uint64_t cache_hits = result.report.extra("tile_cache_hits");
-  const std::uint64_t cache_misses = result.report.extra("tile_cache_misses");
-  if (cache_hits + cache_misses > 0) {
-    std::cerr << "tile cache: "
-              << 100.0 * static_cast<double>(cache_hits) /
-                     static_cast<double>(cache_hits + cache_misses)
-              << "% hit rate, pass 2 "
-              << result.report.extra("pass2_reads_per_sec") << " reads/s\n";
-  }
-  if (result.spectrum_spilled) {
-    std::cerr << "spill: pass 1 stayed under "
-              << (options.memory_budget_bytes >> 20) << " MiB (peak tracked "
-              << result.spectrum_peak_tracked_bytes << " bytes), "
-              << result.spectrum_spilled_bytes << " bytes spilled into "
-              << result.spectrum_spill_bins << " bins\n";
-  }
-  if (result.pass2_overlap.workers > 0) {
-    const auto& s2 = result.pass2_overlap;
-    std::cerr << "overlap: pass 2 "
-              << result.report.extra("pass2_worker_util_pct")
-              << "% worker utilization over " << s2.workers
-              << " workers (reader stall "
-              << result.report.extra("pass2_reader_stall_ms")
-              << " ms, writer stall "
-              << result.report.extra("pass2_writer_stall_ms")
-              << " ms, queue peak " << s2.queue_peak << ", reorder peak "
-              << s2.reorder_peak << ")\n";
-  }
-  // Degradation report: anything the run survived rather than failed.
-  if (result.reads_skipped + result.reads_failed + result.io_retries > 0) {
-    std::cerr << "degraded: " << result.reads_skipped
-              << " malformed records skipped, " << result.reads_failed
-              << " reads passed through uncorrected, " << result.io_retries
-              << " transient I/O retries\n";
-  }
-  if (fault::Registry::instance().enabled()) {
-    std::cerr << "fault injection: " << fault::Registry::instance().summary()
-              << "\n";
-  }
-  std::cerr << "wrote " << cli.get("out") << " in " << timer.seconds()
-            << "s (" << result.batches << " batches, peak "
-            << result.peak_buffered_reads << " buffered reads, peak rss "
-            << util::to_gib(result.peak_rss_bytes) << " GiB)\n";
-  return 0;
+    util::Timer timer;
+    const core::PipelineResult result = pipeline.run_file(in, cli.get("out"));
+    const char* phase1 = result.streamed ? " (streamed spectrum)"
+                         : result.pass1_overlap.workers > 0
+                             ? " (streamed passes)"
+                             : " (buffered)";
+    std::cerr << "method=" << method_name << phase1 << ": "
+              << result.report.summary() << "\n";
+    // Index provenance, formatted like the tile-cache extras below: one
+    // stderr line keyed off the standardized report extras.
+    if (result.report.extra("pass1_skipped") +
+            result.report.extra("index_saved") >
+        0) {
+      std::cerr << "index: " << result.report.note_or("index_path")
+                << " (checksum " << result.report.note_or("index_checksum")
+                << ", pass 1 "
+                << (result.pass1_skipped ? "skipped — spectrum mmap-loaded"
+                                         : "built and saved")
+                << ")\n";
+    }
+    const std::uint64_t cache_hits = result.report.extra("tile_cache_hits");
+    const std::uint64_t cache_misses = result.report.extra("tile_cache_misses");
+    if (cache_hits + cache_misses > 0) {
+      std::cerr << "tile cache: "
+                << 100.0 * static_cast<double>(cache_hits) /
+                       static_cast<double>(cache_hits + cache_misses)
+                << "% hit rate, pass 2 "
+                << result.report.extra("pass2_reads_per_sec") << " reads/s\n";
+    }
+    if (result.spectrum_spilled) {
+      std::cerr << "spill: pass 1 stayed under "
+                << (options.memory_budget_bytes >> 20) << " MiB (peak tracked "
+                << result.spectrum_peak_tracked_bytes << " bytes), "
+                << result.spectrum_spilled_bytes << " bytes spilled into "
+                << result.spectrum_spill_bins << " bins\n";
+    }
+    if (result.pass2_overlap.workers > 0) {
+      const auto& s2 = result.pass2_overlap;
+      std::cerr << "overlap: pass 2 "
+                << result.report.extra("pass2_worker_util_pct")
+                << "% worker utilization over " << s2.workers
+                << " workers (reader stall "
+                << result.report.extra("pass2_reader_stall_ms")
+                << " ms, writer stall "
+                << result.report.extra("pass2_writer_stall_ms")
+                << " ms, queue peak " << s2.queue_peak << ", reorder peak "
+                << s2.reorder_peak << ")\n";
+    }
+    // Degradation report: anything the run survived rather than failed.
+    if (result.reads_skipped + result.reads_failed + result.io_retries > 0) {
+      std::cerr << "degraded: " << result.reads_skipped
+                << " malformed records skipped, " << result.reads_failed
+                << " reads passed through uncorrected, " << result.io_retries
+                << " transient I/O retries\n";
+    }
+    if (fault::Registry::instance().enabled()) {
+      std::cerr << "fault injection: " << fault::Registry::instance().summary()
+                << "\n";
+    }
+    std::cerr << "wrote " << cli.get("out") << " in " << timer.seconds()
+              << "s (" << result.batches << " batches, peak "
+              << result.peak_buffered_reads << " buffered reads, peak rss "
+              << util::to_gib(result.peak_rss_bytes) << " GiB)\n";
+  });
 }

@@ -19,12 +19,11 @@
 // Exit codes: 0 success, 2 usage/config error, 3 input/daemon I/O or
 // protocol error, 4 index error (e.g. failed reload), 1 internal error.
 
-#include <exception>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "fault/tool.hpp"
 #include "io/fastq_stream.hpp"
 #include "io/fastx.hpp"
 #include "seq/kmer.hpp"
@@ -62,32 +61,15 @@ int main(int argc, char** argv) {
   cli.add_option("busy-retry-limit",
                  "BUSY resends tolerated per batch before giving up", true,
                  "64");
-  if (!cli.parse(argc, argv)) {
-    std::cerr << cli.error() << "\n" << cli.usage();
-    return 2;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.usage();
-    return 0;
-  }
-  if (cli.get("socket").empty()) {
-    std::cerr << "ngs-correct-client: --socket is required\n" << cli.usage();
-    return 2;
-  }
-  const std::string mode = cli.get("mode", "correct");
-  if (mode != "correct" && mode != "stats" && mode != "reload") {
-    std::cerr << "ngs-correct-client: --mode must be correct, stats, or "
-                 "reload, got '"
-              << mode << "'\n";
-    return 2;
-  }
-  if (mode == "correct" && cli.get("in").empty()) {
-    std::cerr << "ngs-correct-client: --in is required in correct mode\n"
-              << cli.usage();
-    return 2;
-  }
-
-  try {
+  return fault::run_tool(cli, argc, argv, [&] {
+    const std::string socket = cli.required("socket");
+    const std::string mode = cli.get("mode", "correct");
+    if (mode != "correct" && mode != "stats" && mode != "reload") {
+      throw Error(ErrorKind::kConfig, "cli",
+                  "--mode must be correct, stats, or reload, got '" + mode +
+                      "'");
+    }
+    const std::string in = mode == "correct" ? cli.required("in") : "";
     service::StreamOptions stream;
     stream.batch_size = cli.get_size("batch-size", 1024, 1);
     stream.window = cli.get_size("window", 4);
@@ -99,17 +81,17 @@ int main(int argc, char** argv) {
     hello.genome_length = cli.get_size("genome-length", 1000000);
     hello.error_rate = cli.get_double("error-rate", 0.01, 0.0, 1.0);
 
-    service::Client client(cli.get("socket"));
+    service::Client client(socket);
     client.connect();
 
     if (mode == "stats") {
       std::cout << client.stats();
-      return 0;
+      return;
     }
     if (mode == "reload") {
       const std::uint64_t epoch = client.reload();
       std::cout << "reloaded: epoch " << epoch << "\n";
-      return 0;
+      return;
     }
 
     const service::HelloOk limits = client.hello(hello);
@@ -124,13 +106,8 @@ int main(int argc, char** argv) {
     util::AtomicFile out_file(cli.get("out"));
     util::Timer timer;
     service::StreamResult result;
-    {
-      std::ofstream os(out_file.temp_path());
-      if (!os) {
-        throw Error(ErrorKind::kIo, "",
-                    "cannot open for writing: " + out_file.temp_path());
-      }
-      io::FastqStreamReader reader(cli.get("in"));
+    out_file.write_through([&](std::ostream& os) {
+      io::FastqStreamReader reader(in);
       result = service::correct_stream(
           client, limits, stream,
           [&](std::vector<seq::Read>& reads) {
@@ -140,12 +117,7 @@ int main(int argc, char** argv) {
           [&](std::vector<seq::Read>&& corrected) {
             io::write_fastq(os, corrected);
           });
-      os.flush();
-      if (!os) {
-        throw Error(ErrorKind::kIo, "",
-                    "write failed: " + out_file.temp_path());
-      }
-    }
+    });
     out_file.commit();
 
     std::cerr << "method=" << hello.method << " via daemon (epoch "
@@ -159,15 +131,5 @@ int main(int argc, char** argv) {
     std::cerr << "wrote " << cli.get("out") << " in " << timer.seconds()
               << "s (" << result.batches << " batches, window "
               << stream.window << ")\n";
-    return 0;
-  } catch (const Error& e) {
-    std::cerr << "ngs-correct-client: " << e.what() << "\n";
-    return tool_exit_code(e.kind());
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "ngs-correct-client: " << e.what() << "\n";
-    return 2;
-  } catch (const std::exception& e) {
-    std::cerr << "ngs-correct-client: internal error: " << e.what() << "\n";
-    return 1;
-  }
+  });
 }

@@ -19,12 +19,12 @@
 
 #include <signal.h>
 
-#include <exception>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "fault/fault.hpp"
+#include "fault/tool.hpp"
 #include "index/spectrum_index.hpp"
 #include "seq/kmer.hpp"
 #include "service/server.hpp"
@@ -81,42 +81,17 @@ int main(int argc, char** argv) {
                  "fault-injection spec (also read from NGS_FAULT_SPEC; "
                  "testing only)",
                  true, "");
-  if (!cli.parse(argc, argv)) {
-    std::cerr << cli.error() << "\n" << cli.usage();
-    return 2;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.usage();
-    return 0;
-  }
-  if (cli.get("socket").empty()) {
-    std::cerr << "ngs-correctd: --socket is required\n" << cli.usage();
-    return 2;
-  }
-  const auto index_args = cli.get_all("index");
-  if (index_args.empty() && cli.get("reads").empty()) {
-    std::cerr << "ngs-correctd: nothing to serve — pass at least one "
-                 "--index and/or --reads\n"
-              << cli.usage();
-    return 2;
-  }
-
-  try {
-    fault::Registry::instance().configure_from_env();
-    if (!cli.get("fault-spec").empty()) {
-      fault::Registry::instance().configure(cli.get("fault-spec"));
+  return fault::run_tool(cli, argc, argv, [&] {
+    service::ServiceOptions options;
+    options.socket_path = cli.required("socket");
+    service::IndexRegistryConfig registry;
+    registry.reads_path = cli.get("reads");
+    const auto index_args = cli.get_all("index");
+    if (index_args.empty() && registry.reads_path.empty()) {
+      throw Error(ErrorKind::kConfig, "cli",
+                  "nothing to serve — pass at least one --index and/or "
+                  "--reads");
     }
-  } catch (const Error& e) {
-    std::cerr << "ngs-correctd: " << e.what() << "\n";
-    return tool_exit_code(e.kind());
-  }
-
-  service::ServiceOptions options;
-  options.socket_path = cli.get("socket");
-  service::IndexRegistryConfig registry;
-  registry.reads_path = cli.get("reads");
-
-  try {
     options.workers = cli.get_size("threads", 2);
     options.queue_capacity = cli.get_size("queue-capacity", 32);
     options.max_inflight_per_client = cli.get_size("max-inflight", 4);
@@ -130,9 +105,10 @@ int main(int argc, char** argv) {
         // error worth failing on before we start serving.
         const auto info = index::SpectrumIndex::read_info(path);
         if (info.build.k != declared_k) {
-          std::cerr << "ngs-correctd: --index " << arg << ": file has k="
-                    << info.build.k << ", not k=" << declared_k << "\n";
-          return 2;
+          throw Error(ErrorKind::kConfig, "cli",
+                      "--index " + arg + ": file has k=" +
+                          std::to_string(info.build.k) + ", not k=" +
+                          std::to_string(declared_k));
         }
       }
       registry.index_paths.push_back(path);
@@ -187,15 +163,5 @@ int main(int argc, char** argv) {
       std::cerr << "fault injection: "
                 << fault::Registry::instance().summary() << "\n";
     }
-    return 0;
-  } catch (const Error& e) {
-    std::cerr << "ngs-correctd: " << e.what() << "\n";
-    return tool_exit_code(e.kind());
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "ngs-correctd: " << e.what() << "\n";
-    return 2;
-  } catch (const std::exception& e) {
-    std::cerr << "ngs-correctd: internal error: " << e.what() << "\n";
-    return 1;
-  }
+  });
 }

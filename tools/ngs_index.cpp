@@ -22,12 +22,11 @@
 // error, 4 index error (including verify failures), 1 internal error.
 
 #include <cstdio>
-#include <exception>
 #include <iostream>
 #include <string>
 
 #include "core/pipeline.hpp"
-#include "fault/fault.hpp"
+#include "fault/tool.hpp"
 #include "index/spectrum_index.hpp"
 #include "io/fastq_stream.hpp"
 #include "seq/kmer.hpp"
@@ -38,16 +37,6 @@
 using namespace ngs;
 
 namespace {
-
-void print_usage(std::ostream& os) {
-  os << "ngs-index — persistent k-spectrum index tool\n"
-     << "usage: ngs-index <build|info|verify> [options]\n\n"
-     << "  build  --in reads.fastq --out index.ngsx [--k N]\n"
-     << "         [--both-strands 0|1] [--threads N] [--batch-size N]\n"
-     << "         [--memory-budget-mb N] [--spill-dir DIR]\n"
-     << "  info   --index index.ngsx [--json]\n"
-     << "  verify --index index.ngsx\n";
-}
 
 const char* section_label(index::SectionId id) {
   switch (id) {
@@ -125,14 +114,9 @@ void print_info_json(const index::IndexInfo& info, const std::string& path) {
   std::cout << "\n  ]\n}\n";  // a valid table has at least two rows
 }
 
-int run_build(util::CliParser& cli) {
-  const std::string in = cli.get("in");
-  const std::string out = cli.get("out");
-  if (in.empty() || out.empty()) {
-    std::cerr << "ngs-index build: --in and --out are required\n"
-              << cli.usage();
-    return 2;
-  }
+void run_build(const util::CliParser& cli) {
+  const std::string in = cli.required("in");
+  const std::string out = cli.required("out");
   const int k = static_cast<int>(cli.get_size("k", 12, 1, seq::kMaxK));
   const bool both_strands = cli.get_size("both-strands", 1, 0, 1) != 0;
   // The same pass 1 as ngs-correct --save-index, so both write the same
@@ -159,30 +143,20 @@ int run_build(util::CliParser& cli) {
   }
   std::cerr << "wrote " << out << " (checksum 0x" << std::hex
             << step.index_checksum << std::dec << ")\n";
-  return 0;
 }
 
-int run_info(util::CliParser& cli) {
-  const std::string path = cli.get("index");
-  if (path.empty()) {
-    std::cerr << "ngs-index info: --index is required\n" << cli.usage();
-    return 2;
-  }
+void run_info(const util::CliParser& cli) {
+  const std::string path = cli.required("index");
   const auto info = index::SpectrumIndex::read_info(path);
   if (cli.has("json")) {
     print_info_json(info, path);
   } else {
     print_info(info, path);
   }
-  return 0;
 }
 
-int run_verify(util::CliParser& cli) {
-  const std::string path = cli.get("index");
-  if (path.empty()) {
-    std::cerr << "ngs-index verify: --index is required\n" << cli.usage();
-    return 2;
-  }
+void run_verify(const util::CliParser& cli) {
+  const std::string path = cli.required("index");
   util::Timer timer;
   index::LoadOptions options;
   options.verify_checksums = true;
@@ -191,26 +165,19 @@ int run_verify(util::CliParser& cli) {
   std::cerr << "ok: " << path << " (" << index.info().distinct
             << " distinct kmers, checksum 0x" << std::hex
             << index.info().checksum << std::dec << ", "
-            << (index.info().mapped ? "mmap" : "owned buffer") << ", verified in "
-            << timer.seconds() << "s)\n";
-  return 0;
+            << (index.info().mapped ? "mmap" : "owned buffer")
+            << ", verified in " << timer.seconds() << "s)\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc < 2) {
-    print_usage(std::cerr);
-    return 2;
-  }
-  const std::string subcommand = argv[1];
-  if (subcommand == "--help" || subcommand == "help") {
-    print_usage(std::cout);
-    return 0;
-  }
-
-  util::CliParser cli("ngs-index " + subcommand,
-                      "persistent k-spectrum index tool");
+/// The parser of `subcommand`: its name and options, or a bare
+/// "ngs-index" parser for an unknown subcommand, which main rejects.
+util::CliParser make_cli(const std::string& subcommand) {
+  const bool known = subcommand == "build" || subcommand == "info" ||
+                     subcommand == "verify";
+  util::CliParser cli(known ? "ngs-index " + subcommand : "ngs-index",
+                      "persistent k-spectrum index tool; usage: ngs-index "
+                      "<build|info|verify> [options]");
+  if (!known) return cli;
   if (subcommand == "build") {
     cli.add_option("in", "input FASTQ", true, "");
     cli.add_option("out", "output index path", true, "");
@@ -231,60 +198,38 @@ int main(int argc, char** argv) {
                    "directory for spill bins under --memory-budget-mb "
                    "(default: system temp dir)",
                    true, "");
-    cli.add_option("fault-spec",
-                   "fault-injection spec (also read from NGS_FAULT_SPEC; "
-                   "testing only)",
-                   true, "");
-  } else if (subcommand == "info" || subcommand == "verify") {
+  } else {
     cli.add_option("index", "index file to inspect", true, "");
     if (subcommand == "info") {
       cli.add_option("json",
                      "emit the header/section dump as JSON on stdout",
                      false);
     }
-    cli.add_option("fault-spec",
-                   "fault-injection spec (also read from NGS_FAULT_SPEC; "
-                   "testing only)",
-                   true, "");
-  } else {
-    std::cerr << "ngs-index: unknown subcommand '" << subcommand << "'\n";
-    print_usage(std::cerr);
-    return 2;
   }
-  if (!cli.parse(argc - 1, argv + 1)) {
-    std::cerr << cli.error() << "\n" << cli.usage();
-    return 2;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.usage();
-    return 0;
-  }
+  cli.add_option("fault-spec",
+                 "fault-injection spec (also read from NGS_FAULT_SPEC; "
+                 "testing only)",
+                 true, "");
+  return cli;
+}
 
-  try {
-    fault::Registry::instance().configure_from_env();
-    if (!cli.get("fault-spec").empty()) {
-      fault::Registry::instance().configure(cli.get("fault-spec"));
-    }
-  } catch (const Error& e) {
-    std::cerr << "ngs-index " << subcommand << ": " << e.what() << "\n";
-    return tool_exit_code(e.kind());
-  }
+}  // namespace
 
-  try {
+int main(int argc, char** argv) {
+  // The subcommand picks the parser; run_tool then reads it as the
+  // first positional argument.
+  const std::string subcommand = argc > 1 ? argv[1] : "";
+  util::CliParser cli = make_cli(subcommand);
+  return fault::run_tool(cli, argc, argv, [&] {
     if (subcommand == "build") return run_build(cli);
     if (subcommand == "info") return run_info(cli);
-    return run_verify(cli);
-  } catch (const Error& e) {
-    // IndexError derives from Error with kind kIndex, so corrupt or
-    // missing indexes land on exit code 4; input open/parse on 3.
-    std::cerr << "ngs-index " << subcommand << ": " << e.what() << "\n";
-    return tool_exit_code(e.kind());
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "ngs-index " << subcommand << ": " << e.what() << "\n";
-    return 2;
-  } catch (const std::exception& e) {
-    std::cerr << "ngs-index " << subcommand << ": internal error: " << e.what()
-              << "\n";
-    return 1;
-  }
+    if (subcommand == "verify") return run_verify(cli);
+    if (subcommand == "help") {  // `ngs-index help` is `ngs-index --help`
+      std::cout << cli.usage();
+      return;
+    }
+    throw Error(ErrorKind::kConfig, "cli",
+                "expected a subcommand (build, info or verify), got '" +
+                    subcommand + "'");
+  });
 }

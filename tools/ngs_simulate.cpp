@@ -5,11 +5,10 @@
 //   ngs-simulate --genome-length 100000 --coverage 60 --error-rate 0.01
 //                --reads out.fastq --genome genome.fasta --truth truth.tsv
 
-#include <fstream>
-#include <functional>
 #include <iostream>
 #include <optional>
 
+#include "fault/tool.hpp"
 #include "io/fastx.hpp"
 #include "sim/genome.hpp"
 #include "sim/read_sim.hpp"
@@ -18,23 +17,6 @@
 #include "util/error.hpp"
 
 using namespace ngs;
-
-namespace {
-
-/// Writes `file`'s temp file through an ofstream; throws Error(kIo)
-/// naming the target when it cannot be opened or written.
-void write_through(util::AtomicFile& file,
-                   const std::function<void(std::ostream&)>& fill) {
-  std::ofstream os(file.temp_path());
-  if (os) fill(os);
-  os.flush();
-  if (!os) {
-    throw Error(ErrorKind::kIo, "io.open",
-                "cannot write " + file.target_path());
-  }
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   util::CliParser cli("ngs-simulate",
@@ -52,26 +34,15 @@ int main(int argc, char** argv) {
   cli.add_option("reads", "output FASTQ path", true, "reads.fastq");
   cli.add_option("genome", "output genome FASTA path", true, "genome.fasta");
   cli.add_option("truth", "output truth TSV path (empty = skip)", true, "");
-  if (!cli.parse(argc, argv)) {
-    std::cerr << cli.error() << "\n" << cli.usage();
-    return 2;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.usage();
-    return 0;
-  }
-
-  sim::GenomeSpec gspec;
-  std::size_t seed = 0, rep_len = 0, rep_n = 0, read_length = 0;
-  double error_rate = 0.0;
-  sim::ReadSimConfig cfg;
-  try {
-    seed = cli.get_size("seed", 42);
+  return fault::run_tool(cli, argc, argv, [&] {
+    sim::GenomeSpec gspec;
+    sim::ReadSimConfig cfg;
+    const std::size_t seed = cli.get_size("seed", 42);
     gspec.length = cli.get_size("genome-length", 100000, 1);
-    rep_len = cli.get_size("repeat-length", 0);
-    rep_n = cli.get_size("repeat-copies", 0);
-    read_length = cli.get_size("read-length", 36, 1);
-    error_rate = cli.get_double("error-rate", 0.01, 0.0, 1.0);
+    const std::size_t rep_len = cli.get_size("repeat-length", 0);
+    const std::size_t rep_n = cli.get_size("repeat-copies", 0);
+    const std::size_t read_length = cli.get_size("read-length", 36, 1);
+    const double error_rate = cli.get_double("error-rate", 0.01, 0.0, 1.0);
     cfg.coverage = cli.get_double("coverage", 60.0, 0.0);
     cfg.ambiguous_rate = cli.get_double("ambiguous-rate", 0.0, 0.0, 1.0);
     // Shapes no genome can hold are config errors, raised before any
@@ -88,35 +59,30 @@ int main(int argc, char** argv) {
                       " x --repeat-copies " + std::to_string(rep_n) +
                       " exceeds --genome-length " + genome_length);
     }
-  } catch (const Error& e) {
-    std::cerr << "ngs-simulate: " << e.what() << "\n";
-    return tool_exit_code(e.kind());
-  }
-  if (rep_len > 0 && rep_n > 0) {
-    gspec.repeats = {{rep_len, rep_n, 0.0}};
-  }
-  util::Rng rng(seed);
-  const auto genome = sim::simulate_genome(gspec, rng);
+    if (rep_len > 0 && rep_n > 0) {
+      gspec.repeats = {{rep_len, rep_n, 0.0}};
+    }
+    util::Rng rng(seed);
+    const auto genome = sim::simulate_genome(gspec, rng);
 
-  const auto model = sim::ErrorModel::illumina(read_length, error_rate);
-  cfg.read_length = read_length;
-  const auto run = sim::simulate_reads(genome.sequence, model, cfg, rng);
+    const auto model = sim::ErrorModel::illumina(read_length, error_rate);
+    cfg.read_length = read_length;
+    const auto run = sim::simulate_reads(genome.sequence, model, cfg, rng);
 
-  // Every output is written to its temp file before any is committed, so
-  // an unwritable path (exit 3) leaves none of them behind.
-  try {
+    // Every output is written to its temp file before any is committed,
+    // so an unwritable path (exit 3) leaves none of them behind.
     seq::ReadSet genome_set;
     genome_set.reads.push_back({"genome", genome.sequence, {}});
     util::AtomicFile genome_file(cli.get("genome"));
     util::AtomicFile reads_file(cli.get("reads"));
-    write_through(genome_file,
-                  [&](std::ostream& os) { io::write_fasta(os, genome_set); });
-    write_through(reads_file,
-                  [&](std::ostream& os) { io::write_fastq(os, run.reads); });
+    genome_file.write_through(
+        [&](std::ostream& os) { io::write_fasta(os, genome_set); });
+    reads_file.write_through(
+        [&](std::ostream& os) { io::write_fastq(os, run.reads); });
     std::optional<util::AtomicFile> truth_file;
     if (!cli.get("truth").empty()) {
       truth_file.emplace(cli.get("truth"));
-      write_through(*truth_file, [&](std::ostream& os) {
+      truth_file->write_through([&](std::ostream& os) {
         os << "read\tposition\tstrand\ttrue_bases\n";
         for (std::size_t i = 0; i < run.reads.size(); ++i) {
           const auto& t = run.reads.truth[i];
@@ -129,13 +95,9 @@ int main(int argc, char** argv) {
     genome_file.commit();
     reads_file.commit();
     if (truth_file) truth_file->commit();
-  } catch (const Error& e) {
-    std::cerr << "ngs-simulate: " << e.what() << "\n";
-    return tool_exit_code(e.kind());
-  }
 
-  std::cerr << "wrote " << run.reads.size() << " reads ("
-            << run.substitution_errors << " erroneous bases, "
-            << (genome.repeat_fraction * 100) << "% repeat span)\n";
-  return 0;
+    std::cerr << "wrote " << run.reads.size() << " reads ("
+              << run.substitution_errors << " erroneous bases, "
+              << (genome.repeat_fraction * 100) << "% repeat span)\n";
+  });
 }
