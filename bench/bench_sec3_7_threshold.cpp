@@ -51,7 +51,7 @@ int main() {
     table.add_row(
         {spec.name, std::to_string(fit.num_normals),
          util::Table::fixed(fit.pi_gamma, 2),
-         "(" + util::Table::fixed(fit.alpha, 2) + "," +
+         '(' + util::Table::fixed(fit.alpha, 2) + "," +
              util::Table::fixed(fit.beta, 2) + ")",
          util::Table::fixed(theta, 1), util::Table::fixed(fit.threshold, 1),
          util::Table::fixed(oracle.threshold, 1),

@@ -394,10 +394,9 @@ class HybridAdapter final : public Corrector {
 };
 
 template <typename AdapterT>
-void register_builtin(const char* name, const char* description,
-                      bool streaming) {
+void register_builtin(const char* name, const char* description) {
   register_corrector(
-      MethodInfo{name, description, streaming},
+      MethodInfo{name, description},
       [](const CorrectorConfig& config) -> std::unique_ptr<Corrector> {
         return std::make_unique<AdapterT>(config);
       });
@@ -409,19 +408,18 @@ namespace detail {
 
 void register_builtins() {
   register_builtin<ReptileAdapter>(
-      "reptile", "Reptile tile-voting k-spectrum corrector (Ch. 2)", false);
+      "reptile", "Reptile tile-voting k-spectrum corrector (Ch. 2)");
   register_builtin<ShrecAdapter>(
-      "shrec", "SHREC suffix-statistic corrector (whole-set)", false);
+      "shrec", "SHREC suffix-statistic corrector (whole-set)");
   register_builtin<SapAdapter>(
-      "sap", "spectrum-alignment greedy solid-kmer corrector", true);
-  register_builtin<HitecAdapter>(
-      "hitec", "HiTEC witness-extension corrector", true);
+      "sap", "spectrum-alignment greedy solid-kmer corrector");
+  register_builtin<HitecAdapter>("hitec", "HiTEC witness-extension corrector");
   register_builtin<FrecluAdapter>(
-      "freclu", "FreClu frequency-hierarchy whole-read corrector", false);
+      "freclu", "FreClu frequency-hierarchy whole-read corrector");
   register_builtin<RedeemAdapter>(
-      "redeem", "REDEEM EM posterior corrector (Ch. 3)", true);
+      "redeem", "REDEEM EM posterior corrector (Ch. 3)");
   register_builtin<HybridAdapter>(
-      "hybrid", "REDEEM->Reptile two-stage hybrid (Sec. 3.5)", false);
+      "hybrid", "REDEEM->Reptile two-stage hybrid (Sec. 3.5)");
 }
 
 }  // namespace detail

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <ostream>
@@ -26,12 +27,6 @@
 namespace ngs::core {
 
 namespace {
-
-std::string checksum_hex(std::uint64_t checksum) {
-  std::ostringstream os;
-  os << "0x" << std::hex << checksum;
-  return os.str();
-}
 
 /// Unique sibling name for the transient index of a budget run
 /// that is not also saving an index (removed when the run ends).
@@ -64,76 +59,82 @@ class ReadGauge {
   std::size_t peak_ = 0;
 };
 
-/// Spent executor items handed back from the in-order consumer to the
+/// One batch of the input flowing reader → workers → consumer: the
+/// parsed reads and, in pass 2, their corrections.
+struct Batch {
+  std::vector<seq::Read> in;
+  std::vector<seq::Read> out;
+};
+
+/// Spent batches handed back from the in-order consumer to the
 /// producer, so steady state reuses their buffers instead of
 /// allocating new ones.
-template <typename T>
 class Recycler {
  public:
-  /// Replaces `item` with a spent one, if there is one.
-  void take(T& item) {
+  /// Replaces `batch` with a spent one, if there is one.
+  void take(Batch& batch) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (spent_.empty()) return;
-    item = std::move(spent_.back());
+    batch = std::move(spent_.back());
     spent_.pop_back();
   }
-  void give(T&& item) {
+  void give(Batch&& batch) {
     std::lock_guard<std::mutex> lock(mutex_);
-    spent_.push_back(std::move(item));
+    spent_.push_back(std::move(batch));
   }
 
  private:
   std::mutex mutex_;
-  std::vector<T> spent_;
-};
-
-/// One unit of pass 2: a batch of reads flowing reader → workers →
-/// writer through the PipelineExecutor.
-struct Pass2Chunk {
-  std::vector<seq::Read> in;
-  std::vector<seq::Read> out;
+  std::vector<Batch> spent_;
 };
 
 /// What one streamed pass over the input cost and saw.
 struct Ingest {
   util::PipelineExecutorStats executor;
   std::uint64_t records_skipped = 0;
-  /// Largest number of parsed reads held between reader and consumer.
+  /// Largest number of parsed reads held in the pass's own buffers.
   std::size_t peak_buffered_reads = 0;
 };
 
-/// One pass over open_input(): the executor's reader thread parses
-/// batches of options.batch_size ahead while this thread, its in-order
-/// consumer, hands each batch to `consume`; the one worker passes
-/// batches through. Only this thread runs `consume`, so whatever it
-/// feeds needs no locking.
-Ingest stream_batches(const PipelineOptions& options,
-                      const StreamFactory& open_input,
-                      const seq::BatchSink& consume) {
+/// One pass over open_input(), the only loop that reads the input: the
+/// executor's reader thread parses batches of options.batch_size ahead,
+/// `workers` threads run `work` on each batch (none when `work` is
+/// empty), and this thread, the in-order consumer, hands each batch to
+/// `consume`. Only this thread runs `consume`, so whatever it feeds
+/// needs no locking. `pass` names the pass in the reader's fault.
+Ingest stream_batches(
+    const PipelineOptions& options, const StreamFactory& open_input,
+    const char* pass, std::size_t workers,
+    const std::function<void(Batch&, std::size_t worker)>& work,
+    const std::function<void(Batch&)>& consume) {
   const std::size_t batch_size = std::max<std::size_t>(1, options.batch_size);
   auto is = open_input();
   io::FastqStreamReader reader(*is);
   reader.set_bad_record_policy(options.on_bad_record);
 
-  using Batch = std::vector<seq::Read>;
-  util::PipelineExecutor<Batch> executor({.workers = 1});
-  Recycler<Batch> recycler;
+  const std::string read_failed = std::string(pass) + " read-ahead failed";
+  util::PipelineExecutor<Batch> executor({.workers = workers});
+  Recycler recycler;
   ReadGauge gauge;
   Ingest ingest;
   ingest.executor = executor.run(
       [&](Batch& batch) {
         fault::maybe_fail(fault::sites::kPipelineReader, ErrorKind::kIo,
-                          "pass-1 read-ahead failed");
+                          read_failed);
         recycler.take(batch);
-        if (reader.read_batch(batch, batch_size) == 0) return false;
-        gauge.add(batch.size());
+        if (reader.read_batch(batch.in, batch_size) == 0) return false;
+        gauge.add(batch.in.size());
         return true;
       },
-      [](Batch&, std::size_t) {},
+      [&](Batch& batch, std::size_t worker) {
+        if (work) work(batch, worker);
+      },
       [&](Batch&& batch) {
+        const std::size_t n = batch.in.size();
         consume(batch);
-        gauge.sub(batch.size());
-        batch.clear();
+        gauge.sub(n);
+        batch.in.clear();
+        batch.out.clear();
         recycler.give(std::move(batch));
       });
   ingest.records_skipped = reader.records_skipped();
@@ -214,10 +215,10 @@ SpectrumStep build_spectrum(const PipelineOptions& options, int k,
   kspec::ChunkedSpectrumBuilder builder(
       k, both_strands, options.spectrum_batch_instances,
       own_pool ? &*own_pool : nullptr, spill);
-  const Ingest ingest = stream_batches(
-      options, open_input, [&](std::span<const seq::Read> batch) {
-        builder.add_read_batch(batch);
-        for (const auto& r : batch) step.input.add(r);
+  const Ingest ingest =
+      stream_batches(options, open_input, "pass-1", 1, {}, [&](Batch& batch) {
+        builder.add_read_batch(batch.in);
+        for (const auto& r : batch.in) step.input.add(r);
       });
   step.ingest = ingest.executor;
   step.records_skipped = ingest.records_skipped;
@@ -345,21 +346,24 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
   // index on disk that pass 2 queries.
   SpectrumStep spectrum;
   seq::ReadSet all;
-  std::uint64_t phase1_skipped = 0;
-  result.streamed = corrector_->spectrum_k() > 0;
-  if (result.streamed) {
+  if (corrector_->spectrum_k() > 0) {
     spectrum = build_spectrum(options_, corrector_->spectrum_k(),
                               corrector_->spectrum_both_strands(),
                               open_with_retry);
     result.input = spectrum.input;
     result.pass1_skipped = spectrum.loaded;
+    if (spectrum.loaded || spectrum.saved) {
+      result.index_path = spectrum.loaded ? options_.load_index_path
+                                          : options_.save_index_path;
+      result.index_checksum = spectrum.index_checksum;
+    }
     result.pass1_overlap = spectrum.ingest;
     result.peak_buffered_reads = spectrum.peak_buffered_reads;
+    result.reads_skipped = spectrum.records_skipped;
     result.spectrum_spilled = spectrum.spilled;
     result.spectrum_spilled_bytes = spectrum.spilled_bytes;
     result.spectrum_spill_bins = spectrum.spill_bins;
     result.spectrum_peak_tracked_bytes = spectrum.peak_tracked_bytes;
-    phase1_skipped = spectrum.records_skipped;
     corrector_->build_from_spectrum(std::move(spectrum.spectrum),
                                     result.input);
   } else {
@@ -373,44 +377,46 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
           "(--load-index, --save-index and --memory-budget-mb apply to "
           "streaming methods only)");
     }
+    // One streamed pass of phase 1: the input summary comes from the
+    // first, executor telemetry adds up over all of them, and a
+    // malformed record every pass drops counts once.
+    std::size_t passes = 0;
+    const auto read_pass = [&](const std::function<void(Batch&)>& consume) {
+      const bool first = passes++ == 0;
+      const Ingest ingest = stream_batches(
+          options_, open_with_retry, "pass-1", 1, {}, [&](Batch& batch) {
+            if (first) {
+              for (const auto& r : batch.in) result.input.add(r);
+            }
+            consume(batch);
+          });
+      add_pass(result.pass1_overlap, ingest.executor);
+      result.peak_buffered_reads =
+          std::max(result.peak_buffered_reads, ingest.peak_buffered_reads);
+      result.reads_skipped =
+          std::max(result.reads_skipped, ingest.records_skipped);
+    };
     if (corrector_->supports_batches()) {
-      // The corrector reads the input in as many passes as it needs;
-      // each one streams like the spectrum step does.
-      std::size_t passes = 0;
+      // The corrector reads the input in as many passes as it needs.
       corrector_->build_streamed([&](const seq::BatchSink& sink) {
-        const bool first = passes++ == 0;
-        const Ingest ingest = stream_batches(
-            options_, open_with_retry, [&](std::span<const seq::Read> batch) {
-              if (first) {
-                for (const auto& r : batch) result.input.add(r);
-              }
-              sink(batch);
-            });
-        add_pass(result.pass1_overlap, ingest.executor);
-        result.peak_buffered_reads =
-            std::max(result.peak_buffered_reads, ingest.peak_buffered_reads);
-        phase1_skipped = std::max(phase1_skipped, ingest.records_skipped);
+        read_pass([&](Batch& batch) { sink(batch.in); });
       });
     } else {
-      auto is = open_with_retry();
-      io::FastqStreamReader reader(*is);
-      reader.set_bad_record_policy(options_.on_bad_record);
-      while (reader.read_batch(all.reads, batch_size) > 0) {
-      }
-      result.reads_skipped = reader.records_skipped();
-      for (const auto& r : all.reads) result.input.add(r);
+      read_pass([&](Batch& batch) {
+        std::move(batch.in.begin(), batch.in.end(),
+                  std::back_inserter(all.reads));
+      });
       result.peak_buffered_reads = all.reads.size();
       corrector_->build(all);
     }
   }
 
   // Phase 2.
-  double pass2_seconds = 0.0;
   if (!corrector_->supports_batches()) {
     // Whole-set methods correct the buffered input natively.
     const util::Timer pass2_timer;
     const auto corrected = corrector_->correct_all(all, result.report);
-    pass2_seconds = pass2_timer.seconds();
+    result.pass2_seconds = pass2_timer.seconds();
     for (std::size_t offset = 0; offset < corrected.size();
          offset += batch_size) {
       const std::size_t n = std::min(batch_size, corrected.size() - offset);
@@ -418,12 +424,8 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
       ++result.batches;
     }
   } else {
-    // Reader thread → bounded queue → correction workers → in-order
-    // writer (this thread), over the input streamed once more.
-    auto is = open_with_retry();
-    io::FastqStreamReader reader(*is);
-    reader.set_bad_record_policy(options_.on_bad_record);
-
+    // The input streamed once more: `workers` correct batches, this
+    // thread writes them in order.
     const std::size_t workers = options_.threads > 0
                                     ? options_.threads
                                     : util::default_pool().size();
@@ -431,105 +433,39 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
     // stable, so each slot has exactly one user.
     std::vector<std::unique_ptr<BatchScratch>> scratch(workers);
     for (auto& s : scratch) s = corrector_->make_scratch();
-    util::PipelineExecutor<Pass2Chunk> executor({.workers = workers});
-    Recycler<Pass2Chunk> recycler;
     std::mutex report_mutex;
-    ReadGauge gauge;
-    result.pass2_overlap = executor.run(
-        [&](Pass2Chunk& chunk) -> bool {
-          fault::maybe_fail(fault::sites::kPipelineReader, ErrorKind::kIo,
-                            "pass-2 read-ahead failed");
-          recycler.take(chunk);
-          if (reader.read_batch(chunk.in, batch_size) == 0) return false;
-          gauge.add(chunk.in.size());
-          return true;
-        },
-        [&](Pass2Chunk& chunk, std::size_t worker) {
+    const Ingest pass2 = stream_batches(
+        options_, open_with_retry, "pass-2", workers,
+        [&](Batch& batch, std::size_t worker) {
           CorrectionReport local;
-          chunk.out.reserve(chunk.in.size());
-          correct_span(chunk.in, chunk.out, local, scratch[worker].get());
+          batch.out.reserve(batch.in.size());
+          correct_span(batch.in, batch.out, local, scratch[worker].get());
           std::lock_guard<std::mutex> lock(report_mutex);
           result.report.merge(local);
         },
-        [&](Pass2Chunk&& chunk) {
+        [&](Batch& batch) {
           fault::maybe_fail(fault::sites::kPipelineWriter, ErrorKind::kIo,
                             "pass-2 ordered write failed");
-          write_batch(std::span<const seq::Read>(chunk.out));
+          write_batch(std::span<const seq::Read>(batch.out));
           ++result.batches;
-          gauge.sub(chunk.in.size());
-          chunk.in.clear();
-          chunk.out.clear();
-          recycler.give(std::move(chunk));
         });
-    pass2_seconds = result.pass2_overlap.elapsed_seconds;
+    result.pass2_overlap = pass2.executor;
+    result.pass2_seconds = pass2.executor.elapsed_seconds;
     result.peak_buffered_reads =
-        std::max(result.peak_buffered_reads, gauge.peak());
+        std::max(result.peak_buffered_reads, pass2.peak_buffered_reads);
     // A genuinely malformed record is dropped by every pass, so take the
     // max rather than the sum (summing would double-count it; taking
     // only pass 2 would hide a record dropped by phase 1 alone).
-    result.reads_skipped = std::max(phase1_skipped, reader.records_skipped());
+    result.reads_skipped =
+        std::max(result.reads_skipped, pass2.records_skipped);
   }
   out.flush();
   if (!out) {
     throw Error(ErrorKind::kIo, fault::sites::kOutputWrite,
                 "CorrectionPipeline: error writing output");
   }
-  // Standardized observability extras: every tool and bench reports the
-  // same perf keys regardless of method.
   corrector_->annotate_report(result.report);
-  if (spectrum.loaded || spectrum.saved) {
-    result.report.bump(spectrum.loaded ? "pass1_skipped" : "index_saved", 1);
-    result.report.note("index_path", spectrum.loaded
-                                         ? options_.load_index_path
-                                         : options_.save_index_path);
-    result.report.note("index_checksum",
-                       checksum_hex(spectrum.index_checksum));
-  }
-  if (pass2_seconds > 0.0) {
-    result.report.bump(
-        "pass2_reads_per_sec",
-        static_cast<std::uint64_t>(static_cast<double>(result.report.reads) /
-                                   pass2_seconds));
-  }
-  // Executor stage telemetry of each pass that ran on one: where the
-  // stages' time went and how full the buffers got. Pass 1's worker
-  // passes batches straight through, so parsed batches waiting for the
-  // builder sit in its reorder buffer, not its input queue.
-  const auto ms = [](double seconds) {
-    return static_cast<std::uint64_t>(seconds * 1000.0 + 0.5);
-  };
-  if (const auto& s1 = result.pass1_overlap; s1.workers > 0) {
-    result.report.bump("pass1_reader_stall_ms", ms(s1.reader_stall_seconds));
-    result.report.bump("pass1_ingest_stall_ms", ms(s1.writer_stall_seconds));
-    result.report.bump("pass1_reorder_peak", s1.reorder_peak);
-  }
-  if (const auto& s2 = result.pass2_overlap; s2.workers > 0) {
-    result.report.bump("pass2_reader_stall_ms", ms(s2.reader_stall_seconds));
-    result.report.bump("pass2_writer_stall_ms", ms(s2.writer_stall_seconds));
-    result.report.bump("pass2_worker_stall_ms", ms(s2.worker_stall_seconds));
-    result.report.bump("pass2_queue_peak", s2.queue_peak);
-    result.report.bump("pass2_reorder_peak", s2.reorder_peak);
-    result.report.bump(
-        "pass2_worker_util_pct",
-        static_cast<std::uint64_t>(s2.worker_utilization() * 100.0 + 0.5));
-  }
-  // Degradation accounting: what was dropped, passed through, or
-  // retried — zero-valued keys are omitted so fault-free reports are
-  // byte-identical to pre-hardening ones.
   result.reads_failed = result.report.extra("reads_failed");
-  if (result.reads_skipped > 0) {
-    result.report.bump("reads_skipped", result.reads_skipped);
-  }
-  if (result.io_retries > 0) {
-    result.report.bump("io_retries", result.io_retries);
-  }
-  // Out-of-core telemetry, omitted on non-spilled runs so their reports
-  // stay byte-identical to unbudgeted ones.
-  if (result.spectrum_spilled) {
-    result.report.bump("spectrum_spilled", 1);
-    result.report.bump("spectrum_spill_bytes", result.spectrum_spilled_bytes);
-    result.report.bump("spectrum_spill_bins", result.spectrum_spill_bins);
-  }
   result.peak_rss_bytes = util::peak_rss_bytes();
   return result;
 }

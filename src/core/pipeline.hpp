@@ -1,17 +1,21 @@
 #pragma once
 // Two-pass streaming batched correction (cf. BFC and RECKONER, which
 // stream reads in bounded memory instead of materializing whole FASTQ
-// files):
+// files). Every pass reads the input through one loop, a
+// util::PipelineExecutor run: a reader thread parses batches ahead,
+// workers process them, and the calling thread consumes them in input
+// order.
 //
 //   pass 1 — the spectrum step (build_spectrum) loads a saved index or
 //            counts the k-spectrum of streamed batches, in memory or by
 //            spilling to disk bins that stream into an index file;
 //            Reptile counts its tables in passes of its own over the
 //            streamed input (Corrector::build_streamed); the whole-set
-//            methods (SHREC, FreClu, hybrid) buffer a ReadSet;
-//   pass 2 — one util::PipelineExecutor run over the input streamed
-//            again: a reader thread, `threads` correction workers, and
-//            an in-order writer. The whole-set methods use correct_all.
+//            methods (SHREC, FreClu, hybrid) buffer the streamed
+//            batches into a ReadSet;
+//   pass 2 — the input streamed again, `threads` workers correcting
+//            batches and the calling thread writing them in order. The
+//            whole-set methods use correct_all.
 //
 // Output is byte-identical to the in-memory Corrector::correct_all path
 // for every method and thread count: reads are corrected independently
@@ -138,6 +142,8 @@ SpectrumStep build_spectrum(const PipelineOptions& options, int k,
                             const StreamFactory& open_input);
 
 struct PipelineResult {
+  /// What the corrector counted; the pipeline adds only correct_span's
+  /// reads_failed and batches_salvaged.
   CorrectionReport report;
   InputSummary input;
   /// Number of output batches written.
@@ -148,31 +154,32 @@ struct PipelineResult {
   std::size_t peak_buffered_reads = 0;
   /// util::peak_rss_bytes() sampled at completion (process-wide telemetry).
   std::uint64_t peak_rss_bytes = 0;
-  /// True when phase 1 ran from the streamed spectrum.
-  bool streamed = false;
-  /// True when phase 1 was skipped entirely in favor of a loaded
-  /// spectrum index (report extras then carry index_path/index_checksum
-  /// /pass1_skipped provenance).
+  /// True when phase 1 was skipped entirely in favor of the spectrum
+  /// index at index_path.
   bool pass1_skipped = false;
-  /// Executor telemetry of the phase-1 ingest (summed over Reptile's
-  /// passes; zero for whole-set methods and loaded indexes) and of
-  /// pass 2 (zero for correct_all methods).
+  /// The spectrum index the run loaded or saved, and its checksum
+  /// (empty and 0 when it did neither).
+  std::string index_path;
+  std::uint64_t index_checksum = 0;
+  /// Executor telemetry of phase 1 (summed over its passes; zero for a
+  /// loaded index) and of pass 2 (zero for correct_all methods).
   util::PipelineExecutorStats pass1_overlap;
   util::PipelineExecutorStats pass2_overlap;
-  /// Malformed records dropped across all passes under
-  /// BadRecordPolicy::kSkip (also report extra "reads_skipped").
+  /// Wall seconds of pass 2: the executor run, or correct_all for the
+  /// whole-set methods.
+  double pass2_seconds = 0.0;
+  /// Malformed records dropped under BadRecordPolicy::kSkip: the most
+  /// any one pass dropped.
   std::uint64_t reads_skipped = 0;
   /// Reads whose correction threw and were passed through uncorrected
-  /// by the per-read salvage path (also report extra "reads_failed").
+  /// by the per-read salvage path (report extra "reads_failed").
   std::uint64_t reads_failed = 0;
-  /// Transient input-open failures absorbed by the bounded retry (also
-  /// report extra "io_retries").
+  /// Transient input-open failures absorbed by the bounded retry.
   std::uint64_t io_retries = 0;
   /// True when the pass-1 build exceeded memory_budget_bytes and went
   /// through the spill path.
   bool spectrum_spilled = false;
-  /// Non-empty spill bins of the pass-1 build (0 when not spilled; also
-  /// report extra "spectrum_spill_bins").
+  /// Non-empty spill bins of the pass-1 build (0 when not spilled).
   std::size_t spectrum_spill_bins = 0;
   /// Bytes written to the spill bins during pass 1.
   std::uint64_t spectrum_spilled_bytes = 0;

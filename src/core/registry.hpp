@@ -16,7 +16,6 @@ namespace ngs::core {
 struct MethodInfo {
   std::string name;         // registry key, e.g. "reptile"
   std::string description;  // one line for --method list output
-  bool streaming = false;   // phase 1 runs from a streamed spectrum
 };
 
 using CorrectorFactory =

@@ -44,7 +44,7 @@ DiploidSample simulate_diploid(const std::string& reference, double snp_rate,
   sample.from_b.insert(sample.from_b.end(), reads_b.reads.size(), true);
   sample.reads.reads = std::move(reads_a.reads);
   for (std::size_t i = 0; i < reads_b.reads.size(); ++i) {
-    reads_b.reads.reads[i].id = "b" + std::to_string(i);
+    reads_b.reads.reads[i].id = 'b' + std::to_string(i);
     sample.reads.reads.reads.push_back(std::move(reads_b.reads.reads[i]));
     sample.reads.reads.truth.push_back(std::move(reads_b.reads.truth[i]));
   }

@@ -194,7 +194,7 @@ MetagenomeSample simulate_metagenome_reads(const Taxonomy& taxonomy,
     }
 
     seq::Read read;
-    read.id = "m" + std::to_string(i);
+    read.id = 'm' + std::to_string(i);
     read.bases = std::move(bases);
     sample.reads.reads.push_back(std::move(read));
     sample.species_of.push_back(static_cast<std::uint32_t>(species));

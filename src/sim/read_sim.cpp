@@ -73,7 +73,7 @@ SimulatedReads simulate_reads(std::string_view genome,
     if (reverse) true_read = seq::reverse_complement(true_read);
 
     seq::Read read;
-    read.id = "r" + std::to_string(idx);
+    read.id = 'r' + std::to_string(idx);
     read.bases = true_read;
     read.quality.resize(L);
 

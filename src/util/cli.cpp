@@ -23,9 +23,11 @@ bool CliParser::parse(int argc, const char* const* argv) {
       help_ = true;
       return true;
     }
+    // No tool takes a bare argument, so a stray word or a single-dash
+    // typo of a flag is an error rather than silently dropped.
     if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(arg);
-      continue;
+      error_ = "unexpected argument: " + arg;
+      return false;
     }
     const std::string name = arg.substr(2);
     const auto it = options_.find(name);
@@ -34,7 +36,7 @@ bool CliParser::parse(int argc, const char* const* argv) {
       return false;
     }
     if (!it->second.takes_value) {
-      values_[name] = "1";
+      values_.insert_or_assign(name, std::string(1, '1'));
       continue;
     }
     if (i + 1 >= argc) {

@@ -24,8 +24,9 @@ class CliParser {
                   bool takes_value = true,
                   const std::string& default_value = "");
 
-  /// Parses argv. Returns false (and fills error()) on unknown options or
-  /// missing values. "--help" sets help_requested().
+  /// Parses argv. Returns false (and fills error()) on unknown options,
+  /// missing values and any argument that is not an option (there are
+  /// no positional arguments). "--help" sets help_requested().
   bool parse(int argc, const char* const* argv);
 
   bool help_requested() const noexcept { return help_; }
@@ -62,11 +63,6 @@ class CliParser {
                     double min = std::numeric_limits<double>::lowest(),
                     double max = std::numeric_limits<double>::max()) const;
 
-  /// Positional (non-option) arguments in order.
-  const std::vector<std::string>& positional() const noexcept {
-    return positional_;
-  }
-
   std::string usage() const;
 
  private:
@@ -81,7 +77,6 @@ class CliParser {
   std::map<std::string, Option> options_;  // ordered for usage output
   std::map<std::string, std::string> values_;
   std::map<std::string, std::vector<std::string>> all_values_;
-  std::vector<std::string> positional_;
   std::string error_;
   bool help_ = false;
 };

@@ -14,7 +14,7 @@ using namespace ngs;
 seq::ReadSet reads_from(const std::vector<std::string>& seqs) {
   seq::ReadSet set;
   for (std::size_t i = 0; i < seqs.size(); ++i) {
-    set.reads.push_back({"r" + std::to_string(i), seqs[i], {}});
+    set.reads.push_back({'r' + std::to_string(i), seqs[i], {}});
   }
   return set;
 }

@@ -200,7 +200,6 @@ TEST_F(ChaosTest, MalformedRecordFailsLocatedOrSkipsCounted) {
   std::string out;
   const auto result = run_pipeline(fastq, &out, options);
   EXPECT_GE(result.reads_skipped, 1u);
-  EXPECT_EQ(result.report.extra("reads_skipped"), result.reads_skipped);
   EXPECT_FALSE(out.empty());
 }
 
@@ -369,7 +368,6 @@ TEST_F(ChaosTest, TransientOpenFaultIsRetriedAndAbsorbed) {
   std::string out;
   const auto result = run_pipeline(fastq, &out);
   EXPECT_GE(result.io_retries, 1u);
-  EXPECT_EQ(result.report.extra("io_retries"), result.io_retries);
   EXPECT_EQ(out, clean) << "an absorbed transient must not change output";
   expect_fired(fault::sites::kOpenInputTransient);
 }
@@ -677,9 +675,7 @@ TEST_F(ChaosTest, DisarmedRegistryChangesNothing) {
   EXPECT_EQ(result.reads_skipped, 0u);
   EXPECT_EQ(result.reads_failed, 0u);
   EXPECT_EQ(result.io_retries, 0u);
-  EXPECT_EQ(result.report.extra("reads_skipped"), 0u);
   EXPECT_EQ(result.report.extra("reads_failed"), 0u);
-  EXPECT_EQ(result.report.extra("io_retries"), 0u);
   EXPECT_EQ(result.report.extra("batches_salvaged"), 0u);
   EXPECT_TRUE(reg().all_stats().empty());
   EXPECT_FALSE(out.empty());

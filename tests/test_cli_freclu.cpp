@@ -16,16 +16,28 @@ namespace {
 
 using namespace ngs;
 
-TEST(Cli, ParsesOptionsAndPositionals) {
+// No tool takes a bare argument: a stray word or a single-dash typo of
+// a flag fails the parse, naming the argument, instead of being dropped.
+TEST(Cli, ParsesOptionsAndRejectsPositionals) {
   util::CliParser cli("prog", "test");
   cli.add_option("count", "a number", true, "5");
   cli.add_option("verbose", "a switch", false);
-  const char* argv[] = {"prog", "--count", "12", "pos1", "--verbose", "pos2"};
-  ASSERT_TRUE(cli.parse(6, argv));
-  EXPECT_EQ(cli.get_int("count", 0), 12);
-  EXPECT_TRUE(cli.has("verbose"));
-  ASSERT_EQ(cli.positional().size(), 2u);
-  EXPECT_EQ(cli.positional()[0], "pos1");
+  {
+    util::CliParser ok = cli;
+    const char* argv[] = {"prog", "--count", "12", "--verbose"};
+    ASSERT_TRUE(ok.parse(4, argv));
+    EXPECT_EQ(ok.get_int("count", 0), 12);
+    EXPECT_TRUE(ok.has("verbose"));
+    EXPECT_EQ(ok.get("verbose"), "1");
+  }
+  for (const char* stray : {"pos1", "-count", "-", ""}) {
+    util::CliParser c = cli;
+    const char* argv[] = {"prog", "--count", "12", stray, "--verbose"};
+    EXPECT_FALSE(c.parse(5, argv)) << stray;
+    EXPECT_NE(c.error().find("unexpected argument: " + std::string(stray)),
+              std::string::npos)
+        << c.error();
+  }
 }
 
 TEST(Cli, DefaultsApply) {
@@ -189,7 +201,7 @@ seq::ReadSet transcript_like(util::Rng& rng) {
         const auto pos = rng.below(s.size());
         s[pos] = seq::complement_base(s[pos]);
       }
-      reads.reads.push_back({"t" + std::to_string(id++), s, {}});
+      reads.reads.push_back({'t' + std::to_string(id++), s, {}});
     }
   }
   return reads;

@@ -84,6 +84,9 @@ TEST(Registry, ListsAllSevenBuiltins) {
     EXPECT_TRUE(names.count(expected)) << expected;
   }
   EXPECT_EQ(names.size(), methods.size()) << "duplicate registrations";
+  for (const auto& m : methods) {
+    EXPECT_FALSE(core::make_corrector(m.name)->ready()) << m.name;
+  }
 }
 
 TEST(Registry, UnknownMethodThrowsWithKnownNames) {
@@ -94,15 +97,6 @@ TEST(Registry, UnknownMethodThrowsWithKnownNames) {
     const std::string what = e.what();
     EXPECT_NE(what.find("bogus"), std::string::npos);
     EXPECT_NE(what.find("reptile"), std::string::npos);
-  }
-}
-
-TEST(Registry, StreamingFlagMatchesSpectrumK) {
-  for (const auto& m : core::registered_methods()) {
-    core::CorrectorConfig config;
-    const auto corrector = core::make_corrector(m.name, config);
-    EXPECT_EQ(m.streaming, corrector->spectrum_k() > 0) << m.name;
-    EXPECT_FALSE(corrector->ready()) << m.name;
   }
 }
 
@@ -270,7 +264,6 @@ TEST(CorrectionPipeline, ByteIdenticalToCorrectAllForEveryMethod) {
     EXPECT_EQ(result.report.reads, run.reads.size()) << m.name;
     EXPECT_EQ(result.report.reads_changed, ref_report.reads_changed) << m.name;
     EXPECT_EQ(result.report.bases_changed, ref_report.bases_changed) << m.name;
-    EXPECT_EQ(result.streamed, m.streaming) << m.name;
     EXPECT_EQ(result.input.reads, run.reads.size()) << m.name;
   }
 }
@@ -302,7 +295,6 @@ TEST(CorrectionPipeline, OverlappedPathBuffersStayBounded) {
       const std::size_t batches =
           (run.reads.size() + options.batch_size - 1) / options.batch_size;
       const std::size_t phase1_passes = method == "sap" ? 1 : 2;
-      EXPECT_EQ(result.streamed, method == "sap");
       EXPECT_GT(result.peak_buffered_reads, 0u);
       EXPECT_LE(result.peak_buffered_reads,
                 options.batch_size * (depth + 2 * threads + 1));
@@ -354,7 +346,8 @@ TEST(CorrectionPipeline, OverlappedOutputByteIdenticalToCorrectAllAcrossThreads)
 }
 
 // Only a whole-set method buffers the input: correct_all sees every
-// read at once, and no executor runs in either pass.
+// read at once. Its buffering pass streams on the executor like every
+// other pass; its pass 2 runs no executor.
 TEST(CorrectionPipeline, BufferedPathHoldsWholeInput) {
   const auto run = make_run(17, 5.0);
   const std::string input = to_fastq(run.reads);
@@ -366,11 +359,14 @@ TEST(CorrectionPipeline, BufferedPathHoldsWholeInput) {
   std::ostringstream out;
   const auto result = pipeline.run(factory_for(input), out);
 
-  EXPECT_FALSE(result.streamed);
   EXPECT_EQ(result.peak_buffered_reads, run.reads.size());
   EXPECT_EQ(result.report.reads, run.reads.size());
-  EXPECT_EQ(result.pass1_overlap.workers, 0u);
+  EXPECT_EQ(result.input.reads, run.reads.size());
+  EXPECT_EQ(result.pass1_overlap.workers, 1u);
+  EXPECT_EQ(result.pass1_overlap.items,
+            (run.reads.size() + options.batch_size - 1) / options.batch_size);
   EXPECT_EQ(result.pass2_overlap.workers, 0u);
+  EXPECT_GT(result.pass2_seconds, 0.0);
 }
 
 TEST(CorrectionPipeline, OwnThreadCountMatchesDefaultPoolOutput) {
@@ -394,13 +390,13 @@ TEST(CorrectionPipeline, OwnThreadCountMatchesDefaultPoolOutput) {
 
 // The tile-decision memo must never change what the pipeline writes:
 // cached and uncached runs are byte-identical at every thread count,
-// and the cached run surfaces the standardized perf extras.
+// and the cached run counts its hits and misses.
 TEST(CorrectionPipeline, TileCacheOutputByteIdenticalAcrossThreadCounts) {
   const auto run = make_run(23);
   const std::string input = to_fastq(run.reads);
 
   auto run_pipeline = [&](std::size_t tile_cache_mb, std::size_t threads,
-                          core::CorrectionReport& report) {
+                          core::PipelineResult& result) {
     core::CorrectorConfig config;
     config.genome_length = 20000;
     config.tile_cache_mb = tile_cache_mb;
@@ -410,24 +406,26 @@ TEST(CorrectionPipeline, TileCacheOutputByteIdenticalAcrossThreadCounts) {
     core::CorrectionPipeline pipeline(core::make_corrector("reptile", config),
                                       options);
     std::ostringstream out;
-    report = pipeline.run(factory_for(input), out).report;
+    result = pipeline.run(factory_for(input), out);
     return out.str();
   };
 
-  core::CorrectionReport uncached_report;
-  const std::string uncached = run_pipeline(0, 1, uncached_report);
+  core::PipelineResult uncached_result;
+  const std::string uncached = run_pipeline(0, 1, uncached_result);
+  const auto& uncached_report = uncached_result.report;
   ASSERT_FALSE(uncached.empty());
   EXPECT_EQ(uncached_report.extra("tile_cache_hits"), 0u);
   EXPECT_EQ(uncached_report.extra("tile_cache_misses"), 0u);
 
   for (const std::size_t threads : {0ul, 1ul, 2ul, 4ul}) {
-    core::CorrectionReport report;
-    EXPECT_EQ(run_pipeline(32, threads, report), uncached) << threads;
+    core::PipelineResult result;
+    EXPECT_EQ(run_pipeline(32, threads, result), uncached) << threads;
+    const auto& report = result.report;
     EXPECT_GT(report.extra("tile_cache_hits") +
                   report.extra("tile_cache_misses"),
               0u)
         << threads;
-    EXPECT_GT(report.extra("pass2_reads_per_sec"), 0u) << threads;
+    EXPECT_GT(result.pass2_seconds, 0.0) << threads;
     EXPECT_EQ(report.reads_changed, uncached_report.reads_changed) << threads;
     EXPECT_EQ(report.bases_changed, uncached_report.bases_changed) << threads;
   }
@@ -552,7 +550,7 @@ TEST(Registry, CustomRegistrationShadowsAndLists) {
       }
     }
   };
-  core::register_corrector({"identity", "test passthrough", false},
+  core::register_corrector({"identity", "test passthrough"},
                            [](const core::CorrectorConfig&) {
                              return std::make_unique<Passthrough>();
                            });

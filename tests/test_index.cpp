@@ -580,9 +580,9 @@ TEST(CorrectionPipeline, LoadIndexReproducesFreshRunByteForByte) {
     std::ostringstream plain_out;
     core::CorrectionPipeline plain(make_method(method), plain_opts);
     const auto plain_result = plain.run(factory_for(fastq), plain_out);
-    EXPECT_TRUE(plain_result.streamed);
     EXPECT_FALSE(plain_result.pass1_skipped);
-    EXPECT_EQ(plain_result.report.extra("index_saved"), 0u);
+    EXPECT_TRUE(plain_result.index_path.empty());
+    EXPECT_EQ(plain_result.index_checksum, 0u);
 
     core::PipelineOptions save_opts;
     save_opts.save_index_path = index_path;
@@ -590,9 +590,9 @@ TEST(CorrectionPipeline, LoadIndexReproducesFreshRunByteForByte) {
     core::CorrectionPipeline saver(make_method(method), save_opts);
     const auto save_result = saver.run(factory_for(fastq), save_out);
     EXPECT_FALSE(save_result.pass1_skipped);
-    EXPECT_EQ(save_result.report.extra("index_saved"), 1u);
-    EXPECT_EQ(save_result.report.note_or("index_path"), index_path);
-    EXPECT_FALSE(save_result.report.note_or("index_checksum").empty());
+    EXPECT_EQ(save_result.index_path, index_path);
+    EXPECT_EQ(save_result.index_checksum,
+              index::SpectrumIndex::read_info(index_path).checksum);
 
     core::PipelineOptions load_opts;
     load_opts.load_index_path = index_path;
@@ -600,10 +600,8 @@ TEST(CorrectionPipeline, LoadIndexReproducesFreshRunByteForByte) {
     core::CorrectionPipeline loader(make_method(method), load_opts);
     const auto load_result = loader.run(factory_for(fastq), load_out);
     EXPECT_TRUE(load_result.pass1_skipped);
-    EXPECT_EQ(load_result.report.extra("pass1_skipped"), 1u);
-    EXPECT_EQ(load_result.report.note_or("index_path"), index_path);
-    EXPECT_EQ(load_result.report.note_or("index_checksum"),
-              save_result.report.note_or("index_checksum"));
+    EXPECT_EQ(load_result.index_path, index_path);
+    EXPECT_EQ(load_result.index_checksum, save_result.index_checksum);
     // The loaded run never saw the reads in pass 1; the summary must
     // come from the index header and match the fresh run exactly.
     EXPECT_EQ(load_result.input.reads, plain_result.input.reads);
@@ -664,7 +662,7 @@ TEST(CorrectionPipeline, BudgetRunMatchesUnconstrainedForEveryMethod) {
     budget_opts.spill_dir = testing::TempDir();
     std::ostringstream budget_out;
     core::CorrectionPipeline budgeted(make_method(info.name), budget_opts);
-    if (!info.streaming) {
+    if (budgeted.corrector().spectrum_k() == 0) {
       // No spectrum build to bound: the budget is rejected, naming the
       // flag, rather than ignored.
       try {
@@ -693,7 +691,6 @@ TEST(CorrectionPipeline, BudgetRunMatchesUnconstrainedForEveryMethod) {
     EXPECT_GT(budget_result.spectrum_peak_tracked_bytes, 0u) << info.name;
     EXPECT_LE(budget_result.spectrum_peak_tracked_bytes, kBudget)
         << info.name << ": builder accounting exceeded the budget";
-    EXPECT_EQ(budget_result.report.extra("spectrum_spilled"), 1u);
   }
 }
 
@@ -747,7 +744,7 @@ TEST(CorrectionPipeline, BudgetSaveIndexIsShardedAndReloadable) {
   const auto save_result = saver.run(factory_for(fastq), save_out);
   EXPECT_TRUE(save_result.spectrum_spilled);
   EXPECT_GE(save_result.spectrum_spill_bins, 2u);
-  EXPECT_EQ(save_result.report.extra("index_saved"), 1u);
+  EXPECT_EQ(save_result.index_path, path);
   EXPECT_EQ(save_out.str(), plain_out.str());
 
   // The spill bins stream into the same flat file an unbudgeted save

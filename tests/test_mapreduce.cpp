@@ -160,7 +160,7 @@ TEST(MapReduce, OutputAfterInjectedFaultsMatchesFaultFreeRun) {
 TEST(MapReduce, InjectedFaultsAreDeterministicAcrossPoolSizes) {
   std::vector<std::pair<int, std::string>> docs;
   for (int i = 0; i < 96; ++i) {
-    docs.emplace_back(i, "a" + std::to_string(i % 11));
+    docs.emplace_back(i, 'a' + std::to_string(i % 11));
   }
   // Fix the task count so the splits (and the per-task fault RNG
   // streams) are identical no matter how many threads execute them.

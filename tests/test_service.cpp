@@ -268,7 +268,7 @@ TEST_F(ServiceTest, CodecSurvivesByteFlipFuzz) {
   service::ReadBatch batch;
   batch.seq = 77;
   for (int i = 0; i < 8; ++i) {
-    batch.reads.push_back({"r" + std::to_string(i), "ACGTACGTACGT",
+    batch.reads.push_back({'r' + std::to_string(i), "ACGTACGTACGT",
                            std::vector<std::uint8_t>(12, 30)});
   }
   service::encode_request(batch, buf);
@@ -766,7 +766,7 @@ class ScratchCounter final : public core::Corrector {
 // sides of a reload must drop the retired corrector's scratch instead of
 // keeping it beside the new one's.
 TEST_F(ServerTest, WorkerDropsRetiredCorrectorScratchAcrossReloads) {
-  core::register_corrector({"scratch_counter", "counts live scratch", false},
+  core::register_corrector({"scratch_counter", "counts live scratch"},
                            [](const core::CorrectorConfig&) {
                              return std::make_unique<ScratchCounter>();
                            });

@@ -258,6 +258,19 @@ for cmd in ngs_simulate ngs_correct ngs_cluster "ngs_index build" \
   read -ra argv <<< "$cmd"
   expect_usage "--bogus" "$BIN_DIR/${argv[0]}" "${argv[@]:1}" --bogus
 done
+# No tool takes a bare argument: a single-dash typo of a flag or a stray
+# word is a usage error naming it, not silently dropped. ngs-index reads
+# only the arguments after its subcommand.
+expect_usage "unexpected argument: -seed" "$BIN_DIR/ngs_simulate" \
+  --genome-length 2000 --coverage 5 -seed 5 --reads "$WORK/x.fastq" \
+  --genome "$WORK/x.fasta" --truth "$WORK/x.tsv"
+expect_usage "unexpected argument: stray" "$BIN_DIR/ngs_correct" \
+  --in "$WORK/reads.fastq" --out "$WORK/x.fastq" --method sap stray
+expect_usage "unexpected argument: stray" "$BIN_DIR/ngs_index" build \
+  --in "$WORK/reads.fastq" --out "$WORK/x.ngsx" stray
+for help in help --help; do
+  "$BIN_DIR/ngs_index" "$help" | grep -q "ngs-index <build|info|verify>"
+done
 expect_usage "--in is required" "$BIN_DIR/ngs_correct" --method sap
 expect_usage "--in is required" "$BIN_DIR/ngs_cluster"
 expect_usage "--in is required" "$BIN_DIR/ngs_index" build \

@@ -29,6 +29,21 @@
 
 using namespace ngs;
 
+namespace {
+
+/// How `corrector` runs phase 1: from a streamed spectrum, in streamed
+/// passes of its own, or over the whole input buffered.
+const char* phase1_shape(const core::Corrector& corrector) {
+  if (corrector.spectrum_k() > 0) return "streaming";
+  return corrector.supports_batches() ? "multi-pass" : "buffered";
+}
+
+std::uint64_t to_ms(double seconds) {
+  return static_cast<std::uint64_t>(seconds * 1000.0 + 0.5);
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   util::CliParser cli("ngs-correct", "short-read error correction");
   cli.add_option("in", "input FASTQ", true, "");
@@ -81,15 +96,9 @@ int main(int argc, char** argv) {
   return fault::run_tool(cli, argc, argv, [&] {
     const std::string method_name = cli.get("method", "reptile");
     if (method_name == "list") {
-      // Phase 1: a streamed spectrum, the method's own passes over the
-      // streamed input, or the whole input buffered.
       for (const auto& info : core::registered_methods()) {
-        const bool batches =
-            core::make_corrector(info.name, {})->supports_batches();
         std::cout << info.name << '\t'
-                  << (info.streaming ? "streaming"
-                      : batches      ? "multi-pass"
-                                     : "buffered")
+                  << phase1_shape(*core::make_corrector(info.name, {}))
                   << '\t' << info.description << '\n';
       }
       return;
@@ -122,19 +131,12 @@ int main(int argc, char** argv) {
 
     util::Timer timer;
     const core::PipelineResult result = pipeline.run_file(in, cli.get("out"));
-    const char* phase1 = result.streamed ? " (streamed spectrum)"
-                         : result.pass1_overlap.workers > 0
-                             ? " (streamed passes)"
-                             : " (buffered)";
-    std::cerr << "method=" << method_name << phase1 << ": "
-              << result.report.summary() << "\n";
-    // Index provenance, formatted like the tile-cache extras below: one
-    // stderr line keyed off the standardized report extras.
-    if (result.report.extra("pass1_skipped") +
-            result.report.extra("index_saved") >
-        0) {
-      std::cerr << "index: " << result.report.note_or("index_path")
-                << " (checksum " << result.report.note_or("index_checksum")
+    std::cerr << "method=" << method_name << " ("
+              << phase1_shape(pipeline.corrector())
+              << "): " << result.report.summary() << "\n";
+    if (!result.index_path.empty()) {
+      std::cerr << "index: " << result.index_path << " (checksum 0x"
+                << std::hex << result.index_checksum << std::dec
                 << ", pass 1 "
                 << (result.pass1_skipped ? "skipped — spectrum mmap-loaded"
                                          : "built and saved")
@@ -146,8 +148,7 @@ int main(int argc, char** argv) {
       std::cerr << "tile cache: "
                 << 100.0 * static_cast<double>(cache_hits) /
                        static_cast<double>(cache_hits + cache_misses)
-                << "% hit rate, pass 2 "
-                << result.report.extra("pass2_reads_per_sec") << " reads/s\n";
+                << "% hit rate\n";
     }
     if (result.spectrum_spilled) {
       std::cerr << "spill: pass 1 stayed under "
@@ -156,17 +157,32 @@ int main(int argc, char** argv) {
                 << result.spectrum_spilled_bytes << " bytes spilled into "
                 << result.spectrum_spill_bins << " bins\n";
     }
-    if (result.pass2_overlap.workers > 0) {
-      const auto& s2 = result.pass2_overlap;
+    // Where each pass's executor stages waited and how full its buffers
+    // got. Pass 1's worker passes batches straight through, so parsed
+    // batches waiting for the consumer sit in its reorder buffer.
+    if (const auto& s1 = result.pass1_overlap; s1.workers > 0) {
+      std::cerr << "overlap: pass 1 reader stall "
+                << to_ms(s1.reader_stall_seconds) << " ms, ingest stall "
+                << to_ms(s1.writer_stall_seconds) << " ms, reorder peak "
+                << s1.reorder_peak << "\n";
+    }
+    if (const auto& s2 = result.pass2_overlap; s2.workers > 0) {
       std::cerr << "overlap: pass 2 "
-                << result.report.extra("pass2_worker_util_pct")
+                << static_cast<std::uint64_t>(s2.worker_utilization() * 100.0 +
+                                              0.5)
                 << "% worker utilization over " << s2.workers
-                << " workers (reader stall "
-                << result.report.extra("pass2_reader_stall_ms")
-                << " ms, writer stall "
-                << result.report.extra("pass2_writer_stall_ms")
+                << " workers (reader stall " << to_ms(s2.reader_stall_seconds)
+                << " ms, writer stall " << to_ms(s2.writer_stall_seconds)
+                << " ms, worker stall " << to_ms(s2.worker_stall_seconds)
                 << " ms, queue peak " << s2.queue_peak << ", reorder peak "
                 << s2.reorder_peak << ")\n";
+    }
+    if (result.pass2_seconds > 0.0) {
+      std::cerr << "throughput: pass2_reads_per_sec="
+                << static_cast<std::uint64_t>(
+                       static_cast<double>(result.report.reads) /
+                       result.pass2_seconds)
+                << "\n";
     }
     // Degradation report: anything the run survived rather than failed.
     if (result.reads_skipped + result.reads_failed + result.io_retries > 0) {

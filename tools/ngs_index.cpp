@@ -216,11 +216,12 @@ util::CliParser make_cli(const std::string& subcommand) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The subcommand picks the parser; run_tool then reads it as the
-  // first positional argument.
+  // The subcommand picks the parser, which reads only the arguments
+  // after it. Without one (`ngs-index --help`) it reads them all.
   const std::string subcommand = argc > 1 ? argv[1] : "";
+  const int skip = subcommand.empty() || subcommand[0] == '-' ? 0 : 1;
   util::CliParser cli = make_cli(subcommand);
-  return fault::run_tool(cli, argc, argv, [&] {
+  return fault::run_tool(cli, argc - skip, argv + skip, [&] {
     if (subcommand == "build") return run_build(cli);
     if (subcommand == "info") return run_info(cli);
     if (subcommand == "verify") return run_verify(cli);
