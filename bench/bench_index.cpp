@@ -1,7 +1,7 @@
 // Persistent spectrum index bench: the build-once / load-many tradeoff
 // the ngs::index subsystem exists for. On the Table 2.1 D3-scale
-// dataset it times the chunked spectrum build on pools of 1, 2, 4 and 8
-// threads, writes the index once, then times cold-ish mmap loads (best
+// dataset it times the chunked spectrum build on 1, 2, 4 and 8 workers'
+// lanes, writes the index once, then times cold-ish mmap loads (best
 // of n) and full checksum-verified loads, asserting the loaded spectrum
 // is byte-identical to the built one. Emits BENCH_index.json (path
 // overridable via NGS_BENCH_JSON); the headline number is
@@ -66,15 +66,13 @@ int main() {
             << ", k=" << k << ", hardware_threads="
             << std::thread::hardware_concurrency() << "\n\n";
 
-  // --- Builds to beat: the chunked builder on 1, 2, 4 and 8 threads. ---
+  // --- Builds to beat: the chunked builder on 1, 2, 4 and 8 workers. ---
   std::vector<std::pair<std::size_t, double>> builds;
   kspec::KSpectrum reference;
   for (const std::size_t threads : {1ul, 2ul, 4ul, 8ul}) {
     util::ThreadPool pool(threads);
     builds.emplace_back(threads, best_seconds(3, [&] {
-      kspec::ChunkedSpectrumBuilder builder(k, true, 1 << 20, &pool);
-      builder.add_read_batch(reads.reads);
-      const auto spec = builder.finish();
+      const auto spec = bench::count_on_workers(reads, k, pool);
       if (reference.k() == 0) reference = spec;
       if (!identical(spec, reference)) std::abort();
     }));

@@ -1,10 +1,10 @@
 // Spectrum construction + lookup microbench. Builds the Table 2.1
 // D3-scale simulated dataset, times the one k-mer counter
-// (ChunkedSpectrumBuilder) on pools of 1, 2, 4 and 8 threads (verifying
-// byte-identical spectra), and times index_of with and without the
-// prefix-bucket index. Emits BENCH_spectrum.json (path overridable via
-// NGS_BENCH_JSON) so the perf trajectory of the k-spectrum stack is
-// recorded run over run.
+// (ChunkedSpectrumBuilder) on 1, 2, 4 and 8 workers, one lane each
+// (verifying byte-identical spectra), and times index_of with and
+// without the prefix-bucket index. Emits BENCH_spectrum.json (path
+// overridable via NGS_BENCH_JSON) so the perf trajectory of the
+// k-spectrum stack is recorded run over run.
 
 #include "bench_common.hpp"
 
@@ -54,7 +54,7 @@ int main() {
   constexpr int kRepeats = 3;
   bench::print_header(
       "Spectrum build + lookup microbench (Table 2.1 D3-scale)",
-      "Chunked radix build on pools of 1-8 threads; "
+      "Chunked radix build on 1-8 workers' lanes; "
       "prefix-indexed vs full-range binary-search lookups.");
 
   const auto specs = sim::chapter2_specs(scale);
@@ -66,8 +66,9 @@ int main() {
             << ", k=" << k << ", hardware_threads="
             << std::thread::hardware_concurrency() << "\n\n";
 
-  // --- Build: the chunked builder on pools of 1, 2, 4 and 8 threads,
-  // as pipeline pass 1 runs it. ---
+  // --- Build: the chunked builder on 1, 2, 4 and 8 workers, one lane
+  // each, with the final merge on a pool of as many threads, as pipeline
+  // pass 1 runs it. ---
   struct BuildRow {
     std::size_t threads;
     double seconds;
@@ -79,9 +80,7 @@ int main() {
     util::ThreadPool pool(threads);
     kspec::KSpectrum spec;
     const double s = best_seconds(kRepeats, [&] {
-      kspec::ChunkedSpectrumBuilder builder(k, true, 1 << 20, &pool);
-      builder.add_read_batch(reads.reads);
-      spec = builder.finish();
+      spec = bench::count_on_workers(reads, k, pool);
     });
     if (builds.empty()) reference = spec;
     builds.push_back({threads, s, identical(spec, reference)});

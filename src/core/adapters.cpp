@@ -26,6 +26,7 @@
 #include "reptile/corrector.hpp"
 #include "seq/kmer.hpp"
 #include "shrec/shrec.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ngs::core {
 namespace {
@@ -90,7 +91,7 @@ class ReptileAdapter final : public Corrector {
   std::string_view method() const noexcept override { return "reptile"; }
 
   void build(const seq::ReadSet& reads) override {
-    build_streamed(seq::pass_over(reads));
+    build_streamed(seq::pass_over(reads, util::default_pool().size()));
   }
 
   void build_streamed(const seq::ReadPass& pass) override {
@@ -140,9 +141,13 @@ class ReptileAdapter final : public Corrector {
       report.note("reptile_params", params_note(corrector_->params()));
     }
     if (!cache_) return;
+    // Count decisions, not lookups: a tile two workers miss at once is
+    // decided twice but inserted once, so while nothing is evicted both
+    // counts repeat exactly at every worker count.
     const auto stats = cache_->stats();
-    report.bump("tile_cache_hits", stats.hits);
-    report.bump("tile_cache_misses", stats.misses);
+    const std::uint64_t lookups = stats.hits + stats.misses;
+    report.bump("tile_cache_hits", lookups - stats.insertions);
+    report.bump("tile_cache_misses", stats.insertions);
     report.bump("tile_cache_evictions", stats.evictions);
   }
 

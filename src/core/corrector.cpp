@@ -103,8 +103,10 @@ void Corrector::build(const seq::ReadSet& reads) {
 
 void Corrector::build_streamed(const seq::ReadPass& pass) {
   seq::ReadSet reads;
-  pass([&reads](std::span<const seq::Read> batch) {
-    reads.reads.insert(reads.reads.end(), batch.begin(), batch.end());
+  pass([&reads](std::span<const seq::Read> batch, std::size_t) {
+    return [&reads, batch] {
+      reads.reads.insert(reads.reads.end(), batch.begin(), batch.end());
+    };
   });
   build(reads);
 }

@@ -150,8 +150,9 @@ class Corrector {
 
   /// Phase 1 of a batch method with spectrum_k() == 0 from the streamed
   /// input: each call of `pass` reads the whole input once. The default
-  /// buffers one pass and calls build(); Reptile overrides it to count
-  /// its tables in passes without holding the reads.
+  /// buffers one pass, in input order, and calls build(); Reptile
+  /// overrides it to count its tables on the pass's workers without
+  /// holding the reads.
   virtual void build_streamed(const seq::ReadPass& pass);
 
   /// True once either build overload has completed.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <iterator>
 #include <mutex>
 #include <optional>
 #include <ostream>
@@ -60,10 +59,12 @@ class ReadGauge {
 };
 
 /// One batch of the input flowing reader → workers → consumer: the
-/// parsed reads and, in pass 2, their corrections.
+/// parsed reads and, in pass 1, the fold of what a worker computed from
+/// them; in pass 2, their corrections.
 struct Batch {
   std::vector<seq::Read> in;
   std::vector<seq::Read> out;
+  seq::BatchFold fold;
 };
 
 /// Spent batches handed back from the in-order consumer to the
@@ -98,10 +99,10 @@ struct Ingest {
 
 /// One pass over open_input(), the only loop that reads the input: the
 /// executor's reader thread parses batches of options.batch_size ahead,
-/// `workers` threads run `work` on each batch (none when `work` is
-/// empty), and this thread, the in-order consumer, hands each batch to
-/// `consume`. Only this thread runs `consume`, so whatever it feeds
-/// needs no locking. `pass` names the pass in the reader's fault.
+/// `workers` threads run `work` on each batch, and this thread, the
+/// in-order consumer, hands each batch to `consume`. Only this thread
+/// runs `consume`, so whatever it feeds needs no locking. `pass` names
+/// the pass in the reader's fault.
 Ingest stream_batches(
     const PipelineOptions& options, const StreamFactory& open_input,
     const char* pass, std::size_t workers,
@@ -126,20 +127,44 @@ Ingest stream_batches(
         gauge.add(batch.in.size());
         return true;
       },
-      [&](Batch& batch, std::size_t worker) {
-        if (work) work(batch, worker);
-      },
+      work,
       [&](Batch&& batch) {
         const std::size_t n = batch.in.size();
         consume(batch);
         gauge.sub(n);
         batch.in.clear();
         batch.out.clear();
+        batch.fold = nullptr;
         recycler.give(std::move(batch));
       });
   ingest.records_skipped = reader.records_skipped();
   ingest.peak_buffered_reads = gauge.peak();
   return ingest;
+}
+
+/// Workers of every pass: options.threads, or the size of the shared
+/// default pool.
+std::size_t pass_workers(const PipelineOptions& options) {
+  return options.threads > 0 ? options.threads : util::default_pool().size();
+}
+
+/// One pass-1 read of open_input() as a seq::ReadPass run: `workers`
+/// executor workers run `work` on the batches, and this thread adds each
+/// batch to `input` (when given) and then runs its fold, in input order.
+Ingest read_pass(const PipelineOptions& options,
+                 const StreamFactory& open_input, std::size_t workers,
+                 const seq::BatchWork& work, InputSummary* input) {
+  return stream_batches(
+      options, open_input, "pass-1", workers,
+      [&work](Batch& batch, std::size_t worker) {
+        batch.fold = work(batch.in, worker);
+      },
+      [input](Batch& batch) {
+        if (input != nullptr) {
+          for (const auto& r : batch.in) input->add(r);
+        }
+        if (batch.fold) batch.fold();
+      });
 }
 
 /// Folds one more pass's executor telemetry into `total`: times and
@@ -212,14 +237,16 @@ SpectrumStep build_spectrum(const PipelineOptions& options, int k,
   kspec::SpillOptions spill;
   spill.memory_budget_bytes = options.memory_budget_bytes;
   spill.spill_dir = options.spill_dir;
+  const std::size_t workers = pass_workers(options);
   kspec::ChunkedSpectrumBuilder builder(
       k, both_strands, options.spectrum_batch_instances,
-      own_pool ? &*own_pool : nullptr, spill);
-  const Ingest ingest =
-      stream_batches(options, open_input, "pass-1", 1, {}, [&](Batch& batch) {
-        builder.add_read_batch(batch.in);
-        for (const auto& r : batch.in) step.input.add(r);
-      });
+      own_pool ? &*own_pool : nullptr, spill, workers);
+  const Ingest ingest = read_pass(
+      options, open_input, workers,
+      [&builder](std::span<const seq::Read> batch, std::size_t worker) {
+        return builder.count(batch, worker);
+      },
+      &step.input);
   step.ingest = ingest.executor;
   step.records_skipped = ingest.records_skipped;
   step.peak_buffered_reads = ingest.peak_buffered_reads;
@@ -377,34 +404,29 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
           "(--load-index, --save-index and --memory-budget-mb apply to "
           "streaming methods only)");
     }
-    // One streamed pass of phase 1: the input summary comes from the
-    // first, executor telemetry adds up over all of them, and a
-    // malformed record every pass drops counts once.
+    // One streamed pass of phase 1 on pass 2's worker count: the input
+    // summary comes from the first, executor telemetry adds up over all
+    // of them, and a malformed record every pass drops counts once.
+    const std::size_t workers = pass_workers(options_);
     std::size_t passes = 0;
-    const auto read_pass = [&](const std::function<void(Batch&)>& consume) {
+    const seq::ReadPass pass{workers, [&](const seq::BatchWork& work) {
       const bool first = passes++ == 0;
-      const Ingest ingest = stream_batches(
-          options_, open_with_retry, "pass-1", 1, {}, [&](Batch& batch) {
-            if (first) {
-              for (const auto& r : batch.in) result.input.add(r);
-            }
-            consume(batch);
-          });
+      const Ingest ingest = read_pass(options_, open_with_retry, workers,
+                                      work, first ? &result.input : nullptr);
       add_pass(result.pass1_overlap, ingest.executor);
       result.peak_buffered_reads =
           std::max(result.peak_buffered_reads, ingest.peak_buffered_reads);
       result.reads_skipped =
           std::max(result.reads_skipped, ingest.records_skipped);
-    };
+    }};
     if (corrector_->supports_batches()) {
       // The corrector reads the input in as many passes as it needs.
-      corrector_->build_streamed([&](const seq::BatchSink& sink) {
-        read_pass([&](Batch& batch) { sink(batch.in); });
-      });
+      corrector_->build_streamed(pass);
     } else {
-      read_pass([&](Batch& batch) {
-        std::move(batch.in.begin(), batch.in.end(),
-                  std::back_inserter(all.reads));
+      pass([&all](std::span<const seq::Read> batch, std::size_t) {
+        return [&all, batch] {
+          all.reads.insert(all.reads.end(), batch.begin(), batch.end());
+        };
       });
       result.peak_buffered_reads = all.reads.size();
       corrector_->build(all);
@@ -426,9 +448,7 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
   } else {
     // The input streamed once more: `workers` correct batches, this
     // thread writes them in order.
-    const std::size_t workers = options_.threads > 0
-                                    ? options_.threads
-                                    : util::default_pool().size();
+    const std::size_t workers = pass_workers(options_);
     // One scratch per executor worker for the whole run: worker ids are
     // stable, so each slot has exactly one user.
     std::vector<std::unique_ptr<BatchScratch>> scratch(workers);

@@ -6,13 +6,14 @@
 // workers process them, and the calling thread consumes them in input
 // order.
 //
-//   pass 1 — the spectrum step (build_spectrum) loads a saved index or
-//            counts the k-spectrum of streamed batches, in memory or by
-//            spilling to disk bins that stream into an index file;
-//            Reptile counts its tables in passes of its own over the
-//            streamed input (Corrector::build_streamed); the whole-set
-//            methods (SHREC, FreClu, hybrid) buffer the streamed
-//            batches into a ReadSet;
+//   pass 1 — a seq::ReadPass on `threads` workers: the spectrum step
+//            (build_spectrum) loads a saved index or counts the
+//            k-spectrum of streamed batches on the workers' lanes, in
+//            memory or by spilling to disk bins that stream into an
+//            index file; Reptile counts its tables in passes of its own
+//            over the streamed input (Corrector::build_streamed); the
+//            whole-set methods (SHREC, FreClu, hybrid) buffer the
+//            streamed batches into a ReadSet;
 //   pass 2 — the input streamed again, `threads` workers correcting
 //            batches and the calling thread writing them in order. The
 //            whole-set methods use correct_all.
@@ -39,12 +40,14 @@ namespace ngs::core {
 struct PipelineOptions {
   /// Reads per batch, in both passes.
   std::size_t batch_size = 4096;
-  /// Pass-2 correction workers and pass-1 spectrum-build threads;
-  /// 0 = the size of the shared default pool (all cores). In-flight
-  /// pass-2 batches stay under the executor cap of queue_depth (4) +
-  /// 2*threads + 1, so memory remains O(batch_size x small constant).
+  /// Workers of every pass (pass 1 counts on them, pass 2 corrects on
+  /// them) and threads of the spectrum step's final merge; 0 = the size
+  /// of the shared default pool (all cores). In-flight batches stay
+  /// under the executor cap of queue_depth (4) + 2*threads + 1, so
+  /// memory remains O(batch_size x small constant).
   std::size_t threads = 0;
-  /// Kmer instances buffered per ChunkedSpectrumBuilder batch in pass 1.
+  /// Kmer instances each pass-1 counting lane holds before it counts
+  /// them (ChunkedSpectrumBuilder's lane capacity without a budget).
   std::size_t spectrum_batch_instances = 1 << 20;
   /// Path of a persisted spectrum index (ngs::index) to mmap instead of
   /// building pass 1 from the reads; empty = build fresh. Only valid
@@ -132,7 +135,8 @@ struct SpectrumStep {
 /// Pass 1 of a spectrum-streamed method, shared by ngs-correct and
 /// ngs-index build. Loads options.load_index_path (checking it was
 /// built with `k` and `both_strands`), or streams `open_input()` in
-/// batches into a kspec::ChunkedSpectrumBuilder: in memory, or under
+/// batches into a kspec::ChunkedSpectrumBuilder, one lane per pass
+/// worker: in memory, or under
 /// options.memory_budget_bytes by spilling to disk bins streamed into an
 /// index file (saved at options.save_index_path, else transient in
 /// options.spill_dir) that pass 2 then maps.

@@ -11,6 +11,7 @@
 #include "kspec/chunked_builder.hpp"
 #include "kspec/radix.hpp"
 #include "util/batch_search.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ngs::kspec {
 
@@ -184,15 +185,20 @@ KSpectrum KSpectrum::adopt_external(std::span<const seq::KmerCode> codes,
 
 KSpectrum KSpectrum::build(const seq::ReadSet& reads, int k,
                            bool both_strands) {
-  ChunkedSpectrumBuilder builder(k, both_strands);
-  builder.add_read_batch(reads.reads);
+  const seq::ReadPass pass =
+      seq::pass_over(reads, util::default_pool().size());
+  ChunkedSpectrumBuilder builder(k, both_strands, 1 << 20, nullptr, {},
+                                 pass.workers);
+  pass([&builder](std::span<const seq::Read> batch, std::size_t lane) {
+    return builder.count(batch, lane);
+  });
   return builder.finish();
 }
 
 KSpectrum KSpectrum::build_from_sequence(std::string_view sequence, int k,
                                          bool both_strands) {
   ChunkedSpectrumBuilder builder(k, both_strands);
-  builder.add_read(sequence);
+  builder.lane(0).add(sequence);
   return builder.finish();
 }
 

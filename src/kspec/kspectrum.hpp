@@ -7,9 +7,10 @@
 // array of the masked-sort neighborhood index.
 //
 // Reads are counted by one counter, kspec::ChunkedSpectrumBuilder, which
-// streams them in batches through the radix kernel (kspec/radix.hpp)
-// and merges each batch's counts into the earlier ones (Sec. 2.3); the
-// arrays are the same for every batch size and pool size. The kernel's
+// counts streamed batches on its workers' lanes with the radix kernel
+// (kspec/radix.hpp) and merges each batch's counts into the earlier ones
+// (Sec. 2.3); the arrays are the same for every batch size, worker count
+// and pool size. The kernel's
 // prefix sharding is kept at query time as a bucket-offset table, so
 // index_of narrows to a within-bucket binary search over a few cache
 // lines instead of log2(|R^k|) scattered probes — every corrector,
@@ -49,15 +50,16 @@ class KSpectrum {
   KSpectrum& operator=(KSpectrum&& other) noexcept;
   ~KSpectrum() = default;
 
-  /// Builds the k-spectrum of `reads`: one ChunkedSpectrumBuilder run on
-  /// the shared default pool. If both_strands, every read's reverse
-  /// complement contributes as well. Windows with ambiguous bases are
-  /// skipped (callers convert N's beforehand if desired).
+  /// Builds the k-spectrum of `reads`: one ChunkedSpectrumBuilder run fed
+  /// by blocks of the set on as many workers as the shared default pool
+  /// has threads. If both_strands, every read's reverse complement
+  /// contributes as well. Windows with ambiguous bases are skipped
+  /// (callers convert N's beforehand if desired).
   static KSpectrum build(const seq::ReadSet& reads, int k,
                          bool both_strands = true);
 
   /// Builds from a single long sequence (e.g. the reference genome, for
-  /// ground-truth kmer classification), as one read of a builder run.
+  /// ground-truth kmer classification), as one read on one builder lane.
   static KSpectrum build_from_sequence(std::string_view sequence, int k,
                                        bool both_strands = false);
 

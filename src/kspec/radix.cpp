@@ -306,36 +306,35 @@ std::string spill_stem(const std::string& dir) {
 
 }  // namespace
 
-SpillPartitioner::SpillPartitioner(int k, int shard_bits, std::string dir,
-                                   std::size_t buffer_codes_per_bin)
+SpillPartitioner::SpillPartitioner(int k, int shard_bits, std::string dir)
     : k_(k),
       shard_bits_(shard_bits),
       shift_(2 * k - shard_bits),
-      dir_(std::move(dir)),
-      buffer_codes_per_bin_(std::max<std::size_t>(16, buffer_codes_per_bin)) {
+      dir_(std::move(dir)) {
   if (shard_bits < 1 || shard_bits > 2 * k) {
     throw Error(ErrorKind::kInternal, fault::sites::kSpillWrite,
                 "SpillPartitioner: shard_bits out of range");
   }
+  bin_count_ = std::size_t{1} << shard_bits;
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);  // best effort; the
   // first bin open fails with a clear message if the dir is unusable
   const std::string stem = spill_stem(dir_);
-  bins_.resize(std::size_t{1} << shard_bits);
-  for (std::size_t b = 0; b < bins_.size(); ++b) {
+  bins_ = std::make_unique<Bin[]>(bin_count_);
+  for (std::size_t b = 0; b < bin_count_; ++b) {
     bins_[b].path = stem + "_bin" + std::to_string(b) + ".spill";
   }
 }
 
 SpillPartitioner::~SpillPartitioner() {
-  for (auto& bin : bins_) {
-    bin.file.reset();  // unlinks an uncommitted temp
-    std::remove(bin.path.c_str());
+  for (std::size_t b = 0; b < bin_count_; ++b) {
+    bins_[b].file.reset();  // unlinks an uncommitted temp
+    std::remove(bins_[b].path.c_str());
   }
 }
 
-void SpillPartitioner::flush_bin(Bin& bin) {
-  if (bin.buffer.empty()) return;
+void SpillPartitioner::append(Bin& bin, std::span<const seq::KmerCode> codes) {
+  std::lock_guard<std::mutex> lock(bin.mutex);
   if (fault::should_fire(fault::sites::kSpillWrite)) {
     throw Error(ErrorKind::kIo, fault::sites::kSpillWrite,
                 bin.path + ": write failed: injected fault at " +
@@ -346,50 +345,52 @@ void SpillPartitioner::flush_bin(Bin& bin) {
     options.error_site = fault::sites::kSpillWrite;
     bin.file = std::make_unique<util::AtomicFile>(bin.path, options);
   }
-  bin.file->write(bin.buffer.data(),
-                  bin.buffer.size() * sizeof(seq::KmerCode));
-  spilled_bytes_ += bin.buffer.size() * sizeof(seq::KmerCode);
-  bin.buffer.clear();
+  bin.file->write(codes.data(), codes.size() * sizeof(seq::KmerCode));
+  bin.instances += codes.size();
 }
 
-void SpillPartitioner::add(std::span<const seq::KmerCode> codes) {
+void SpillPartitioner::add(std::span<const seq::KmerCode> codes,
+                           std::vector<seq::KmerCode>& scratch) {
   if (!writable_) {
     throw Error(ErrorKind::kInternal, fault::sites::kSpillWrite,
                 "SpillPartitioner: add after close_writes");
   }
+  // A stable counting partition by bin, so each bin's share is one
+  // contiguous write.
+  std::vector<std::size_t> cursor(bin_count_ + 1, 0);
+  for (const seq::KmerCode code : codes) ++cursor[(code >> shift_) + 1];
+  for (std::size_t b = 1; b <= bin_count_; ++b) cursor[b] += cursor[b - 1];
+  if (scratch.size() < codes.size()) scratch.resize(codes.size());
+  std::vector<std::size_t> first(cursor.begin(), cursor.end() - 1);
   for (const seq::KmerCode code : codes) {
-    Bin& bin = bins_[static_cast<std::size_t>(code >> shift_)];
-    if (bin.buffer.capacity() == 0) bin.buffer.reserve(buffer_codes_per_bin_);
-    bin.buffer.push_back(code);
-    ++bin.instances;
-    if (bin.buffer.size() >= buffer_codes_per_bin_) flush_bin(bin);
+    scratch[cursor[code >> shift_]++] = code;
+  }
+  for (std::size_t b = 0; b < bin_count_; ++b) {
+    const std::size_t n = cursor[b] - first[b];
+    if (n > 0) append(bins_[b], {scratch.data() + first[b], n});
   }
 }
 
 void SpillPartitioner::close_writes() {
   if (!writable_) return;
   writable_ = false;
-  for (auto& bin : bins_) {
-    flush_bin(bin);
-    // `= {}` would keep the capacity (initializer_list assignment);
-    // move-assign a fresh vector to actually release the buffer.
-    bin.buffer = std::vector<seq::KmerCode>();
-    if (bin.file != nullptr) bin.file->commit();
+  for (std::size_t b = 0; b < bin_count_; ++b) {
+    if (bins_[b].file != nullptr) bins_[b].file->commit();
   }
 }
 
 std::size_t SpillPartitioner::nonempty_bins() const noexcept {
   std::size_t n = 0;
-  for (const auto& bin : bins_) n += bin.instances > 0;
+  for (std::size_t b = 0; b < bin_count_; ++b) n += bins_[b].instances > 0;
   return n;
 }
 
-std::size_t SpillPartitioner::buffer_bytes() const noexcept {
-  std::size_t bytes = 0;
-  for (const auto& bin : bins_) {
-    bytes += bin.buffer.capacity() * sizeof(seq::KmerCode);
+std::uint64_t SpillPartitioner::spilled_bytes() const noexcept {
+  std::uint64_t instances = 0;
+  for (std::size_t b = 0; b < bin_count_; ++b) {
+    instances += bins_[b].instances;
   }
-  return bytes;
+  return instances * sizeof(seq::KmerCode);
 }
 
 std::vector<seq::KmerCode> SpillPartitioner::read_bin(std::size_t bin) const {

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -89,30 +90,34 @@ void serial_sort_and_count(std::vector<seq::KmerCode>&& codes,
 /// partition above — so per-bin (code, count) runs concatenate into the
 /// globally sorted spectrum with zero cross-bin merging.
 ///
-/// Write protocol: add() buffers per bin (small bounded buffers, see
-/// buffer_bytes()) and appends raw little-endian u64 codes to the bin's
-/// util::AtomicFile; close_writes() flushes and commits every bin, after
-/// which read_bin() serves them back. All bin files (and any uncommitted
-/// temps, on a failure unwind) are removed on destruction. I/O failures
-/// throw ngs::Error(kIo) sited at fault::sites::kSpillWrite/kSpillRead,
-/// both drivable from the fault registry.
+/// Write protocol: add() partitions a buffer of codes by bin and appends
+/// each bin's share as raw little-endian u64 codes to the bin's
+/// util::AtomicFile; threads may add concurrently, each bin's file
+/// taking its own lock. close_writes() commits every bin, after which
+/// read_bin() serves them back. The order of the codes within a bin
+/// file depends on which add() got its lock first, never their multiset.
+/// All bin files (and any uncommitted temps, on a failure unwind) are
+/// removed on destruction. I/O failures throw ngs::Error(kIo) sited at
+/// fault::sites::kSpillWrite/kSpillRead, both drivable from the fault
+/// registry.
 class SpillPartitioner {
  public:
   /// `dir` must name an existing or creatable directory; bin files are
   /// uniquely named per process and partitioner.
-  SpillPartitioner(int k, int shard_bits, std::string dir,
-                   std::size_t buffer_codes_per_bin = 1024);
+  SpillPartitioner(int k, int shard_bits, std::string dir);
   ~SpillPartitioner();
   SpillPartitioner(const SpillPartitioner&) = delete;
   SpillPartitioner& operator=(const SpillPartitioner&) = delete;
 
   int shard_bits() const noexcept { return shard_bits_; }
-  std::size_t bin_count() const noexcept { return bins_.size(); }
+  std::size_t bin_count() const noexcept { return bin_count_; }
 
-  /// Routes every code to its bin buffer, flushing full buffers to disk.
-  void add(std::span<const seq::KmerCode> codes);
+  /// Partitions `codes` by bin into `scratch` (grown to codes.size()
+  /// when smaller) and appends each bin's share to its file.
+  void add(std::span<const seq::KmerCode> codes,
+           std::vector<seq::KmerCode>& scratch);
 
-  /// Flushes and commits every bin file. add() is invalid afterwards.
+  /// Commits every bin file. add() is invalid afterwards.
   void close_writes();
 
   /// Instances routed to `bin` so far.
@@ -122,9 +127,7 @@ class SpillPartitioner {
   /// Bins holding at least one instance.
   std::size_t nonempty_bins() const noexcept;
   /// Total bytes spilled to disk across all bins.
-  std::uint64_t spilled_bytes() const noexcept { return spilled_bytes_; }
-  /// Bytes held by the in-memory bin buffers (for budget accounting).
-  std::size_t buffer_bytes() const noexcept;
+  std::uint64_t spilled_bytes() const noexcept;
 
   /// Reads bin `bin` back as a code multiset (in spill order). Requires
   /// close_writes(); the bin file stays on disk until destruction.
@@ -132,20 +135,19 @@ class SpillPartitioner {
 
  private:
   struct Bin {
-    std::vector<seq::KmerCode> buffer;
-    std::unique_ptr<util::AtomicFile> file;  // created on first flush
+    std::mutex mutex;  // guards file and instances during add()
+    std::unique_ptr<util::AtomicFile> file;  // created on first append
     std::string path;
     std::uint64_t instances = 0;
   };
-  void flush_bin(Bin& bin);
+  void append(Bin& bin, std::span<const seq::KmerCode> codes);
 
   int k_;
   int shard_bits_;
   int shift_;
   std::string dir_;
-  std::size_t buffer_codes_per_bin_;
-  std::vector<Bin> bins_;
-  std::uint64_t spilled_bytes_ = 0;
+  std::size_t bin_count_ = 0;
+  std::unique_ptr<Bin[]> bins_;
   bool writable_ = true;
 };
 

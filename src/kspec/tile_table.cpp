@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/thread_pool.hpp"
+
 namespace ngs::kspec {
 
 namespace {
@@ -18,38 +20,55 @@ const TileParams& checked(const TileParams& params) {
 }  // namespace
 
 TileCounter::TileCounter(const TileParams& params,
-                         std::size_t batch_instances, util::ThreadPool* pool)
+                         std::size_t batch_instances, util::ThreadPool* pool,
+                         std::size_t lanes)
     : params_(checked(params)),
-      all_(params.tile_length(), params.both_strands, batch_instances, pool),
+      all_(params.tile_length(), params.both_strands, batch_instances, pool,
+           {}, lanes),
       high_quality_(params.tile_length(), params.both_strands,
-                    batch_instances, pool) {}
+                    batch_instances, pool, {}, lanes),
+      masked_(all_.lanes()) {}
 
-void TileCounter::add_read(std::string_view bases,
-                           std::span<const std::uint8_t> quality) {
-  all_.add_read(bases);
+void TileCounter::add(std::size_t lane, std::string_view bases,
+                      std::span<const std::uint8_t> quality) {
+  all_.lane(lane).add(bases);
   const int qc = params_.quality_cutoff;
   if (qc <= 0) return;  // Og is Oc
+  auto& og = high_quality_.lane(lane);
   if (quality.empty()) {
-    high_quality_.add_read(bases);
+    og.add(bases);
     return;
   }
-  masked_.assign(bases);
-  const std::size_t n = std::min(masked_.size(), quality.size());
+  std::string& masked = masked_[lane];
+  masked.assign(bases);
+  const std::size_t n = std::min(masked.size(), quality.size());
   for (std::size_t i = 0; i < n; ++i) {
-    if (quality[i] < qc) masked_[i] = 'N';
+    if (quality[i] < qc) masked[i] = 'N';
   }
-  high_quality_.add_read(masked_);
+  og.add(masked);
 }
 
-void TileCounter::add_read_batch(std::span<const seq::Read> reads) {
-  for (const auto& r : reads) add_read(r.bases, r.quality);
+seq::BatchFold TileCounter::take(std::size_t lane) {
+  return [all = all_.lane(lane).take(),
+          high_quality = high_quality_.lane(lane).take()] {
+    all();
+    high_quality();
+  };
+}
+
+seq::BatchFold TileCounter::count(std::span<const seq::Read> reads,
+                                  std::size_t lane) {
+  for (const auto& r : reads) add(lane, r.bases, r.quality);
+  return take(lane);
 }
 
 TileTable TileCounter::finish() {
   TileTable table;
   table.params_ = params_;
-  // Og first: finishing a builder releases its batch buffers, so the
-  // larger Oc merge runs after the Og ones have gone.
+  // Every lane of both builders goes before either merge; then Og, so
+  // its runs are gone before the larger Oc merge.
+  all_.close_lanes();
+  high_quality_.close_lanes();
   const KSpectrum high_quality = high_quality_.finish();
   table.oc_ = all_.finish();
   if (params_.quality_cutoff <= 0) {
@@ -70,8 +89,12 @@ TileTable TileCounter::finish() {
 
 TileTable TileTable::build(const seq::ReadSet& reads, const TileParams& params,
                            util::ThreadPool* pool) {
-  TileCounter counter(params, 1 << 20, pool);
-  counter.add_read_batch(reads.reads);
+  util::ThreadPool& p = pool != nullptr ? *pool : util::default_pool();
+  const seq::ReadPass pass = seq::pass_over(reads, p.size());
+  TileCounter counter(params, 1 << 20, &p, pass.workers);
+  pass([&counter](std::span<const seq::Read> batch, std::size_t lane) {
+    return counter.count(batch, lane);
+  });
   return counter.finish();
 }
 

@@ -16,6 +16,9 @@
 // for Og the windows left when the bases scoring below Qc are masked to
 // N. A window survives the mask exactly when none of its bases scores
 // below Qc, the Og rule, so no whole-input tile array is ever filled.
+// Each worker of the feeding pass counts its batches on its own lane of
+// both builders, and the batch's fold merges both lanes' runs; the
+// lanes of both builders are released before either final merge.
 
 #include <cstdint>
 #include <span>
@@ -48,10 +51,12 @@ class TileTable {
  public:
   TileTable() = default;
 
-  /// Counts every tile of `reads` with a TileCounter whose builders sort
-  /// on `pool` (nullptr = util::default_pool()), so the table is
-  /// identical for every pool size. Throws std::invalid_argument unless
-  /// 0 <= overlap < k and the tile length is at most 32.
+  /// Counts every tile of `reads` with a TileCounter fed by blocks of
+  /// the set on as many workers as `pool` has threads (nullptr =
+  /// util::default_pool()), which also runs the final merges, so the
+  /// table is identical for every pool size. Throws
+  /// std::invalid_argument unless 0 <= overlap < k and the tile length
+  /// is at most 32.
   static TileTable build(const seq::ReadSet& reads, const TileParams& params,
                          util::ThreadPool* pool = nullptr);
 
@@ -101,22 +106,31 @@ class TileTable {
 };
 
 /// Streams reads into a TileTable. The table does not depend on how the
-/// reads are batched or on the pool size.
+/// reads are batched, on the lane a batch is counted on, or on the pool
+/// size.
 class TileCounter {
  public:
   /// Throws std::invalid_argument unless 0 <= overlap < k and the tile
-  /// length is at most 32. `batch_instances` and `pool` size and run
-  /// each of the two builders (see ChunkedSpectrumBuilder).
+  /// length is at most 32. `batch_instances`, `pool` and `lanes` size
+  /// and run each of the two builders (see ChunkedSpectrumBuilder).
   explicit TileCounter(const TileParams& params,
                        std::size_t batch_instances = 1 << 20,
-                       util::ThreadPool* pool = nullptr);
+                       util::ThreadPool* pool = nullptr,
+                       std::size_t lanes = 1);
 
-  /// Counts the tiles of one read. `quality` holds its Phred scores
-  /// (empty when unavailable: every window then counts toward Og too).
-  void add_read(std::string_view bases,
-                std::span<const std::uint8_t> quality);
+  /// Counts the tiles of one read on lane `lane`. `quality` holds its
+  /// Phred scores (empty when unavailable: every window then counts
+  /// toward Og too). One thread at a time may use a lane.
+  void add(std::size_t lane, std::string_view bases,
+           std::span<const std::uint8_t> quality);
 
-  void add_read_batch(std::span<const seq::Read> reads);
+  /// Ends the lane's batch: the fold merges what both of its builders'
+  /// lanes counted (ChunkedSpectrumBuilder::Lane::take).
+  seq::BatchFold take(std::size_t lane);
+
+  /// The counting step of a seq::ReadPass: every read of `reads` on lane
+  /// `lane`, then take(lane).
+  seq::BatchFold count(std::span<const seq::Read> reads, std::size_t lane);
 
   /// The table of every tile added. The counter is left empty.
   TileTable finish();
@@ -125,7 +139,7 @@ class TileCounter {
   TileParams params_;
   ChunkedSpectrumBuilder all_;           // Oc: every window
   ChunkedSpectrumBuilder high_quality_;  // Og: windows with no base < Qc
-  std::string masked_;                   // a read with its low bases N'd
+  std::vector<std::string> masked_;      // per lane: a read, low bases N'd
 };
 
 }  // namespace ngs::kspec

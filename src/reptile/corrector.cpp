@@ -91,13 +91,20 @@ ReptileCorrector::ReptileCorrector(const seq::ReadPass& pass,
                                    QualityCutoffs cutoffs)
     : params_(params) {
   params_.validate();
-  Converter convert(params_);
+  // One converter per pass worker, as each worker counts on its own lane.
+  std::vector<Converter> convert(pass.workers, Converter(params_));
   {
     QualityCounts qualities;
-    kspec::ChunkedSpectrumBuilder kmers(params_.k, /*both_strands=*/true);
-    pass([&](std::span<const seq::Read> batch) {
-      if (cutoffs == QualityCutoffs::kFromReads) qualities.add(batch);
-      for (const auto& r : batch) kmers.add_read(convert(r).bases);
+    kspec::ChunkedSpectrumBuilder kmers(params_.k, /*both_strands=*/true,
+                                        1 << 20, nullptr, {}, pass.workers);
+    pass([&](std::span<const seq::Read> batch,
+             std::size_t worker) -> seq::BatchFold {
+      auto& lane = kmers.lane(worker);
+      for (const auto& r : batch) lane.add(convert[worker](r).bases);
+      return [&, batch, fold = lane.take()] {
+        if (cutoffs == QualityCutoffs::kFromReads) qualities.add(batch);
+        fold();
+      };
     });
     spectrum_ = kmers.finish();
     if (cutoffs == QualityCutoffs::kFromReads) {
@@ -105,12 +112,14 @@ ReptileCorrector::ReptileCorrector(const seq::ReadPass& pass,
     }
   }
   {
-    kspec::TileCounter tiles(params_.tile_params());
-    pass([&](std::span<const seq::Read> batch) {
+    kspec::TileCounter tiles(params_.tile_params(), 1 << 20, nullptr,
+                             pass.workers);
+    pass([&](std::span<const seq::Read> batch, std::size_t worker) {
       for (const auto& r : batch) {
-        const seq::Read& converted = convert(r);
-        tiles.add_read(converted.bases, converted.quality);
+        const seq::Read& converted = convert[worker](r);
+        tiles.add(worker, converted.bases, converted.quality);
       }
+      return tiles.take(worker);
     });
     tiles_ = tiles.finish();
   }
@@ -122,6 +131,11 @@ ReptileCorrector::ReptileCorrector(const seq::ReadPass& pass,
   graph_ = kspec::HammingGraph(spectrum_, params_.d);
   util::release_free_memory();
 }
+
+ReptileCorrector::ReptileCorrector(const seq::ReadSet& reads,
+                                   ReptileParams params)
+    : ReptileCorrector(seq::pass_over(reads, util::default_pool().size()),
+                       params) {}
 
 void ReptileCorrector::choose_thresholds() {
   select_thresholds(tiles_, params_);

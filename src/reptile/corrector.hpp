@@ -106,16 +106,17 @@ class ReptileCorrector {
   /// counts the k-spectrum of the converted reads (conversion needs only
   /// k and d) and, for kFromReads, the raw base qualities; pass 1
   /// counts the tiles of the converted reads under Qc (TileCounter).
-  /// The Hamming graph is then built from the spectrum. The sorts and
-  /// the graph run on util::default_pool(). Throws
+  /// Both passes count each batch on the lane of the pass worker that
+  /// reads it. The Hamming graph is then built from the spectrum. The
+  /// final merges and the graph run on util::default_pool(). Throws
   /// std::invalid_argument (ReptileParams::validate) before any pass on
   /// an invalid tile.
   ReptileCorrector(const seq::ReadPass& pass, ReptileParams params,
                    QualityCutoffs cutoffs = QualityCutoffs::kGiven);
 
-  /// The same phase 1 over blocks of `reads`, with params' Qc and Qm.
-  ReptileCorrector(const seq::ReadSet& reads, ReptileParams params)
-      : ReptileCorrector(seq::pass_over(reads), params) {}
+  /// The same phase 1 over blocks of `reads` on as many workers as
+  /// util::default_pool() has threads, with params' Qc and Qm.
+  ReptileCorrector(const seq::ReadSet& reads, ReptileParams params);
 
   /// Sets Cg and Cm by select_thresholds on tiles(), the table counted
   /// from the N-converted reads. Only phase 2 reads them, so a caller

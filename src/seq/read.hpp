@@ -7,7 +7,6 @@
 // sequence) that the evaluation module consumes — this replaces the
 // paper's RMAP-based approximate truth with exact truth.
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -48,24 +47,33 @@ struct ReadSet {
   }
 };
 
-/// Takes one batch of reads.
-using BatchSink = std::function<void(std::span<const Read>)>;
+/// Folds what a pass worker computed from one batch into the caller's
+/// state. A pass runs every fold on its calling thread, in input order.
+using BatchFold = std::function<void()>;
 
-/// One whole pass over a re-readable input: every call hands every read
-/// to the sink, batch by batch and in input order, on the calling
-/// thread. A method that counts its tables in several passes reads the
-/// input through one, so a file need never be held in memory.
-using ReadPass = std::function<void(const BatchSink&)>;
+/// Runs on a pass worker over one batch and returns the batch's fold
+/// (empty when there is nothing to fold). `worker` lies in [0, workers)
+/// of the pass, and no other thread runs a step for the same worker at
+/// the same time, so per-worker state indexed by it needs no lock. The
+/// batch stays valid until its fold has run.
+using BatchWork =
+    std::function<BatchFold(std::span<const Read> batch, std::size_t worker)>;
 
-/// A ReadPass over the reads of `set` in blocks of `block` reads. The
-/// set must outlive the pass.
-inline ReadPass pass_over(const ReadSet& set, std::size_t block = 4096) {
-  return [&set, block](const BatchSink& sink) {
-    const std::span<const Read> all(set.reads);
-    for (std::size_t i = 0; i < all.size(); i += block) {
-      sink(all.subspan(i, std::min(block, all.size() - i)));
-    }
-  };
-}
+/// One whole pass over a re-readable input: every batch goes through
+/// `work` on one of `workers` threads, and the folds it returns run on
+/// the calling thread in input order. A method that counts its tables
+/// in several passes reads the input through one, so a file need never
+/// be held in memory.
+struct ReadPass {
+  std::size_t workers = 1;
+  std::function<void(const BatchWork&)> run;
+
+  void operator()(const BatchWork& work) const { run(work); }
+};
+
+/// A ReadPass over the reads of `set` in blocks of `block` reads on
+/// `workers` threads (at least one). The set must outlive the pass.
+ReadPass pass_over(const ReadSet& set, std::size_t workers,
+                   std::size_t block = 4096);
 
 }  // namespace ngs::seq

@@ -1,20 +1,27 @@
 #pragma once
-// The reference the spectrum-counting tests diff every build against.
-// It shares no code with ChunkedSpectrumBuilder: each strand is
-// extracted string by string (seq::extract_kmer_codes over the read and
-// over its reverse-complemented string) and counted by the serial
-// sort-and-run-length reference (kspec::serial_sort_and_count).
+// The references the spectrum- and tile-counting tests diff every build
+// against. They share no code with ChunkedSpectrumBuilder: each strand
+// is extracted string by string (seq::extract_kmer_codes over the read
+// and over its reverse-complemented string) and counted by the serial
+// sort-and-run-length reference (kspec::serial_sort_and_count), or for
+// tiles into a std::map.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "kspec/kspectrum.hpp"
 #include "kspec/radix.hpp"
+#include "kspec/tile_table.hpp"
 #include "seq/alphabet.hpp"
 #include "seq/kmer.hpp"
 #include "seq/read.hpp"
+#include "sim/genome.hpp"
+#include "util/rng.hpp"
 
 namespace ngs::ref {
 
@@ -46,6 +53,84 @@ inline void expect_byte_identical(const kspec::KSpectrum& a,
                          b.codes().begin(), b.codes().end()));
   ASSERT_TRUE(std::equal(a.counts().begin(), a.counts().end(),
                          b.counts().begin(), b.counts().end()));
+}
+
+
+// Reads for the parallel-builder oracles: lengths from 0 to 60 over a
+// small random genome (so windows repeat), a sprinkle of N's and
+// lowercase bases, random qualities on both sides of 20, and a few reads
+// without qualities. Enough reads for several fill blocks and the
+// radix path.
+inline seq::ReadSet oracle_reads(std::uint64_t seed, std::size_t n) {
+  util::Rng rng(seed);
+  const auto genome =
+      sim::random_sequence(4000, {0.25, 0.25, 0.25, 0.25}, rng);
+  seq::ReadSet set;
+  for (std::size_t i = 0; i < n; ++i) {
+    seq::Read r;
+    r.id = std::to_string(i);
+    const std::size_t len = rng.below(61);
+    const std::size_t pos = rng.below(genome.size() - len);
+    r.bases = genome.substr(pos, len);
+    for (char& c : r.bases) {
+      if (rng.bernoulli(0.01)) c = 'N';
+      else if (rng.bernoulli(0.01)) c = static_cast<char>(c - 'A' + 'a');
+    }
+    if (!rng.bernoulli(0.05)) {
+      for (std::size_t j = 0; j < len; ++j) {
+        r.quality.push_back(static_cast<std::uint8_t>(rng.below(41)));
+      }
+    }
+    set.reads.push_back(std::move(r));
+  }
+  return set;
+}
+
+// Oracle: every window of every strand, string by string. Oc counts all
+// windows free of N's; Og only those whose every quality is >= Qc.
+inline std::map<seq::KmerCode, kspec::TileTable::Counts> tile_oracle(
+    const seq::ReadSet& reads, const kspec::TileParams& params) {
+  std::map<seq::KmerCode, kspec::TileTable::Counts> expected;
+  const auto tl = static_cast<std::size_t>(params.tile_length());
+  for (const auto& r : reads.reads) {
+    std::vector<std::pair<std::string, std::vector<std::uint8_t>>> strands = {
+        {r.bases, r.quality}};
+    if (params.both_strands) {
+      strands.push_back({seq::reverse_complement(r.bases),
+                         {r.quality.rbegin(), r.quality.rend()}});
+    }
+    for (const auto& [bases, quality] : strands) {
+      for (std::size_t i = 0; i + tl <= bases.size(); ++i) {
+        const auto code = seq::encode_kmer(bases.substr(i, tl));
+        if (!code) continue;
+        auto& counts = expected[*code];
+        ++counts.oc;
+        bool high = true;
+        if (params.quality_cutoff > 0 && !quality.empty()) {
+          for (std::size_t j = i; j < i + tl; ++j) {
+            high = high && quality[j] >= params.quality_cutoff;
+          }
+        }
+        counts.og += high;
+      }
+    }
+  }
+  return expected;
+}
+
+/// Asserts that `table` holds exactly the tiles of `expected`, in code
+/// order, with their Oc and Og.
+inline void expect_table_matches(
+    const kspec::TileTable& table,
+    const std::map<seq::KmerCode, kspec::TileTable::Counts>& expected) {
+  ASSERT_EQ(table.size(), expected.size());
+  std::size_t i = 0;
+  for (const auto& [code, counts] : expected) {
+    ASSERT_EQ(table.code_at(i), code) << i;
+    ASSERT_EQ(table.counts_at(i).oc, counts.oc) << i;
+    ASSERT_EQ(table.counts_at(i).og, counts.og) << i;
+    ++i;
+  }
 }
 
 }  // namespace ngs::ref

@@ -117,12 +117,18 @@ TEST(ChunkedBuilder, StreamsFastqWithoutReadSet) {
                         reference_spectrum(run.reads, 13, true));
 }
 
+/// Counts one read as a batch of its own.
+void add_one(kspec::ChunkedSpectrumBuilder& builder, std::string bases) {
+  const seq::Read read{"r", std::move(bases), {}};
+  builder.add_read_batch({&read, 1});
+}
+
 TEST(ChunkedBuilder, ReusableAfterFinish) {
   kspec::ChunkedSpectrumBuilder builder(8, false, 2048);
-  builder.add_read("ACGTACGTACGT");
+  add_one(builder, "ACGTACGTACGT");
   const auto first = builder.finish();
   EXPECT_GT(first.size(), 0u);
-  builder.add_read("TTTTTTTTTT");
+  add_one(builder, "TTTTTTTTTT");
   const auto second = builder.finish();
   EXPECT_TRUE(second.contains(seq::encode_kmer("TTTTTTTT").value()));
   EXPECT_FALSE(second.contains(seq::encode_kmer("ACGTACGT").value()));
@@ -225,7 +231,7 @@ TEST(ChunkedBuilder, LongReadStaysUnderBudget) {
 
   kspec::ChunkedSpectrumBuilder builder(13, true, 1 << 20, nullptr,
                                         spill_options(kBudget));
-  builder.add_read(read);
+  builder.add_read_batch(reads.reads);
   EXPECT_TRUE(builder.spilled());
   const auto spilled = builder.finish();
   EXPECT_LE(builder.peak_tracked_bytes(), kBudget);
@@ -238,12 +244,12 @@ TEST(ChunkedBuilder, SpilledBuilderIsReusable) {
   // Force a spill on the first build by exceeding the minimum threshold.
   std::string read(5000, 'A');
   for (std::size_t i = 0; i < read.size(); i += 7) read[i] = 'C';
-  for (int r = 0; r < 12; ++r) builder.add_read(read);
+  for (int r = 0; r < 12; ++r) add_one(builder, read);
   EXPECT_TRUE(builder.spilled());
   const auto first = builder.finish();
   EXPECT_GT(first.size(), 0u);
 
-  builder.add_read("TTTTTTTTTT");
+  add_one(builder, "TTTTTTTTTT");
   EXPECT_FALSE(builder.spilled()) << "finish() must reset the spill state";
   const auto second = builder.finish();
   EXPECT_TRUE(second.contains(seq::encode_kmer("TTTTTTTT").value()));

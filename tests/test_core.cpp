@@ -23,6 +23,7 @@
 #include "sim/genome.hpp"
 #include "sim/read_sim.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -270,7 +271,8 @@ TEST(CorrectionPipeline, ByteIdenticalToCorrectAllForEveryMethod) {
 
 // The streamed path holds several batches in flight in either pass, but
 // stays under the executor's cap: batch_size * (queue_depth + 2*threads
-// + 1) reads resident, at every thread count.
+// + 1) reads resident, at every thread count. Phase 1 counts on as many
+// executor workers as pass 2 corrects on.
 TEST(CorrectionPipeline, OverlappedPathBuffersStayBounded) {
   const auto run = make_run(13);
   const std::string input = to_fastq(run.reads);
@@ -301,7 +303,7 @@ TEST(CorrectionPipeline, OverlappedPathBuffersStayBounded) {
       EXPECT_GT(result.peak_rss_bytes, 0u);
       EXPECT_EQ(result.batches, batches);
       EXPECT_EQ(result.input.reads, run.reads.size());
-      EXPECT_EQ(result.pass1_overlap.workers, 1u);
+      EXPECT_EQ(result.pass1_overlap.workers, threads);
       EXPECT_EQ(result.pass1_overlap.items, phase1_passes * batches);
       EXPECT_LE(result.pass1_overlap.queue_peak, depth);
       EXPECT_EQ(result.pass2_overlap.workers, threads);
@@ -362,7 +364,7 @@ TEST(CorrectionPipeline, BufferedPathHoldsWholeInput) {
   EXPECT_EQ(result.peak_buffered_reads, run.reads.size());
   EXPECT_EQ(result.report.reads, run.reads.size());
   EXPECT_EQ(result.input.reads, run.reads.size());
-  EXPECT_EQ(result.pass1_overlap.workers, 1u);
+  EXPECT_EQ(result.pass1_overlap.workers, util::default_pool().size());
   EXPECT_EQ(result.pass1_overlap.items,
             (run.reads.size() + options.batch_size - 1) / options.batch_size);
   EXPECT_EQ(result.pass2_overlap.workers, 0u);
@@ -429,6 +431,36 @@ TEST(CorrectionPipeline, TileCacheOutputByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(report.reads_changed, uncached_report.reads_changed) << threads;
     EXPECT_EQ(report.bases_changed, uncached_report.bases_changed) << threads;
   }
+}
+
+// The memo's counters count decisions, not lookups: a tile two workers
+// miss at once is decided twice but inserted once, so while nothing is
+// evicted the hits and misses repeat exactly, run after run and at any
+// worker count.
+TEST(CorrectionPipeline, TileCacheCountsRepeatAcrossRunsAndWorkers) {
+  const auto run = make_run(31);
+  const std::string input = to_fastq(run.reads);
+  std::vector<std::vector<std::uint64_t>> counts;
+  for (const std::size_t threads : {1ul, 4ul}) {
+    for (int i = 0; i < 3; ++i) {
+      core::CorrectorConfig config;
+      config.genome_length = 20000;
+      core::PipelineOptions options;
+      options.batch_size = 301;
+      options.threads = threads;
+      core::CorrectionPipeline pipeline(core::make_corrector("reptile", config),
+                                        options);
+      std::ostringstream out;
+      const auto report = pipeline.run(factory_for(input), out).report;
+      counts.push_back({report.extra("tile_cache_hits"),
+                        report.extra("tile_cache_misses"),
+                        report.extra("tile_cache_evictions")});
+    }
+  }
+  EXPECT_GT(counts.front()[0], 0u);
+  EXPECT_GT(counts.front()[1], 0u);
+  EXPECT_EQ(counts.front()[2], 0u);
+  for (const auto& c : counts) EXPECT_EQ(c, counts.front());
 }
 
 // --k sets the tile length Reptile's thresholds are chosen at: the run

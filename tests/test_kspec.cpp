@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -551,36 +550,6 @@ TEST(TileTable, BothStrandsCountRevcompTiles) {
   EXPECT_EQ(table.counts(seq::encode_kmer("AACCGGTT").value()).oc, 2u);
 }
 
-// Reads for the parallel-builder oracles: lengths from 0 to 60 over a
-// small random genome (so windows repeat), a sprinkle of N's and
-// lowercase bases, random qualities on both sides of 20, and a few reads
-// without qualities. Enough reads for several fill blocks and the
-// radix path.
-seq::ReadSet oracle_reads(std::uint64_t seed, std::size_t n) {
-  util::Rng rng(seed);
-  const auto genome =
-      sim::random_sequence(4000, {0.25, 0.25, 0.25, 0.25}, rng);
-  seq::ReadSet set;
-  for (std::size_t i = 0; i < n; ++i) {
-    seq::Read r;
-    r.id = std::to_string(i);
-    const std::size_t len = rng.below(61);
-    const std::size_t pos = rng.below(genome.size() - len);
-    r.bases = genome.substr(pos, len);
-    for (char& c : r.bases) {
-      if (rng.bernoulli(0.01)) c = 'N';
-      else if (rng.bernoulli(0.01)) c = static_cast<char>(c - 'A' + 'a');
-    }
-    if (!rng.bernoulli(0.05)) {
-      for (std::size_t j = 0; j < len; ++j) {
-        r.quality.push_back(static_cast<std::uint8_t>(rng.below(41)));
-      }
-    }
-    set.reads.push_back(std::move(r));
-  }
-  return set;
-}
-
 std::vector<std::unique_ptr<util::ThreadPool>> oracle_pools() {
   std::vector<std::unique_ptr<util::ThreadPool>> pools;
   for (const std::size_t n : {1, 2, 4}) {
@@ -589,40 +558,8 @@ std::vector<std::unique_ptr<util::ThreadPool>> oracle_pools() {
   return pools;
 }
 
-// Oracle: every window of every strand, string by string. Oc counts all
-// windows free of N's; Og only those whose every quality is >= Qc.
-std::map<seq::KmerCode, kspec::TileTable::Counts> tile_oracle(
-    const seq::ReadSet& reads, const kspec::TileParams& params) {
-  std::map<seq::KmerCode, kspec::TileTable::Counts> expected;
-  const auto tl = static_cast<std::size_t>(params.tile_length());
-  for (const auto& r : reads.reads) {
-    std::vector<std::pair<std::string, std::vector<std::uint8_t>>> strands = {
-        {r.bases, r.quality}};
-    if (params.both_strands) {
-      strands.push_back({seq::reverse_complement(r.bases),
-                         {r.quality.rbegin(), r.quality.rend()}});
-    }
-    for (const auto& [bases, quality] : strands) {
-      for (std::size_t i = 0; i + tl <= bases.size(); ++i) {
-        const auto code = seq::encode_kmer(bases.substr(i, tl));
-        if (!code) continue;
-        auto& counts = expected[*code];
-        ++counts.oc;
-        bool high = true;
-        if (params.quality_cutoff > 0 && !quality.empty()) {
-          for (std::size_t j = i; j < i + tl; ++j) {
-            high = high && quality[j] >= params.quality_cutoff;
-          }
-        }
-        counts.og += high;
-      }
-    }
-  }
-  return expected;
-}
-
 TEST(TileTable, ParallelBuildMatchesMapOracle) {
-  const auto reads = oracle_reads(41, 6000);
+  const auto reads = ref::oracle_reads(41, 6000);
   const auto pools = oracle_pools();
   struct Case {
     int k, overlap, quality_cutoff;
@@ -636,21 +573,14 @@ TEST(TileTable, ParallelBuildMatchesMapOracle) {
     params.overlap = c.overlap;
     params.quality_cutoff = c.quality_cutoff;
     params.both_strands = c.both_strands;
-    const auto expected = tile_oracle(reads, params);
+    const auto expected = ref::tile_oracle(reads, params);
     for (const auto& pool : pools) {
       SCOPED_TRACE(::testing::Message()
                    << "k=" << c.k << " l=" << c.overlap << " Qc="
                    << c.quality_cutoff << " both=" << c.both_strands
                    << " pool=" << pool->size());
-      const auto table = kspec::TileTable::build(reads, params, pool.get());
-      ASSERT_EQ(table.size(), expected.size());
-      std::size_t i = 0;
-      for (const auto& [code, counts] : expected) {
-        ASSERT_EQ(table.code_at(i), code) << i;
-        ASSERT_EQ(table.counts_at(i).oc, counts.oc) << i;
-        ASSERT_EQ(table.counts_at(i).og, counts.og) << i;
-        ++i;
-      }
+      ref::expect_table_matches(
+          kspec::TileTable::build(reads, params, pool.get()), expected);
     }
   }
 }
@@ -821,7 +751,7 @@ TEST(MaskedSortIndex, RunPairsVisitEachPairOnce) {
 }
 
 TEST(KSpectrum, ParallelBuildIdenticalOnReadsWithAmbiguousBases) {
-  const auto reads = oracle_reads(47, 6000);
+  const auto reads = ref::oracle_reads(47, 6000);
   const auto pools = oracle_pools();
   for (const bool both : {false, true}) {
     const auto reference = reference_spectrum(reads, 11, both);

@@ -300,17 +300,17 @@ std::map<seq::KmerCode, std::pair<std::uint32_t, std::uint32_t>> tile_counts(
 }
 
 /// A ReadPass parsing FASTQ text in batches of `batch` reads, as the
-/// pipeline's passes do.
+/// pipeline's passes do, on one thread that plays two workers in turn.
 seq::ReadPass fastq_pass(const std::string& fastq, std::size_t batch) {
-  return [&fastq, batch](const seq::BatchSink& sink) {
-    std::istringstream is(fastq);
-    io::FastqStreamReader reader(is);
-    std::vector<seq::Read> reads;
-    while (reader.read_batch(reads, batch) > 0) {
-      sink(reads);
-      reads.clear();
-    }
-  };
+  return {2, [&fastq, batch](const seq::BatchWork& work) {
+            std::istringstream is(fastq);
+            io::FastqStreamReader reader(is);
+            std::vector<seq::Read> reads;
+            for (std::size_t b = 0; reader.read_batch(reads, batch) > 0; ++b) {
+              if (const auto fold = work(reads, b % 2)) fold();
+              reads.clear();
+            }
+          }};
 }
 
 // Phase 1 streamed from FASTQ in small batches, choosing Qc and Qm from

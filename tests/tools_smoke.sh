@@ -208,9 +208,9 @@ for method in $methods; do
   [ "$in_lines" = "$out_lines" ]
 done
 
-# Reptile's phase 1 runs on the shared pool: output on reads with N's
-# is byte-identical at 1, 2 and 4 correction threads, converts some N's,
-# and reports the parameters it chose.
+# Reptile's phase 1 counts on the pass workers: output on reads with N's
+# is byte-identical at 1, 2 and 4 threads, converts some N's, and
+# reports the parameters it chose.
 "$BIN_DIR/ngs_simulate" \
   --genome-length 20000 --coverage 30 --error-rate 0.01 --seed 9 \
   --ambiguous-rate 0.003 --reads "$WORK/ambiguous.fastq" \
@@ -537,6 +537,19 @@ grep -q "format_version: 1" "$WORK/sharded_info.txt"
   --threads 2 --batch-size 1000 --load-index "$WORK/sharded.ngsx"
 cmp "$WORK/corrected_sharded.fastq" "$WORK/corrected_sap.fastq"
 
+# Pass 1 counts on --threads workers, each on its own lane, and under a
+# budget each worker spills its own lane: the index bytes are the same
+# at 1, 2 and 4 threads, with and without the 1 MiB budget.
+for t in 1 2 4; do
+  "$BIN_DIR/ngs_index" build --in "$WORK/reads.fastq" \
+    --out "$WORK/lanes_$t.ngsx" --k 12 --both-strands 1 --threads "$t"
+  "$BIN_DIR/ngs_index" build --in "$WORK/reads.fastq" \
+    --out "$WORK/lanes_${t}_budget.ngsx" --k 12 --both-strands 1 \
+    --threads "$t" --memory-budget-mb 1 --spill-dir "$WORK" 2>/dev/null
+  cmp "$WORK/lanes_$t.ngsx" "$WORK/spectrum.ngsx"
+  cmp "$WORK/lanes_${t}_budget.ngsx" "$WORK/spectrum.ngsx"
+done
+
 # A truncated budget-built file is rejected with the index exit code.
 head -c 4096 "$WORK/sharded.ngsx" > "$WORK/sharded_trunc.ngsx"
 expect_exit 4 "$BIN_DIR/ngs_index" verify --index "$WORK/sharded_trunc.ngsx"
@@ -574,6 +587,14 @@ grep -q "spill: pass 1 stayed under" "$WORK/stderr.txt"
 cmp "$WORK/corrected_budget.fastq" "$WORK/corrected_sap.fastq"
 # The budget-built file matches ngs-index build's byte for byte.
 cmp "$WORK/sharded.ngsx" "$WORK/sap_sharded.ngsx"
+# The budget's lanes split over 1 and 4 pass workers correct the same.
+for t in 1 4; do
+  "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
+    --out "$WORK/corrected_budget_$t.fastq" --method sap \
+    --genome-length 20000 --threads "$t" --memory-budget-mb 1 \
+    --spill-dir "$WORK" 2>/dev/null
+  cmp "$WORK/corrected_budget_$t.fastq" "$WORK/corrected_sap.fastq"
+done
 
 # Long-lived correction service: the daemon serves $WORK/sap.ngsx saved
 # above; corrected_sap/corrected_reptile are the offline references.

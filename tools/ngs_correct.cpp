@@ -59,9 +59,10 @@ int main(int argc, char** argv) {
   cli.add_option("error-rate", "error-rate estimate for redeem/hybrid", true,
                  "0.01");
   cli.add_option("threads",
-                 "correction workers and streamed spectrum build threads "
-                 "(0 = all cores; Reptile's phase 1 always runs on the "
-                 "shared all-core pool)",
+                 "workers of every pass: phase 1 counts k-mers and tiles "
+                 "on them and pass 2 corrects on them (0 = all cores; "
+                 "Reptile's final table merges and Hamming graph still run "
+                 "on the shared all-core pool)",
                  true, "0");
   cli.add_option("batch-size", "reads per streamed batch", true, "4096");
   cli.add_option("tile-cache-mb",
@@ -158,8 +159,8 @@ int main(int argc, char** argv) {
                 << result.spectrum_spill_bins << " bins\n";
     }
     // Where each pass's executor stages waited and how full its buffers
-    // got. Pass 1's worker passes batches straight through, so parsed
-    // batches waiting for the consumer sit in its reorder buffer.
+    // got. Pass 1's workers count batches on their lanes, so counted
+    // batches waiting for the consumer's fold sit in its reorder buffer.
     if (const auto& s1 = result.pass1_overlap; s1.workers > 0) {
       std::cerr << "overlap: pass 1 reader stall "
                 << to_ms(s1.reader_stall_seconds) << " ms, ingest stall "

@@ -185,8 +185,10 @@ util::CliParser make_cli(const std::string& subcommand) {
     cli.add_option("both-strands",
                    "include reverse-complement strands (1) or not (0)", true,
                    "1");
-    cli.add_option("threads", "spectrum build threads (0 = all cores)", true,
-                   "0");
+    cli.add_option("threads",
+                   "workers that count the streamed batches, and threads of "
+                   "the final merge (0 = all cores)",
+                   true, "0");
     cli.add_option("batch-size", "reads per streamed parse batch", true,
                    "4096");
     cli.add_option("memory-budget-mb",
