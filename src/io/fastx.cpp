@@ -1,6 +1,5 @@
 #include "io/fastx.hpp"
 
-#include <functional>
 #include <istream>
 #include <ostream>
 
@@ -13,15 +12,6 @@ namespace {
 
 void strip_cr(std::string& line) {
   if (!line.empty() && line.back() == '\r') line.pop_back();
-}
-
-/// Writes `path` atomically through `fill` (util::AtomicFile), so a
-/// failed write leaves no partial file behind.
-void write_file(const std::string& path,
-                const std::function<void(std::ostream&)>& fill) {
-  util::AtomicFile file(path);
-  file.write_through(fill);
-  file.commit();
 }
 
 seq::ReadSet read_fastq_named(std::istream& is, const std::string& name) {
@@ -106,9 +96,11 @@ void write_fastq(std::ostream& os, const seq::ReadSet& reads,
 
 void write_fastq_file(const std::string& path, const seq::ReadSet& reads,
                       std::uint8_t default_quality) {
-  write_file(path, [&](std::ostream& os) {
-    write_fastq(os, reads, default_quality);
-  });
+  // Through util::AtomicFile, so a failed write leaves no partial file.
+  util::AtomicFile file(path);
+  file.write_through(
+      [&](std::ostream& os) { write_fastq(os, reads, default_quality); });
+  file.commit();
 }
 
 void write_fasta(std::ostream& os, const seq::ReadSet& reads,
@@ -123,12 +115,6 @@ void write_fasta(std::ostream& os, const seq::ReadSet& reads,
       }
     }
   }
-}
-
-void write_fasta_file(const std::string& path, const seq::ReadSet& reads,
-                      std::size_t line_width) {
-  write_file(path,
-             [&](std::ostream& os) { write_fasta(os, reads, line_width); });
 }
 
 }  // namespace ngs::io

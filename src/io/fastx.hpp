@@ -44,7 +44,5 @@ void write_fastq_file(const std::string& path, const seq::ReadSet& reads,
 /// Writes FASTA with the given line width (0 = single line).
 void write_fasta(std::ostream& os, const seq::ReadSet& reads,
                  std::size_t line_width = 70);
-void write_fasta_file(const std::string& path, const seq::ReadSet& reads,
-                      std::size_t line_width = 70);
 
 }  // namespace ngs::io

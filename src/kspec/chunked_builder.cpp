@@ -281,11 +281,9 @@ void ChunkedSpectrumBuilder::Lane::flush(bool spill) {
   } else {
     // Sorted on this lane's thread: the pass's other workers are
     // counting their own batches meanwhile.
-    RadixSortOptions serial;
-    serial.radix_bits = 0;
     Run run;
     radix_sort_and_count(std::span<seq::KmerCode>(buffer_), scratch_,
-                         owner_->k_, run.codes, run.counts, serial);
+                         owner_->k_, run.codes, run.counts);
     runs_.push_back(std::move(run));
   }
   buffer_.clear();  // capacity is kept for the next fill
@@ -428,11 +426,6 @@ void ChunkedSpectrumBuilder::finish_spilled(
   try {
     const SpillPartitioner& bins = *partitioner_;
     util::ThreadPool& pool = pool_ != nullptr ? *pool_ : util::default_pool();
-    // A bin's codes share their top spill_shard_bits(), so partitioning
-    // them by prefix would find one bucket: each bin is sorted as one
-    // bucket by one pool task.
-    RadixSortOptions serial;
-    serial.radix_bits = 0;
     std::size_t next = 0;
     while (next < bins.bin_count()) {
       // The next wave: consecutive non-empty bins whose worst-case
@@ -458,8 +451,7 @@ void ChunkedSpectrumBuilder::finish_spilled(
         const std::size_t code_bytes = codes.size() * sizeof(seq::KmerCode);
         SortedRun& run = runs[i];
         run.prefix = static_cast<std::uint32_t>(wave[i]);
-        radix_sort_and_count(std::move(codes), k_, run.codes, run.counts,
-                             serial);
+        radix_sort_and_count(std::move(codes), k_, run.codes, run.counts);
         // The kernel holds the bin and its scratch, then releases one of
         // them before it allocates the run.
         peaks[i] = std::max(

@@ -10,13 +10,12 @@
 // counts streamed batches on its workers' lanes with the radix kernel
 // (kspec/radix.hpp) and merges each batch's counts into the earlier ones
 // (Sec. 2.3); the arrays are the same for every batch size, worker count
-// and pool size. The kernel's
-// prefix sharding is kept at query time as a bucket-offset table, so
-// index_of narrows to a within-bucket binary search over a few cache
-// lines instead of log2(|R^k|) scattered probes — every corrector,
-// eval::kmer_classification, assembly::debruijn and the tile table
-// (whose tiles and Oc counts are a KSpectrum at k = tile length) inherit
-// the speedup.
+// and pool size. A bucket-offset table over the codes' top bits (the
+// prefix index) narrows index_of to a within-bucket binary search over
+// a few cache lines instead of log2(|R^k|) scattered probes — every
+// corrector, eval::kmer_classification, assembly::debruijn and the tile
+// table (whose tiles and Oc counts are a KSpectrum at k = tile length)
+// inherit the speedup.
 //
 // Storage is view-based: the code/count/bucket arrays are accessed
 // through spans that normally point into vectors the spectrum owns, but

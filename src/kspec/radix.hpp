@@ -1,25 +1,20 @@
 #pragma once
-// Parallel radix counting of packed kmer codes — the one construction
-// kernel behind ChunkedSpectrumBuilder, TileTable and
+// Radix counting of packed kmer codes — the one count kernel behind
+// ChunkedSpectrumBuilder (its lanes and its spill bins), TileTable and
 // KSpectrum::from_codes.
 //
-// Codes are sharded by their top `radix_bits` bits (the 5'-most bases,
-// since the codec stores the first base in the most significant pair)
-// into 2^radix_bits buckets with a two-pass stable counting partition.
-// Each bucket is then sorted on a util::ThreadPool by LSD counting
-// passes of at most 8 bits over the key bits below the prefix,
-// ping-ponging between the partition target and the input array, so
-// the kernel never holds more than two arrays of n codes. Because the
-// buckets cover disjoint, ascending key ranges, their concatenation is
-// globally sorted — the output is byte-identical to a single std::sort
-// over the whole array, for every thread count and every radix width.
-// Aggregation into unique (code, count) runs is also per-bucket and
-// therefore parallel.
-//
-// This is the Jellyfish-style parallel counting decomposition
-// (Marçais & Kingsford 2011) with KMC's radix passes in place of a
-// comparison sort, restricted to the exact, deterministic sorted-array
-// representation Sec. 2.3 of the paper builds on.
+// One call sorts its instance multiset on the calling thread by LSD
+// counting passes over the whole 2k-bit key, KMC-style: digits of at
+// most 8 bits, every pass's histogram filled in one read of the codes,
+// a pass whose digit is the same for every code skipped, and at most
+// 32 codes insertion-sorted. The passes ping-pong between the input
+// and one scratch array, so the kernel never holds more than two
+// arrays of n codes; one run-length walk then writes the ascending
+// unique (code, count) arrays KSpectrum stores (Sec. 2.3). The output
+// is the same as a std::sort and a run-length loop over the multiset.
+// Callers that want parallelism count independent batches or bins on
+// their own threads (RECKONER's KMC counter splits its k-mers the same
+// way) and merge the sorted runs.
 
 #include <cstdint>
 #include <memory>
@@ -32,37 +27,18 @@
 
 namespace ngs::util {
 class AtomicFile;
-class ThreadPool;
 }
 
 namespace ngs::kspec {
 
-struct RadixSortOptions {
-  /// Bucket count is 2^radix_bits. Negative = choose from input size
-  /// (targeting a few thousand codes per bucket); 0 = one bucket, sorted
-  /// by LSD passes over the whole key on the calling thread.
-  int radix_bits = -1;
-  /// Pool for per-bucket work. nullptr = util::default_pool(). The
-  /// serial reference below never touches a pool.
-  util::ThreadPool* pool = nullptr;
-};
-
-/// Picks a radix width for `n` codes of a 2k-bit key: enough buckets to
-/// keep per-bucket sorts cache-resident and the pool busy, capped so the
-/// offset table stays small and never wider than the key itself.
-int choose_radix_bits(std::size_t n, int k) noexcept;
-
 /// Sorts the instance multiset `codes` (destructively) and aggregates it
 /// into strictly ascending unique `out_codes` with parallel positive
-/// `out_counts` — the (R^k, multiplicity) arrays KSpectrum stores.
-/// Equivalent to sort + run-length encode, but partitioned: counting,
-/// sorting, and aggregation all run per-bucket on the pool. The second
-/// buffer is allocated here, and whichever of the two does not hold the
-/// sorted codes is released before the outputs are allocated.
+/// `out_counts` — the (R^k, multiplicity) arrays KSpectrum stores. The
+/// second buffer is allocated here, and whichever of the two does not
+/// hold the sorted codes is released before the outputs are allocated.
 void radix_sort_and_count(std::vector<seq::KmerCode>&& codes, int k,
                           std::vector<seq::KmerCode>& out_codes,
-                          std::vector<std::uint32_t>& out_counts,
-                          const RadixSortOptions& options = {});
+                          std::vector<std::uint32_t>& out_counts);
 
 /// The same kernel over caller-owned buffers, for callers that count
 /// many batches: `codes` is clobbered, and `scratch` is the second
@@ -71,24 +47,15 @@ void radix_sort_and_count(std::vector<seq::KmerCode>&& codes, int k,
 void radix_sort_and_count(std::span<seq::KmerCode> codes,
                           std::vector<seq::KmerCode>& scratch, int k,
                           std::vector<seq::KmerCode>& out_codes,
-                          std::vector<std::uint32_t>& out_counts,
-                          const RadixSortOptions& options = {});
-
-/// Serial reference path (one std::sort and a run-length loop): no
-/// build runs it; the tests diff the radix kernel and the builder
-/// against it.
-void serial_sort_and_count(std::vector<seq::KmerCode>&& codes,
-                           std::vector<seq::KmerCode>& out_codes,
-                           std::vector<std::uint32_t>& out_counts);
+                          std::vector<std::uint32_t>& out_counts);
 
 /// Disk-backed prefix partition for the out-of-core spectrum build
 /// (KMC/RECKONER-style): kmer instances are routed by their top
 /// `shard_bits` key bits into 2^shard_bits per-bin temp files, so each
 /// bin can later be read back, sorted, and counted independently in a
 /// fraction of the whole multiset's memory. Bins cover disjoint
-/// ascending key ranges — exactly the invariant of the in-memory radix
-/// partition above — so per-bin (code, count) runs concatenate into the
-/// globally sorted spectrum with zero cross-bin merging.
+/// ascending key ranges, so per-bin (code, count) runs concatenate into
+/// the globally sorted spectrum with zero cross-bin merging.
 ///
 /// Write protocol: add() partitions a buffer of codes by bin and appends
 /// each bin's share as raw little-endian u64 codes to the bin's

@@ -132,24 +132,6 @@ void RedeemModel::run_em() {
   }
 }
 
-std::array<double, 4> RedeemModel::base_posterior(std::size_t l,
-                                                  int t) const {
-  std::array<double, 4> pi{};
-  const seq::KmerCode xl = spectrum_->code_at(l);
-  pi[seq::kmer_base(xl, k_, t)] += t_[l] * self_[l];
-  const auto nbrs = graph_.neighbors(l);
-  for (std::size_t e = 0; e < nbrs.size(); ++e) {
-    const std::size_t m = nbrs[e];
-    const seq::KmerCode xm = spectrum_->code_at(m);
-    pi[seq::kmer_base(xm, k_, t)] += t_[m] * w_in_[offsets_[l] + e];
-  }
-  double total = pi[0] + pi[1] + pi[2] + pi[3];
-  if (total > 0.0) {
-    for (auto& v : pi) v /= total;
-  }
-  return pi;
-}
-
 void RedeemModel::accumulate_posteriors(
     std::size_t l, std::vector<std::array<double, 4>>& acc,
     std::size_t offset) const {

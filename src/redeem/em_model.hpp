@@ -46,13 +46,11 @@ class RedeemModel {
 
   const kspec::KSpectrum& spectrum() const noexcept { return *spectrum_; }
 
-  /// Posterior probability distribution over the true base at offset t of
-  /// kmer l: pi_t(b) proportional to sum_{m in N(l) u {l}, x_m[t]=b}
-  /// T_m pe(x_m, x_l). Used by the corrector. Returns 4 probabilities.
-  std::array<double, 4> base_posterior(std::size_t l, int t) const;
-
-  /// As base_posterior but accumulates the weighted votes for all k
-  /// offsets at once into acc[t][b] (scaled by the caller's weight).
+  /// Adds the posterior distribution over the true base at each offset t
+  /// of kmer l to acc[offset + t]: pi_t(b) proportional to
+  /// sum_{m in N(l) u {l}, x_m[t]=b} T_m pe(x_m, x_l), normalized to one
+  /// over the four bases (nothing is added when every weight is zero).
+  /// The corrector sums these votes over the kmers covering a base.
   void accumulate_posteriors(std::size_t l,
                              std::vector<std::array<double, 4>>& acc,
                              std::size_t offset) const;

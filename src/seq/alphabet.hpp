@@ -39,13 +39,6 @@ constexpr std::uint8_t base_to_code(char c) noexcept {
   return kCharToCode[static_cast<unsigned char>(c)];
 }
 
-/// Lossy variant: non-ACGT characters map to code 0 ('A', the Reptile
-/// preconversion convention) instead of kInvalidBase.
-constexpr std::uint8_t base_to_code_lossy(char c) noexcept {
-  const std::uint8_t code = kCharToCode[static_cast<unsigned char>(c)];
-  return code == kInvalidBase ? 0 : code;
-}
-
 /// Maps a 2-bit code back to its ASCII nucleotide.
 constexpr char code_to_base(std::uint8_t code) noexcept {
   constexpr char kBases[4] = {'A', 'C', 'G', 'T'};

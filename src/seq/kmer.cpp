@@ -15,15 +15,6 @@ std::optional<KmerCode> encode_kmer(std::string_view s) {
   return code;
 }
 
-KmerCode encode_kmer_lossy(std::string_view s) {
-  assert(s.size() <= static_cast<std::size_t>(kMaxK));
-  KmerCode code = 0;
-  for (char c : s) {
-    code = (code << 2) | base_to_code_lossy(c);
-  }
-  return code;
-}
-
 std::string decode_kmer(KmerCode code, int k) {
   std::string s(static_cast<std::size_t>(k), 'A');
   for (int i = k - 1; i >= 0; --i) {

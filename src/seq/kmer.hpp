@@ -26,11 +26,6 @@ inline constexpr int kMaxK = 32;
 /// ambiguous. Precondition: s.size() <= kMaxK.
 std::optional<KmerCode> encode_kmer(std::string_view s);
 
-/// Encodes, mapping ambiguous characters to 'A' (the Reptile convention:
-/// non-ACGT characters are initially converted and later validated or
-/// corrected by the algorithm).
-KmerCode encode_kmer_lossy(std::string_view s);
-
 /// Decodes a packed code of length k back to an ASCII string.
 std::string decode_kmer(KmerCode code, int k);
 

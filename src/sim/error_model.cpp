@@ -134,17 +134,6 @@ double ErrorModel::average_error_rate() const {
   return sum / (4.0 * static_cast<double>(matrices_.size()));
 }
 
-std::uint8_t ErrorModel::sample(std::size_t pos, std::uint8_t from,
-                                util::Rng& rng) const {
-  const auto& row = matrices_[pos][from];
-  double u = rng.uniform();
-  for (int b = 0; b < 4; ++b) {
-    u -= row[static_cast<std::size_t>(b)];
-    if (u <= 0.0) return static_cast<std::uint8_t>(b);
-  }
-  return from;
-}
-
 std::vector<MisreadMatrix> ErrorModel::kmer_position_matrices(int k) const {
   const std::size_t L = matrices_.size();
   const auto uk = static_cast<std::size_t>(k);

@@ -9,8 +9,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/rng.hpp"
-
 namespace ngs::sim {
 
 using MisreadMatrix = std::array<std::array<double, 4>, 4>;
@@ -58,10 +56,6 @@ class ErrorModel {
 
   /// Average error probability across positions and bases (uniform base mix).
   double average_error_rate() const;
-
-  /// Samples the observed base for true base `from` at position pos.
-  std::uint8_t sample(std::size_t pos, std::uint8_t from,
-                      util::Rng& rng) const;
 
   /// Per-kmer-position matrices q_i(a,b), i in [0,k): the average of the
   /// read-position matrices that a kmer position i can land on, weighted

@@ -29,8 +29,6 @@ std::uint64_t read_status_field(const char* field) {
 
 std::uint64_t peak_rss_bytes() { return read_status_field("VmHWM:"); }
 
-std::uint64_t current_rss_bytes() { return read_status_field("VmRSS:"); }
-
 void release_free_memory() noexcept {
 #if defined(__GLIBC__)
   malloc_trim(0);

@@ -10,9 +10,6 @@ namespace ngs::util {
 /// /proc/self/status VmHWM); returns 0 if unavailable.
 std::uint64_t peak_rss_bytes();
 
-/// Current resident set size in bytes (VmRSS); returns 0 if unavailable.
-std::uint64_t current_rss_bytes();
-
 /// Returns the heap pages the allocator holds free to the operating
 /// system (glibc's malloc_trim(0); a no-op elsewhere), so the resident
 /// set drops to what is still live. For a phase boundary after which a

@@ -10,7 +10,6 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 namespace ngs::util {
 
@@ -128,12 +127,6 @@ class Rng {
       }
     }
   }
-
-  /// Poisson(lambda); inversion for small lambda, PTRS-style fallback.
-  std::uint64_t poisson(double lambda) noexcept;
-
-  /// Sample an index from non-negative weights (linear scan).
-  std::size_t categorical(const std::vector<double>& weights) noexcept;
 
   /// Derive an independent child generator (for per-thread streams).
   Rng split() noexcept {

@@ -24,25 +24,6 @@ std::int64_t Histogram::quantile(double q) const {
   return bins_.rbegin()->first;
 }
 
-double Histogram::fraction_below(std::int64_t value) const {
-  if (total_ == 0) return 0.0;
-  std::uint64_t below = 0;
-  for (const auto& [v, count] : bins_) {
-    if (v >= value) break;
-    below += count;
-  }
-  return static_cast<double>(below) / static_cast<double>(total_);
-}
-
-double Histogram::mean() const {
-  if (total_ == 0) return 0.0;
-  double sum = 0.0;
-  for (const auto& [v, count] : bins_) {
-    sum += static_cast<double>(v) * static_cast<double>(count);
-  }
-  return sum / static_cast<double>(total_);
-}
-
 double digamma(double x) {
   // Recurrence to push x above 6, then asymptotic expansion.
   double result = 0.0;
@@ -66,16 +47,6 @@ double log_sum_exp(const std::vector<double>& log_values) {
   double sum = 0.0;
   for (double v : log_values) sum += std::exp(v - m);
   return m + std::log(sum);
-}
-
-double binomial(std::uint64_t n, std::uint64_t k) {
-  if (k > n) return 0.0;
-  k = std::min(k, n - k);
-  double result = 1.0;
-  for (std::uint64_t i = 0; i < k; ++i) {
-    result *= static_cast<double>(n - i) / static_cast<double>(i + 1);
-  }
-  return result;
 }
 
 }  // namespace ngs::util

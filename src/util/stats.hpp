@@ -24,11 +24,6 @@ class Histogram {
   /// Smallest value v such that at least `q` fraction of mass is <= v.
   std::int64_t quantile(double q) const;
 
-  /// Fraction of mass strictly below `value`.
-  double fraction_below(std::int64_t value) const;
-
-  double mean() const;
-
   const std::map<std::int64_t, std::uint64_t>& bins() const { return bins_; }
 
  private:
@@ -65,8 +60,5 @@ double log_gamma(double x);
 
 /// log(sum(exp(v))) computed stably.
 double log_sum_exp(const std::vector<double>& log_values);
-
-/// Binomial coefficient as double (small n only).
-double binomial(std::uint64_t n, std::uint64_t k);
 
 }  // namespace ngs::util

@@ -3,19 +3,19 @@
 // against. They share no code with ChunkedSpectrumBuilder: each strand
 // is extracted string by string (seq::extract_kmer_codes over the read
 // and over its reverse-complemented string) and counted by the serial
-// sort-and-run-length reference (kspec::serial_sort_and_count), or for
+// sort-and-run-length reference (serial_sort_and_count below), or for
 // tiles into a std::map.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "kspec/kspectrum.hpp"
-#include "kspec/radix.hpp"
 #include "kspec/tile_table.hpp"
 #include "seq/alphabet.hpp"
 #include "seq/kmer.hpp"
@@ -24,6 +24,24 @@
 #include "util/rng.hpp"
 
 namespace ngs::ref {
+
+/// The reference count: one std::sort of the instance multiset and a
+/// run-length loop. The radix kernel and the builder are diffed
+/// against it.
+inline void serial_sort_and_count(std::vector<seq::KmerCode>&& codes,
+                                  std::vector<seq::KmerCode>& out_codes,
+                                  std::vector<std::uint32_t>& out_counts) {
+  std::sort(codes.begin(), codes.end());
+  out_codes.clear();
+  out_counts.clear();
+  for (std::size_t i = 0; i < codes.size();) {
+    std::size_t j = i;
+    while (j < codes.size() && codes[j] == codes[i]) ++j;
+    out_codes.push_back(codes[i]);
+    out_counts.push_back(static_cast<std::uint32_t>(j - i));
+    i = j;
+  }
+}
 
 /// Every window free of non-ACGT bases of `reads`, and of their reverse
 /// complements when `both_strands`, as a (code, count) spectrum.
@@ -38,7 +56,7 @@ inline kspec::KSpectrum reference_spectrum(const seq::ReadSet& reads, int k,
   }
   std::vector<seq::KmerCode> codes;
   std::vector<std::uint32_t> counts;
-  kspec::serial_sort_and_count(std::move(instances), codes, counts);
+  serial_sort_and_count(std::move(instances), codes, counts);
   return kspec::KSpectrum::from_sorted_counts(std::move(codes),
                                               std::move(counts), k);
 }

@@ -1,6 +1,5 @@
 // Tests for the prior-art baselines the dissertation surveys: the SAP
-// corrector, HiTEC-style witness correction, and Quake-style q-mer
-// weighting.
+// corrector and HiTEC-style witness correction.
 
 #include <gtest/gtest.h>
 
@@ -10,12 +9,10 @@
 #include <vector>
 
 #include "baselines/hitec.hpp"
-#include "baselines/qmer.hpp"
 #include "baselines/sap.hpp"
 #include "core/pipeline.hpp"
 #include "core/registry.hpp"
 #include "eval/correction_metrics.hpp"
-#include "eval/kmer_classification.hpp"
 #include "io/fastx.hpp"
 #include "seq/kmer.hpp"
 #include "sim/genome.hpp"
@@ -330,36 +327,6 @@ TEST(Hitec, ShortReadsPassThrough) {
   baselines::HitecStats stats;
   const seq::Read tiny{"t", "ACGTACGT", {}};
   EXPECT_EQ(corrector.correct(tiny, stats).bases, "ACGT" "ACGT");
-}
-
-TEST(Qmer, WeightsAreBoundedByCounts) {
-  const auto setup = make_setup(13);
-  baselines::QmerCounter counter(setup.sim.reads, 11);
-  const auto& w = counter.weights();
-  const auto y = counter.counts();
-  ASSERT_EQ(w.size(), y.size());
-  for (std::size_t i = 0; i < w.size(); i += 17) {
-    ASSERT_GE(w[i], 0.0);
-    ASSERT_LE(w[i], y[i] + 1e-9);
-  }
-}
-
-TEST(Qmer, WeightsSharpenErrorSeparation) {
-  // Error kmers carry low-quality bases, so their quality weight drops
-  // further below the trusted mass than their raw count does: the best
-  // achievable FP+FN with weights is no worse than with counts.
-  const auto setup = make_setup(15, 0.015, 60.0);
-  baselines::QmerCounter counter(setup.sim.reads, 11);
-  const auto genome_spec =
-      kspec::KSpectrum::build_from_sequence(setup.genome, 11, true);
-  const auto truth = eval::genome_truth(counter.spectrum(), genome_spec);
-  const auto thresholds = eval::linear_thresholds(80.0, 0.25);
-  const auto by_weight =
-      eval::best_point(eval::sweep_thresholds(counter.weights(), truth,
-                                              thresholds));
-  const auto by_count = eval::best_point(
-      eval::sweep_thresholds(counter.counts(), truth, thresholds));
-  EXPECT_LE(by_weight.wrong(), by_count.wrong() + by_count.wrong() / 10);
 }
 
 }  // namespace

@@ -125,21 +125,15 @@ TEST(FastxFiles, MissingFileErrorIsTypedAndNamesThePath) {
 
 TEST(FastxFiles, UnwritableOutputIsTypedNamesTheTargetAndLeavesNothing) {
   const std::string dir = testing::TempDir() + "/ngs_no_such_dir";
-  for (const bool fasta : {false, true}) {
-    const std::string path = dir + (fasta ? "/out.fasta" : "/out.fastq");
-    try {
-      if (fasta) {
-        io::write_fasta_file(path, two_reads());
-      } else {
-        io::write_fastq_file(path, two_reads());
-      }
-      FAIL() << "expected a write failure for " << path;
-    } catch (const Error& e) {
-      const std::string what = e.what();
-      EXPECT_EQ(e.kind(), ErrorKind::kIo);
-      EXPECT_NE(what.find(path), std::string::npos) << what;
-      EXPECT_EQ(what.find(".tmp."), std::string::npos) << what;
-    }
+  const std::string path = dir + "/out.fastq";
+  try {
+    io::write_fastq_file(path, two_reads());
+    FAIL() << "expected a write failure for " << path;
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(e.kind(), ErrorKind::kIo);
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_EQ(what.find(".tmp."), std::string::npos) << what;
   }
   EXPECT_FALSE(std::filesystem::exists(dir));
 }

@@ -132,26 +132,38 @@ TEST(RadixBuild, DegenerateInputs) {
 }
 
 TEST(RadixBuild, ExternalPoolAndSortOnlyEntryPoint) {
+  // The lanes and the spill bins call the kernel on the workers of a
+  // pool the caller owns, each on its own buffers: three workers count
+  // six inputs at once through both entry points.
   util::ThreadPool pool(3);
   util::Rng rng(99);
-  std::vector<seq::KmerCode> codes;
   const seq::KmerCode mask = (seq::KmerCode{1} << 26) - 1;
-  for (int i = 0; i < 50000; ++i) codes.push_back(rng() & mask);
-  std::vector<seq::KmerCode> expected_codes;
-  std::vector<std::uint32_t> expected_counts;
-  kspec::serial_sort_and_count(std::vector<seq::KmerCode>(codes),
-                               expected_codes, expected_counts);
-
-  kspec::RadixSortOptions opts;
-  opts.pool = &pool;
-  for (const int bits : {-1, 0, 5, 11}) {
-    opts.radix_bits = bits;
-    std::vector<seq::KmerCode> out_codes;
-    std::vector<std::uint32_t> out_counts;
-    kspec::radix_sort_and_count(std::vector<seq::KmerCode>(codes), 13,
-                                out_codes, out_counts, opts);
-    ASSERT_EQ(out_codes, expected_codes) << "radix_bits=" << bits;
-    ASSERT_EQ(out_counts, expected_counts) << "radix_bits=" << bits;
+  std::vector<std::vector<seq::KmerCode>> inputs(6);
+  for (auto& codes : inputs) {
+    for (int i = 0; i < 50000; ++i) codes.push_back(rng() & mask);
+  }
+  struct Counted {
+    std::vector<seq::KmerCode> codes;
+    std::vector<std::uint32_t> counts;
+  };
+  std::vector<Counted> owning(inputs.size());
+  std::vector<Counted> borrowed(inputs.size());
+  pool.parallel_for(0, inputs.size(), [&](std::size_t i) {
+    kspec::radix_sort_and_count(std::vector<seq::KmerCode>(inputs[i]), 13,
+                                owning[i].codes, owning[i].counts);
+    auto buffer = inputs[i];
+    std::vector<seq::KmerCode> scratch;
+    kspec::radix_sort_and_count(std::span<seq::KmerCode>(buffer), scratch, 13,
+                                borrowed[i].codes, borrowed[i].counts);
+  });
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    Counted expected;
+    ref::serial_sort_and_count(std::move(inputs[i]), expected.codes,
+                               expected.counts);
+    ASSERT_EQ(owning[i].codes, expected.codes) << i;
+    ASSERT_EQ(owning[i].counts, expected.counts) << i;
+    ASSERT_EQ(borrowed[i].codes, expected.codes) << i;
+    ASSERT_EQ(borrowed[i].counts, expected.counts) << i;
   }
 }
 
@@ -180,46 +192,31 @@ std::vector<seq::KmerCode> shaped_codes(const std::string& shape, int k,
 
 TEST(RadixBuild, LsdKernelMatchesSerialAcrossKeyWidths) {
   util::Rng rng(2024);
-  util::ThreadPool one(1);
-  util::ThreadPool three(3);
   std::vector<seq::KmerCode> scratch;  // reused, so often larger than n
-  for (const int k : {1, 2, 3, 4, 7, 8, 12, 13, 16, 20, 24, 31, 32}) {
+  for (int k = 1; k <= 32; ++k) {
     for (const std::size_t size :
          {0ul, 1ul, 63ul, 64ul, 65ul, 8191ul, 8192ul, 100000ul}) {
       for (const std::string shape :
            {"uniform", "duplicates", "equal", "prefix"}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "k=" << k << " size=" << size << " shape=" << shape);
         const auto codes = shaped_codes(shape, k, size, rng);
         std::vector<seq::KmerCode> expected_codes;
         std::vector<std::uint32_t> expected_counts;
-        kspec::serial_sort_and_count(std::vector<seq::KmerCode>(codes),
-                                     expected_codes, expected_counts);
-        for (const int bits : {-1, 0, 3, 8, 14}) {
-          for (util::ThreadPool* pool : {&one, &three,
-                                         static_cast<util::ThreadPool*>(
-                                             nullptr)}) {
-            SCOPED_TRACE(::testing::Message()
-                         << "k=" << k << " size=" << size << " shape="
-                         << shape << " radix_bits=" << bits
-                         << " pool=" << (pool ? pool->size() : 0));
-            kspec::RadixSortOptions opts;
-            opts.radix_bits = bits;
-            opts.pool = pool;
-            std::vector<seq::KmerCode> out_codes;
-            std::vector<std::uint32_t> out_counts;
-            kspec::radix_sort_and_count(std::vector<seq::KmerCode>(codes), k,
-                                        out_codes, out_counts, opts);
-            ASSERT_EQ(out_codes, expected_codes);
-            ASSERT_EQ(out_counts, expected_counts);
-            if (pool != &three) continue;
-            // The caller-owned form the builder runs, on a kept scratch.
-            auto buffer = codes;
-            kspec::radix_sort_and_count(std::span<seq::KmerCode>(buffer),
-                                        scratch, k, out_codes, out_counts,
-                                        opts);
-            ASSERT_EQ(out_codes, expected_codes);
-            ASSERT_EQ(out_counts, expected_counts);
-          }
-        }
+        ref::serial_sort_and_count(std::vector<seq::KmerCode>(codes),
+                                   expected_codes, expected_counts);
+        std::vector<seq::KmerCode> out_codes;
+        std::vector<std::uint32_t> out_counts;
+        kspec::radix_sort_and_count(std::vector<seq::KmerCode>(codes), k,
+                                    out_codes, out_counts);
+        ASSERT_EQ(out_codes, expected_codes);
+        ASSERT_EQ(out_counts, expected_counts);
+        // The caller-owned form the lanes run, on a kept scratch.
+        auto buffer = codes;
+        kspec::radix_sort_and_count(std::span<seq::KmerCode>(buffer),
+                                    scratch, k, out_codes, out_counts);
+        ASSERT_EQ(out_codes, expected_codes);
+        ASSERT_EQ(out_counts, expected_counts);
       }
     }
   }

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <numeric>
 #include <set>
@@ -12,6 +13,7 @@
 #include "kspec/tile_table.hpp"
 #include "mapreduce/job.hpp"
 #include "reptile/corrector.hpp"
+#include "seq/alphabet.hpp"
 #include "sim/genome.hpp"
 #include "sim/read_sim.hpp"
 #include "util/rng.hpp"
@@ -190,7 +192,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, SketchPartition,
                          ::testing::Values(2u, 4u, 8u, 16u, 32u));
 
 // ---------------------------------------------------------------------
-// Error-model sampling matches its matrix distribution across profiles.
+// The read simulator draws each substitution's target from the error
+// model's off-diagonal row at the base's read position, across profiles.
 
 enum class Profile { kUniform, kIllumina, kAlternate };
 
@@ -199,23 +202,47 @@ class ModelSampling : public ::testing::TestWithParam<Profile> {};
 TEST_P(ModelSampling, EmpiricalMatchesMatrix) {
   sim::ErrorModel model;
   switch (GetParam()) {
-    case Profile::kUniform: model = sim::ErrorModel::uniform(20, 0.05); break;
+    case Profile::kUniform: model = sim::ErrorModel::uniform(20, 0.1); break;
     case Profile::kIllumina:
-      model = sim::ErrorModel::illumina(20, 0.05);
+      model = sim::ErrorModel::illumina(20, 0.1);
       break;
     case Profile::kAlternate:
-      model = sim::ErrorModel::illumina_alternate(20, 0.05);
+      model = sim::ErrorModel::illumina_alternate(20, 0.1);
       break;
   }
   util::Rng rng(3);
-  constexpr int kTrials = 60000;
-  const std::size_t pos = 15;
+  const auto genome =
+      sim::random_sequence(20000, {0.25, 0.25, 0.25, 0.25}, rng);
+  sim::ReadSimConfig cfg;
+  cfg.read_length = 20;
+  cfg.num_reads = 60000;
+  const auto result = sim::simulate_reads(genome, model, cfg, rng);
+  // seen[a][b]: substitutions of true base a by b. expected[a][b]: the
+  // same substitutions spread over the normalized off-diagonal row each
+  // was drawn from.
+  std::array<std::array<double, 4>, 4> seen{};
+  std::array<std::array<double, 4>, 4> expected{};
+  for (std::size_t r = 0; r < result.reads.size(); ++r) {
+    const std::string& bases = result.reads.reads[r].bases;
+    const std::string& truth = result.reads.truth[r].true_bases;
+    for (std::size_t i = 0; i < bases.size(); ++i) {
+      const std::uint8_t from = seq::base_to_code(truth[i]);
+      const std::uint8_t to = seq::base_to_code(bases[i]);
+      if (to == from) continue;
+      seen[from][to] += 1.0;
+      const auto& row = model.matrix(i)[from];
+      for (std::uint8_t b = 0; b < 4; ++b) {
+        if (b != from) expected[from][b] += row[b] / model.error_prob(i, from);
+      }
+    }
+  }
   for (std::uint8_t from = 0; from < 4; ++from) {
-    std::array<int, 4> counts{};
-    for (int t = 0; t < kTrials; ++t) ++counts[model.sample(pos, from, rng)];
-    for (int to = 0; to < 4; ++to) {
-      EXPECT_NEAR(counts[to] / static_cast<double>(kTrials),
-                  model.matrix(pos)[from][to], 0.01);
+    const double total =
+        seen[from][0] + seen[from][1] + seen[from][2] + seen[from][3];
+    ASSERT_GT(total, 10000.0);
+    for (std::uint8_t to = 0; to < 4; ++to) {
+      EXPECT_NEAR(seen[from][to] / total, expected[from][to] / total, 0.01)
+          << "from=" << int{from} << " to=" << int{to};
     }
   }
 }

@@ -151,13 +151,18 @@ TEST(RedeemModel, BasePosteriorIsDistribution) {
   const auto q = redeem::kmer_error_matrices(
       redeem::ErrorDistKind::kTrueIllumina, 11, setup.model);
   const redeem::RedeemModel model(spectrum, q, {});
+  // Each kmer adds one distribution over the four bases at each of its
+  // k offsets past `offset`, and nothing before them.
+  constexpr std::size_t offset = 3;
   for (std::size_t l = 0; l < std::min<std::size_t>(50, spectrum.size());
        ++l) {
-    for (int t = 0; t < 11; t += 5) {
-      const auto pi = model.base_posterior(l, t);
-      double sum = 0.0;
-      for (const double v : pi) sum += v;
-      ASSERT_NEAR(sum, 1.0, 1e-9);
+    std::vector<std::array<double, 4>> acc(offset + 11,
+                                           std::array<double, 4>{});
+    model.accumulate_posteriors(l, acc, offset);
+    for (std::size_t p = 0; p < acc.size(); ++p) {
+      const double sum = acc[p][0] + acc[p][1] + acc[p][2] + acc[p][3];
+      ASSERT_NEAR(sum, p < offset ? 0.0 : 1.0, 1e-9)
+          << "l=" << l << " p=" << p;
     }
   }
 }

@@ -90,17 +90,6 @@ TEST(ErrorModel, IlluminaRampRisesTowardThreePrime) {
   EXPECT_GT(model.error_prob(99, 0) / model.error_prob(0, 0), 3.0);
 }
 
-TEST(ErrorModel, SampleRespectsDistribution) {
-  const auto model = sim::ErrorModel::uniform(10, 0.3);
-  util::Rng rng(5);
-  int errors = 0;
-  constexpr int kTrials = 100000;
-  for (int t = 0; t < kTrials; ++t) {
-    errors += (model.sample(3, 2, rng) != 2);
-  }
-  EXPECT_NEAR(errors / static_cast<double>(kTrials), 0.3, 0.01);
-}
-
 TEST(ErrorModel, FromCountsRecoversRates) {
   std::vector<std::array<std::array<std::uint64_t, 4>, 4>> counts(1);
   counts[0][0] = {9000, 800, 100, 100};  // A misread 10% of the time

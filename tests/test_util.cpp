@@ -69,37 +69,12 @@ TEST(Rng, GammaMoments) {
   EXPECT_NEAR(m.variance(), shape * scale * scale, 0.4);
 }
 
-TEST(Rng, PoissonMean) {
-  Rng rng(17);
-  ngs::util::RunningMoments small, large;
-  for (int i = 0; i < 100000; ++i) {
-    small.add(static_cast<double>(rng.poisson(3.5)));
-    large.add(static_cast<double>(rng.poisson(80.0)));
-  }
-  EXPECT_NEAR(small.mean(), 3.5, 0.1);
-  EXPECT_NEAR(large.mean(), 80.0, 0.5);
-}
-
-TEST(Rng, CategoricalFollowsWeights) {
-  Rng rng(23);
-  const std::vector<double> w{1.0, 3.0, 0.0, 6.0};
-  std::array<int, 4> counts{};
-  for (int i = 0; i < 100000; ++i) {
-    counts[rng.categorical(w)]++;
-  }
-  EXPECT_EQ(counts[2], 0);
-  EXPECT_NEAR(counts[1] / 100000.0, 0.3, 0.02);
-  EXPECT_NEAR(counts[3] / 100000.0, 0.6, 0.02);
-}
-
-TEST(Histogram, QuantileAndMean) {
+TEST(Histogram, QuantileAndTotal) {
   Histogram h;
   for (int v = 1; v <= 100; ++v) h.add(v);
   EXPECT_EQ(h.total(), 100u);
   EXPECT_EQ(h.quantile(0.5), 50);
   EXPECT_EQ(h.quantile(1.0), 100);
-  EXPECT_NEAR(h.mean(), 50.5, 1e-9);
-  EXPECT_NEAR(h.fraction_below(51), 0.5, 1e-9);
 }
 
 TEST(Histogram, WeightedCounts) {
@@ -132,12 +107,6 @@ TEST(Stats, LogSumExp) {
               std::log(4.0), 1e-12);
   EXPECT_NEAR(ngs::util::log_sum_exp({-1000.0, -1000.0}),
               -1000.0 + std::log(2.0), 1e-9);
-}
-
-TEST(Stats, Binomial) {
-  EXPECT_DOUBLE_EQ(ngs::util::binomial(5, 2), 10.0);
-  EXPECT_DOUBLE_EQ(ngs::util::binomial(10, 0), 1.0);
-  EXPECT_DOUBLE_EQ(ngs::util::binomial(3, 5), 0.0);
 }
 
 TEST(Table, RendersAlignedRows) {
@@ -267,7 +236,6 @@ TEST(StageTimes, AccumulatesInOrder) {
 
 TEST(Memory, ReportsPositiveRss) {
   EXPECT_GT(ngs::util::peak_rss_bytes(), 0u);
-  EXPECT_GT(ngs::util::current_rss_bytes(), 0u);
 }
 
 TEST(FlatCounter, CountsAndSentinel) {

@@ -595,6 +595,14 @@ for t in 1 4; do
     --spill-dir "$WORK" 2>/dev/null
   cmp "$WORK/corrected_budget_$t.fastq" "$WORK/corrected_sap.fastq"
 done
+# At 150x one prefix bin alone needs more than 1 MiB to count, so the
+# line says the build went over the budget rather than under it.
+"$BIN_DIR/ngs_simulate" --genome-length 20000 --coverage 150 --seed 7 \
+  --reads "$WORK/reads150.fastq" --genome "$WORK/genome150.fasta"
+"$BIN_DIR/ngs_correct" --in "$WORK/reads150.fastq" \
+  --out "$WORK/corrected150.fastq" --method sap --genome-length 20000 \
+  --threads 2 --memory-budget-mb 1 --spill-dir "$WORK" 2>"$WORK/stderr.txt"
+grep -q "spill: pass 1 went over 1 MiB" "$WORK/stderr.txt"
 
 # Long-lived correction service: the daemon serves $WORK/sap.ngsx saved
 # above; corrected_sap/corrected_reptile are the offline references.

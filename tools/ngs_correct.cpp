@@ -152,7 +152,11 @@ int main(int argc, char** argv) {
                 << "% hit rate\n";
     }
     if (result.spectrum_spilled) {
-      std::cerr << "spill: pass 1 stayed under "
+      // Every bin is counted whole, so one bin larger than the budget
+      // takes the tracked peak over it.
+      const bool under =
+          result.spectrum_peak_tracked_bytes <= options.memory_budget_bytes;
+      std::cerr << "spill: pass 1 " << (under ? "stayed under " : "went over ")
                 << (options.memory_budget_bytes >> 20) << " MiB (peak tracked "
                 << result.spectrum_peak_tracked_bytes << " bytes), "
                 << result.spectrum_spilled_bytes << " bytes spilled into "
