@@ -8,9 +8,29 @@
 
 namespace ngs::baselines {
 
-SapCorrector::SapCorrector(kspec::KSpectrum spectrum, SapParams params)
-    : params_(params), spectrum_(std::move(spectrum)) {
-  if (!spectrum_.empty() && spectrum_.k() != params_.k) {
+namespace {
+
+/// The codes of `spectrum` that occur at least `threshold` times; none
+/// at threshold 0, where SapCorrector::solid asks no set.
+util::FlatSet solid_codes(const kspec::KSpectrum& spectrum,
+                          std::uint32_t threshold) {
+  if (threshold == 0) return util::FlatSet(0);
+  const auto counts = spectrum.counts();
+  const auto is_solid = [threshold](std::uint32_t c) { return c >= threshold; };
+  util::FlatSet set(static_cast<std::size_t>(
+      std::count_if(counts.begin(), counts.end(), is_solid)));
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    if (is_solid(counts[i])) set.insert(spectrum.code_at(i));
+  }
+  return set;
+}
+
+}  // namespace
+
+SapCorrector::SapCorrector(const kspec::KSpectrum& spectrum,
+                           SapParams params)
+    : params_(params), solid_(solid_codes(spectrum, params.solid_threshold)) {
+  if (!spectrum.empty() && spectrum.k() != params_.k) {
     throw std::invalid_argument("SapCorrector: spectrum k != params.k");
   }
 }
@@ -37,17 +57,12 @@ std::size_t SapCorrector::scan_windows(std::string_view bases,
     if (i + 1 >= ku) codes[i + 1 - ku] = code;
   }
 
-  scratch.index.resize(windows);
-  spectrum_.index_of_batch(codes, scratch.index);
   auto& weak = scratch.weak;
   weak.resize(windows + 1);
   weak[0] = 0;
   for (std::size_t w = 0; w < windows; ++w) {
-    const std::int64_t i = scratch.index[w];
-    const std::uint32_t count =
-        i < 0 ? 0 : spectrum_.count_at(static_cast<std::size_t>(i));
-    const bool is_weak = ambiguous[w + ku] != ambiguous[w] ||
-                         count < params_.solid_threshold;
+    const bool is_weak =
+        ambiguous[w + ku] != ambiguous[w] || !solid(codes[w]);
     weak[w + 1] = weak[w] + is_weak;
   }
   return weak[windows];
@@ -137,9 +152,8 @@ seq::Read SapCorrector::correct(const seq::Read& read, SapStats& stats,
         bool wins = true;
         for (std::size_t s = lo; s <= hi && wins; ++s) {
           if (ambiguous[s + ku] - ambiguous[s] > own ||
-              spectrum_.count(seq::kmer_with_base(
-                  codes[s], k, static_cast<int>(pos - s), b)) <
-                  params_.solid_threshold) {
+              !solid(seq::kmer_with_base(codes[s], k,
+                                         static_cast<int>(pos - s), b))) {
             weak_windows |= std::uint64_t{1} << (s - lo);
             wins = can_win(--delta, pos);
           }

@@ -17,6 +17,7 @@
 
 #include "kspec/kspectrum.hpp"
 #include "seq/read.hpp"
+#include "util/flat_counter.hpp"
 
 namespace ngs::baselines {
 
@@ -43,7 +44,6 @@ class SapCorrector {
   /// corrects. Window w covers bases [w, w + k).
   struct Scratch {
     std::vector<seq::KmerCode> codes;    // window codes, non-ACGT as 0
-    std::vector<std::int64_t> index;     // spectrum index of each window
     std::vector<std::size_t> ambiguous;  // non-ACGT bases in [0, i)
     std::vector<std::size_t> weak;       // weak windows in [0, w)
     std::vector<std::size_t> bucket;     // visit-order offsets by `before`
@@ -52,11 +52,12 @@ class SapCorrector {
 
   /// Builds from a pre-aggregated k-spectrum (e.g. streamed through
   /// kspec::ChunkedSpectrumBuilder, so the reads never have to be held
-  /// in memory). `spectrum.k()` must equal `params.k`.
-  SapCorrector(kspec::KSpectrum spectrum, SapParams params);
+  /// in memory). `spectrum.k()` must equal `params.k`. Keeps only the
+  /// spectrum's solid codes, so the spectrum (and the mapping behind a
+  /// loaded one) can go once the corrector is built.
+  SapCorrector(const kspec::KSpectrum& spectrum, SapParams params);
 
   const SapParams& params() const noexcept { return params_; }
-  const kspec::KSpectrum& spectrum() const noexcept { return spectrum_; }
 
   /// Number of weak kmers in a read (0 = clean): windows that hold a
   /// non-ACGT base or occur fewer than M times.
@@ -69,13 +70,18 @@ class SapCorrector {
                     Scratch& scratch) const;
 
  private:
-  /// Rolls every window code of `bases` once, probes them in one batch
-  /// and fills the ambiguous and weak prefix counts; returns the number
-  /// of weak windows.
+  /// Rolls every window code of `bases` once and fills the ambiguous
+  /// and weak prefix counts; returns the number of weak windows.
   std::size_t scan_windows(std::string_view bases, Scratch& scratch) const;
 
+  /// True when `code` occurs at least M times. At M = 0 every code is
+  /// solid, the absent ones too, so the set is not asked.
+  bool solid(seq::KmerCode code) const {
+    return params_.solid_threshold == 0 || solid_.contains(code);
+  }
+
   SapParams params_;
-  kspec::KSpectrum spectrum_;
+  util::FlatSet solid_;  // codes with count >= M; empty at M = 0
 };
 
 }  // namespace ngs::baselines

@@ -179,7 +179,9 @@ class SapAdapter final : public Corrector {
 
   void build_from_spectrum(kspec::KSpectrum spectrum,
                            const InputSummary& /*input*/) override {
-    corrector_.emplace(std::move(spectrum), params_);
+    // SAP keeps only the solid codes, so `spectrum` (and any mapping it
+    // pins) is released when this call returns.
+    corrector_.emplace(spectrum, params_);
     mark_ready();
   }
 

@@ -12,10 +12,12 @@
 // (Sec. 2.3); the arrays are the same for every batch size, worker count
 // and pool size. A bucket-offset table over the codes' top bits (the
 // prefix index) narrows index_of to a within-bucket binary search over
-// a few cache lines instead of log2(|R^k|) scattered probes — every
-// corrector, eval::kmer_classification, assembly::debruijn and the tile
-// table (whose tiles and Oc counts are a KSpectrum at k = tile length)
-// inherit the speedup.
+// a few cache lines instead of log2(|R^k|) scattered probes — HiTEC,
+// REDEEM, Reptile, eval::kmer_classification, assembly::debruijn and
+// the tile table (whose tiles and Oc counts are a KSpectrum at k = tile
+// length) inherit the speedup. SAP, which only asks whether a count
+// reaches its threshold, copies its solid codes into a util::FlatSet
+// and keeps no spectrum.
 //
 // Storage is view-based: the code/count/bucket arrays are accessed
 // through spans that normally point into vectors the spectrum owns, but

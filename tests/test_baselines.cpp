@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -90,19 +91,20 @@ TEST(Sap, CleanReadUntouched) {
   EXPECT_GT(m.specificity(), 0.9995);
 }
 
-// SAP's greedy loop as it was before window codes, prefix sums and
-// pruning: every covering window re-encoded from characters and probed
-// once, every position and alternative base tried in order, the first
-// strictly larger delta kept. `ties` counts candidates that equalled the
-// best positive delta, so the test can show the rule's tie-break ran.
-seq::Read reference_correct(const baselines::SapCorrector& sap,
+// SAP's greedy loop as it was before window codes, prefix sums, pruning
+// and the solid set: every covering window re-encoded from characters
+// and its count looked up in the spectrum SAP was built from, every
+// position and alternative base tried in order, the first strictly
+// larger delta kept. `ties` counts candidates that equalled the best
+// positive delta, so the test can show the rule's tie-break ran.
+seq::Read reference_correct(const kspec::KSpectrum& spectrum,
+                            const baselines::SapParams& params,
                             const seq::Read& read, baselines::SapStats& stats,
                             std::size_t& ties) {
-  const auto& params = sap.params();
   const auto k = static_cast<std::size_t>(params.k);
   const auto weak_window = [&](const std::string& bases, std::size_t s) {
     const auto code = seq::encode_kmer(std::string_view(bases).substr(s, k));
-    return !code || sap.spectrum().count(*code) < params.solid_threshold;
+    return !code || spectrum.count(*code) < params.solid_threshold;
   };
   const auto weak_covering = [&](const std::string& bases, std::size_t pos) {
     if (bases.size() < k) return 0;
@@ -189,26 +191,50 @@ seq::ReadSet greedy_reads(util::Rng& rng, int k, double error_rate,
   return reads;
 }
 
+/// Seven 38-base reads at k = 32 around runs of T: four hold exactly one
+/// all-T 32-mer, which the spectrum therefore counts 4 times, and three
+/// hold a run of 32 with one other base, which one substitution turns
+/// into it. The all-T 32-mer's code, 2^64 - 1, is the solid set's
+/// empty-slot key.
+seq::ReadSet all_t_reads() {
+  const std::string run(32, 'T');
+  seq::ReadSet reads;
+  const auto add = [&reads](const std::string& bases) {
+    reads.reads.push_back(
+        {"all_t", bases, std::vector<std::uint8_t>(bases.size(), 30)});
+  };
+  for (const char* left : {"ACG", "CAG", "GGA", "CCA"}) add(left + run + "GCA");
+  for (const std::size_t pos : {0ul, 13ul, 31ul}) {
+    std::string bases = "ACG" + run + "GCA";
+    bases[3 + pos] = pos == 13 ? 'N' : 'C';
+    add(bases);
+  }
+  return reads;
+}
+
 // The rewritten correct() against the reference loop above, read for
 // read on bases and SapStats, over N's, lowercase and other non-ACGT
 // bytes, reads of 0 to 3k bases, every k the packed path special-cases
-// (1, 2, 32) and the defaults around 12, thresholds and edit budgets
-// that make ties and multi-round edits common, and one read longer than
-// 65,535 bases. The same reads then go through CorrectionPipeline as
-// FASTQ at 1 and 4 threads.
+// (1, 2, 32) and the defaults around 12, thresholds (M = 0 makes every
+// ACGT window solid) and edit budgets that make ties and multi-round
+// edits common, runs of T whose all-T 32-mer is the solid set's
+// empty-slot key, and one read longer than 65,535 bases. The same reads
+// then go through CorrectionPipeline as FASTQ at 1 and 4 threads.
 TEST(Sap, MatchesReferenceGreedy) {
   util::Rng rng(20240917);
   std::size_t ties = 0;
   std::size_t multi_edit_reads = 0;
   std::size_t ambiguous_fixed = 0;
-  const auto compare = [&](const baselines::SapCorrector& sap,
+  const auto compare = [&](const kspec::KSpectrum& spectrum,
+                           const baselines::SapCorrector& sap,
                            const seq::ReadSet& reads) {
     baselines::SapCorrector::Scratch scratch;
     baselines::SapStats fast_stats;
     baselines::SapStats ref_stats;
     for (const auto& read : reads.reads) {
       const auto changed = ref_stats.bases_changed;
-      const auto expected = reference_correct(sap, read, ref_stats, ties);
+      const auto expected =
+          reference_correct(spectrum, sap.params(), read, ref_stats, ties);
       const auto got = sap.correct(read, fast_stats, scratch);
       ASSERT_EQ(got.bases, expected.bases)
           << "k=" << sap.params().k << " M=" << sap.params().solid_threshold
@@ -232,24 +258,36 @@ TEST(Sap, MatchesReferenceGreedy) {
       auto part = greedy_reads(rng, k, error_rate, 120);
       for (auto& r : part.reads) reads.reads.push_back(std::move(r));
     }
+    if (k == 32) {
+      for (auto& r : all_t_reads().reads) reads.reads.push_back(std::move(r));
+    }
     const auto spectrum = kspec::KSpectrum::build(reads, k, true);
-    for (const std::uint32_t threshold : {1u, 3u, 10u}) {
+    if (k == 32) {
+      // The all-T 32-mer is solid at M = 3 and weak at M = 10.
+      const std::string all_t(32, 'T');
+      EXPECT_EQ(baselines::SapCorrector(spectrum, {k, 3, 3}).weak_kmers(all_t),
+                0);
+      EXPECT_EQ(baselines::SapCorrector(spectrum, {k, 10, 3}).weak_kmers(all_t),
+                1);
+    }
+    for (const std::uint32_t threshold : {0u, 1u, 3u, 10u}) {
       for (const int max_edits : {0, 1, 3, 40}) {
         const baselines::SapCorrector sap(
             spectrum, baselines::SapParams{k, threshold, max_edits, true});
-        compare(sap, reads);
+        compare(spectrum, sap, reads);
         if (HasFatalFailure()) return;
       }
     }
 
     // The pipeline reads the same bytes back from FASTQ and corrects them
     // with the sap defaults (M = 3, 3 edits) at this k.
-    const baselines::SapCorrector sap(spectrum, baselines::SapParams{k, 3, 3});
+    const baselines::SapParams defaults{k, 3, 3};
     std::vector<seq::Read> expected;
     baselines::SapStats stats;
     std::size_t unused_ties = 0;
     for (const auto& read : reads.reads) {
-      expected.push_back(reference_correct(sap, read, stats, unused_ties));
+      expected.push_back(
+          reference_correct(spectrum, defaults, read, stats, unused_ties));
     }
     std::ostringstream input;
     io::write_fastq(input, reads);
@@ -294,9 +332,10 @@ TEST(Sap, MatchesReferenceGreedy) {
   reads.reads.push_back(
       {"long", bases, std::vector<std::uint8_t>(bases.size(), 30)});
   const auto spectrum = kspec::KSpectrum::build(reads, 12, true);
-  for (const std::uint32_t threshold : {1u, 3u, 10u}) {
+  for (const std::uint32_t threshold : {0u, 1u, 3u, 10u}) {
     for (const int max_edits : {0, 1, 3}) {
-      compare(baselines::SapCorrector(
+      compare(spectrum,
+              baselines::SapCorrector(
                   spectrum, baselines::SapParams{12, threshold, max_edits}),
               reads);
       if (HasFatalFailure()) return;
@@ -306,6 +345,50 @@ TEST(Sap, MatchesReferenceGreedy) {
   EXPECT_GT(ties, 0u);
   EXPECT_GT(multi_edit_reads, 0u);
   EXPECT_GT(ambiguous_fixed, 0u);
+}
+
+// SAP keeps only its solid codes: neither the corrector nor the adapter
+// holds a view of the spectrum it was built from, so the mapping behind
+// a loaded index (here arrays that their keepalive owns) is released
+// before pass 2, and correction never reads it again.
+TEST(Sap, DropsItsSpectrum) {
+  const auto setup = make_setup(13);
+  const auto owned = kspec::KSpectrum::build(setup.sim.reads, 12, true);
+  struct Arrays {
+    std::vector<seq::KmerCode> codes;
+    std::vector<std::uint32_t> counts;
+  };
+  auto keepalive = std::make_shared<Arrays>(
+      Arrays{{owned.codes().begin(), owned.codes().end()},
+             {owned.counts().begin(), owned.counts().end()}});
+  const auto view = [&] {
+    return kspec::KSpectrum::adopt_external(
+        keepalive->codes, keepalive->counts, {}, owned.k(),
+        owned.total_instances(), 0, keepalive);
+  };
+  const baselines::SapCorrector sap(view(), baselines::SapParams{});
+  EXPECT_EQ(keepalive.use_count(), 1);
+  const auto adapter = core::make_corrector("sap", core::CorrectorConfig{});
+  adapter->build_from_spectrum(view(), core::InputSummary{});
+  EXPECT_EQ(keepalive.use_count(), 1);
+  keepalive.reset();  // frees the arrays
+
+  const baselines::SapCorrector reference(owned, baselines::SapParams{});
+  seq::ReadSet reads;
+  reads.reads.assign(setup.sim.reads.reads.begin(),
+                     setup.sim.reads.reads.begin() + 500);
+  core::CorrectionReport report;
+  const auto corrected = adapter->correct_all(reads, report);
+  baselines::SapCorrector::Scratch scratch;
+  baselines::SapStats stats;
+  std::size_t changed = 0;
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    const auto want = reference.correct(reads.reads[i], stats, scratch);
+    EXPECT_EQ(sap.correct(reads.reads[i], stats, scratch).bases, want.bases);
+    EXPECT_EQ(corrected[i].bases, want.bases);
+    changed += want.bases != reads.reads[i].bases;
+  }
+  EXPECT_GT(changed, 0u);
 }
 
 TEST(Hitec, CorrectsWithWitnessSupport) {

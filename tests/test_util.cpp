@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -271,6 +272,40 @@ TEST(FlatCounter, ConstLookupOnColdKeys) {
   const ngs::util::FlatCounter c(4);
   EXPECT_EQ(c.count(123), 0u);
   EXPECT_EQ(c.distinct(), 0u);
+}
+
+TEST(FlatSet, MembershipMatchesStdSet) {
+  // Keys drawn from a narrow range (so inserts repeat), from the whole
+  // 64-bit range, and the two extremes: 0 and ~0, the empty-slot key.
+  // Two expected_keys = 4 tables grow through many doublings.
+  Rng rng(31);
+  for (int round = 0; round < 2; ++round) {
+    ngs::util::FlatSet set(4);
+    std::set<std::uint64_t> want;
+    const auto insert = [&](std::uint64_t key) {
+      set.insert(key);
+      want.insert(key);
+    };
+    if (round == 0) insert(0);
+    insert(~std::uint64_t{0});
+    for (int i = 0; i < 5000; ++i) {
+      insert(i % 2 == 0 ? rng.below(4096) : rng());
+    }
+    EXPECT_EQ(set.size(), want.size());
+    EXPECT_LE(set.size() * 2, set.capacity());
+    for (const std::uint64_t key : want) ASSERT_TRUE(set.contains(key)) << key;
+    for (int i = 0; i < 20000; ++i) {
+      const std::uint64_t key = i % 2 == 0 ? rng.below(8192) : rng();
+      ASSERT_EQ(set.contains(key), want.count(key) == 1) << key;
+    }
+    EXPECT_EQ(set.contains(0), want.count(0) == 1);
+    EXPECT_TRUE(set.contains(~std::uint64_t{0}));
+  }
+  // An empty table answers no for the empty-slot key as for any other.
+  const ngs::util::FlatSet empty(0);
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_FALSE(empty.contains(0));
+  EXPECT_FALSE(empty.contains(~std::uint64_t{0}));
 }
 
 }  // namespace

@@ -604,6 +604,37 @@ done
   --threads 2 --memory-budget-mb 1 --spill-dir "$WORK" 2>"$WORK/stderr.txt"
 grep -q "spill: pass 1 went over 1 MiB" "$WORK/stderr.txt"
 
+# SAP at k = 32, where a code fills all 64 bits and the all-T 32-mer's
+# code is the solid set's empty-slot key. Five reads hold runs of 40 or
+# more T's, and in the last one a single A splits a run of 72, which SAP
+# mends. The output is the same at 1 and 4 threads, under a 1 MiB
+# budget, and through --save-index then --load-index.
+t40=$(printf 'T%.0s' $(seq 40))
+poly_t_read() { printf '@%s\n%s\n+\n%s\n' "$1" "$2" "${2//?/I}"; }
+{
+  cat "$WORK/reads.fastq"
+  for left in ACG CAG GGA CCA; do
+    poly_t_read "poly_t_$left" "$left${t40}TTTTTGCA"
+  done
+  poly_t_read poly_t_split "ACG${t40}A${t40:0:31}GCA"
+} > "$WORK/poly_t.fastq"
+sap_k32() {
+  "$BIN_DIR/ngs_correct" --in "$WORK/poly_t.fastq" --method sap --k 32 "$@"
+}
+sap_k32 --out "$WORK/k32_1.fastq" --threads 1 2>/dev/null
+sap_k32 --out "$WORK/k32_4.fastq" --threads 4 2>/dev/null
+sap_k32 --out "$WORK/k32_budget.fastq" --threads 2 --memory-budget-mb 1 \
+  --spill-dir "$WORK" 2>"$WORK/stderr.txt"
+grep -q "spill: pass 1" "$WORK/stderr.txt"
+sap_k32 --out "$WORK/k32_saved.fastq" --threads 2 \
+  --save-index "$WORK/k32.ngsx" 2>/dev/null
+sap_k32 --out "$WORK/k32_loaded.fastq" --threads 2 \
+  --load-index "$WORK/k32.ngsx" 2>/dev/null
+for run in 4 budget saved loaded; do
+  cmp "$WORK/k32_1.fastq" "$WORK/k32_$run.fastq"
+done
+grep -q "${t40}${t40:0:32}" "$WORK/k32_1.fastq"
+
 # Long-lived correction service: the daemon serves $WORK/sap.ngsx saved
 # above; corrected_sap/corrected_reptile are the offline references.
 service_scenario
