@@ -11,7 +11,7 @@
 
 using namespace ngs;
 
-int main() {
+int main() try {
   const double scale = bench::scale_or(1.0);
   bench::print_header(
       "Extension — species abundance profiling from CLOSET clusters",
@@ -51,4 +51,6 @@ int main() {
             << util::Table::percent(true_profile.front())
             << " of the sample.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::scale_too_small(e);
 }

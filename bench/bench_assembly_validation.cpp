@@ -38,7 +38,7 @@ void assemble_and_report(util::Table& table, const std::string& method,
 
 }  // namespace
 
-int main() {
+int main() try {
   const double scale = bench::scale_or(0.3);
   bench::print_header(
       "Extension — de Bruijn assembly before/after error correction",
@@ -85,4 +85,6 @@ int main() {
   }
   table.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::scale_too_small(e);
 }

@@ -41,7 +41,7 @@ void report(util::Table& table, const std::string& data,
 
 }  // namespace
 
-int main() {
+int main() try {
   const double scale = bench::scale_or(0.2);
   bench::print_header(
       "Extension — corrector landscape (SAP / HiTEC / SHREC / Reptile / "
@@ -73,4 +73,6 @@ int main() {
   }
   table.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::scale_too_small(e);
 }

@@ -13,7 +13,7 @@
 
 using namespace ngs;
 
-int main() {
+int main() try {
   const double scale = bench::scale_or(0.3);
   bench::print_header(
       "Figure 2.3 — Gain and Sensitivity vs parameter choices (D3)",
@@ -58,4 +58,6 @@ int main() {
   }
   table.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::scale_too_small(e);
 }

@@ -10,7 +10,7 @@
 
 using namespace ngs;
 
-int main() {
+int main() try {
   const double scale = bench::scale_or(0.25);
   bench::print_header(
       "Figure 3.2 — log10(FP+FN) vs threshold, per dataset",
@@ -40,4 +40,6 @@ int main() {
     std::cout << "\n";
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::scale_too_small(e);
 }

@@ -11,7 +11,7 @@
 
 using namespace ngs;
 
-int main() {
+int main() try {
   const double scale = bench::scale_or(0.25);
   bench::print_header("Figure 3.3 — Histogram of estimated T_l (E. coli-like)",
                       "ASCII bars, 40 bins.");
@@ -54,4 +54,6 @@ int main() {
   }
   table.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::scale_too_small(e);
 }

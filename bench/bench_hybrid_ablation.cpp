@@ -28,7 +28,7 @@ constexpr AblationEntry kEntries[] = {
 
 }  // namespace
 
-int main() {
+int main() try {
   const double scale = bench::scale_or(0.5);
   bench::print_header(
       "Extension — hybrid (REDEEM -> Reptile) vs each method alone", "");
@@ -62,4 +62,6 @@ int main() {
   }
   table.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::scale_too_small(e);
 }

@@ -13,7 +13,7 @@
 
 using namespace ngs;
 
-int main() {
+int main() try {
   const double scale = bench::scale_or(0.25);
   bench::print_header(
       "Sec. 3.7 — Mixture-model threshold inference",
@@ -60,4 +60,6 @@ int main() {
   }
   table.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::scale_too_small(e);
 }

@@ -16,7 +16,7 @@
 
 using namespace ngs;
 
-int main() {
+int main() try {
   const double scale = bench::scale_or(1.0);
   bench::print_header(
       "Extension — SNP candidate detection from tile ambiguities",
@@ -118,4 +118,6 @@ int main() {
                    3)
             << ")\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::scale_too_small(e);
 }

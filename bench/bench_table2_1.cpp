@@ -7,7 +7,7 @@
 
 using namespace ngs;
 
-int main() {
+int main() try {
   const double scale = bench::scale_or(0.5);
   bench::print_header(
       "Table 2.1 — Experimental Datasets (Chapter 2 analogs)",
@@ -38,4 +38,6 @@ int main() {
   }
   table.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::scale_too_small(e);
 }

@@ -28,7 +28,7 @@ void add_row(util::Table& table, const std::string& data,
 
 }  // namespace
 
-int main() {
+int main() try {
   const double scale = bench::scale_or(0.2);
   bench::print_header(
       "Table 2.3 — Reptile vs SHREC on Illumina-like short reads",
@@ -72,4 +72,6 @@ int main() {
   }
   table.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::scale_too_small(e);
 }

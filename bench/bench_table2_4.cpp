@@ -8,7 +8,7 @@
 
 using namespace ngs;
 
-int main() {
+int main() try {
   const double scale = bench::scale_or(0.3);
   bench::print_header(
       "Table 2.4 — Quality of ambiguous base correction using Reptile",
@@ -45,4 +45,6 @@ int main() {
   }
   table.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::scale_too_small(e);
 }

@@ -7,7 +7,7 @@
 
 using namespace ngs;
 
-int main() {
+int main() try {
   const double scale = bench::scale_or(0.5);
   bench::print_header("Table 3.1 — Chapter 3 experimental datasets", "");
 
@@ -24,4 +24,6 @@ int main() {
   }
   table.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::scale_too_small(e);
 }

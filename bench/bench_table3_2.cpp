@@ -32,7 +32,7 @@ void print_matrix(const std::string& title, const sim::MisreadMatrix& m) {
 
 }  // namespace
 
-int main() {
+int main() try {
   const double scale = bench::scale_or(0.5);
   bench::print_header(
       "Table 3.2 — Estimated error probabilities q_i(.,.), kmer position "
@@ -65,4 +65,6 @@ int main() {
     print_matrix(label, q[10]);  // 1-based position 11
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::scale_too_small(e);
 }

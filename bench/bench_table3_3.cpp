@@ -9,7 +9,7 @@
 
 using namespace ngs;
 
-int main() {
+int main() try {
   const double scale = bench::scale_or(0.25);
   bench::print_header(
       "Table 3.3 — Minimum wrong predictions (FP+FN): Y vs REDEEM T",
@@ -30,4 +30,6 @@ int main() {
   }
   table.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::scale_too_small(e);
 }

@@ -6,7 +6,7 @@
 
 using namespace ngs;
 
-int main() {
+int main() try {
   const double scale = bench::scale_or(1.0);
   bench::print_header("Table 4.1 — Metagenomic dataset characteristics",
                       "16S amplicon pools from a 120-species taxonomy.");
@@ -37,4 +37,6 @@ int main() {
   }
   table.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::scale_too_small(e);
 }

@@ -9,7 +9,7 @@
 
 using namespace ngs;
 
-int main() {
+int main() try {
   const double scale = bench::scale_or(1.0);
   bench::print_header(
       "Table 4.2 — Data quantities per CLOSET stage",
@@ -46,4 +46,6 @@ int main() {
   }
   clusters.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::scale_too_small(e);
 }

@@ -10,7 +10,7 @@
 
 using namespace ngs;
 
-int main() {
+int main() try {
   const double scale = bench::scale_or(1.0);
   bench::print_header("Table 4.3 — Run time (seconds) per CLOSET stage", "");
 
@@ -47,4 +47,6 @@ int main() {
        util::Table::fixed(results[2].counters.reduce_seconds, 2)});
   engine.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::scale_too_small(e);
 }

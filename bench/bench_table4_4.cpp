@@ -12,7 +12,7 @@
 
 using namespace ngs;
 
-int main() {
+int main() try {
   const double scale = bench::scale_or(1.0);
   bench::print_header(
       "Table 4.4 — ARI of CLOSET clusters vs taxonomic truth",
@@ -54,4 +54,6 @@ int main() {
   }
   table.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return bench::scale_too_small(e);
 }

@@ -206,8 +206,8 @@ Metadata parse_metadata(const unsigned char* head, std::size_t head_bytes,
        << "]";
     fail(Kind::kBadLayout, path, os.str());
   }
-  // A bucket table is at most min(2k, 24) bits wide (the cap
-  // KSpectrum::rebuild_prefix_index applies), so its size never wraps.
+  // A bucket table is at most min(2k, 24) bits wide (the writer's
+  // KSpectrum::auto_prefix_bits stays within 20), so its size never wraps.
   if (h.prefix_bits > std::min<std::uint32_t>(2 * h.k, 24)) {
     std::ostringstream os;
     os << "the header declares implausible prefix_bits " << h.prefix_bits
@@ -342,8 +342,7 @@ Metadata read_metadata_from_file(const std::string& path) {
 }
 
 std::shared_ptr<Mapping> map_file(const std::string& path,
-                                  std::uint64_t file_size, bool use_mmap,
-                                  bool* mapped) {
+                                  std::uint64_t file_size, bool* mapped) {
   auto mapping = std::make_shared<Mapping>();
   mapping->size = static_cast<std::size_t>(file_size);
   *mapped = false;
@@ -352,8 +351,7 @@ std::shared_ptr<Mapping> map_file(const std::string& path,
   if (fd.fd < 0) fail_errno(path, "open");
   // Injected mmap failure exercises the owned-buffer fallback: the load
   // must still succeed, just without zero-copy pages.
-  if (fault::should_fire(fault::sites::kIndexMmap)) use_mmap = false;
-  if (use_mmap && file_size > 0) {
+  if (!fault::should_fire(fault::sites::kIndexMmap) && file_size > 0) {
     void* base = ::mmap(nullptr, mapping->size, PROT_READ, MAP_PRIVATE,
                         fd.fd, 0);
     if (base != MAP_FAILED) {
@@ -372,7 +370,6 @@ std::shared_ptr<Mapping> map_file(const std::string& path,
   mapping->data = mapping->owned.data();
   return mapping;
 #else
-  (void)use_mmap;
   std::ifstream is(path, std::ios::binary);
   if (!is) fail(Kind::kIo, path, "open failed");
   mapping->owned.resize(mapping->size);
@@ -700,7 +697,7 @@ SpectrumIndex SpectrumIndex::load(const std::string& path,
   index.path_ = path;
   index.info_ = make_info(meta);
   const std::shared_ptr<const Mapping> mapping =
-      map_file(path, meta.file_size, options.use_mmap, &index.info_.mapped);
+      map_file(path, meta.file_size, &index.info_.mapped);
   if (options.verify_checksums) verify_checksums(meta, *mapping, path);
 
   const auto at = [&](const SectionEntry& section) {

@@ -23,7 +23,7 @@
 //       KSpectrum view straight out of the mapped pages (no
 //       deserialization: the code/count/bucket arrays are spans over
 //       the mapping, 64-byte aligned by construction), falling back to
-//       an owned read() buffer when mmap is unavailable or declined.
+//       an owned read() buffer when mmap is unavailable or fails.
 //       Pages the queries never touch are never read.
 //
 // Loaded views share ownership of the mapping through the spectrum's
@@ -169,11 +169,6 @@ class ShardedIndexWriter {
 };
 
 struct LoadOptions {
-  /// Map the file read-only and serve the spectrum zero-copy from the
-  /// mapped pages. When false (or on platforms without mmap) the file
-  /// is read into an owned buffer instead — same parsing, same view
-  /// semantics, just private memory.
-  bool use_mmap = true;
   /// Recompute every section checksum against the stored values. Off by
   /// default: it touches every payload page, which defeats the lazy
   /// page-fault load the subsystem exists for. Structural validation
@@ -186,9 +181,10 @@ struct LoadOptions {
 
 class SpectrumIndex {
  public:
-  /// Opens, validates, and (by default) maps `path`. Throws IndexError
-  /// with a distinct kind/message for every corruption mode; on return
-  /// the spectrum view is ready.
+  /// Opens, validates, and maps `path`, or reads it into an owned
+  /// buffer when mmap fails. Throws IndexError with a distinct
+  /// kind/message for every corruption mode; on return the spectrum view
+  /// is ready.
   static SpectrumIndex load(const std::string& path,
                             const LoadOptions& options = {});
 

@@ -21,12 +21,16 @@ int KSpectrum::auto_prefix_bits(std::size_t size, int k) noexcept {
                     std::min(2 * k, 20));
 }
 
-void KSpectrum::rebind_owned() noexcept {
-  external_ = false;
-  codes_ = codes_vec_;
-  counts_ = counts_vec_;
-  bucket_starts_ = bucket_starts_vec_;
-  keepalive_.reset();
+void KSpectrum::bind_views(const KSpectrum& source) noexcept {
+  if (external_) {
+    codes_ = source.codes_;
+    counts_ = source.counts_;
+    bucket_starts_ = source.bucket_starts_;
+  } else {
+    codes_ = codes_vec_;
+    counts_ = counts_vec_;
+    bucket_starts_ = bucket_starts_vec_;
+  }
 }
 
 void KSpectrum::move_from(KSpectrum&& other) noexcept {
@@ -34,23 +38,11 @@ void KSpectrum::move_from(KSpectrum&& other) noexcept {
   total_ = other.total_;
   prefix_bits_ = other.prefix_bits_;
   external_ = other.external_;
-  // Whether each view pointed at the owned vectors must be decided
-  // before the vectors move (std::vector moves preserve the buffer, but
-  // re-deriving the spans keeps this correct without relying on it).
-  const bool codes_owned = !other.external_;
-  const bool buckets_owned =
-      other.bucket_starts_.data() == other.bucket_starts_vec_.data();
   codes_vec_ = std::move(other.codes_vec_);
   counts_vec_ = std::move(other.counts_vec_);
   bucket_starts_vec_ = std::move(other.bucket_starts_vec_);
   keepalive_ = std::move(other.keepalive_);
-  codes_ = codes_owned ? std::span<const seq::KmerCode>(codes_vec_)
-                       : other.codes_;
-  counts_ = codes_owned ? std::span<const std::uint32_t>(counts_vec_)
-                        : other.counts_;
-  bucket_starts_ = buckets_owned
-                       ? std::span<const std::uint64_t>(bucket_starts_vec_)
-                       : other.bucket_starts_;
+  bind_views(other);
   other.k_ = 0;
   other.total_ = 0;
   other.prefix_bits_ = 0;
@@ -58,7 +50,6 @@ void KSpectrum::move_from(KSpectrum&& other) noexcept {
   other.codes_ = {};
   other.counts_ = {};
   other.bucket_starts_ = {};
-  other.keepalive_.reset();
 }
 
 KSpectrum::KSpectrum(KSpectrum&& other) noexcept { move_from(std::move(other)); }
@@ -76,28 +67,13 @@ KSpectrum& KSpectrum::operator=(const KSpectrum& other) {
   total_ = other.total_;
   prefix_bits_ = other.prefix_bits_;
   external_ = other.external_;
-  if (other.external_) {
-    // Views are cheap to share: both copies alias the same external
-    // memory and co-own it through the keepalive.
-    codes_vec_.clear();
-    counts_vec_.clear();
-    codes_ = other.codes_;
-    counts_ = other.counts_;
-    keepalive_ = other.keepalive_;
-  } else {
-    codes_vec_ = other.codes_vec_;
-    counts_vec_ = other.counts_vec_;
-    codes_ = codes_vec_;
-    counts_ = counts_vec_;
-    keepalive_.reset();
-  }
-  if (other.bucket_starts_.data() == other.bucket_starts_vec_.data()) {
-    bucket_starts_vec_ = other.bucket_starts_vec_;
-    bucket_starts_ = bucket_starts_vec_;
-  } else {
-    bucket_starts_vec_.clear();
-    bucket_starts_ = other.bucket_starts_;
-  }
+  // An external view's vectors are empty: both copies alias the same
+  // external memory and co-own it through the keepalive.
+  codes_vec_ = other.codes_vec_;
+  counts_vec_ = other.counts_vec_;
+  bucket_starts_vec_ = other.bucket_starts_vec_;
+  keepalive_ = other.keepalive_;
+  bind_views(other);
   return *this;
 }
 
@@ -137,7 +113,7 @@ std::optional<std::string> KSpectrum::validate_sorted_counts(
 
 KSpectrum KSpectrum::from_sorted_counts(std::vector<seq::KmerCode> codes,
                                         std::vector<std::uint32_t> counts,
-                                        int k, int prefix_index_bits) {
+                                        int k) {
   if (codes.size() != counts.size()) {
     throw std::invalid_argument("from_sorted_counts: size mismatch");
   }
@@ -152,8 +128,8 @@ KSpectrum KSpectrum::from_sorted_counts(std::vector<seq::KmerCode> codes,
   s.counts_vec_ = std::move(counts);
   s.total_ = std::accumulate(s.counts_vec_.begin(), s.counts_vec_.end(),
                              std::uint64_t{0});
-  s.rebind_owned();
-  s.rebuild_prefix_index(prefix_index_bits);
+  s.build_prefix_index();
+  s.bind_views(s);
   return s;
 }
 
@@ -202,28 +178,18 @@ KSpectrum KSpectrum::build_from_sequence(std::string_view sequence, int k,
   return builder.finish();
 }
 
-void KSpectrum::rebuild_prefix_index(int prefix_index_bits) {
-  const int bits = prefix_index_bits < 0
-                       ? auto_prefix_bits(codes_.size(), k_)
-                       : std::min({prefix_index_bits, 2 * k_, 24});
-  if (bits <= 0 || codes_.empty()) {
-    prefix_bits_ = 0;
-    bucket_starts_vec_.clear();
-    bucket_starts_vec_.shrink_to_fit();
-    bucket_starts_ = {};
-    return;
-  }
-  prefix_bits_ = bits;
-  const int shift = 2 * k_ - bits;
-  const std::size_t buckets = std::size_t{1} << bits;
+void KSpectrum::build_prefix_index() {
+  prefix_bits_ = auto_prefix_bits(codes_vec_.size(), k_);
+  if (prefix_bits_ == 0) return;
+  const int shift = 2 * k_ - prefix_bits_;
+  const std::size_t buckets = std::size_t{1} << prefix_bits_;
   bucket_starts_vec_.assign(buckets + 1, 0);
-  for (const seq::KmerCode code : codes_) {
+  for (const seq::KmerCode code : codes_vec_) {
     ++bucket_starts_vec_[(code >> shift) + 1];
   }
   for (std::size_t b = 1; b <= buckets; ++b) {
     bucket_starts_vec_[b] += bucket_starts_vec_[b - 1];
   }
-  bucket_starts_ = bucket_starts_vec_;
 }
 
 std::int64_t KSpectrum::index_of(seq::KmerCode code) const {

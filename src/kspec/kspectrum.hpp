@@ -44,7 +44,8 @@ class KSpectrum {
  public:
   KSpectrum() = default;
   // Copy and move preserve the storage mode: owned spectra deep-copy
-  // their vectors; external views copy cheaply (span + shared keepalive).
+  // their vectors; external views, which own no array, copy cheaply
+  // (spans + shared keepalive).
   KSpectrum(const KSpectrum& other);
   KSpectrum& operator=(const KSpectrum& other);
   KSpectrum(KSpectrum&& other) noexcept;
@@ -68,7 +69,8 @@ class KSpectrum {
   static KSpectrum from_codes(std::vector<seq::KmerCode> codes, int k);
 
   /// Builds from pre-aggregated sorted (code, count) arrays (used by the
-  /// bounded-memory ChunkedSpectrumBuilder). Precondition: codes are
+  /// bounded-memory ChunkedSpectrumBuilder), with a prefix index of
+  /// auto_prefix_bits width. Precondition: codes are
   /// strictly ascending and in 2k-bit range, counts parallel and
   /// positive. A size mismatch always throws std::invalid_argument; the
   /// O(n) precondition scan runs only in debug builds (NDEBUG off) —
@@ -77,7 +79,7 @@ class KSpectrum {
   /// validate_sorted_counts().
   static KSpectrum from_sorted_counts(std::vector<seq::KmerCode> codes,
                                       std::vector<std::uint32_t> counts,
-                                      int k, int prefix_index_bits = -1);
+                                      int k);
 
   /// Checks the from_sorted_counts precondition over arbitrary arrays:
   /// equal lengths, strictly ascending codes, every code within 2k bits,
@@ -91,7 +93,7 @@ class KSpectrum {
   /// Zero-copy view over externally owned arrays (an mmap'ed
   /// index::SpectrumIndex payload, an arena, ...). `bucket_starts` is
   /// the prefix-bucket offset table for `prefix_bits` (pass empty + 0 to
-  /// run without one; rebuild_prefix_index can add an owned one later).
+  /// run without one).
   /// `total` is the instance count (sum of counts). `keepalive` is
   /// retained for the lifetime of the spectrum and every copy of it, so
   /// the backing memory cannot be unmapped while reachable. The caller
@@ -107,10 +109,10 @@ class KSpectrum {
   /// not own (adopt_external).
   bool external() const noexcept { return external_; }
 
-  /// The prefix-bucket width rebuild_prefix_index(-1) picks for a
-  /// spectrum of `size` codes: ~32 codes per bucket, 0 below 64 codes,
-  /// capped so the offset table stays a few MB and never exceeds the key
-  /// width. index::ShardedIndexWriter writes its table at this width.
+  /// The prefix-bucket width of a spectrum of `size` codes: ~32 codes
+  /// per bucket, 0 below 64 codes, capped so the offset table stays a
+  /// few MB and never exceeds the key width. from_sorted_counts indexes
+  /// at this width, and index::ShardedIndexWriter writes its table at it.
   static int auto_prefix_bits(std::size_t size, int k) noexcept;
 
   int k() const noexcept { return k_; }
@@ -151,20 +153,8 @@ class KSpectrum {
   void lower_bound_batch(std::span<const seq::KmerCode> keys,
                          std::span<std::size_t> out) const;
 
-  /// (Re)builds the prefix-bucket lookup table: 2^bits offsets into the
-  /// sorted array, one per top-bits key prefix. -1 = auto width from the
-  /// spectrum size, 0 = drop the index. Purely an accessor structure —
-  /// never changes lookup results. Valid on external spectra too (the
-  /// rebuilt table is owned; the code/count views are untouched).
-  void rebuild_prefix_index(int prefix_index_bits = -1);
-
   /// Width of the active prefix index (0 = disabled).
   int prefix_index_bits() const noexcept { return prefix_bits_; }
-
-  /// Bytes held by the prefix-bucket offset table.
-  std::size_t prefix_index_bytes() const noexcept {
-    return bucket_starts_.size() * sizeof(std::uint64_t);
-  }
 
   seq::KmerCode code_at(std::size_t i) const { return codes_[i]; }
   std::uint32_t count_at(std::size_t i) const { return counts_[i]; }
@@ -181,16 +171,20 @@ class KSpectrum {
   }
 
  private:
-  /// Points the code/count views at the owned vectors (after they were
-  /// filled or moved).
-  void rebind_owned() noexcept;
+  /// Builds the owned prefix-bucket lookup table at auto_prefix_bits
+  /// width: 2^bits offsets into the sorted array, one per top-bits key
+  /// prefix. Purely an accessor structure — never changes lookup
+  /// results.
+  void build_prefix_index();
+  /// Points the views at the owned vectors, or, on an external view, at
+  /// the memory that `source`'s views share.
+  void bind_views(const KSpectrum& source) noexcept;
   void move_from(KSpectrum&& other) noexcept;
 
   int k_ = 0;
   std::uint64_t total_ = 0;
   bool external_ = false;  // codes_/counts_ view memory we do not own
-  // Owned storage; empty on the external path (bucket_starts_vec_ may
-  // still be populated by rebuild_prefix_index on an external spectrum).
+  // Owned storage; empty on the external path.
   std::vector<seq::KmerCode> codes_vec_;
   std::vector<std::uint32_t> counts_vec_;
   std::vector<std::uint64_t> bucket_starts_vec_;

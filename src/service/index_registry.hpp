@@ -110,8 +110,8 @@ struct IndexRegistryConfig {
   /// Optional FASTQ whose reads are the phase-1 substrate for methods
   /// without a spectrum index (reptile). Empty = streaming methods only.
   std::string reads_path;
-  /// Per-method tile-decision cache budget, mirroring ngs-correct's
-  /// --tile-cache-mb default so served output matches offline runs.
+  /// Per-method cap in MiB on the tile-decision memo's memory. Tile
+  /// decisions are pure, so the memo never changes output.
   std::size_t tile_cache_mb = 32;
 };
 

@@ -21,6 +21,9 @@ namespace ngs::service {
 
 namespace {
 
+// Pending connections the kernel queues before accept.
+constexpr int kListenBacklog = 64;
+
 void close_fd(int& fd) {
   if (fd >= 0) {
     ::close(fd);
@@ -127,7 +130,7 @@ void CorrectionServer::start() {
   ::unlink(options_.socket_path.c_str());
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) < 0 ||
-      ::listen(listen_fd_, options_.listen_backlog) < 0) {
+      ::listen(listen_fd_, kListenBacklog) < 0) {
     const int saved = errno;
     close_fd(listen_fd_);
     throw ngs::Error(ngs::ErrorKind::kIo, fault::sites::kServiceAccept,

@@ -65,7 +65,6 @@ struct ServiceOptions {
   std::size_t max_batch_reads = 65536;
   /// Frame payload cap negotiated with clients.
   std::uint64_t max_frame_bytes = 64ull << 20;
-  int listen_backlog = 64;
 };
 
 /// Counters snapshot (the STATS verb payload is rendered from this).

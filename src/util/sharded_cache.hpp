@@ -40,13 +40,6 @@ class ShardedCache {
     std::uint64_t misses = 0;
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;
-
-    double hit_rate() const noexcept {
-      const std::uint64_t total = hits + misses;
-      return total == 0 ? 0.0
-                        : static_cast<double>(hits) /
-                              static_cast<double>(total);
-    }
   };
 
   /// `capacity_bytes` caps the slot storage (rounded down to a power of

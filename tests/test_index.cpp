@@ -22,6 +22,7 @@
 
 #include "core/pipeline.hpp"
 #include "core/registry.hpp"
+#include "fault/fault.hpp"
 #include "index/format.hpp"
 #include "index/spectrum_index.hpp"
 #include "io/fastx.hpp"
@@ -101,6 +102,34 @@ void expect_same_spectrum(const kspec::KSpectrum& loaded,
   for (std::size_t i = 0; i < bb.size(); ++i) {
     ASSERT_EQ(lb[i], bb[i]) << "bucket " << i;
   }
+}
+
+/// Asserts that `got` answers index_of and count as `want` does, on
+/// codes of `want` and on random codes of its key width.
+void expect_same_lookups(const kspec::KSpectrum& got,
+                         const kspec::KSpectrum& want) {
+  util::Rng rng(31);
+  const seq::KmerCode mask = want.k() == 32
+                                 ? ~seq::KmerCode{0}
+                                 : (seq::KmerCode{1} << (2 * want.k())) - 1;
+  for (int q = 0; q < 2000; ++q) {
+    const seq::KmerCode code = (q % 2 == 0 && !want.empty())
+                                   ? want.code_at(rng.below(want.size()))
+                                   : (rng() & mask);
+    ASSERT_EQ(got.index_of(code), want.index_of(code)) << "code " << code;
+    ASSERT_EQ(got.count(code), want.count(code)) << "code " << code;
+  }
+}
+
+/// SpectrumIndex::load with every mmap failing (the `index.mmap=always`
+/// fault spec), so the file is read into an owned buffer.
+index::SpectrumIndex load_with_mmap_failing(
+    const std::string& path, const index::LoadOptions& options = {}) {
+  struct Armed {
+    Armed() { fault::Registry::instance().configure("index.mmap=always"); }
+    ~Armed() { fault::Registry::instance().reset(); }
+  } armed;
+  return index::SpectrumIndex::load(path, options);
 }
 
 Kind load_failure_kind(const std::string& path,
@@ -245,14 +274,14 @@ TEST(SpectrumIndex, OwnedBufferFallbackMatchesMmap) {
   const std::string path = temp_path("owned");
   index::write_spectrum_index(path, built, build_info_for(built));
 
-  index::LoadOptions owned;
-  owned.use_mmap = false;
-  const auto via_read = index::SpectrumIndex::load(path, owned);
-  EXPECT_FALSE(via_read.info().mapped);
-  expect_same_spectrum(via_read.spectrum(), built);
-
   const auto via_mmap = index::SpectrumIndex::load(path);
-  expect_same_spectrum(via_mmap.spectrum(), via_read.spectrum());
+  EXPECT_TRUE(via_mmap.info().mapped);
+  expect_same_spectrum(via_mmap.spectrum(), built);
+
+  const auto via_read = load_with_mmap_failing(path);
+  EXPECT_FALSE(via_read.info().mapped);
+  expect_same_spectrum(via_read.spectrum(), via_mmap.spectrum());
+  expect_same_lookups(via_read.spectrum(), via_mmap.spectrum());
   std::remove(path.c_str());
 }
 
@@ -268,6 +297,74 @@ TEST(SpectrumIndex, SharedSpectrumOutlivesIndexObject) {
     EXPECT_TRUE(view.external());
   }  // mapping must stay alive through the keepalive handle
   expect_same_spectrum(view, built);
+  std::remove(path.c_str());
+}
+
+// The prefix width follows the spectrum's size alone (auto_prefix_bits
+// never picks 1). At each width the built spectrum, its copy, its move,
+// the view SpectrumIndex::load serves from the file's bucket table and a
+// copy of that view carry the same table and look up as std::lower_bound
+// does over the codes.
+TEST(PrefixIndex, AgreesWithPlainLowerBound) {
+  constexpr int kK = 13;
+  const seq::KmerCode mask = (seq::KmerCode{1} << (2 * kK)) - 1;
+  const std::string path = temp_path("prefix_index");
+  const std::pair<std::size_t, int> sizes[] = {
+      {40, 0}, {100, 2}, {400, 4}, {24000, 10}, {1100000, 16}};
+  for (const auto& [n, bits] : sizes) {
+    const kspec::KSpectrum built = spread_spectrum(kK, n, n);
+    ASSERT_EQ(built.prefix_index_bits(), bits) << built.size() << " codes";
+    const kspec::KSpectrum copy = built;
+    kspec::KSpectrum source = built;
+    const kspec::KSpectrum moved = std::move(source);
+    EXPECT_TRUE(source.empty());
+    index::write_spectrum_index(path, built, build_info_for(built));
+    const auto loaded = index::SpectrumIndex::load(path);
+    const kspec::KSpectrum view_copy = loaded.spectrum();
+    ASSERT_TRUE(loaded.spectrum().external());
+    ASSERT_TRUE(view_copy.external());
+
+    const auto codes = built.codes();
+    util::Rng rng(7);
+    std::vector<seq::KmerCode> queries;
+    for (std::size_t i = 0; i < codes.size(); i += 1 + codes.size() / 2000) {
+      queries.push_back(codes[i]);      // hits
+      queries.push_back(codes[i] + 1);  // mostly misses
+    }
+    for (int i = 0; i < 2000; ++i) queries.push_back(rng() & mask);
+    queries.push_back(mask);
+    queries.push_back(mask + 1);  // past the top bucket
+    queries.push_back(~seq::KmerCode{0});
+    std::vector<std::int64_t> plain_index(queries.size());
+    std::vector<std::size_t> plain_bound(queries.size());
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      const auto it = std::lower_bound(codes.begin(), codes.end(), queries[q]);
+      plain_bound[q] = static_cast<std::size_t>(it - codes.begin());
+      plain_index[q] = it != codes.end() && *it == queries[q]
+                           ? static_cast<std::int64_t>(plain_bound[q])
+                           : -1;
+    }
+
+    const kspec::KSpectrum* spectra[] = {&built, &copy, &moved,
+                                         &loaded.spectrum(), &view_copy};
+    const char* names[] = {"built", "copy", "move", "view", "view copy"};
+    for (std::size_t s = 0; s < std::size(spectra); ++s) {
+      const kspec::KSpectrum& spec = *spectra[s];
+      SCOPED_TRACE(std::string(names[s]) + ", " +
+                   std::to_string(built.size()) + " codes");
+      ASSERT_EQ(spec.prefix_index_bits(), bits);
+      ASSERT_TRUE(std::ranges::equal(spec.bucket_starts(),
+                                     built.bucket_starts()));
+      ASSERT_TRUE(std::ranges::equal(spec.codes(), codes));
+      std::vector<std::size_t> bound(queries.size());
+      spec.lower_bound_batch(queries, bound);
+      EXPECT_EQ(bound, plain_bound);
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        ASSERT_EQ(spec.index_of(queries[q]), plain_index[q])
+            << "query " << queries[q];
+      }
+    }
+  }
   std::remove(path.c_str());
 }
 
@@ -461,25 +558,18 @@ TEST(ShardedIndex, RoundTripMatchesMonolith) {
       EXPECT_EQ(write_runs(multi, *built, shard_bits), checksum);
       EXPECT_EQ(slurp(multi), bytes)
           << "size " << built->size() << ", shard_bits " << shard_bits;
-      for (const bool use_mmap : {true, false}) {
-        index::LoadOptions options;
-        options.use_mmap = use_mmap;
-        options.verify_checksums = true;
-        options.validate_payload = true;
-        const auto loaded = index::SpectrumIndex::load(multi, options);
-        EXPECT_EQ(loaded.info().checksum, checksum);
-        expect_same_spectrum(loaded.spectrum(), *built);
-        util::Rng rng(31);
-        const seq::KmerCode mask = (seq::KmerCode{1} << (2 * k)) - 1;
-        for (int q = 0; q < 2000; ++q) {
-          const seq::KmerCode code =
-              (q % 2 == 0 && !built->empty())
-                  ? built->code_at(rng.below(built->size()))
-                  : (rng() & mask);
-          ASSERT_EQ(loaded.spectrum().index_of(code), built->index_of(code));
-          ASSERT_EQ(loaded.spectrum().count(code), built->count(code));
-        }
-      }
+      index::LoadOptions options;
+      options.verify_checksums = true;
+      options.validate_payload = true;
+      const auto mapped = index::SpectrumIndex::load(multi, options);
+      EXPECT_EQ(mapped.info().checksum, checksum);
+      expect_same_spectrum(mapped.spectrum(), *built);
+      expect_same_lookups(mapped.spectrum(), *built);
+      const auto owned = load_with_mmap_failing(multi, options);
+      EXPECT_FALSE(owned.info().mapped);
+      EXPECT_EQ(owned.info().checksum, checksum);
+      expect_same_spectrum(owned.spectrum(), mapped.spectrum());
+      expect_same_lookups(owned.spectrum(), mapped.spectrum());
       std::remove(multi.c_str());
     }
     std::remove(one.c_str());

@@ -74,8 +74,8 @@ int main(int argc, char** argv) {
   cli.add_option("max-batch-reads", "largest read count per request batch",
                  true, "65536");
   cli.add_option("tile-cache-mb",
-                 "per-method tile-decision cache budget in MiB (matches "
-                 "ngs-correct's default so served output is byte-identical)",
+                 "per-method cap in MiB on the tile-decision memo's memory "
+                 "(the memo never changes output)",
                  true, "32");
   cli.add_option("fault-spec",
                  "fault-injection spec (also read from NGS_FAULT_SPEC; "
